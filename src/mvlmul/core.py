@@ -5,16 +5,18 @@ Signals carry small unsigned digits. A wire is binary (max 1), ternary
 because digit products carry in ternary while sums stay quaternary.
 
 Every gate used by the netlist generator is defined here as a pure
-function over digit values, together with its port signature (input and
-output ranges). The simulator evaluates netlists through the
-:data:`KERNELS` table; the typed wrappers (:func:`qmul1`, :func:`qfac2`,
-...) are the public single-gate API.
+function over digit values in the :data:`KERNELS` table, together with
+its port signature (input and output ranges) in :data:`PORTS`.  The
+simulator evaluates netlists through that table, and the typed wrappers
+(:func:`qmul1`, :func:`qfac2`, ...) are views of it over
+:class:`LogicLevel` values.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 
@@ -55,6 +57,109 @@ def quit(v: int) -> LogicLevel:
 def _check(name: str, v: int, hi: int) -> None:
     if not isinstance(v, int) or not 0 <= v <= hi:
         raise LogicError(f"{name}={v!r} outside 0..{hi}")
+
+
+# ---------------------------------------------------------------------------
+# gate kinds, port signatures and kernels
+# ---------------------------------------------------------------------------
+
+class GateKind(enum.Enum):
+    AND = "AND"
+    BIN_HA = "BIN_HA"
+    BIN_FA = "BIN_FA"
+    QM1 = "QM1"
+    QHA = "QHA"
+    QFAC2 = "QFAC2"
+    QFAC2WC = "QFAC2WC"
+    MUX4 = "MUX4"
+    DECODER = "DECODER"
+
+    def __str__(self):
+        return self.value
+
+
+@dataclass(frozen=True)
+class PortSpec:
+    """Named ports with the maximum digit each port may carry."""
+
+    inputs: tuple[tuple[str, int], ...]
+    outputs: tuple[tuple[str, int], ...]
+
+
+PORTS = {
+    GateKind.AND: PortSpec((("a", 1), ("b", 1)), (("y", 1),)),
+    GateKind.BIN_HA: PortSpec((("a", 1), ("b", 1)), (("sum", 1), ("cout", 1))),
+    GateKind.BIN_FA: PortSpec((("a", 1), ("b", 1), ("cin", 1)),
+                              (("sum", 1), ("cout", 1))),
+    GateKind.QM1: PortSpec((("a", 3), ("b", 3)), (("product", 3), ("carry", 2))),
+    GateKind.QHA: PortSpec((("a", 3), ("b", 3)), (("sum", 3), ("cout", 1))),
+    GateKind.QFAC2: PortSpec((("a", 3), ("b", 3), ("cin", 2)),
+                             (("sum", 3), ("cout", 2))),
+    GateKind.QFAC2WC: PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),)),
+    GateKind.MUX4: PortSpec((("sel", 3), ("in0", 3), ("in1", 3),
+                             ("in2", 3), ("in3", 3)), (("y", 3),)),
+    GateKind.DECODER: PortSpec((("x", 3),),
+                               (("nqi", 3), ("iqi", 3), ("pqi", 3))),
+}
+
+
+#: int-level gate kernels: the one definition of every cell's arithmetic.
+KERNELS = {
+    GateKind.AND: lambda a, b: (a & b,),
+    GateKind.BIN_HA: lambda a, b: ((a + b) & 1, (a + b) >> 1),
+    GateKind.BIN_FA: lambda a, b, c: ((a + b + c) & 1, (a + b + c) >> 1),
+    GateKind.QM1: lambda a, b: (a * b % 4, a * b // 4),
+    GateKind.QHA: lambda a, b: ((a + b) % 4, (a + b) // 4),
+    GateKind.QFAC2: lambda a, b, c: ((a + b + c) % 4, (a + b + c) // 4),
+    GateKind.QFAC2WC: lambda a, b, c: ((a + b + c) % 4,),
+    GateKind.MUX4: lambda s, i0, i1, i2, i3: ((i0, i1, i2, i3)[s],),
+    GateKind.DECODER: lambda x: (3 if x < 1 else 0, 3 if x < 2 else 0,
+                                 3 if x < 3 else 0),
+}
+
+
+def evaluate_gate(kind: GateKind, inputs: tuple[int, ...]) -> tuple[int, ...]:
+    """Evaluate one gate on raw digit values, with port range checks."""
+    spec = PORTS[kind]
+    if len(inputs) != len(spec.inputs):
+        raise LogicError(f"{kind} takes {len(spec.inputs)} inputs, "
+                         f"got {len(inputs)}")
+    for (name, hi), v in zip(spec.inputs, inputs):
+        _check(f"{kind}.{name}", v, hi)
+    return tuple(KERNELS[kind](*inputs))
+
+
+@cache
+def output_ranges(kind: GateKind, in_ranges: tuple[int, ...]) -> tuple[int, ...]:
+    """Tight per-output ranges for a gate given its input wire ranges.
+
+    Carry outputs narrow when the inputs cannot reach the port maximum
+    (a quaternary adder fed one quit and two ternaries only ever carries
+    a bit); the netlist generator uses this to type every wire.  The
+    domain is at most 1,024 input vectors (MUX4), so it is enumerated
+    exactly, once per distinct argument pair.
+    """
+    spec = PORTS[kind]
+    if len(in_ranges) != len(spec.inputs):
+        raise LogicError(f"{kind} takes {len(spec.inputs)} inputs")
+    for (name, hi), r in zip(spec.inputs, in_ranges):
+        if r > hi:
+            raise LogicError(f"{kind}.{name} accepts at most {hi}, "
+                             f"wire range is {r}")
+    maxima = [0] * len(spec.outputs)
+    for vals in product(*(range(r + 1) for r in in_ranges)):
+        for i, o in enumerate(KERNELS[kind](*vals)):
+            if o > maxima[i]:
+                maxima[i] = o
+    return tuple(maxima)
+
+
+def _cell(kind: GateKind, *levels: LogicLevel):
+    """Evaluate ``kind`` on levels; outputs are typed by their port range."""
+    outs = tuple(LogicLevel(v, hi) for v, (_, hi) in
+                 zip(evaluate_gate(kind, tuple(x.value for x in levels)),
+                     PORTS[kind].outputs))
+    return outs[0] if len(outs) == 1 else outs
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +216,7 @@ def decode_thresholds(x: LogicLevel) -> tuple[LogicLevel, LogicLevel, LogicLevel
         2    0   0   3
         3    0   0   0
     """
-    _check("x", x.value, 3)
-    n, i, p = _decode_vals(x.value)
-    return quit(n), quit(i), quit(p)
-
-
-def _decode_vals(x: int) -> tuple[int, int, int]:
-    return (3 if x < 1 else 0, 3 if x < 2 else 0, 3 if x < 3 else 0)
+    return _cell(GateKind.DECODER, x)
 
 
 def mux4(sel: LogicLevel, in0: LogicLevel, in1: LogicLevel,
@@ -131,21 +230,13 @@ def mux4(sel: LogicLevel, in0: LogicLevel, in1: LogicLevel,
 # arithmetic cells
 # ---------------------------------------------------------------------------
 
-def _qm1_vals(a: int, b: int) -> tuple[int, int]:
-    p = a * b
-    return p % 4, p // 4
-
-
 def qmul1(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
     """1x1 quaternary digit multiplier: product quit and ternary carry.
 
     Satisfies 4*carry + product == a*b for every input pair; the carry
     never exceeds 2 (max total is 9).
     """
-    _check("a", a.value, 3)
-    _check("b", b.value, 3)
-    qm, qc = _qm1_vals(a.value, b.value)
-    return quit(qm), trit(qc)
+    return _cell(GateKind.QM1, a, b)
 
 
 def qmul1_mux(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
@@ -171,147 +262,30 @@ def qfac2(a: LogicLevel, b: LogicLevel, cin: LogicLevel) \
     ternary; cin=3 is rejected because a generator that produces it has
     violated the carry discipline.  Max total 3+3+2=8, so cout <= 2.
     """
-    _check("a", a.value, 3)
-    _check("b", b.value, 3)
-    if cin.value > 2:
-        raise LogicError(f"carry-in {cin.value} outside 0..2")
-    t = a.value + b.value + cin.value
-    return quit(t % 4), trit(t // 4)
+    return _cell(GateKind.QFAC2, a, b, cin)
 
 
 def qfac2wc(a: LogicLevel, b: LogicLevel, cin: LogicLevel) -> LogicLevel:
     """Carry-less variant of :func:`qfac2` for the top of a final adder."""
-    s, _ = qfac2(a, b, cin)
-    return s
+    return _cell(GateKind.QFAC2WC, a, b, cin)
 
 
 def qha(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
     """Quaternary half adder: sum quit plus a binary carry."""
-    _check("a", a.value, 3)
-    _check("b", b.value, 3)
-    t = a.value + b.value
-    return quit(t % 4), bit(t // 4)
+    return _cell(GateKind.QHA, a, b)
 
 
 def bin_fa(a: LogicLevel, b: LogicLevel, cin: LogicLevel) \
         -> tuple[LogicLevel, LogicLevel]:
     """Binary full adder."""
-    for n, x in (("a", a), ("b", b), ("cin", cin)):
-        _check(n, x.value, 1)
-    t = a.value + b.value + cin.value
-    return bit(t & 1), bit(t >> 1)
+    return _cell(GateKind.BIN_FA, a, b, cin)
 
 
 def bin_ha(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
     """Binary half adder."""
-    _check("a", a.value, 1)
-    _check("b", b.value, 1)
-    t = a.value + b.value
-    return bit(t & 1), bit(t >> 1)
+    return _cell(GateKind.BIN_HA, a, b)
 
 
 def and2(a: LogicLevel, b: LogicLevel) -> LogicLevel:
     """2-input AND, the 1x1 binary multiplier."""
-    _check("a", a.value, 1)
-    _check("b", b.value, 1)
-    return bit(a.value & b.value)
-
-
-# ---------------------------------------------------------------------------
-# gate kinds and port signatures
-# ---------------------------------------------------------------------------
-
-class GateKind(enum.Enum):
-    AND = "AND"
-    BIN_HA = "BIN_HA"
-    BIN_FA = "BIN_FA"
-    QM1 = "QM1"
-    QHA = "QHA"
-    QFAC2 = "QFAC2"
-    QFAC2WC = "QFAC2WC"
-    MUX4 = "MUX4"
-    DECODER = "DECODER"
-
-    def __str__(self):
-        return self.value
-
-
-@dataclass(frozen=True)
-class PortSpec:
-    """Named ports with the maximum digit each port may carry."""
-
-    inputs: tuple[tuple[str, int], ...]
-    outputs: tuple[tuple[str, int], ...]
-
-
-PORTS = {
-    GateKind.AND: PortSpec((("a", 1), ("b", 1)), (("y", 1),)),
-    GateKind.BIN_HA: PortSpec((("a", 1), ("b", 1)), (("sum", 1), ("cout", 1))),
-    GateKind.BIN_FA: PortSpec((("a", 1), ("b", 1), ("cin", 1)),
-                              (("sum", 1), ("cout", 1))),
-    GateKind.QM1: PortSpec((("a", 3), ("b", 3)), (("product", 3), ("carry", 2))),
-    GateKind.QHA: PortSpec((("a", 3), ("b", 3)), (("sum", 3), ("cout", 1))),
-    GateKind.QFAC2: PortSpec((("a", 3), ("b", 3), ("cin", 2)),
-                             (("sum", 3), ("cout", 2))),
-    GateKind.QFAC2WC: PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),)),
-    GateKind.MUX4: PortSpec((("sel", 3), ("in0", 3), ("in1", 3),
-                             ("in2", 3), ("in3", 3)), (("y", 3),)),
-    GateKind.DECODER: PortSpec((("x", 3),),
-                               (("nqi", 3), ("iqi", 3), ("pqi", 3))),
-}
-
-
-#: int-level gate kernels used by the netlist simulator.
-KERNELS = {
-    GateKind.AND: lambda a, b: (a & b,),
-    GateKind.BIN_HA: lambda a, b: ((a + b) & 1, (a + b) >> 1),
-    GateKind.BIN_FA: lambda a, b, c: ((a + b + c) & 1, (a + b + c) >> 1),
-    GateKind.QM1: lambda a, b: _qm1_vals(a, b),
-    GateKind.QHA: lambda a, b: ((a + b) % 4, (a + b) // 4),
-    GateKind.QFAC2: lambda a, b, c: ((a + b + c) % 4, (a + b + c) // 4),
-    GateKind.QFAC2WC: lambda a, b, c: ((a + b + c) % 4,),
-    GateKind.MUX4: lambda s, i0, i1, i2, i3: ((i0, i1, i2, i3)[s],),
-    GateKind.DECODER: lambda x: _decode_vals(x),
-}
-
-
-def evaluate_gate(kind: GateKind, inputs: tuple[int, ...]) -> tuple[int, ...]:
-    """Evaluate one gate on raw digit values, with port range checks."""
-    spec = PORTS[kind]
-    if len(inputs) != len(spec.inputs):
-        raise LogicError(f"{kind} takes {len(spec.inputs)} inputs, "
-                         f"got {len(inputs)}")
-    for (name, hi), v in zip(spec.inputs, inputs):
-        if not 0 <= v <= hi:
-            raise LogicError(f"{kind}.{name}={v} outside 0..{hi}")
-    return tuple(KERNELS[kind](*inputs))
-
-
-def output_ranges(kind: GateKind, in_ranges: tuple[int, ...]) -> tuple[int, ...]:
-    """Tight per-output ranges for a gate given its input wire ranges.
-
-    Carry outputs narrow when the inputs cannot reach the port maximum
-    (a quaternary adder fed one quit and two ternaries only ever carries
-    a bit); the netlist generator uses this to type every wire.
-    """
-    spec = PORTS[kind]
-    if len(in_ranges) != len(spec.inputs):
-        raise LogicError(f"{kind} takes {len(spec.inputs)} inputs")
-    for (name, hi), r in zip(spec.inputs, in_ranges):
-        if r > hi:
-            raise LogicError(f"{kind}.{name} accepts at most {hi}, "
-                             f"wire range is {r}")
-    if kind in (GateKind.QHA, GateKind.QFAC2, GateKind.QFAC2WC):
-        t = sum(in_ranges)
-        out = (min(3, t), t // 4)
-        return out[:len(spec.outputs)]
-    if kind in (GateKind.BIN_HA, GateKind.BIN_FA):
-        t = sum(in_ranges)
-        return (min(1, t), t >> 1)
-    # small domains: enumerate exactly
-    maxima = [0] * len(spec.outputs)
-    for vals in product(*(range(r + 1) for r in in_ranges)):
-        for i, o in enumerate(KERNELS[kind](*vals)):
-            if o > maxima[i]:
-                maxima[i] = o
-    return tuple(maxima)
+    return _cell(GateKind.AND, a, b)

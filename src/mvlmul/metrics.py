@@ -19,6 +19,7 @@ reference aggregates are quoted.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,20 @@ class LibraryError(KeyError):
 
 class CalibrationError(ValueError):
     """The calibration system is underdetermined or inconsistent."""
+
+
+@contextmanager
+def _library_errors(what: str):
+    """Report a malformed library document as a :class:`LibraryError`."""
+    try:
+        yield
+    except LibraryError:
+        raise
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
+        # bad JSON (a ValueError), a missing key, an unknown kind or a
+        # non-numeric value
+        raise LibraryError(f"malformed {what} library: "
+                           f"{type(e).__name__}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +115,15 @@ class CostLibrary:
 
     @classmethod
     def from_json(cls, text: str) -> "CostLibrary":
-        doc = json.loads(text)
-        return cls(name=doc.get("name", "custom"),
-                   sigma_di={GateKind(k): float(v)
-                             for k, v in doc["sigma_di"].items()},
-                   diameters=tuple(DiameterRow(r["n"], r["diameter_nm"],
-                                               r["vth_v"])
-                                   for r in doc.get("diameters", ())) or
-                   DIAMETER_TABLE)
+        with _library_errors("cost"):
+            doc = json.loads(text)
+            return cls(name=doc.get("name", "custom"),
+                       sigma_di={GateKind(k): float(v)
+                                 for k, v in doc["sigma_di"].items()},
+                       diameters=tuple(DiameterRow(r["n"], r["diameter_nm"],
+                                                   r["vth_v"])
+                                       for r in doc.get("diameters", ())) or
+                       DIAMETER_TABLE)
 
 
 def default_cost_library() -> CostLibrary:
@@ -188,13 +204,14 @@ class TimingLibrary:
 
     @classmethod
     def from_json(cls, text: str) -> "TimingLibrary":
-        doc = json.loads(text)
-        delays = {}
-        for key, v in doc["delays"].items():
-            kname, _, port = key.partition(".")
-            delays[(GateKind(kname), port)] = float(v)
-        return cls(name=doc.get("name", "custom"), delays=delays,
-                   load_note=doc.get("load_note", ""))
+        with _library_errors("timing"):
+            doc = json.loads(text)
+            delays = {}
+            for key, v in doc["delays"].items():
+                kname, _, port = key.partition(".")
+                delays[(GateKind(kname), port)] = float(v)
+            return cls(name=doc.get("name", "custom"), delays=delays,
+                       load_note=doc.get("load_note", ""))
 
 
 def _uniform_delays(kinds_ps: dict[GateKind, float]) \
@@ -218,24 +235,22 @@ _AGG_QUAT_0V9_PS = 646.0
 QM1_DELAY_0V9_PS = 118.0
 
 
-def timing_binary_0v9() -> TimingLibrary:
-    d = _AGG_BIN_0V9_PS / BINARY_8X8_PATH_CELLS
+def _timing_binary(name: str, aggregate_ps: float) -> TimingLibrary:
+    d = aggregate_ps / BINARY_8X8_PATH_CELLS
     return TimingLibrary(
-        name="binary-0.9v",
+        name=name,
         delays=_uniform_delays({GateKind.AND: 0.0, GateKind.BIN_HA: d,
                                 GateKind.BIN_FA: d, GateKind.MUX4: 0.0,
                                 GateKind.DECODER: 0.0}),
         load_note="2fF, calibrated to the 8x8 aggregate worst path")
+
+
+def timing_binary_0v9() -> TimingLibrary:
+    return _timing_binary("binary-0.9v", _AGG_BIN_0V9_PS)
 
 
 def timing_binary_0v45() -> TimingLibrary:
-    d = _AGG_BIN_0V45_PS / BINARY_8X8_PATH_CELLS
-    return TimingLibrary(
-        name="binary-0.45v",
-        delays=_uniform_delays({GateKind.AND: 0.0, GateKind.BIN_HA: d,
-                                GateKind.BIN_FA: d, GateKind.MUX4: 0.0,
-                                GateKind.DECODER: 0.0}),
-        load_note="2fF, calibrated to the 8x8 aggregate worst path")
+    return _timing_binary("binary-0.45v", _AGG_BIN_0V45_PS)
 
 
 def timing_quaternary_0v9() -> TimingLibrary:
@@ -333,63 +348,46 @@ def critical_path(net: Netlist, lib: TimingLibrary,
         raise LibraryError(f"timing library {lib.name!r} missing entries "
                            "for " + ", ".join(missing))
     exclude = frozenset(exclude_kinds)
-    neg_inf = float("-inf")
-
-    order = topo_order(net)
-    consumers: dict[str, list] = {}
-    for g in order:
-        for w in g.inputs:
-            consumers.setdefault(w, []).append(g)
-
-    def gate_delay(g, port_idx):
-        if g.kind in exclude:
-            return 0.0
-        return lib.delay(g.kind, PORTS[g.kind].outputs[port_idx][0])
-
-    # suffix potential per wire: max remaining delay down to any output
-    outputs = set(net.primary_outputs)
-    suffix = {w: (0.0 if w in outputs else neg_inf) for w in net.wires}
-    for g in reversed(order):
-        best = neg_inf
-        for k, w in enumerate(g.outputs):
-            if suffix[w] > neg_inf:
-                best = max(best, gate_delay(g, k) + suffix[w])
-        if best > neg_inf:
-            for w in g.inputs:
-                if suffix[w] < best:
-                    suffix[w] = best
-
-    total = max((suffix[w] for w in net.primary_inputs), default=neg_inf)
-    if total == neg_inf or not net.gates:
-        return CriticalPath(0.0, [], [])
-
-    # forward greedy reconstruction: among equally late continuations the
-    # lexicographically smallest gate id wins, making the report stable
     eps = 1e-9
-    frontier = {w for w in net.primary_inputs if suffix[w] >= total - eps}
-    remaining = total
+
+    # one reverse pass: per wire, the latest remaining delay down to any
+    # output, and the first hop (gate id, port, position) that achieves
+    # it; a primary output with nothing later keeps the hop None
+    order = topo_order(net)
+    rem = {w: 0.0 for w in net.primary_outputs}
+    hop: dict[str, tuple | None] = dict.fromkeys(rem)
+    for i in range(len(order) - 1, -1, -1):
+        g = order[i]
+        for k, ow in enumerate(g.outputs):
+            if ow not in rem:
+                continue
+            t = rem[ow] if g.kind in exclude else \
+                lib.delay(g.kind, PORTS[g.kind].outputs[k][0]) + rem[ow]
+            h = (g.id, k, i)
+            for w in g.inputs:
+                r = rem.get(w)
+                if r is None or t > r + eps or (
+                        t >= r - eps and hop[w] is not None and h < hop[w]):
+                    hop[w] = h
+                if r is None or t > r:
+                    rem[w] = t
+
+    starts = [w for w in net.primary_inputs if w in rem]
+    if not starts or not net.gates:
+        return CriticalPath(0.0, [], [])
+    total = max(rem[w] for w in starts)
+    # among equally late paths the smallest (gate id, port) hop wins at
+    # every step, making the report stable
+    w = min((w for w in starts if rem[w] >= total - eps),
+            key=lambda w: hop[w] or ())
     gates_seq: list[str] = []
     kinds_seq: list[GateKind] = []
-    while remaining > eps or not (frontier & outputs):
-        candidates = []
-        for w in frontier:
-            for g in consumers.get(w, ()):
-                for k, ow in enumerate(g.outputs):
-                    tail = suffix[ow]
-                    if ow in outputs:
-                        tail = max(tail, 0.0)
-                    if tail == neg_inf:
-                        continue
-                    if abs(gate_delay(g, k) + tail - remaining) <= eps:
-                        candidates.append((g, k))
-        if not candidates:
-            break
-        g, k = min(candidates, key=lambda t: (t[0].id, t[1]))
+    while hop[w] is not None:
+        g = order[hop[w][2]]
         if g.kind not in exclude:
             gates_seq.append(g.id)
             kinds_seq.append(g.kind)
-        remaining -= gate_delay(g, k)
-        frontier = {g.outputs[k]}
+        w = g.outputs[hop[w][1]]
     return CriticalPath(total, gates_seq, kinds_seq)
 
 

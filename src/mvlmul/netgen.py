@@ -81,18 +81,6 @@ class NetBuilder:
         self.gates.append(GateInstance(gid, kind, tuple(inputs), tuple(outs)))
         return gid, outs, ranges
 
-    def replace_with_wc(self, gate_id: str) -> None:
-        """Rewrite a QFAC2 into QFAC2WC, dropping its carry wire."""
-        for i, g in enumerate(self.gates):
-            if g.id == gate_id:
-                if g.kind is not GateKind.QFAC2:
-                    raise NetgenError(f"{gate_id} is {g.kind}, not QFAC2")
-                del self.wires[g.outputs[1]]
-                self.gates[i] = GateInstance(g.id, GateKind.QFAC2WC,
-                                             g.inputs, g.outputs[:1])
-                return
-        raise NetgenError(f"no gate {gate_id}")
-
 
 @dataclass
 class DotMatrix:
@@ -335,27 +323,6 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
     return digits, created
 
 
-def _substitute_wc(builder: NetBuilder, cpa_gates: list[str],
-                   outputs: list[str]) -> list[str]:
-    """Rewrite the top final-add QFAC2 to QFAC2WC when its carry dangles.
-
-    Applied after the final add; only the carry-less variant of the full
-    adder exists, so half adders with dangling carries are left alone.
-    """
-    if not cpa_gates:
-        return []
-    consumed = {w for g in builder.gates for w in g.inputs}
-    consumed.update(outputs)
-    last = cpa_gates[-1]
-    swapped = []
-    for g in builder.gates:
-        if g.id == last and g.kind is GateKind.QFAC2 \
-                and g.outputs[1] not in consumed:
-            builder.replace_with_wc(g.id)
-            swapped.append(g.id)
-    return swapped
-
-
 # ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
@@ -400,7 +367,14 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
             raise NetgenError("reduction did not converge")
 
     digits, cpa_gates = final_cpa(builder, matrix)
-    _substitute_wc(builder, cpa_gates, digits)
+    # the top final-add QFAC2 becomes the carry-less QFAC2WC when its carry
+    # is not a product digit; it is the last gate, so nothing consumes it
+    top = builder.gates[-1]
+    if cpa_gates and top.kind is GateKind.QFAC2 \
+            and top.outputs[1] not in digits:
+        del builder.wires[top.outputs[1]]
+        builder.gates[-1] = GateInstance(top.id, GateKind.QFAC2WC, top.inputs,
+                                         top.outputs[:1])
 
     kind_of = {g.id: g.kind.value for g in builder.gates}
     stats = {

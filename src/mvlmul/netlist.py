@@ -71,19 +71,6 @@ class Netlist:
         counts = Counter(g.kind.value for g in self.gates)
         return dict(sorted(counts.items()))
 
-    def drivers(self) -> dict[str, tuple]:
-        """Map wire id -> ("input", name) or (gate_id, port_index)."""
-        drv: dict[str, tuple] = {}
-        for name in self.primary_inputs:
-            drv.setdefault(name, ("input", name))
-        for g in self.gates:
-            for k, w in enumerate(g.outputs):
-                if w in drv:
-                    drv[w] = ("multi", w)
-                else:
-                    drv[w] = (g.id, k)
-        return drv
-
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
@@ -110,7 +97,10 @@ class Netlist:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise NetlistError(f"not valid JSON: {e}") from None
-        if not isinstance(doc, dict) or doc.get("format") != JSON_FORMAT:
+        if not isinstance(doc, dict):
+            raise NetlistError("not a netlist document (top level is "
+                               f"{type(doc).__name__}, not an object)")
+        if doc.get("format") != JSON_FORMAT:
             raise NetlistError("not a netlist document "
                                f"(format={doc.get('format')!r})")
         if doc.get("version") != JSON_VERSION:
@@ -133,9 +123,10 @@ class Netlist:
 def validate_netlist(n: Netlist) -> list[Violation]:
     """Check structural invariants; returns an empty list when sound.
 
-    Checks: field sanity, wire ranges, port arity, single drivers,
-    dangling inputs, port/wire range compatibility (no quaternary wire
-    on a carry port), acyclicity, and product-output completeness.
+    Checks: field sanity, wire ranges, primary-input digit ranges, port
+    arity, single drivers, dangling inputs, port/wire range compatibility
+    (no quaternary wire on a carry port), acyclicity, and product-output
+    completeness (each digit named once).
     """
     v: list[Violation] = []
     if n.radix not in (2, 4):
@@ -153,6 +144,11 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     for name in n.primary_inputs:
         if name not in n.wires:
             v.append(Violation("missing-wire", f"input wire {name} undeclared"))
+        elif n.wires[name].range_max != n.radix - 1:
+            v.append(Violation(
+                "input-range", f"input wire {name} has range_max "
+                f"{n.wires[name].range_max}, radix {n.radix} digits need "
+                f"{n.radix - 1}"))
         driver_count[name] += 1
 
     for g in n.gates:
@@ -195,6 +191,10 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     for out in n.primary_outputs:
         if out not in n.wires:
             v.append(Violation("missing-wire", f"output wire {out} undeclared"))
+    for out, c in Counter(n.primary_outputs).items():
+        if c > 1:
+            v.append(Violation("dup-output",
+                               f"wire {out} is listed as {c} product digits"))
 
     # completeness: a width-N multiplier emits 2N digits; the degenerate
     # binary 1x1 is a bare AND whose product is a single bit.
@@ -205,62 +205,43 @@ def validate_netlist(n: Netlist) -> list[Violation]:
         v.append(Violation("outputs", f"expected {expected} product digits, "
                            f"got {len(n.primary_outputs)}"))
 
-    v.extend(_check_acyclic(n))
+    stuck = _kahn(n)[1]
+    if stuck:
+        v.append(Violation("cycle", "combinational cycle through "
+                           + ", ".join(stuck[:8])))
     return v
 
 
-def _check_acyclic(n: Netlist) -> list[Violation]:
-    producer: dict[str, str] = {}
-    for g in n.gates:
+def _kahn(n: Netlist) -> tuple[list[GateInstance], list[str]]:
+    """Kahn walk: gates in dependency order, plus the sorted ids of the
+    gates it never reaches (those on or downstream of a cycle)."""
+    producer: dict[str, int] = {}
+    for i, g in enumerate(n.gates):
         for w in g.outputs:
-            producer.setdefault(w, g.id)
-    indeg = {g.id: 0 for g in n.gates}
-    consumers: dict[str, list[str]] = {}
-    for g in n.gates:
+            producer.setdefault(w, i)
+    indeg = [0] * len(n.gates)
+    consumers: list[list[int]] = [[] for _ in n.gates]
+    for i, g in enumerate(n.gates):
         for w in g.inputs:
             src = producer.get(w)
             if src is not None:
-                indeg[g.id] += 1
-                consumers.setdefault(src, []).append(g.id)
-    queue = [gid for gid, d in indeg.items() if d == 0]
-    done = 0
-    while queue:
-        gid = queue.pop()
-        done += 1
-        for nxt in consumers.get(gid, ()):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if done != len(n.gates):
-        stuck = sorted(gid for gid, d in indeg.items() if d > 0)
-        return [Violation("cycle", "combinational cycle through "
-                          + ", ".join(stuck[:8]))]
-    return []
+                indeg[i] += 1
+                consumers[src].append(i)
+    queue = [i for i, d in enumerate(indeg) if d == 0]
+    for i in queue:  # FIFO: the loop also visits gates appended below
+        for j in consumers[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    stuck = sorted(g.id for g, d in zip(n.gates, indeg) if d > 0)
+    return [n.gates[i] for i in queue], stuck
 
 
 def topo_order(n: Netlist) -> list[GateInstance]:
     """Gates in dependency order; raises NetlistError on cycles."""
-    producer = {}
-    for g in n.gates:
-        for w in g.outputs:
-            producer.setdefault(w, g)
-    ready = {w: True for w in n.primary_inputs}
-    order: list[GateInstance] = []
-    pending = list(n.gates)
-    while pending:
-        rest = []
-        progressed = False
-        for g in pending:
-            if all(w in ready or producer.get(w) is None for w in g.inputs):
-                order.append(g)
-                for w in g.outputs:
-                    ready[w] = True
-                progressed = True
-            else:
-                rest.append(g)
-        if not progressed:
-            raise NetlistError("netlist has a combinational cycle")
-        pending = rest
+    order, stuck = _kahn(n)
+    if stuck:
+        raise NetlistError("netlist has a combinational cycle")
     return order
 
 

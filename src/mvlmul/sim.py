@@ -89,21 +89,13 @@ class _CompiledNet:
         return [values[o] for o in self.outputs]
 
 
-def _plan(net: Netlist) -> _CompiledNet:
-    plan = getattr(net, "_compiled", None)
-    if plan is None:
-        plan = _CompiledNet(net)
-        net._compiled = plan
-    return plan
-
-
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     """Evaluate one input vector; returns product digits, LSB first.
 
     The assignment must cover every primary input with an in-range
     digit.  Internal wires are range-checked on every gate firing.
     """
-    plan = _plan(net)
+    plan = _CompiledNet(net)
     extra = set(assignment) - set(net.primary_inputs)
     if extra:
         raise SimulationError(f"unknown inputs: {sorted(extra)}")
@@ -161,7 +153,7 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP) \
     if space > cap:
         raise VerificationSpaceError(
             f"{space} vectors exceed the cap of {cap}; use verify_random")
-    plan = _plan(net)
+    plan = _CompiledNet(net)
     report = VerificationReport(design=f"radix{net.radix}-w{net.width}",
                                 mode="exhaustive", vectors_tested=0)
     all_digits = list(iproduct(range(net.radix), repeat=net.width))
@@ -175,8 +167,7 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP) \
 
 
 def _random_chunk(args):
-    net_json, seed, start, count = args
-    net = Netlist.from_json(net_json)
+    net, seed, start, count = args
     rng = random.Random(seed)
     plan = _CompiledNet(net)
     mismatches = []
@@ -195,23 +186,22 @@ def verify_random(net: Netlist, count: int, seed: int,
     """Compare ``count`` seeded random vectors against the oracle.
 
     The vector stream depends only on the seed, so reports are
-    reproducible; with ``workers > 1`` the same stream is split across
-    processes and the aggregate is order-independent.
+    reproducible; with ``workers > 1`` the same stream is split into
+    contiguous chunks across processes, and mismatches still come out in
+    stream order, so the report does not depend on the worker count.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     report = VerificationReport(design=f"radix{net.radix}-w{net.width}",
                                 mode="random", vectors_tested=count,
                                 seed=seed)
-    net_json = net.to_json()
     if workers <= 1:
-        report.mismatches = _random_chunk((net_json, seed, 0, count))
+        report.mismatches = _random_chunk((net, seed, 0, count))
         return report
     step = (count + workers - 1) // workers
-    chunks = [(net_json, seed, k, min(step, count - k))
+    chunks = [(net, seed, k, min(step, count - k))
               for k in range(0, count, step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_random_chunk, chunks):
             report.mismatches.extend(part)
-    report.mismatches.sort(key=lambda m: (m["x"], m["y"]))
     return report

@@ -187,3 +187,47 @@ def test_env_library_override(tmp_path, capsys, monkeypatch):
     doc = json.loads(stdout)
     # AND cost dropped from 8.9 to 1.0 -> area 4*1 + 2*18 = 40
     assert doc["designs"][0]["area_nm"] == pytest.approx(40.0)
+
+
+def test_verify_non_object_netlist_is_usage_error(tmp_path, capsys):
+    nl = tmp_path / "list.json"
+    nl.write_text("[1, 2]")
+    code, _, err = run(["verify", str(nl)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "not a netlist document" in err
+
+
+BAD_COST = ["{not json", '{"sigma_di": {"FOO": 1.0}}', '{"name": "x"}',
+            '{"sigma_di": {"AND": "wide"}}']
+BAD_TIMING = ["{not json", '{"delays": {"FOO.y": 1.0}}', '{"name": "x"}',
+              '{"delays": {"AND.y": "slow"}}']
+
+
+@pytest.mark.parametrize("text", BAD_COST)
+def test_compare_bad_cost_library(tmp_path, capsys, text):
+    lib = tmp_path / "bad.json"
+    lib.write_text(text)
+    code, _, err = run(["compare", "--preset", "--cost-lib", str(lib)],
+                       capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", BAD_TIMING)
+def test_compare_bad_timing_library(tmp_path, capsys, text):
+    lib = tmp_path / "bad.json"
+    lib.write_text(text)
+    code, _, err = run(["compare", "--design", "4,2", "--design", "2,4",
+                        "--timing-lib", str(lib)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_compare_preset_bad_env_cost_library(tmp_path, capsys, monkeypatch):
+    libdir = tmp_path / "libs"
+    libdir.mkdir()
+    (libdir / "cost.json").write_text('{"sigma_di": {"FOO": 1.0}}')
+    monkeypatch.setenv("MVL_DEFAULT_LIBS", str(libdir))
+    code, _, err = run(["compare", "--preset"], capsys)
+    assert code == 2
+    assert err.startswith("error:")

@@ -131,6 +131,17 @@ def test_binary_path_cells(b8):
     assert len(cp.gates) == 15  # 4 tree cells + 11-cell ripple chain
 
 
+def test_reference_path_gate_ids(b8, q4):
+    # pins the tie-break: among equally late paths the smallest
+    # (gate id, port) is taken at every step
+    assert critical_path(b8, timing_binary_0v9()).gates == [
+        "g00064", "g00080", "g00096", "g00105"] + [
+        f"g{k:05d}" for k in range(116, 127)]
+    assert critical_path(q4, timing_quaternary_0v9()).gates == [
+        "g00016", "g00024", "g00032", "g00036", "g00040", "g00041",
+        "g00042"]
+
+
 def _chain(k):
     """k QFAC2s rippling a carry: delay must grow with k."""
     wires = {"a": Wire("a", 3), "b": Wire("b", 3), "c0": Wire("c0", 2)}

@@ -25,15 +25,6 @@ def test_json_round_trip(q4):
     assert validate_netlist(again) == []
 
 
-def test_every_wire_has_one_driver(q4):
-    drv = q4.drivers()
-    assert set(drv) == set(q4.wires)
-    assert drv["x0"] == ("input", "x0")
-    assert not any(src == "multi" for src, _ in drv.values())
-    g0 = q4.gates[0]
-    assert drv[g0.outputs[0]] == (g0.id, 0)
-
-
 def test_json_rejects_garbage():
     with pytest.raises(NetlistError):
         Netlist.from_json("not json at all {")
@@ -41,6 +32,12 @@ def test_json_rejects_garbage():
         Netlist.from_json('{"format": "something-else", "version": 1}')
     with pytest.raises(NetlistError):
         Netlist.from_json('{"format": "mvl-netlist", "version": 99}')
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"mvl-netlist"', "3", "null"])
+def test_json_rejects_non_object_documents(text):
+    with pytest.raises(NetlistError, match="not a netlist document"):
+        Netlist.from_json(text)
 
 
 def _tiny(radix=2):
@@ -112,6 +109,22 @@ def test_output_completeness_checked(b2):
     n = Netlist.from_json(b2.to_json())
     n.primary_outputs = n.primary_outputs[:-1]
     assert "outputs" in _codes(validate_netlist(n))
+
+
+def test_duplicate_product_digit_detected(b2):
+    n = Netlist.from_json(b2.to_json())
+    n.primary_outputs[-1] = n.primary_outputs[0]
+    assert "dup-output" in _codes(validate_netlist(n))
+
+
+def test_input_digit_range_checked(q1):
+    # x0 re-declared binary: a verify would still feed it 0..3
+    n = Netlist.from_json(q1.to_json())
+    n.wires["x0"] = Wire("x0", 1)
+    assert _codes(validate_netlist(n)) == {"input-range"}
+    n2 = _tiny(2)
+    n2.wires["y0"] = Wire("y0", 3)
+    assert "input-range" in _codes(validate_netlist(n2))
 
 
 def test_inventory_matches_gate_list(q4):

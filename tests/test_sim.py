@@ -141,21 +141,39 @@ def test_random_rejects_zero_count(b2):
         verify_random(b2, 0, seed=1)
 
 
-def test_workers_agree_with_serial(q2):
-    serial = verify_random(q2, 400, seed=7, workers=1)
-    parallel = verify_random(q2, 400, seed=7, workers=3)
-    assert serial.to_json() == parallel.to_json()
-
-
-def test_fault_injection_is_caught(b4):
-    # swap the half adder at the bottom of the final add for a full
-    # adder fed twice from the same wire: a real functional corruption
-    net = Netlist.from_json(b4.to_json())
+def _corrupt(net):
+    """Feed the first half adder twice from the same wire, in place: a
+    real functional corruption that still validates."""
     victim = next(i for i, g in enumerate(net.gates)
                   if g.kind is GateKind.BIN_HA)
     g = net.gates[victim]
     net.gates[victim] = GateInstance(g.id, GateKind.BIN_HA,
                                      (g.inputs[0], g.inputs[0]), g.outputs)
+    return net
+
+
+def _fault_b4(b4):
+    return _corrupt(Netlist.from_json(b4.to_json()))
+
+
+def test_workers_agree_with_serial(q2, b4):
+    # the faulty design pins mismatch order, not only the verdict
+    for net in (q2, _fault_b4(b4)):
+        serial = verify_random(net, 400, seed=7, workers=1).to_json()
+        parallel = verify_random(net, 400, seed=7, workers=3).to_json()
+        same = serial == parallel  # a bool: pytest's long-text diff is slow
+        assert same, "worker count changed the report"
+
+
+def test_verify_sees_in_place_edits(b4):
+    net = Netlist.from_json(b4.to_json())
+    assert verify_exhaustive(net).passed
+    _corrupt(net)
+    assert not verify_exhaustive(net).passed
+
+
+def test_fault_injection_is_caught(b4):
+    net = _fault_b4(b4)
     report = verify_exhaustive(net)
     assert not report.passed
     assert report.mismatches
