@@ -115,6 +115,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.show < 0:
+        raise CliError(f"--show must be >= 0, got {args.show}", EXIT_USAGE)
     net = _load_netlist(args.netlist)
     if args.mode == "exhaustive":
         try:
@@ -219,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=int, default=10000,
                    help="random vectors to run")
     v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--workers", type=int, default=1)
+    v.add_argument("--workers", type=int, default=1,
+                   help="random-mode worker processes, clamped to the "
+                        "vector batches and CPUs")
     v.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                    help="max exhaustive vectors")
     v.add_argument("--show", type=int, default=10,

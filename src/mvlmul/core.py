@@ -103,7 +103,7 @@ PORTS = {
 }
 
 
-#: int-level gate kernels: the one definition of every cell's arithmetic.
+#: gate kernels on ints or unsigned digit arrays: each cell's one definition.
 KERNELS = {
     GateKind.AND: lambda a, b: (a & b,),
     GateKind.BIN_HA: lambda a, b: ((a + b) & 1, (a + b) >> 1),
@@ -112,9 +112,9 @@ KERNELS = {
     GateKind.QHA: lambda a, b: ((a + b) % 4, (a + b) // 4),
     GateKind.QFAC2: lambda a, b, c: ((a + b + c) % 4, (a + b + c) // 4),
     GateKind.QFAC2WC: lambda a, b, c: ((a + b + c) % 4,),
-    GateKind.MUX4: lambda s, i0, i1, i2, i3: ((i0, i1, i2, i3)[s],),
-    GateKind.DECODER: lambda x: (3 if x < 1 else 0, 3 if x < 2 else 0,
-                                 3 if x < 3 else 0),
+    GateKind.MUX4: lambda s, i0, i1, i2, i3: (
+        i0 * (s == 0) + i1 * (s == 1) + i2 * (s == 2) + i3 * (s == 3),),
+    GateKind.DECODER: lambda x: (3 * (x < 1), 3 * (x < 2), 3 * (x < 3)),
 }
 
 

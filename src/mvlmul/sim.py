@@ -1,8 +1,9 @@
 """Functional netlist evaluation and verification against integer math.
 
-Evaluation is zero-delay: gates fire once in dependency order.  Every
-write is checked against the wire's declared range, so a run doubles as
-an executable range-soundness check (the ternary-carry discipline in
+Evaluation is zero-delay: gates fire once in dependency order, each on
+a whole batch of input vectors.  Every write is checked against the
+wire's declared range over every vector of the batch, so a run doubles
+as an executable range-soundness check (the ternary-carry discipline in
 particular).  Verification compares the evaluated product digits with
 :func:`oracle`, which just multiplies the operands as integers and
 re-encodes the result.
@@ -11,15 +12,22 @@ re-encodes the result.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import islice, product as iproduct, repeat
+
+import numpy as np
 
 from .core import KERNELS
 from .netlist import Netlist, topo_order
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
+
+#: wire-digit bytes per batch: a batch holds ``BATCH_BYTES // wire count``
+#: vectors (at least one), so its memory does not grow with the design
+BATCH_BYTES = 2 ** 20
 
 
 class SimulationError(ValueError):
@@ -43,9 +51,6 @@ class VerificationReport:
         return not self.mismatches
 
     def to_json(self, max_mismatches: int | None = None) -> str:
-        mm = self.mismatches
-        if max_mismatches is not None:
-            mm = mm[:max_mismatches]
         return json.dumps({
             "design": self.design,
             "mode": self.mode,
@@ -53,40 +58,40 @@ class VerificationReport:
             "vectors_tested": self.vectors_tested,
             "passed": self.passed,
             "mismatch_count": len(self.mismatches),
-            "mismatches": mm,
+            "mismatches": self.mismatches[:max_mismatches],
         }, indent=2) + "\n"
 
 
-class _CompiledNet:
-    """Index-based evaluation plan for one netlist."""
+def _batch_size(net: Netlist) -> int:
+    return max(1, BATCH_BYTES // len(net.wires))
 
-    def __init__(self, net: Netlist):
-        order = topo_order(net)
-        wire_ids = list(net.wires)
-        self.index = {w: k for k, w in enumerate(wire_ids)}
-        self.ranges = [net.wires[w].range_max for w in wire_ids]
-        self.n_wires = len(wire_ids)
-        self.inputs = [self.index[w] for w in net.primary_inputs]
-        self.input_ranges = [net.wires[w].range_max for w in net.primary_inputs]
-        self.outputs = [self.index[w] for w in net.primary_outputs]
-        self.ops = [(KERNELS[g.kind],
-                     tuple(self.index[w] for w in g.inputs),
-                     tuple(self.index[w] for w in g.outputs))
-                    for g in order]
 
-    def run(self, in_values: list[int]) -> list[int]:
-        values = [-1] * self.n_wires
-        ranges = self.ranges
-        for idx, v in zip(self.inputs, in_values):
-            values[idx] = v
-        for fn, ins, outs in self.ops:
-            res = fn(*(values[i] for i in ins))
-            for o, v in zip(outs, res):
-                if not 0 <= v <= ranges[o]:
+def _simulate(net: Netlist, rows):
+    """Yield ``(row, output digits)`` for rows of primary-input digits.
+
+    Rows are evaluated a batch at a time: every wire holds one unsigned
+    digit array with an entry per vector of the batch.
+    """
+    index = {w: k for k, w in enumerate(net.wires)}
+    ranges = [w.range_max for w in net.wires.values()]
+    inputs = [index[w] for w in net.primary_inputs]
+    outputs = [index[w] for w in net.primary_outputs]
+    ops = [(KERNELS[g.kind], [index[w] for w in g.inputs],
+            [index[w] for w in g.outputs]) for g in topo_order(net)]
+    rows = iter(rows)
+    while batch := list(islice(rows, _batch_size(net))):
+        values = [None] * len(ranges)
+        for i, col in zip(inputs, np.array(batch, dtype=np.uint8).T.copy()):
+            values[i] = col
+        for fn, ins, outs in ops:
+            for o, v in zip(outs, fn(*(values[i] for i in ins))):
+                if (top := v.max()) > ranges[o]:
                     raise SimulationError(
-                        f"wire #{o} left its range 0..{ranges[o]}: {v}")
+                        f"wire #{o} left its range 0..{ranges[o]}: {top}")
                 values[o] = v
-        return [values[o] for o in self.outputs]
+        got = np.array([values[o] for o in outputs], dtype=np.uint8)
+        got = got.reshape(len(outputs), len(batch)).T.tolist()
+        yield from zip(batch, got)
 
 
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
@@ -95,19 +100,17 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     The assignment must cover every primary input with an in-range
     digit.  Internal wires are range-checked on every gate firing.
     """
-    plan = _CompiledNet(net)
     extra = set(assignment) - set(net.primary_inputs)
     if extra:
         raise SimulationError(f"unknown inputs: {sorted(extra)}")
-    in_values = []
-    for name, hi in zip(net.primary_inputs, plan.input_ranges):
+    for name in net.primary_inputs:
         if name not in assignment:
             raise SimulationError(f"input {name} not assigned")
-        v = assignment[name]
+        v, hi = assignment[name], net.wires[name].range_max
         if not isinstance(v, int) or not 0 <= v <= hi:
             raise SimulationError(f"input {name}={v!r} outside 0..{hi}")
-        in_values.append(v)
-    return plan.run(in_values)
+    row = [assignment[name] for name in net.primary_inputs]
+    return next(_simulate(net, [row]))[1]
 
 
 def digits_of(value: int, radix: int, ndigits: int) -> tuple[int, ...]:
@@ -136,14 +139,20 @@ def oracle(radix: int, width: int, x_digits, y_digits) -> tuple[int, ...]:
     return digits_of(x * y, radix, 2 * width)
 
 
-def _compare(net: Netlist, plan: _CompiledNet, xd, yd) -> dict | None:
-    got = plan.run(list(xd) + list(yd))
-    want = oracle(net.radix, net.width, xd, yd)
-    # degenerate designs may emit fewer than 2N digits; the rest must be 0
-    if list(got) == list(want[:len(got)]) and not any(want[len(got):]):
-        return None
-    return {"x": list(xd), "y": list(yd),
-            "expected": list(want), "got": list(got)}
+def _check(net: Netlist, rows) -> list[dict]:
+    """Mismatch records, in row order, for rows of x then y digits.
+
+    Degenerate designs may emit fewer than 2N digits; the missing top
+    digits must then be 0.
+    """
+    w = net.width
+    mismatches = []
+    for row, got in _simulate(net, rows):
+        want = oracle(net.radix, w, row[:w], row[w:])
+        if got != list(want[:len(got)]) or any(want[len(got):]):
+            mismatches.append({"x": list(row[:w]), "y": list(row[w:]),
+                               "expected": list(want), "got": got})
+    return mismatches
 
 
 def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP) \
@@ -153,32 +162,11 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP) \
     if space > cap:
         raise VerificationSpaceError(
             f"{space} vectors exceed the cap of {cap}; use verify_random")
-    plan = _CompiledNet(net)
-    report = VerificationReport(design=f"radix{net.radix}-w{net.width}",
-                                mode="exhaustive", vectors_tested=0)
-    all_digits = list(iproduct(range(net.radix), repeat=net.width))
-    for xd in all_digits:
-        for yd in all_digits:
-            m = _compare(net, plan, xd, yd)
-            report.vectors_tested += 1
-            if m is not None:
-                report.mismatches.append(m)
-    return report
-
-
-def _random_chunk(args):
-    net, seed, start, count = args
-    rng = random.Random(seed)
-    plan = _CompiledNet(net)
-    mismatches = []
-    vectors = [(tuple(rng.randrange(net.radix) for _ in range(net.width)),
-                tuple(rng.randrange(net.radix) for _ in range(net.width)))
-               for _ in range(start + count)][start:]
-    for xd, yd in vectors:
-        m = _compare(net, plan, xd, yd)
-        if m is not None:
-            mismatches.append(m)
-    return mismatches
+    # lexicographic over x then y digits: x outer, last position fastest
+    rows = iproduct(range(net.radix), repeat=2 * net.width)
+    return VerificationReport(design=f"radix{net.radix}-w{net.width}",
+                              mode="exhaustive", vectors_tested=space,
+                              mismatches=_check(net, rows))
 
 
 def verify_random(net: Netlist, count: int, seed: int,
@@ -186,22 +174,29 @@ def verify_random(net: Netlist, count: int, seed: int,
     """Compare ``count`` seeded random vectors against the oracle.
 
     The vector stream depends only on the seed, so reports are
-    reproducible; with ``workers > 1`` the same stream is split into
-    contiguous chunks across processes, and mismatches still come out in
-    stream order, so the report does not depend on the worker count.
+    reproducible.  ``workers`` is clamped to the batch count and
+    ``os.cpu_count()``; above 1, the stream is split into that many
+    contiguous runs of whole batches checked in a process pool.
+    Mismatches come out in stream order either way, so the report does
+    not depend on the worker count.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    report = VerificationReport(design=f"radix{net.radix}-w{net.width}",
-                                mode="random", vectors_tested=count,
-                                seed=seed)
+    rng = random.Random(seed)
+    rows = (tuple(rng.randrange(net.radix) for _ in range(2 * net.width))
+            for _ in range(count))
+    batch = _batch_size(net)
+    batches = -(-count // batch)
+    workers = min(workers, batches, os.cpu_count() or 1)
     if workers <= 1:
-        report.mismatches = _random_chunk((net, seed, 0, count))
-        return report
-    step = (count + workers - 1) // workers
-    chunks = [(net, seed, k, min(step, count - k))
-              for k in range(0, count, step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_random_chunk, chunks):
-            report.mismatches.extend(part)
-    return report
+        mismatches = _check(net, rows)
+    else:
+        # worker k takes batches [k*batches//workers, (k+1)*batches//workers)
+        cuts = [k * batches // workers * batch for k in range(workers + 1)]
+        chunks = [list(islice(rows, b - a)) for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            mismatches = [m for part in pool.map(_check, repeat(net), chunks)
+                          for m in part]
+    return VerificationReport(design=f"radix{net.radix}-w{net.width}",
+                              mode="random", vectors_tested=count,
+                              mismatches=mismatches, seed=seed)

@@ -72,6 +72,23 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAIL" in stdout and "expected=" in stdout
 
 
+def test_verify_rejects_negative_show(tmp_path, capsys):
+    # --show -1 used to slice off the last mismatch of the fault b4
+    nl = tmp_path / "b4.json"
+    run(["generate", "--radix", "2", "--width", "4", "--out", str(nl)],
+        capsys)
+    doc = json.loads(nl.read_text())
+    g = next(g for g in doc["gates"] if g["kind"] == "BIN_HA")
+    g["inputs"] = [g["inputs"][0]] * 2
+    nl.write_text(json.dumps(doc))
+    rep = tmp_path / "report.json"
+    code, stdout, err = run(["verify", str(nl), "--show", "-1",
+                             "--out", str(rep)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "--show" in err
+    assert not rep.exists()
+
+
 def test_verify_missing_file_is_io_error(capsys):
     code, _, err = run(["verify", "/nonexistent/netlist.json"], capsys)
     assert code == 3

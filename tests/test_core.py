@@ -1,9 +1,12 @@
 """Single-gate semantics: truth tables, identities, range policing."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvlmul.core import (GateKind, LogicError, LogicLevel, PORTS,
+from mvlmul.core import (GateKind, KERNELS, LogicError, LogicLevel, PORTS,
                          STANDARD_TABLES, and2, bin_fa, bin_ha, bit,
                          decode_thresholds, evaluate_gate, mux4,
                          output_ranges, qfac2, qfac2wc, qha, qmul1,
@@ -189,6 +192,16 @@ def test_evaluate_gate_matches_wrappers():
     assert evaluate_gate(GateKind.MUX4, (2, 9 % 4, 1, 2, 3)) == (2,)
 
 
+@pytest.mark.parametrize("kind", list(GateKind), ids=str)
+def test_kernels_on_digit_arrays_match_ints(kind):
+    # the simulator applies each kernel to one uint8 array per port
+    domain = list(product(*(range(hi + 1) for _, hi in PORTS[kind].inputs)))
+    columns = np.array(domain, dtype=np.uint8).T
+    got = [np.asarray(out).tolist() for out in KERNELS[kind](*columns)]
+    want = [list(out) for out in zip(*(KERNELS[kind](*v) for v in domain))]
+    assert got == want
+
+
 @given(st.sampled_from(sorted(PORTS, key=lambda k: k.value)),
        st.data())
 def test_output_ranges_are_tight_bounds(kind, data):
@@ -197,7 +210,6 @@ def test_output_ranges_are_tight_bounds(kind, data):
         data.draw(st.integers(1, hi), label=name)
         for name, hi in spec.inputs)
     bounds = output_ranges(kind, in_ranges)
-    from itertools import product
     seen = [0] * len(bounds)
     for vals in product(*(range(r + 1) for r in in_ranges)):
         outs = evaluate_gate(kind, vals)

@@ -1,8 +1,11 @@
 """Functional evaluation and verification against the integer oracle."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvlmul import sim
 from mvlmul.core import GateKind
 from mvlmul.netlist import GateInstance, Netlist, Wire
 from mvlmul.sim import (SimulationError, VerificationSpaceError, digits_of,
@@ -78,17 +81,41 @@ def test_evaluate_rejects_bad_assignments(b2):
         evaluate(b2, bad)
 
 
-def test_evaluate_checks_internal_ranges():
-    # a QHA whose sum wire is declared binary overflows on 2+1=3
+def _narrow_qha():
+    """A QHA whose sum wire is declared binary: overflows on 2+1=3."""
     wires = {"a": Wire("a", 3), "b": Wire("b", 3),
              "s": Wire("s", 1), "c": Wire("c", 1)}
     gates = [GateInstance("g0", GateKind.QHA, ("a", "b"), ("s", "c"))]
-    net = Netlist(radix=4, width=1, wires=wires, gates=gates,
-                  primary_inputs=["a", "b"], primary_outputs=["s", "c"])
+    return Netlist(radix=4, width=1, wires=wires, gates=gates,
+                   primary_inputs=["a", "b"], primary_outputs=["s", "c"])
+
+
+def test_evaluate_checks_internal_ranges():
+    net = _narrow_qha()
     with pytest.raises(SimulationError):
         evaluate(net, {"a": 2, "b": 1})
     # in range, runs fine
     assert evaluate(net, {"a": 1, "b": 0}) == [1, 0]
+
+
+def test_range_check_covers_every_vector_of_a_batch():
+    # vectors (0,0) and (0,1) stay in range; (0,2) is the first overflow,
+    # in the middle of the single 16-vector batch
+    with pytest.raises(SimulationError, match="range 0..1: 3"):
+        verify_exhaustive(_narrow_qha())
+
+
+def test_mux4_decoder_netlist_through_evaluate():
+    names = ["s", "i0", "i1", "i2", "i3"]
+    wires = {w: Wire(w, 3) for w in names + ["y", "n", "i", "p"]}
+    gates = [GateInstance("m", GateKind.MUX4, tuple(names), ("y",)),
+             GateInstance("d", GateKind.DECODER, ("y",), ("n", "i", "p"))]
+    net = Netlist(radix=4, width=1, wires=wires, gates=gates,
+                  primary_inputs=names, primary_outputs=["n", "i", "p"])
+    for vals in product(range(4), repeat=5):
+        y = vals[1 + vals[0]]
+        want = [3 if y < k else 0 for k in (1, 2, 3)]
+        assert evaluate(net, dict(zip(names, vals))) == want
 
 
 @settings(max_examples=60)
@@ -157,12 +184,49 @@ def _fault_b4(b4):
 
 
 def test_workers_agree_with_serial(q2, b4):
-    # the faulty design pins mismatch order, not only the verdict
-    for net in (q2, _fault_b4(b4)):
-        serial = verify_random(net, 400, seed=7, workers=1).to_json()
-        parallel = verify_random(net, 400, seed=7, workers=3).to_json()
+    # the faulty design pins mismatch order, not only the verdict; each
+    # count spans at least two batches (21 and 48 wires), so a pool starts
+    for net, count in ((q2, 60_000), (_fault_b4(b4), 30_000)):
+        serial = verify_random(net, count, seed=7, workers=1).to_json()
+        parallel = verify_random(net, count, seed=7, workers=3).to_json()
         same = serial == parallel  # a bool: pytest's long-text diff is slow
         assert same, "worker count changed the report"
+
+
+@pytest.mark.parametrize("requested,count,cpus,pool", [
+    (64, 35, 4, 4),      # clamped to the 4 batches
+    (3, 35, 4, 3),       # 4 batches over 3 workers: 1 + 1 + 2
+    (64, 35, 2, 2),      # clamped to the CPUs
+    (8, 15, 4, 2),       # 2 batches, the last one partial
+    (8, 10, 4, None),    # one batch: no pool
+    (8, 35, None, None),  # CPU count unknown: no pool
+    (1, 35, 4, None),
+])
+def test_worker_clamp(monkeypatch, b4, requested, count, cpus, pool):
+    started = []
+
+    class Recorder:
+        """Stands in for the process pool and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(sim, "BATCH_BYTES", 10 * len(b4.wires))
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    net = _fault_b4(b4)
+    report = verify_random(net, count, seed=5, workers=requested)
+    assert started == ([pool] if pool else [])
+    assert report.to_json() == verify_random(net, count, seed=5).to_json()
 
 
 def test_verify_sees_in_place_edits(b4):
