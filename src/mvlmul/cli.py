@@ -126,8 +126,7 @@ def cmd_verify(args) -> int:
                            EXIT_USAGE) from None
     else:
         try:
-            report = verify_random(net, args.count, args.seed,
-                                   workers=args.workers)
+            report = verify_random(net, args.count, args.seed)
         except ValueError as e:
             raise CliError(str(e), EXIT_USAGE) from None
     if args.out:
@@ -222,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random vectors to run")
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--workers", type=int, default=1,
-                   help="random-mode worker processes, clamped to the "
-                        "vector batches and CPUs")
+                   help="accepted and ignored: verification runs in one "
+                        "process")
     v.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                    help="max exhaustive vectors")
     v.add_argument("--show", type=int, default=10,

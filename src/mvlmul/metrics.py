@@ -36,6 +36,8 @@ FRONTEND_KINDS = frozenset({GateKind.AND, GateKind.QM1})
 class LibraryError(KeyError):
     """A library is missing an entry for a gate kind used by a netlist."""
 
+    __str__ = Exception.__str__  # KeyError would quote the message
+
 
 class CalibrationError(ValueError):
     """The calibration system is underdetermined or inconsistent."""

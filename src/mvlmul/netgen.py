@@ -280,8 +280,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
     with a single value passes straight through; two values make a half
     adder; two dots plus the incoming carry make a full adder.  The
     carry out of the top column is dangling (provably zero by operand
-    capacity) unless it lands on a product column, in which case the
-    bare carry wire is that digit.
+    capacity).
     """
     if matrix.max_height() > 2:
         raise NetgenError("final add requires height <= 2 everywhere")
@@ -318,8 +317,6 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
         digits.append(outs[0])
         if rng[1] > 0:
             carry = Dot(outs[1], rng[1])
-    if carry is not None and len(digits) < matrix.width:
-        digits.append(carry.wire)  # bare top carry is the last digit
     return digits, created
 
 

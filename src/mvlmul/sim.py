@@ -12,11 +12,9 @@ re-encodes the result.
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, product as iproduct, repeat
+from itertools import islice, product as iproduct
 
 import numpy as np
 
@@ -169,34 +167,18 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP) \
                               mismatches=_check(net, rows))
 
 
-def verify_random(net: Netlist, count: int, seed: int,
-                  workers: int = 1) -> VerificationReport:
+def verify_random(net: Netlist, count: int, seed: int) -> VerificationReport:
     """Compare ``count`` seeded random vectors against the oracle.
 
     The vector stream depends only on the seed, so reports are
-    reproducible.  ``workers`` is clamped to the batch count and
-    ``os.cpu_count()``; above 1, the stream is split into that many
-    contiguous runs of whole batches checked in a process pool.
-    Mismatches come out in stream order either way, so the report does
-    not depend on the worker count.
+    reproducible; it is drawn lazily, a batch at a time, so only the
+    stored mismatches grow with ``count``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     rows = (tuple(rng.randrange(net.radix) for _ in range(2 * net.width))
             for _ in range(count))
-    batch = _batch_size(net)
-    batches = -(-count // batch)
-    workers = min(workers, batches, os.cpu_count() or 1)
-    if workers <= 1:
-        mismatches = _check(net, rows)
-    else:
-        # worker k takes batches [k*batches//workers, (k+1)*batches//workers)
-        cuts = [k * batches // workers * batch for k in range(workers + 1)]
-        chunks = [list(islice(rows, b - a)) for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            mismatches = [m for part in pool.map(_check, repeat(net), chunks)
-                          for m in part]
     return VerificationReport(design=f"radix{net.radix}-w{net.width}",
                               mode="random", vectors_tested=count,
-                              mismatches=mismatches, seed=seed)
+                              mismatches=_check(net, rows), seed=seed)

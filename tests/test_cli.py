@@ -72,8 +72,8 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAIL" in stdout and "expected=" in stdout
 
 
-def test_verify_rejects_negative_show(tmp_path, capsys):
-    # --show -1 used to slice off the last mismatch of the fault b4
+def _fault_b4(tmp_path, capsys):
+    """A b4 netlist whose first half adder reads one wire twice."""
     nl = tmp_path / "b4.json"
     run(["generate", "--radix", "2", "--width", "4", "--out", str(nl)],
         capsys)
@@ -81,6 +81,12 @@ def test_verify_rejects_negative_show(tmp_path, capsys):
     g = next(g for g in doc["gates"] if g["kind"] == "BIN_HA")
     g["inputs"] = [g["inputs"][0]] * 2
     nl.write_text(json.dumps(doc))
+    return nl
+
+
+def test_verify_rejects_negative_show(tmp_path, capsys):
+    # --show -1 used to slice off the last mismatch of the fault b4
+    nl = _fault_b4(tmp_path, capsys)
     rep = tmp_path / "report.json"
     code, stdout, err = run(["verify", str(nl), "--show", "-1",
                              "--out", str(rep)], capsys)
@@ -123,6 +129,20 @@ def test_verify_random_seeded(tmp_path, capsys):
     code, stdout, _ = run(["verify", str(nl), "--mode", "random",
                            "--count", "200", "--seed", "42"], capsys)
     assert code == 0 and "200 vectors" in stdout
+
+
+def test_verify_ignores_workers(tmp_path, capsys):
+    nl = _fault_b4(tmp_path, capsys)
+    results = []
+    for extra in ([], ["--workers", "3"]):
+        rep = tmp_path / "r.json"
+        code, stdout, _ = run(["verify", str(nl), "--mode", "random",
+                               "--count", "500", "--seed", "7",
+                               "--out", str(rep), *extra], capsys)
+        results.append((code, stdout, rep.read_text()))
+        rep.unlink()
+    assert results[0][0] == 1
+    assert results[1] == results[0]
 
 
 def test_compare_preset_markdown(capsys):
@@ -248,3 +268,48 @@ def test_compare_preset_bad_env_cost_library(tmp_path, capsys, monkeypatch):
     code, _, err = run(["compare", "--preset"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--radix", "2", "--width", "0"],
+    ["compare", "--design", "2,x", "--design", "4,1"],
+    ["compare", "--design", "3,4", "--design", "2,2"],
+    ["compare", "--design", "2,2", "--design", "4,1", "--timing-lib",
+     "nosuch"],
+    ["verify", "{q4}", "--mode", "random", "--count", "0"],
+])
+def test_usage_errors(tmp_path, capsys, q4, argv):
+    nl = tmp_path / "q4.json"
+    nl.write_text(q4.to_json())
+    code, _, err = run([a.format(q4=nl) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_compare_unwritable_out_is_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.md"
+    code, _, err = run(["compare", "--preset", "--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("error: ")
+
+
+def test_library_error_message_is_not_quoted(tmp_path, capsys):
+    # LibraryError is a KeyError, whose str() would quote the message
+    lib = tmp_path / "bad.json"
+    lib.write_text('{"sigma_di": {"FOO": 1.0}}')
+    for argv in (["compare", "--preset", "--cost-lib", str(lib)],
+                 ["compare", "--design", "2,2", "--design", "4,1",
+                  "--timing-lib", "binary-0.9v"]):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err[len("error: ")] not in "\"'"
+
+
+def test_compare_component_ratios_independent_of_order(capsys):
+    ratios = []
+    for first, second in (("4,4", "2,8"), ("2,8", "4,4")):
+        code, stdout, _ = run(["compare", "--design", first, "--design",
+                               second, "--format", "json"], capsys)
+        assert code == 0
+        ratios.append(json.loads(stdout)["component_ratios"])
+    assert ratios[0] and ratios[1] == ratios[0]

@@ -2,10 +2,13 @@
 
 import pytest
 
+from mvlmul import netgen
 from mvlmul.core import GateKind, PORTS
 from mvlmul.netgen import (NetBuilder, NetgenError, build_pp_binary,
                            build_pp_quaternary, final_cpa, gen_multiplier,
                            wallace_stage)
+from mvlmul.netlist import validate_netlist
+from mvlmul.sim import verify_exhaustive
 
 
 def _fresh_builder(radix, width):
@@ -183,3 +186,15 @@ def test_unusual_widths_still_generate():
     for radix, width in ((2, 3), (2, 5), (4, 3), (4, 5)):
         net = gen_multiplier(radix, width)
         assert net.stats["stages"] >= 1
+
+
+def test_quaternary_half_adder_fallback_and_spill(monkeypatch):
+    # grouping rows 0, 2 and 4 of the 4x4-quit matrix leaves columns
+    # whose three dots are all quaternary: no legal carry-in, so a half
+    # adder takes two and the third goes to a spill row, new or reused
+    monkeypatch.setitem(netgen._GROUPING_PLANS, (4, 8), {0: ((0, 2, 4),)})
+    net = gen_multiplier(4, 4)
+    assert net.inventory() == {"QFAC2": 20, "QFAC2WC": 1, "QHA": 15,
+                               "QM1": 16}
+    assert validate_netlist(net) == []
+    assert verify_exhaustive(net).passed
