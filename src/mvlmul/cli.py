@@ -118,17 +118,16 @@ def cmd_verify(args) -> int:
     if args.show < 0:
         raise CliError(f"--show must be >= 0, got {args.show}", EXIT_USAGE)
     net = _load_netlist(args.netlist)
-    if args.mode == "exhaustive":
-        try:
+    try:
+        if args.mode == "exhaustive":
             report = verify_exhaustive(net, cap=args.cap)
-        except VerificationSpaceError as e:
-            raise CliError(f"{e} (rerun with --mode random --count N)",
-                           EXIT_USAGE) from None
-    else:
-        try:
+        else:
             report = verify_random(net, args.count, args.seed)
-        except ValueError as e:
-            raise CliError(str(e), EXIT_USAGE) from None
+    except VerificationSpaceError as e:
+        raise CliError(f"{e} (rerun with --mode random --count N)",
+                       EXIT_USAGE) from None
+    except ValueError as e:    # a SimulationError or a bad --count
+        raise CliError(str(e), EXIT_USAGE) from None
     if args.out:
         _write_text(args.out, report.to_json(max_mismatches=args.show))
     status = "PASS" if report.passed else "FAIL"
@@ -239,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--timing-lib",
                    help="timing preset name or JSON file")
     c.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    c.add_argument("--out", help="append output here instead of stdout")
+    c.add_argument("--out", help="write the output to this file, "
+                                 "overwriting it, instead of stdout")
     c.set_defaults(fn=cmd_compare)
 
     e = sub.add_parser("export-spice", help="write a structural SPICE-style "

@@ -4,9 +4,9 @@ Evaluation is zero-delay: gates fire once in dependency order, each on
 a whole batch of input vectors.  Every write is checked against the
 wire's declared range over every vector of the batch, so a run doubles
 as an executable range-soundness check (the ternary-carry discipline in
-particular).  Verification compares the evaluated product digits with
-:func:`oracle`, which just multiplies the operands as integers and
-re-encodes the result.
+particular).  Verification compares the evaluated product digits of
+each batch with the integer products of its operands; :func:`oracle`
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import islice, product as iproduct
 
 import numpy as np
 
@@ -64,32 +63,31 @@ def _batch_size(net: Netlist) -> int:
     return max(1, BATCH_BYTES // len(net.wires))
 
 
-def _simulate(net: Netlist, rows):
-    """Yield ``(row, output digits)`` for rows of primary-input digits.
+def _simulate(net: Netlist, batches):
+    """Yield ``(batch, output digits)``, each an ``(n, digits)`` array.
 
-    Rows are evaluated a batch at a time: every wire holds one unsigned
-    digit array with an entry per vector of the batch.
+    Every wire holds one unsigned digit array with an entry per vector
+    of the batch.
     """
     index = {w: k for k, w in enumerate(net.wires)}
     ranges = [w.range_max for w in net.wires.values()]
     inputs = [index[w] for w in net.primary_inputs]
     outputs = [index[w] for w in net.primary_outputs]
     ops = [(KERNELS[g.kind], [index[w] for w in g.inputs],
-            [index[w] for w in g.outputs]) for g in topo_order(net)]
-    rows = iter(rows)
-    while batch := list(islice(rows, _batch_size(net))):
+            [index[w] for w in g.outputs], g) for g in topo_order(net)]
+    for batch in batches:
         values = [None] * len(ranges)
-        for i, col in zip(inputs, np.array(batch, dtype=np.uint8).T.copy()):
+        for i, col in zip(inputs, np.ascontiguousarray(batch.T)):
             values[i] = col
-        for fn, ins, outs in ops:
+        for fn, ins, outs, g in ops:
             for o, v in zip(outs, fn(*(values[i] for i in ins))):
                 if (top := v.max()) > ranges[o]:
                     raise SimulationError(
-                        f"wire #{o} left its range 0..{ranges[o]}: {top}")
+                        f"wire {list(net.wires)[o]} (gate {g.id}, {g.kind}) "
+                        f"left its range 0..{ranges[o]}: {top}")
                 values[o] = v
         got = np.array([values[o] for o in outputs], dtype=np.uint8)
-        got = got.reshape(len(outputs), len(batch)).T.tolist()
-        yield from zip(batch, got)
+        yield batch, got.reshape(len(outputs), len(batch)).T
 
 
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
@@ -108,7 +106,7 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
         if not isinstance(v, int) or not 0 <= v <= hi:
             raise SimulationError(f"input {name}={v!r} outside 0..{hi}")
     row = [assignment[name] for name in net.primary_inputs]
-    return next(_simulate(net, [row]))[1]
+    return next(_simulate(net, [np.array([row], np.uint8)]))[1][0].tolist()
 
 
 def digits_of(value: int, radix: int, ndigits: int) -> tuple[int, ...]:
@@ -127,29 +125,47 @@ def int_of(digits, radix: int) -> int:
     return v
 
 
+def _products(radix: int, xs, ys):
+    """Product digits ``(n, 2N)``, LSB first, of ``(n, N)`` operand digits.
+
+    Operands become Python ints in ``object`` arrays, so the product is
+    plain integer multiplication at any width.
+    """
+    weights = np.array([radix ** i for i in range(xs.shape[1])], object)
+    p = (xs.astype(object) @ weights) * (ys.astype(object) @ weights)
+    out = np.empty((len(p), 2 * xs.shape[1]), np.uint8)
+    for i in range(out.shape[1]):
+        out[:, i], p = p % radix, p // radix
+    return out
+
+
 def oracle(radix: int, width: int, x_digits, y_digits) -> tuple[int, ...]:
-    """Expected product digits (LSB first) by plain integer multiplication."""
+    """Expected product digits (LSB first) of ``width``-digit operands."""
     for d in list(x_digits) + list(y_digits):
         if not 0 <= d < radix:
             raise SimulationError(f"digit {d} outside 0..{radix - 1}")
-    x = int_of(x_digits, radix)
-    y = int_of(y_digits, radix)
-    return digits_of(x * y, radix, 2 * width)
+    xs, ys = np.array([x_digits, y_digits], np.uint8).reshape(2, 1, width)
+    return tuple(_products(radix, xs, ys)[0].tolist())
 
 
-def _check(net: Netlist, rows) -> list[dict]:
-    """Mismatch records, in row order, for rows of x then y digits.
+def _check(net: Netlist, count: int, rows) -> list[dict]:
+    """Mismatch records, in row order, for ``count`` rows of x then y digits.
 
+    ``rows(start, stop)`` returns one batch of rows as a digit array.
     Degenerate designs may emit fewer than 2N digits; the missing top
     digits must then be 0.
     """
-    w = net.width
+    w, size = net.width, _batch_size(net)
+    batches = (rows(a, min(a + size, count)) for a in range(0, count, size))
     mismatches = []
-    for row, got in _simulate(net, rows):
-        want = oracle(net.radix, w, row[:w], row[w:])
-        if got != list(want[:len(got)]) or any(want[len(got):]):
-            mismatches.append({"x": list(row[:w]), "y": list(row[w:]),
-                               "expected": list(want), "got": got})
+    for batch, got in _simulate(net, batches):
+        want = _products(net.radix, batch[:, :w], batch[:, w:])
+        k = got.shape[1]
+        bad = (got != want[:, :k]).any(axis=1) | want[:, k:].any(axis=1)
+        for row, exp, g in zip(batch[bad].tolist(), want[bad].tolist(),
+                               got[bad].tolist()):
+            mismatches.append({"x": row[:w], "y": row[w:],
+                               "expected": exp, "got": g})
     return mismatches
 
 
@@ -161,10 +177,12 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP) \
         raise VerificationSpaceError(
             f"{space} vectors exceed the cap of {cap}; use verify_random")
     # lexicographic over x then y digits: x outer, last position fastest
-    rows = iproduct(range(net.radix), repeat=2 * net.width)
+    weights = net.radix ** np.arange(2 * net.width - 1, -1, -1)
+    mismatches = _check(net, space, lambda a, b: (
+        np.arange(a, b)[:, None] // weights % net.radix).astype(np.uint8))
     return VerificationReport(design=f"radix{net.radix}-w{net.width}",
                               mode="exhaustive", vectors_tested=space,
-                              mismatches=_check(net, rows))
+                              mismatches=mismatches)
 
 
 def verify_random(net: Netlist, count: int, seed: int) -> VerificationReport:
@@ -177,8 +195,10 @@ def verify_random(net: Netlist, count: int, seed: int) -> VerificationReport:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
-    rows = (tuple(rng.randrange(net.radix) for _ in range(2 * net.width))
-            for _ in range(count))
+    n = 2 * net.width
+    mismatches = _check(net, count, lambda a, b: np.array(
+        [rng.randrange(net.radix) for _ in range((b - a) * n)],
+        np.uint8).reshape(b - a, n))
     return VerificationReport(design=f"radix{net.radix}-w{net.width}",
                               mode="random", vectors_tested=count,
-                              mismatches=_check(net, rows), seed=seed)
+                              mismatches=mismatches, seed=seed)

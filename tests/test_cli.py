@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from mvlmul.cli import main
-from mvlmul.netlist import Netlist, validate_netlist
+from mvlmul.core import GateKind
+from mvlmul.netlist import GateInstance, Netlist, Wire, validate_netlist
 
 
 def run(argv, capsys):
@@ -143,6 +144,24 @@ def test_verify_ignores_workers(tmp_path, capsys):
         rep.unlink()
     assert results[0][0] == 1
     assert results[1] == results[0]
+
+
+def test_verify_range_overflow_is_usage_error(tmp_path, capsys):
+    # a netlist that validates, but whose QHA sum wire is declared binary;
+    # exhaustive mode used to print a traceback and exit 1
+    wires = {"x0": Wire("x0", 3), "y0": Wire("y0", 3),
+             "s": Wire("s", 1), "c": Wire("c", 1)}
+    net = Netlist(radix=4, width=1, wires=wires,
+                  gates=[GateInstance("g0", GateKind.QHA, ("x0", "y0"),
+                                      ("s", "c"))],
+                  primary_inputs=["x0", "y0"], primary_outputs=["s", "c"])
+    assert validate_netlist(net) == []
+    nl = tmp_path / "narrow.json"
+    nl.write_text(net.to_json())
+    for mode in ("exhaustive", "random"):
+        code, stdout, err = run(["verify", str(nl), "--mode", mode], capsys)
+        assert code == 2 and stdout == "", mode
+        assert err == "error: wire s (gate g0, QHA) left its range 0..1: 3\n"
 
 
 def test_compare_preset_markdown(capsys):
@@ -291,6 +310,18 @@ def test_compare_unwritable_out_is_io_error(tmp_path, capsys):
     code, _, err = run(["compare", "--preset", "--out", str(out)], capsys)
     assert code == 3
     assert err.startswith("error: ")
+
+
+def test_compare_out_overwrites(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["compare", "--design", "2,2", "--design", "4,1",
+            "--format", "csv", "--out", str(out)]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0 and stdout == ""
+    once = out.read_text()
+    assert run(argv, capsys)[0] == 0
+    assert out.read_text() == once
+    assert once.count(once.splitlines()[0]) == 1   # one header: one table
 
 
 def test_library_error_message_is_not_quoted(tmp_path, capsys):

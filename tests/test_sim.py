@@ -56,6 +56,16 @@ def test_oracle_round_trip(x, y, radix):
     assert int_of(d, radix) == x * y
 
 
+@settings(max_examples=60)
+@given(st.data(), st.sampled_from([(2, 64), (2, 128), (4, 32), (4, 64)]))
+def test_oracle_beyond_64_bit_products(data, rw):
+    radix, width = rw
+    x, y = (data.draw(st.integers(0, radix ** width - 1)) for _ in "xy")
+    d = oracle(radix, width, digits_of(x, radix, width),
+               digits_of(y, radix, width))
+    assert int_of(d, radix) == x * y
+
+
 # --- evaluate ---------------------------------------------------------------
 
 def test_evaluate_reference_vectors(q2):
@@ -194,6 +204,24 @@ def test_random_report_independent_of_batch_size(monkeypatch, b4):
     assert not whole.passed
     same = batched.to_json() == whole.to_json()  # a bool: fast on failure
     assert same, "batch boundaries changed the report"
+
+
+def test_exhaustive_order_across_batches(monkeypatch, b4):
+    # the faulty design pins the row order: batches of 7 rows against a
+    # row-by-row reference over itertools.product with x outer
+    net = _fault_b4(b4)
+    monkeypatch.setattr(sim, "BATCH_BYTES", 7 * len(net.wires))
+    assert sim._batch_size(net) == 7
+    want = []
+    for row in product(range(2), repeat=8):
+        x, y = int_of(row[:4], 2), int_of(row[4:], 2)
+        got = evaluate(net, _assign(net, x, y))
+        if int_of(got, 2) != x * y:
+            want.append({"x": list(row[:4]), "y": list(row[4:]),
+                         "expected": list(digits_of(x * y, 2, 8)),
+                         "got": got})
+    assert want
+    assert verify_exhaustive(net).mismatches == want
 
 
 def test_verify_sees_in_place_edits(b4):
