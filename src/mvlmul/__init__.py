@@ -5,10 +5,7 @@ against integer multiplication, and compare designs by transistor-
 diameter area and calibrated worst-path delay.
 """
 
-from .core import (GateKind, LogicError, LogicLevel, UnaryTable,
-                   STANDARD_TABLES, and2, bin_fa, bin_ha, bit,
-                   decode_thresholds, mux4, qfac2, qfac2wc, qha, qmul1,
-                   qmul1_mux, quit, trit, unary_apply)
+from .core import GateKind, LogicError
 from .netgen import (DotMatrix, NetBuilder, NetgenError, build_pp_binary,
                      build_pp_quaternary, final_cpa, gen_multiplier,
                      wallace_stage)

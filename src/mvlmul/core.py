@@ -1,15 +1,14 @@
-"""Logic-value domain and behavioral gate semantics.
+"""Gate semantics: one table of cell kernels and port signatures.
 
 Signals carry small unsigned digits. A wire is binary (max 1), ternary
 (max 2) or quaternary (max 3); the quaternary multipliers mix all three,
 because digit products carry in ternary while sums stay quaternary.
 
-Every gate used by the netlist generator is defined here as a pure
-function over digit values in the :data:`KERNELS` table, together with
-its port signature (input and output ranges) in :data:`PORTS`.  The
-simulator evaluates netlists through that table, and the typed wrappers
-(:func:`qmul1`, :func:`qfac2`, ...) are views of it over
-:class:`LogicLevel` values.
+Every gate used by the netlist generator is a pure function over digit
+values in :data:`KERNELS`, with its port signature (the maximum digit of
+each input and output) in :data:`PORTS`.  The simulator evaluates
+netlists through that table, and :func:`output_ranges` types the wires
+the generator creates.
 """
 
 from __future__ import annotations
@@ -21,47 +20,8 @@ from itertools import product
 
 
 class LogicError(ValueError):
-    """A digit value is outside the range its wire or port allows."""
+    """A wire range is wider than the gate port it feeds."""
 
-
-@dataclass(frozen=True)
-class LogicLevel:
-    """A digit value paired with the radix range of its carrier.
-
-    ``range_max`` is 1 for binary, 2 for ternary and 3 for quaternary.
-    """
-
-    value: int
-    range_max: int
-
-    def __post_init__(self):
-        if self.range_max not in (1, 2, 3):
-            raise LogicError(f"range_max must be 1, 2 or 3, got {self.range_max}")
-        if not 0 <= self.value <= self.range_max:
-            raise LogicError(
-                f"value {self.value} outside 0..{self.range_max}")
-
-
-def bit(v: int) -> LogicLevel:
-    return LogicLevel(v, 1)
-
-
-def trit(v: int) -> LogicLevel:
-    return LogicLevel(v, 2)
-
-
-def quit(v: int) -> LogicLevel:
-    return LogicLevel(v, 3)
-
-
-def _check(name: str, v: int, hi: int) -> None:
-    if not isinstance(v, int) or not 0 <= v <= hi:
-        raise LogicError(f"{name}={v!r} outside 0..{hi}")
-
-
-# ---------------------------------------------------------------------------
-# gate kinds, port signatures and kernels
-# ---------------------------------------------------------------------------
 
 class GateKind(enum.Enum):
     AND = "AND"
@@ -118,17 +78,6 @@ KERNELS = {
 }
 
 
-def evaluate_gate(kind: GateKind, inputs: tuple[int, ...]) -> tuple[int, ...]:
-    """Evaluate one gate on raw digit values, with port range checks."""
-    spec = PORTS[kind]
-    if len(inputs) != len(spec.inputs):
-        raise LogicError(f"{kind} takes {len(spec.inputs)} inputs, "
-                         f"got {len(inputs)}")
-    for (name, hi), v in zip(spec.inputs, inputs):
-        _check(f"{kind}.{name}", v, hi)
-    return tuple(KERNELS[kind](*inputs))
-
-
 @cache
 def output_ranges(kind: GateKind, in_ranges: tuple[int, ...]) -> tuple[int, ...]:
     """Tight per-output ranges for a gate given its input wire ranges.
@@ -152,140 +101,3 @@ def output_ranges(kind: GateKind, in_ranges: tuple[int, ...]) -> tuple[int, ...]
             if o > maxima[i]:
                 maxima[i] = o
     return tuple(maxima)
-
-
-def _cell(kind: GateKind, *levels: LogicLevel):
-    """Evaluate ``kind`` on levels; outputs are typed by their port range."""
-    outs = tuple(LogicLevel(v, hi) for v, (_, hi) in
-                 zip(evaluate_gate(kind, tuple(x.value for x in levels)),
-                     PORTS[kind].outputs))
-    return outs[0] if len(outs) == 1 else outs
-
-
-# ---------------------------------------------------------------------------
-# unary quaternary operators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnaryTable:
-    """A quaternary unary operator given by its four output digits.
-
-    The name encodes the outputs for inputs 0,1,2,3: operator "0321"
-    maps 0->0, 1->3, 2->2, 3->1.
-    """
-
-    name: str
-    outputs: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.outputs) != 4:
-            raise LogicError("unary table needs exactly 4 entries")
-        for v in self.outputs:
-            if not 0 <= v <= 3:
-                raise LogicError(f"unary output {v} outside 0..3")
-
-    @classmethod
-    def from_name(cls, name: str) -> "UnaryTable":
-        if len(name) != 4 or not name.isdigit():
-            raise LogicError(f"bad unary operator name {name!r}")
-        return cls(name, tuple(int(c) for c in name))
-
-
-#: the unary operators used inside the digit multiplier, plus identity.
-STANDARD_TABLES = {
-    name: UnaryTable.from_name(name)
-    for name in ("0000", "0123", "0202", "0321", "0001", "0011", "0012")
-}
-
-
-def unary_apply(table: UnaryTable, x: LogicLevel) -> LogicLevel:
-    """Apply a unary operator table to a quaternary input."""
-    _check("x", x.value, 3)
-    return quit(table.outputs[x.value])
-
-
-def decode_thresholds(x: LogicLevel) -> tuple[LogicLevel, LogicLevel, LogicLevel]:
-    """Threshold-decode a quit into (nqi, iqi, pqi) pseudo-binary levels.
-
-    The three outputs swing between 0 and 3 (full quaternary rails), one
-    threshold each: nqi drops first, pqi last.
-
-        in   nqi iqi pqi
-        0    3   3   3
-        1    0   3   3
-        2    0   0   3
-        3    0   0   0
-    """
-    return _cell(GateKind.DECODER, x)
-
-
-def mux4(sel: LogicLevel, in0: LogicLevel, in1: LogicLevel,
-         in2: LogicLevel, in3: LogicLevel) -> LogicLevel:
-    """4-way mux with quaternary select: returns in<sel>."""
-    _check("sel", sel.value, 3)
-    return (in0, in1, in2, in3)[sel.value]
-
-
-# ---------------------------------------------------------------------------
-# arithmetic cells
-# ---------------------------------------------------------------------------
-
-def qmul1(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
-    """1x1 quaternary digit multiplier: product quit and ternary carry.
-
-    Satisfies 4*carry + product == a*b for every input pair; the carry
-    never exceeds 2 (max total is 9).
-    """
-    return _cell(GateKind.QM1, a, b)
-
-
-def qmul1_mux(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
-    """Digit multiplier decomposed into a selector over unary operators.
-
-    The product selects between 0, identity, 0202 and 0321 applied to
-    ``b``; the carry selects between 0, 0, 0011 and 0012.  Equals
-    :func:`qmul1` on all 16 input pairs.
-    """
-    t = STANDARD_TABLES
-    qm = mux4(a, unary_apply(t["0000"], b), unary_apply(t["0123"], b),
-              unary_apply(t["0202"], b), unary_apply(t["0321"], b))
-    qc = mux4(a, unary_apply(t["0000"], b), unary_apply(t["0000"], b),
-              unary_apply(t["0011"], b), unary_apply(t["0012"], b))
-    return quit(qm.value), trit(qc.value)
-
-
-def qfac2(a: LogicLevel, b: LogicLevel, cin: LogicLevel) \
-        -> tuple[LogicLevel, LogicLevel]:
-    """Quaternary full adder with ternary carries.
-
-    sum = (a+b+cin) mod 4, cout = (a+b+cin) div 4.  The carry-in port is
-    ternary; cin=3 is rejected because a generator that produces it has
-    violated the carry discipline.  Max total 3+3+2=8, so cout <= 2.
-    """
-    return _cell(GateKind.QFAC2, a, b, cin)
-
-
-def qfac2wc(a: LogicLevel, b: LogicLevel, cin: LogicLevel) -> LogicLevel:
-    """Carry-less variant of :func:`qfac2` for the top of a final adder."""
-    return _cell(GateKind.QFAC2WC, a, b, cin)
-
-
-def qha(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
-    """Quaternary half adder: sum quit plus a binary carry."""
-    return _cell(GateKind.QHA, a, b)
-
-
-def bin_fa(a: LogicLevel, b: LogicLevel, cin: LogicLevel) \
-        -> tuple[LogicLevel, LogicLevel]:
-    """Binary full adder."""
-    return _cell(GateKind.BIN_FA, a, b, cin)
-
-
-def bin_ha(a: LogicLevel, b: LogicLevel) -> tuple[LogicLevel, LogicLevel]:
-    """Binary half adder."""
-    return _cell(GateKind.BIN_HA, a, b)
-
-
-def and2(a: LogicLevel, b: LogicLevel) -> LogicLevel:
-    """2-input AND, the 1x1 binary multiplier."""
-    return _cell(GateKind.AND, a, b)

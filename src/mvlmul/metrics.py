@@ -410,6 +410,11 @@ class DesignMetrics:
     energy: float | None = None  # optional per-gate attribute, no defaults
 
 
+def _fmt(ratio: float | None, template: str) -> str:
+    """A pair ratio as text; ``None`` (a zero denominator) is "n/a"."""
+    return "n/a" if ratio is None else template.format(ratio)
+
+
 @dataclass
 class ComparisonReport:
     designs: list[DesignMetrics]
@@ -436,9 +441,10 @@ class ComparisonReport:
             lines += ["", "| pair | area ratio | delay ratio | smaller area "
                       "| faster |", "|---|---|---|---|---|"]
             for r in self.pair_ratios:
-                lines.append(f"| {r['pair']} | x{r['area_ratio']:.2f} | "
-                             f"x{r['delay_ratio']:.2f} | {r['smaller_area']} "
-                             f"| {r['faster']} |")
+                lines.append(f"| {r['pair']} | "
+                             f"{_fmt(r['area_ratio'], 'x{:.2f}')} | "
+                             f"{_fmt(r['delay_ratio'], 'x{:.2f}')} | "
+                             f"{r['smaller_area']} | {r['faster']} |")
         if self.component_ratios:
             lines += ["", "| component ratio | value |", "|---|---|"]
             for k, v in self.component_ratios.items():
@@ -453,8 +459,8 @@ class ComparisonReport:
             for k, v in sorted(d.inventory.items()):
                 rows.append(f"design,{d.label}.count.{k},{v}")
         for r in self.pair_ratios:
-            rows.append(f"pair,{r['pair']}.area_ratio,{r['area_ratio']:.6g}")
-            rows.append(f"pair,{r['pair']}.delay_ratio,{r['delay_ratio']:.6g}")
+            for k in ("area_ratio", "delay_ratio"):
+                rows.append(f"pair,{r['pair']}.{k},{_fmt(r[k], '{:.6g}')}")
         for k, v in self.component_ratios.items():
             rows.append(f"component,{k},{v:.6g}")
         return "\n".join(rows) + "\n"
@@ -481,8 +487,9 @@ def compare(designs) -> ComparisonReport:
     """Build a comparison over (label, netlist, cost_lib, timing_lib) tuples.
 
     Reports absolute metrics per design, pairwise area/delay ratios
-    (first named design over second), and, whenever a quaternary design
-    is paired with a binary one, the component-level adder ratios.
+    (first named design over second; ``None`` when the second is 0), and,
+    whenever a quaternary design is paired with a binary one, the
+    component-level adder ratios.
     """
     if len(designs) < 2:
         raise ValueError("compare needs at least two designs")
@@ -494,10 +501,8 @@ def compare(designs) -> ComparisonReport:
             a, b = metrics[i], metrics[j]
             ratio = {
                 "pair": f"{a.label} vs {b.label}",
-                "area_ratio": a.area_nm / b.area_nm if b.area_nm else
-                float("inf"),
-                "delay_ratio": a.delay_ps / b.delay_ps if b.delay_ps else
-                float("inf"),
+                "area_ratio": a.area_nm / b.area_nm if b.area_nm else None,
+                "delay_ratio": a.delay_ps / b.delay_ps if b.delay_ps else None,
             }
             ratio["smaller_area"] = a.label if a.area_nm <= b.area_nm else b.label
             ratio["faster"] = a.label if a.delay_ps <= b.delay_ps else b.label

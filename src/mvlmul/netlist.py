@@ -123,10 +123,10 @@ class Netlist:
 def validate_netlist(n: Netlist) -> list[Violation]:
     """Check structural invariants; returns an empty list when sound.
 
-    Checks: field sanity, wire ranges, primary-input digit ranges, port
-    arity, single drivers, dangling inputs, port/wire range compatibility
-    (no quaternary wire on a carry port), acyclicity, and product-output
-    completeness (each digit named once).
+    Checks: field sanity, wire ranges, primary-input count and digit
+    ranges, port arity, single drivers, dangling inputs, port/wire range
+    compatibility (no quaternary wire on a carry port), acyclicity, and
+    product-output completeness (each digit named once).
     """
     v: list[Violation] = []
     if n.radix not in (2, 4):
@@ -150,6 +150,9 @@ def validate_netlist(n: Netlist) -> list[Violation]:
                 f"{n.wires[name].range_max}, radix {n.radix} digits need "
                 f"{n.radix - 1}"))
         driver_count[name] += 1
+    if len(n.primary_inputs) != 2 * n.width:
+        v.append(Violation("inputs", f"expected {2 * n.width} operand "
+                           f"digits (x then y), got {len(n.primary_inputs)}"))
 
     for g in n.gates:
         if g.id in seen_gate_ids:

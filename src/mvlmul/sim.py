@@ -141,10 +141,16 @@ def _products(radix: int, xs, ys):
 
 def oracle(radix: int, width: int, x_digits, y_digits) -> tuple[int, ...]:
     """Expected product digits (LSB first) of ``width``-digit operands."""
-    for d in list(x_digits) + list(y_digits):
-        if not 0 <= d < radix:
-            raise SimulationError(f"digit {d} outside 0..{radix - 1}")
-    xs, ys = np.array([x_digits, y_digits], np.uint8).reshape(2, 1, width)
+    operands = {"x": list(x_digits), "y": list(y_digits)}
+    for name, digits in operands.items():
+        if len(digits) != width:
+            raise SimulationError(f"{name} has {len(digits)} digits, "
+                                  f"width is {width}")
+        for d in digits:
+            if not isinstance(d, int) or not 0 <= d < radix:
+                raise SimulationError(
+                    f"{name} digit {d!r} outside 0..{radix - 1}")
+    xs, ys = np.array(list(operands.values()), np.uint8)[:, None]
     return tuple(_products(radix, xs, ys)[0].tolist())
 
 

@@ -164,6 +164,46 @@ def test_verify_range_overflow_is_usage_error(tmp_path, capsys):
         assert err == "error: wire s (gate g0, QHA) left its range 0..1: 3\n"
 
 
+def test_verify_rejects_wrong_input_count(tmp_path, capsys):
+    # an extra input z used to crash the simulator, which never assigned
+    # it; a missing y0 used to pass against a y the netlist never reads
+    def and_chain(inputs, pairs):
+        wires = {w: Wire(w, 1) for w in inputs + ["t", "p"]}
+        gates = [GateInstance(f"g{i}", GateKind.AND, ins, (out,))
+                 for i, (ins, out) in enumerate(pairs)]
+        return Netlist(radix=2, width=1, wires=wires, gates=gates,
+                       primary_inputs=inputs, primary_outputs=["p"])
+    nets = {"extra": and_chain(["x0", "y0", "z"], [(("x0", "y0"), "t"),
+                                                   (("t", "z"), "p")]),
+            "missing": and_chain(["x0"], [(("x0", "x0"), "t"),
+                                          (("t", "t"), "p")])}
+    for name, net in nets.items():
+        nl = tmp_path / f"{name}.json"
+        nl.write_text(net.to_json())
+        for mode in ("exhaustive", "random"):
+            code, stdout, err = run(["verify", str(nl), "--mode", mode],
+                                    capsys)
+            assert code == 2 and stdout == "", (name, mode)
+            assert err.startswith(f"error: {nl}: invalid netlist: [inputs] "
+                                  "expected 2 operand digits"), (name, mode)
+
+
+def test_compare_zero_delay_ratio_is_null(capsys):
+    # every 1x1 design has a 0 ps worst path: the ratio has no value
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+    code, stdout, _ = run(["compare", "--design", "4,1", "--design", "2,1",
+                           "--format", "json"], capsys)
+    assert code == 0
+    ratio = json.loads(stdout, parse_constant=no_constants)["pair_ratios"][0]
+    assert ratio["delay_ratio"] is None
+    assert ratio["area_ratio"] == pytest.approx(132 / 8.9)
+    for fmt, want in (("md", "| n/a |"), ("csv", ".delay_ratio,n/a\n")):
+        code, stdout, _ = run(["compare", "--design", "4,1", "--design",
+                               "2,1", "--format", fmt], capsys)
+        assert code == 0 and want in stdout, fmt
+
+
 def test_compare_preset_markdown(capsys):
     code, stdout, _ = run(["compare", "--preset"], capsys)
     assert code == 0

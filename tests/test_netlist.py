@@ -127,6 +127,19 @@ def test_input_digit_range_checked(q1):
     assert "input-range" in _codes(validate_netlist(n2))
 
 
+def test_input_count_checked():
+    # verification reads the first N inputs as x digits and the next N as y
+    n = _tiny(2)
+    n.wires["z"] = Wire("z", 1)
+    n.primary_inputs.append("z")
+    assert _codes(validate_netlist(n)) == {"inputs"}
+    n2 = _tiny(2)
+    del n2.wires["y0"]
+    n2.primary_inputs.remove("y0")
+    n2.gates[0] = GateInstance("g0", GateKind.AND, ("x0", "x0"), ("p0",))
+    assert _codes(validate_netlist(n2)) == {"inputs"}
+
+
 def test_inventory_matches_gate_list(q4):
     inv = q4.inventory()
     assert sum(inv.values()) == len(q4.gates)

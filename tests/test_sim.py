@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvlmul import sim
-from mvlmul.core import GateKind
+from mvlmul.core import GateKind, KERNELS
 from mvlmul.netlist import GateInstance, Netlist, Wire
 from mvlmul.sim import (SimulationError, VerificationSpaceError, digits_of,
                         evaluate, int_of, oracle, verify_exhaustive,
@@ -42,9 +42,16 @@ def test_oracle_single_digit_matches_qmul1():
     assert oracle(4, 1, (3,), (3,)) == (1, 2)
 
 
-def test_oracle_rejects_bad_digits():
-    with pytest.raises(SimulationError):
-        oracle(4, 1, (4,), (0,))
+@pytest.mark.parametrize("x, y, match", [
+    ((4,), (0,), "x digit 4 outside 0..3"),
+    ((0,), (-1,), "y digit -1 outside 0..3"),
+    ((1.5,), (2,), "x digit 1.5 outside"),
+    ((1, 0), (2,), "x has 2 digits, width is 1"),
+    ((1,), (), "y has 0 digits, width is 1"),
+], ids=["too-big", "negative", "float", "long", "short"])
+def test_oracle_rejects_bad_digits(x, y, match):
+    with pytest.raises(SimulationError, match=match):
+        oracle(4, 1, x, y)
 
 
 @given(st.integers(0, 255), st.integers(0, 255),
@@ -154,11 +161,9 @@ def test_exhaustive_odd_widths():
 def test_exhaustive_reproduces_digit_multiplier_table(q1):
     report = verify_exhaustive(q1)
     assert report.vectors_tested == 16 and report.passed
-    from mvlmul.core import quit, qmul1
-    for a in range(4):
-        for b in range(4):
-            p, c = qmul1(quit(a), quit(b))
-            assert evaluate(q1, {"x0": a, "y0": b}) == [p.value, c.value]
+    for a, b in product(range(4), repeat=2):
+        assert evaluate(q1, {"x0": a, "y0": b}) == \
+            list(KERNELS[GateKind.QM1](a, b))
 
 
 def test_exhaustive_cap(b8):
