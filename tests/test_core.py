@@ -53,6 +53,22 @@ def test_qmul1_mux_composition_matches_direct():
         assert _qmul1_mux(a, b) == QM1(a, b), (a, b)
 
 
+def test_unary_names_encode_outputs():
+    # row ``a`` of each operator list is the digit-``a`` column of the table
+    for a, b in product(range(4), repeat=2):
+        assert int(QM1_PRODUCT_OPS[a][b]) == (a * b) % 4, (a, b)
+        assert int(QM1_CARRY_OPS[a][b]) == (a * b) // 4, (a, b)
+    assert all(len(op) == 4 and set(op) <= set("0123")
+               for op in QM1_PRODUCT_OPS + QM1_CARRY_OPS)
+
+
+def test_unary_spec_examples():
+    # "0321" on 3, "0202" on 0 and "0012" on 2, seen through the kernel
+    assert int("0321"[3]) == QM1(3, 3)[0] == 1
+    assert int("0202"[0]) == QM1(2, 0)[0] == 0
+    assert int("0012"[2]) == QM1(3, 2)[1] == 1
+
+
 def test_qmul1_spec_rows():
     assert QM1(3, 3) == (1, 2)
     assert QM1(2, 3) == (2, 1)
