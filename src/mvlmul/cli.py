@@ -258,7 +258,13 @@ def main(argv=None) -> int:
         # argparse already printed a message; normalize its exit code
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -63,31 +65,53 @@ def _batch_size(net: Netlist) -> int:
     return max(1, BATCH_BYTES // len(net.wires))
 
 
+def _compile(net: Netlist):
+    """Input rows, output rows, ``topo_order``, and ``(kernel, places, ins,
+    outs)`` per (level, kind) group in level order: each gate's place in
+    the order and ``(ports, gates)`` wire rows.  A gate's level is 1 +
+    the max level of its input wires; primary inputs are level 0."""
+    index = {w: k for k, w in enumerate(net.wires)}
+    level = [0] * len(index)
+    order = topo_order(net)
+    groups: dict = {}
+    for pos, g in enumerate(order):
+        ins, outs = ([index[w] for w in ws] for ws in (g.inputs, g.outputs))
+        lv = 1 + max(map(level.__getitem__, ins), default=0)
+        for o in outs:
+            level[o] = lv
+        groups.setdefault((lv, g.kind), []).append((pos, ins, outs))
+    return ([index[w] for w in net.primary_inputs],
+            [index[w] for w in net.primary_outputs], order,
+            [(KERNELS[kind], *(np.array(a).T for a in zip(*gs)))
+             for (_, kind), gs in sorted(groups.items(),
+                                         key=lambda kv: kv[0][0])])
+
+
 def _simulate(net: Netlist, batches):
     """Yield ``(batch, output digits)``, each an ``(n, digits)`` array.
 
-    Every wire holds one unsigned digit array with an entry per vector
-    of the batch.
+    A batch is one ``(wires, n)`` digit matrix; each (level, kind) group
+    fires its kernel once on its gathered rows.  An overflow names the
+    failing wire first in ``topo_order``: gates before it read in-range rows.
     """
-    index = {w: k for k, w in enumerate(net.wires)}
-    ranges = [w.range_max for w in net.wires.values()]
-    inputs = [index[w] for w in net.primary_inputs]
-    outputs = [index[w] for w in net.primary_outputs]
-    ops = [(KERNELS[g.kind], [index[w] for w in g.inputs],
-            [index[w] for w in g.outputs], g) for g in topo_order(net)]
+    ranges = np.array([w.range_max for w in net.wires.values()])
+    inputs, outputs, order, groups = _compile(net)
     for batch in batches:
-        values = [None] * len(ranges)
-        for i, col in zip(inputs, np.ascontiguousarray(batch.T)):
-            values[i] = col
-        for fn, ins, outs, g in ops:
-            for o, v in zip(outs, fn(*(values[i] for i in ins))):
-                if (top := v.max()) > ranges[o]:
-                    raise SimulationError(
-                        f"wire {list(net.wires)[o]} (gate {g.id}, {g.kind}) "
-                        f"left its range 0..{ranges[o]}: {top}")
+        values = np.zeros((len(ranges), len(batch)), np.uint8)
+        values[inputs] = batch.T
+        over = []  # (topological place, port, wire, top) per overflow
+        for fn, pos, ins, outs in groups:
+            for k, (o, v) in enumerate(zip(outs, fn(*values[ins]))):
                 values[o] = v
-        got = np.array([values[o] for o in outputs], dtype=np.uint8)
-        yield batch, got.reshape(len(outputs), len(batch)).T
+                top = v.max(axis=1)
+                over += [(pos[j], k, o[j], top[j])
+                         for j in np.flatnonzero(top > ranges[o])]
+        if over:
+            pos, _, o, top = min(over)
+            w, g = list(net.wires.values())[o], order[pos]
+            raise SimulationError(f"wire {w.id} (gate {g.id}, {g.kind}) "
+                                  f"left its range 0..{w.range_max}: {top}")
+        yield batch, values[outputs].T
 
 
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
@@ -96,8 +120,7 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     The assignment must cover every primary input with an in-range
     digit.  Internal wires are range-checked on every gate firing.
     """
-    extra = set(assignment) - set(net.primary_inputs)
-    if extra:
+    if extra := set(assignment) - set(net.primary_inputs):
         raise SimulationError(f"unknown inputs: {sorted(extra)}")
     for name in net.primary_inputs:
         if name not in assignment:
@@ -111,31 +134,29 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
 
 def digits_of(value: int, radix: int, ndigits: int) -> tuple[int, ...]:
     """Little-endian digit expansion."""
-    out = []
-    for _ in range(ndigits):
-        out.append(value % radix)
-        value //= radix
-    return tuple(out)
+    return tuple(value // radix ** i % radix for i in range(ndigits))
 
 
 def int_of(digits, radix: int) -> int:
-    v = 0
-    for d in reversed(list(digits)):
-        v = v * radix + d
-    return v
+    return sum(d * radix ** i for i, d in enumerate(digits))
 
 
 def _products(radix: int, xs, ys):
     """Product digits ``(n, 2N)``, LSB first, of ``(n, N)`` operand digits.
 
     Operands become Python ints in ``object`` arrays, so the product is
-    plain integer multiplication at any width.
+    plain integer multiplication at any width.  It is split into int64
+    limbs of ``k`` digits (``radix**k <= 2**62``), and each limb into
+    digits with int64 array arithmetic.
     """
     weights = np.array([radix ** i for i in range(xs.shape[1])], object)
     p = (xs.astype(object) @ weights) * (ys.astype(object) @ weights)
+    k = 62 // (radix - 1).bit_length()
+    powers = radix ** np.arange(k, dtype=np.int64)
     out = np.empty((len(p), 2 * xs.shape[1]), np.uint8)
-    for i in range(out.shape[1]):
-        out[:, i], p = p % radix, p // radix
+    for lo in range(0, out.shape[1], k):
+        limb, p = (p % radix ** k).astype(np.int64), p // radix ** k
+        out[:, lo:lo + k] = limb[:, None] // powers[:out.shape[1] - lo] % radix
     return out
 
 
@@ -200,11 +221,13 @@ def verify_random(net: Netlist, count: int, seed: int) -> VerificationReport:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = random.Random(seed)
+    # randrange(radix) is getrandbits(radix.bit_length()) with rejection
+    # of values >= radix: the same digits, drawn without a Python loop
+    bits = partial(random.Random(seed).getrandbits, net.radix.bit_length())
+    digits = filter(net.radix.__gt__, iter(bits, None))
     n = 2 * net.width
-    mismatches = _check(net, count, lambda a, b: np.array(
-        [rng.randrange(net.radix) for _ in range((b - a) * n)],
-        np.uint8).reshape(b - a, n))
+    mismatches = _check(net, count, lambda a, b: np.fromiter(
+        islice(digits, (b - a) * n), np.uint8, (b - a) * n).reshape(b - a, n))
     return VerificationReport(design=f"radix{net.radix}-w{net.width}",
                               mode="random", vectors_tested=count,
                               mismatches=mismatches, seed=seed)

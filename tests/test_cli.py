@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, files, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -266,6 +267,25 @@ def test_console_entry_point_runs():
          "--width", "1"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "QM1: 1" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
+                                                      "buffered"])
+def test_closed_stdout_pipe_is_io_error(unbuffered):
+    # the reader is gone before the command writes: unbuffered, print
+    # raised BrokenPipeError; buffered, the interpreter's exit flush did
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvlmul.cli", "compare", "--design", "4,1",
+             "--design", "2,1", "--format", "json"], stdout=write,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    assert proc.stderr == ""  # no traceback, no "Exception ignored"
 
 
 def test_env_library_override(tmp_path, capsys, monkeypatch):

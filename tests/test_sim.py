@@ -1,7 +1,9 @@
 """Functional evaluation and verification against the integer oracle."""
 
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,6 +75,17 @@ def test_oracle_beyond_64_bit_products(data, rw):
     assert int_of(d, radix) == x * y
 
 
+@pytest.mark.parametrize("radix, width", [
+    (2, 30), (2, 31), (2, 32), (2, 62), (4, 15), (4, 16), (4, 31)])
+def test_oracle_across_limb_boundaries(radix, width):
+    # products split into int64 limbs of k digits, k = 62 (radix 2) or
+    # 31 (radix 4); all-max operands fill every digit up to 2N = k - 2
+    # .. k + 2 and 2k, where a split off by one digit shows
+    top = radix ** width - 1
+    assert oracle(radix, width, [radix - 1] * width, [radix - 1] * width) \
+        == digits_of(top * top, radix, 2 * width)
+
+
 # --- evaluate ---------------------------------------------------------------
 
 def test_evaluate_reference_vectors(q2):
@@ -120,6 +133,42 @@ def test_range_check_covers_every_vector_of_a_batch():
     # in the middle of the single 16-vector batch
     with pytest.raises(SimulationError, match="range 0..1: 3"):
         verify_exhaustive(_narrow_qha())
+
+
+def _two_overflows(order):
+    """Radix-4 w1: QM1 g1 and QHA g2 both overflow a binary-declared wire
+    at level 1, QHA g3 at level 2; ``order`` lists the gates."""
+    ranges = {"x0": 3, "y0": 3, "s0": 3, "c0": 1, "p1": 1, "c1": 2,
+              "s2": 1, "c2": 1, "s3": 1, "c3": 1}
+    gates = {"g0": GateInstance("g0", GateKind.QHA, ("x0", "y0"),
+                                ("s0", "c0")),
+             "g1": GateInstance("g1", GateKind.QM1, ("x0", "y0"),
+                                ("p1", "c1")),
+             "g2": GateInstance("g2", GateKind.QHA, ("x0", "y0"),
+                                ("s2", "c2")),
+             "g3": GateInstance("g3", GateKind.QHA, ("s0", "x0"),
+                                ("s3", "c3"))}
+    return Netlist(radix=4, width=1,
+                   wires={w: Wire(w, r) for w, r in ranges.items()},
+                   gates=[gates[g] for g in order],
+                   primary_inputs=["x0", "y0"], primary_outputs=["s3", "c3"])
+
+
+@pytest.mark.parametrize("order, vector", [
+    # one level, two kinds: the QHA group (g0, g2) fires before QM1 (g1)
+    (["g0", "g1", "g2"], {"x0": 2, "y0": 1}),
+    # two levels: g3 comes first in the gate list but last in topo order
+    (["g3", "g0", "g1"], {"x0": 2, "y0": 3}),
+], ids=["two-kinds", "two-levels"])
+def test_overflow_names_first_wire_in_topo_order(order, vector):
+    net = _two_overflows(order)
+    msg = "wire p1 (gate g1, QM1) left its range 0..1: {}"
+    with pytest.raises(SimulationError) as e:
+        evaluate(net, vector)
+    assert str(e.value) == msg.format(2)
+    with pytest.raises(SimulationError) as e:
+        verify_exhaustive(net)
+    assert str(e.value) == msg.format(3)
 
 
 def test_mux4_decoder_netlist_through_evaluate():
@@ -176,6 +225,24 @@ def test_random_is_deterministic(b8):
     r2 = verify_random(b8, 300, seed=42)
     assert r1.to_json() == r2.to_json()
     assert r1.passed
+
+
+@pytest.mark.parametrize("seed", [5, 2024])
+@pytest.mark.parametrize("design", ["b4", "q2"])
+def test_random_stream_is_randrange(monkeypatch, request, design, seed):
+    # the digits checked, across five batches of 7, are the seeded
+    # stream drawn one randrange(radix) at a time, x digits then y
+    net = request.getfixturevalue(design)
+    monkeypatch.setattr(sim, "BATCH_BYTES", 7 * len(net.wires))
+    seen, products = [], sim._products
+    def spy(radix, xs, ys):
+        seen.extend(np.hstack([xs, ys]).tolist())
+        return products(radix, xs, ys)
+    monkeypatch.setattr(sim, "_products", spy)
+    assert verify_random(net, 33, seed).passed
+    rng = random.Random(seed)
+    assert seen == [[rng.randrange(net.radix) for _ in range(2 * net.width)]
+                    for _ in range(33)]
 
 
 def test_random_rejects_zero_count(b2):
