@@ -19,8 +19,6 @@ from .metrics import (CostLibrary, LibraryError, TIMING_PRESETS,
                       TimingLibrary, compare, default_cost_library)
 from .netgen import NetgenError, gen_multiplier
 from .netlist import Netlist, NetlistError, validate_netlist
-from .sim import (DEFAULT_EXHAUSTIVE_CAP, VerificationSpaceError,
-                  verify_exhaustive, verify_random)
 from .spice import export_spice
 
 EXIT_OK = 0
@@ -115,12 +113,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the simulator loads numpy, which no other command needs
+    from .sim import (DEFAULT_EXHAUSTIVE_CAP, VerificationSpaceError,
+                      verify_exhaustive, verify_random)
+
     if args.show < 0:
         raise CliError(f"--show must be >= 0, got {args.show}", EXIT_USAGE)
     net = _load_netlist(args.netlist)
+    cap = DEFAULT_EXHAUSTIVE_CAP if args.cap is None else args.cap
     try:
         if args.mode == "exhaustive":
-            report = verify_exhaustive(net, cap=args.cap)
+            report = verify_exhaustive(net, cap=cap)
         else:
             report = verify_random(net, args.count, args.seed)
     except VerificationSpaceError as e:
@@ -222,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: verification runs in one "
                         "process")
-    v.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
-                   help="max exhaustive vectors")
+    v.add_argument("--cap", type=int, help="max exhaustive vectors")
     v.add_argument("--show", type=int, default=10,
                    help="mismatches to print/serialize")
     v.add_argument("--out", help="write a JSON report here")

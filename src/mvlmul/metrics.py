@@ -22,8 +22,6 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import GateKind, PORTS
 from .netlist import Netlist, topo_order
 
@@ -283,6 +281,8 @@ def calibrate_timing(constraints, equal_groups=(), name="calibrated",
     ties a single aggregate cannot pin several kinds and the fit raises
     :class:`CalibrationError` naming the free variables.
     """
+    import numpy as np  # here, so that pricing designs never loads numpy
+
     if not constraints:
         raise CalibrationError("at least one constraint required")
     kinds = sorted({k for counts, _ in constraints for k in counts},

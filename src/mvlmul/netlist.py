@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .core import GateKind, PORTS
 
@@ -74,22 +75,39 @@ class Netlist:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "format": JSON_FORMAT,
-            "version": JSON_VERSION,
-            "radix": self.radix,
-            "width": self.width,
-            "inputs": list(self.primary_inputs),
-            "outputs": list(self.primary_outputs),
-            "wires": [{"id": w.id, "range_max": w.range_max}
-                      for w in self.wires.values()],
-            "gates": [{"id": g.id, "kind": g.kind.value,
-                       "inputs": list(g.inputs), "outputs": list(g.outputs)}
-                      for g in self.gates],
-        }
+        """The netlist document, byte for byte as ``json.dumps(doc,
+        indent=2) + "\\n"`` writes it for the same fields as dicts and lists.
+
+        The fixed schema is formatted here because ``json.dumps`` with an
+        indent always runs the pure-Python encoder; strings still go
+        through its C escaper.
+        """
+        q = encode_basestring_ascii
+        wires = [f'{{\n'
+                 f'      "id": {q(w.id)},\n'
+                 f'      "range_max": {w.range_max}\n'
+                 f'    }}' for w in self.wires.values()]
+        gates = [f'{{\n'
+                 f'      "id": {q(g.id)},\n'
+                 f'      "kind": {q(g.kind.value)},\n'
+                 f'      "inputs": {_array(map(q, g.inputs), "      ")},\n'
+                 f'      "outputs": {_array(map(q, g.outputs), "      ")}\n'
+                 f'    }}' for g in self.gates]
+        meta = ""
         if self.stats:
-            doc["meta"] = self.stats
-        return json.dumps(doc, indent=2) + "\n"
+            # an encoded string holds no raw newline, so this only indents
+            meta = (',\n  "meta": '
+                    + json.dumps(self.stats, indent=2).replace("\n", "\n  "))
+        return (f'{{\n'
+                f'  "format": {q(JSON_FORMAT)},\n'
+                f'  "version": {JSON_VERSION},\n'
+                f'  "radix": {self.radix},\n'
+                f'  "width": {self.width},\n'
+                f'  "inputs": {_array(map(q, self.primary_inputs), "  ")},\n'
+                f'  "outputs": {_array(map(q, self.primary_outputs), "  ")},\n'
+                f'  "wires": {_array(wires, "  ")},\n'
+                f'  "gates": {_array(gates, "  ")}{meta}\n'
+                f'}}\n')
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":
@@ -111,13 +129,31 @@ class Netlist:
             gates = [GateInstance(g["id"], GateKind(g["kind"]),
                                   tuple(g["inputs"]), tuple(g["outputs"]))
                      for g in doc["gates"]]
-            return cls(radix=int(doc["radix"]), width=int(doc["width"]),
-                       wires=wires, gates=gates,
-                       primary_inputs=list(doc["inputs"]),
-                       primary_outputs=list(doc["outputs"]),
-                       stats=doc.get("meta", {}))
+            net = cls(radix=int(doc["radix"]), width=int(doc["width"]),
+                      wires=wires, gates=gates,
+                      primary_inputs=list(doc["inputs"]),
+                      primary_outputs=list(doc["outputs"]),
+                      stats=doc.get("meta", {}))
         except (KeyError, TypeError, ValueError) as e:
             raise NetlistError(f"malformed netlist document: {e}") from None
+        for what, ids in (("wire id", wires),
+                          ("gate id", [g.id for g in gates]),
+                          ("gate port wire",
+                           [w for g in gates for w in g.inputs + g.outputs]),
+                          ("primary input", net.primary_inputs),
+                          ("primary output", net.primary_outputs)):
+            bad = [i for i in ids if not isinstance(i, str)]
+            if bad:
+                raise NetlistError(f"malformed netlist document: {what} "
+                                   f"{bad[0]!r} is not a string")
+        return net
+
+
+def _array(items, pad: str) -> str:
+    """Rendered JSON items as an array whose closing bracket sits at
+    ``pad``, laid out as ``json.dumps(..., indent=2)`` lays it out."""
+    body = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
 
 
 def validate_netlist(n: Netlist) -> list[Violation]:

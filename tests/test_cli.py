@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -122,6 +123,36 @@ def test_verify_oversized_exhaustive_guides_to_random(tmp_path, capsys):
     code, _, err = run(["verify", str(nl), "--cap", "1000"], capsys)
     assert code == 2
     assert "--mode random" in err
+
+
+def test_verify_default_cap_guides_to_random(tmp_path, capsys):
+    # r2 w11 has 4,194,304 vectors, over the cap --cap defaults to
+    nl = tmp_path / "b11.json"
+    run(["generate", "--radix", "2", "--width", "11", "--out", str(nl)],
+        capsys)
+    code, _, err = run(["verify", str(nl)], capsys)
+    assert code == 2
+    assert "exceed the cap of 1048576" in err and "--mode random" in err
+
+
+@pytest.mark.parametrize("command", ["export-spice", "verify"])
+def test_non_string_ids_are_usage_errors(tmp_path, capsys, q1, command):
+    # integer wire ids pass validate_netlist; export-spice ended in a
+    # TypeError traceback and verify passed the design
+    doc = json.loads(q1.to_json())
+    num = {w["id"]: i for i, w in enumerate(doc["wires"])}
+    for w in doc["wires"]:
+        w["id"] = num[w["id"]]
+    for g in doc["gates"]:
+        g["inputs"] = [num[w] for w in g["inputs"]]
+        g["outputs"] = [num[w] for w in g["outputs"]]
+    doc["inputs"] = [num[w] for w in doc["inputs"]]
+    doc["outputs"] = [num[w] for w in doc["outputs"]]
+    nl = tmp_path / "q1.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "wire id 0 is not a string" in err
 
 
 def test_verify_random_seeded(tmp_path, capsys):
@@ -267,6 +298,45 @@ def test_console_entry_point_runs():
          "--width", "1"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "QM1: 1" in proc.stdout
+
+
+def _run_python(code, *args):
+    # sys.modules is per process, so each check runs in a fresh one
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code),
+                           *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_numpy():
+    _run_python("""
+        import sys
+        import mvlmul, mvlmul.cli
+        assert "numpy" not in sys.modules
+    """)
+
+
+def test_build_commands_do_not_load_numpy(tmp_path):
+    _run_python("""
+        import os, sys
+        import mvlmul.cli
+        os.chdir(sys.argv[1])
+        for argv in (["generate", "--radix", "4", "--width", "4",
+                      "--out", "q4.json"],
+                     ["compare", "--preset"],
+                     ["export-spice", "q4.json"]):
+            assert mvlmul.cli.main(argv) == 0
+            assert "numpy" not in sys.modules, argv
+
+        from mvlmul import (GateKind, SimulationError, calibrate_timing,
+                            evaluate, gen_multiplier, verify_exhaustive)
+        net = gen_multiplier(4, 1)
+        assert verify_exhaustive(net).passed
+        assert evaluate(net, {"x0": 3, "y0": 2}) == [2, 1]
+        assert issubclass(SimulationError, ValueError)
+        lib = calibrate_timing([({GateKind.QM1: 2}, 236.0)])
+        assert abs(lib.delay(GateKind.QM1, "product") - 118.0) < 1e-9
+        assert "numpy" in sys.modules
+    """, str(tmp_path))
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",

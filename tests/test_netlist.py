@@ -1,7 +1,11 @@
 """Netlist structure: validation, JSON round trips, violations."""
 
+import hashlib
+import json
+
 import pytest
 
+from mvlmul import gen_multiplier
 from mvlmul.core import GateKind
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
                             disjoint_union, topo_order, validate_netlist)
@@ -38,6 +42,82 @@ def test_json_rejects_garbage():
 def test_json_rejects_non_object_documents(text):
     with pytest.raises(NetlistError, match="not a netlist document"):
         Netlist.from_json(text)
+
+
+def _reference_json(net):
+    """The document as dicts through ``json.dumps``: what
+    ``Netlist.to_json`` must write, byte for byte."""
+    doc = {
+        "format": "mvl-netlist",
+        "version": 1,
+        "radix": net.radix,
+        "width": net.width,
+        "inputs": list(net.primary_inputs),
+        "outputs": list(net.primary_outputs),
+        "wires": [{"id": w.id, "range_max": w.range_max}
+                  for w in net.wires.values()],
+        "gates": [{"id": g.id, "kind": g.kind.value,
+                   "inputs": list(g.inputs), "outputs": list(g.outputs)}
+                  for g in net.gates],
+    }
+    if net.stats:
+        doc["meta"] = net.stats
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_to_json_matches_json_dumps(all_designs):
+    for net in [*all_designs.values(), gen_multiplier(2, 32),
+                gen_multiplier(4, 16)]:
+        assert net.to_json() == _reference_json(net)
+
+
+def _odd(wires=(), gates=(), ins=(), outs=(), stats=None):
+    return Netlist(radix=4, width=1, wires={w.id: w for w in wires},
+                   gates=list(gates), primary_inputs=list(ins),
+                   primary_outputs=list(outs), stats=stats or {})
+
+
+ODD_IDS = ['a"b', "c\\d", "e\tf", "\u00e9t\u00e9", "\U0001d465"]
+
+
+@pytest.mark.parametrize("net", [
+    _odd(),
+    _odd(wires=[Wire("x0", 3)], ins=["x0"]),
+    _odd(gates=[GateInstance("g0", GateKind.QM1, (), ())], outs=["p0"]),
+    _odd(wires=[Wire(i, 3) for i in ODD_IDS],
+         gates=[GateInstance(i, GateKind.QM1, tuple(ODD_IDS[:2]), (i,))
+                for i in ODD_IDS], ins=ODD_IDS, outs=ODD_IDS[::-1]),
+    _odd(wires=[Wire("x0", 3)],
+         stats={"stages": 2, "tree": {"QFA": 3, "rows": [4, 3, [2, []]]},
+                "note": "two\nlines", "empty": {}, "ratio": 0.1,
+                "flags": [True, None, {"a\nb": ["c\nd"]}]}),
+], ids=["empty", "no-gates", "no-wires", "odd-ids", "nested-meta"])
+def test_to_json_matches_json_dumps_on_edge_cases(net):
+    assert net.to_json() == _reference_json(net)
+
+
+@pytest.mark.parametrize("radix, width, sha256", [
+    (2, 8, "783ee11f4c0df02b1ffce9cbeba77849c794a64504cf8c35b2d900332667579b"),
+    (4, 4, "56f10fa8de91a9a0d044ba676081c51b09951f8333d9d67c72c2cd808ded275f"),
+])
+def test_netlist_json_bytes_pinned(radix, width, sha256):
+    text = gen_multiplier(radix, width).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("what, corrupt", [
+    ("wire id", lambda d: d["wires"][0].update(id=0)),
+    ("gate id", lambda d: d["gates"][0].update(id=7)),
+    ("gate port wire", lambda d: d["gates"][0]["inputs"].__setitem__(1, 1)),
+    ("gate port wire", lambda d: d["gates"][0]["outputs"].__setitem__(0, [])),
+    ("primary input", lambda d: d["inputs"].__setitem__(0, 0.5)),
+    ("primary output", lambda d: d["outputs"].__setitem__(1, None)),
+], ids=["wire", "gate", "gate-input", "gate-output", "input", "output"])
+def test_from_json_rejects_non_string_ids(q1, what, corrupt):
+    doc = json.loads(q1.to_json())
+    corrupt(doc)
+    with pytest.raises(NetlistError, match=f"{what} .* is not a string"):
+        Netlist.from_json(json.dumps(doc))
 
 
 def _tiny(radix=2):
