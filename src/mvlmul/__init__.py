@@ -10,10 +10,9 @@ command that builds, prices or exports designs never loads numpy.
 
 import importlib
 
-from .core import GateKind, LogicError
-from .netgen import (DotMatrix, NetBuilder, NetgenError, build_pp_binary,
-                     build_pp_quaternary, final_cpa, gen_multiplier,
-                     wallace_stage)
+from .core import CELLS, GateKind, LogicError
+from .netgen import (DotMatrix, NetBuilder, NetgenError, build_pp, final_cpa,
+                     gen_multiplier, wallace_stage)
 from .netlist import (GateInstance, Netlist, NetlistError, Violation, Wire,
                       disjoint_union, validate_netlist)
 from .metrics import (CalibrationError, ComparisonReport, CostLibrary,

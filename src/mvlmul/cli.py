@@ -11,6 +11,7 @@ replace the built-in libraries.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -26,9 +27,12 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-#: the bundled head-to-head comparison: equal-information designs side
-#: by side (an N-quit operand carries the bits of a 2N-bit one).
-COMPARE_PRESET = (((4, 1), (2, 2)), ((4, 2), (2, 4)), ((4, 4), (2, 8)))
+#: the bundled head-to-head comparison, as groups of (label, radix,
+#: width): equal-information designs side by side (an N-quit operand
+#: carries the bits of a 2N-bit one).
+COMPARE_PRESET = tuple(((f"{n}x{n} quit", 4, n),
+                        (f"{2 * n}x{2 * n} bit", 2, 2 * n)) for n in (1, 2, 4))
+DEFAULT_TIMING = {2: "binary-0.9v", 4: "quaternary-0.9v"}
 
 
 class CliError(Exception):
@@ -98,10 +102,7 @@ def _digit_str(digits) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    try:
-        net = gen_multiplier(args.radix, args.width)
-    except NetgenError as e:
-        raise CliError(str(e), EXIT_USAGE) from None
+    net = gen_multiplier(args.radix, args.width)
     inv = ", ".join(f"{k}: {v}" for k, v in net.inventory().items())
     print(f"radix-{args.radix} {args.width}x{args.width} multiplier: "
           f"{{{inv}}}")
@@ -143,43 +144,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
+def _parse_design(spec: str) -> tuple[str, int, int]:
+    try:
+        radix, width = (int(v) for v in spec.split(","))
+    except ValueError:
+        raise CliError(f"bad --design {spec!r}, expected radix,width",
+                       EXIT_USAGE) from None
+    return f"radix{radix} {width}x{width}", radix, width
+
+
 def cmd_compare(args) -> int:
     cost = _cost_library(args.cost_lib)
-    reports = []
-    if args.preset:
-        ql = _timing_library("quaternary-0.9v")
-        bl = _timing_library("binary-0.9v")
-        for (qr, qw), (br, bw) in COMPARE_PRESET:
-            reports.append(compare(
-                [(f"{qw}x{qw} quit", gen_multiplier(qr, qw), cost, ql),
-                 (f"{bw}x{bw} bit", gen_multiplier(br, bw), cost, bl)]))
+    if not args.preset and len(args.design or ()) < 2:
+        raise CliError("need --preset or at least two "
+                       "--design radix,width", EXIT_USAGE)
+    # the --design group parses lazily, so each design's errors surface
+    # in command-line order
+    groups = (COMPARE_PRESET if args.preset
+              else [map(_parse_design, args.design)])
+    reports = [compare([(label, gen_multiplier(radix, width), cost,
+                         _timing_library(args.timing_lib
+                                         or DEFAULT_TIMING[radix]))
+                        for label, radix, width in group])
+               for group in groups]
+    if args.format == "json":
+        docs = [r.to_dict() for r in reports]
+        text = json.dumps(docs if args.preset else docs[0], indent=2) + "\n"
     else:
-        if len(args.design or ()) < 2:
-            raise CliError("need --preset or at least two "
-                           "--design radix,width", EXIT_USAGE)
-        designs = []
-        for spec in args.design:
-            try:
-                radix, width = (int(v) for v in spec.split(","))
-            except ValueError:
-                raise CliError(f"bad --design {spec!r}, expected radix,width",
-                               EXIT_USAGE) from None
-            try:
-                net = gen_multiplier(radix, width)
-            except NetgenError as e:
-                raise CliError(str(e), EXIT_USAGE) from None
-            tl = _timing_library(args.timing_lib if args.timing_lib else
-                                 ("quaternary-0.9v" if radix == 4
-                                  else "binary-0.9v"))
-            designs.append((f"radix{radix} {width}x{width}", net, cost, tl))
-        try:
-            reports.append(compare(designs))
-        except LibraryError as e:
-            raise CliError(str(e), EXIT_USAGE) from None
-    render = {"md": lambda r: r.to_markdown(),
-              "csv": lambda r: r.to_csv()}.get(args.format,
-                                               lambda r: r.to_json())
-    text = "\n".join(render(r) for r in reports)
+        text = "\n".join(r.to_markdown() if args.format == "md"
+                         else r.to_csv() for r in reports)
     if args.out:
         _write_text(args.out, text)
     else:
@@ -232,10 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("compare", help="compare generated designs")
-    c.add_argument("--preset", action="store_true",
-                   help="run the bundled equal-information head-to-heads")
-    c.add_argument("--design", action="append", metavar="RADIX,WIDTH",
-                   help="add a design (repeatable)")
+    designs = c.add_mutually_exclusive_group()
+    designs.add_argument("--preset", action="store_true",
+                         help="run the bundled equal-information "
+                              "head-to-heads")
+    designs.add_argument("--design", action="append", metavar="RADIX,WIDTH",
+                         help="add a design (repeatable)")
     c.add_argument("--cost-lib", help="cost library JSON")
     c.add_argument("--timing-lib",
                    help="timing preset name or JSON file")
@@ -270,7 +265,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except LibraryError as e:
+    except (LibraryError, NetgenError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -62,6 +62,13 @@ PORTS = {
                                (("nqi", 3), ("iqi", 3), ("pqi", 3))),
 }
 
+#: per radix, the cells a multiplier is built from: the digit-product
+#: cell, the half adder and the full adder.
+CELLS = {
+    2: (GateKind.AND, GateKind.BIN_HA, GateKind.BIN_FA),
+    4: (GateKind.QM1, GateKind.QHA, GateKind.QFAC2),
+}
+
 
 #: gate kernels on ints or unsigned digit arrays: each cell's one definition.
 KERNELS = {

@@ -19,16 +19,18 @@ reference aggregates are quoted.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .core import GateKind, PORTS
+from .core import CELLS, GateKind, PORTS
 from .netlist import Netlist, topo_order
 
 #: gate kinds that form the digit-product stage; excluded from path
 #: delay accounting by default (every input-to-output path crosses
 #: exactly one of them, and the calibration aggregates leave them out).
-FRONTEND_KINDS = frozenset({GateKind.AND, GateKind.QM1})
+FRONTEND_KINDS = frozenset(cells[0] for cells in CELLS.values())
 
 
 class LibraryError(KeyError):
@@ -53,6 +55,14 @@ def _library_errors(what: str):
         # non-numeric value
         raise LibraryError(f"malformed {what} library: "
                            f"{type(e).__name__}: {e}") from None
+
+
+def _check_values(what: str, values: dict) -> None:
+    """Every library value must be a finite number >= 0."""
+    for key, v in values.items():
+        if not (math.isfinite(v) and v >= 0):
+            raise LibraryError(f"{what} for {key} must be finite and "
+                               f">= 0, got {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +99,7 @@ class CostLibrary:
     diameters: tuple[DiameterRow, ...] = DIAMETER_TABLE
 
     def __post_init__(self):
-        for kind, v in self.sigma_di.items():
-            if v < 0:
-                raise LibraryError(f"negative area for {kind}: {v}")
+        _check_values("area", self.sigma_di)
 
     def lookup(self, kind: GateKind) -> float:
         try:
@@ -167,9 +175,8 @@ class TimingLibrary:
     load_note: str = ""
 
     def __post_init__(self):
-        for key, v in self.delays.items():
-            if v < 0:
-                raise LibraryError(f"negative delay for {key}: {v}")
+        _check_values("delay", {f"{k}.{p}": v
+                                for (k, p), v in self.delays.items()})
 
     def delay(self, kind: GateKind, port: str) -> float:
         try:
@@ -186,10 +193,10 @@ class TimingLibrary:
                     out.append(f"{kind.value}.{pname}")
         return out
 
-    def scaled(self, k: float, name: str | None = None) -> "TimingLibrary":
+    def scaled(self, k: float) -> "TimingLibrary":
         if k <= 0:
             raise ValueError("scale factor must be positive")
-        return TimingLibrary(name=name or f"{self.name}*{k}",
+        return TimingLibrary(name=f"{self.name}*{k}",
                              delays={key: v * k
                                      for key, v in self.delays.items()},
                              load_note=self.load_note)
@@ -271,8 +278,7 @@ TIMING_PRESETS = {
 }
 
 
-def calibrate_timing(constraints, equal_groups=(), name="calibrated",
-                     load_note="") -> TimingLibrary:
+def calibrate_timing(constraints, equal_groups=()) -> TimingLibrary:
     """Least-squares fit of per-kind delays to aggregate path delays.
 
     ``constraints`` is a list of (kind -> traversal count, observed ps)
@@ -318,8 +324,7 @@ def calibrate_timing(constraints, equal_groups=(), name="calibrated",
     per_kind = {k: float(sol[col[group_of[k]]]) for k in kinds}
     if any(v < 0 for v in per_kind.values()):
         raise CalibrationError(f"fit produced negative delays: {per_kind}")
-    return TimingLibrary(name=name, delays=_uniform_delays(per_kind),
-                         load_note=load_note)
+    return TimingLibrary(name="calibrated", delays=_uniform_delays(per_kind))
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +426,13 @@ class ComparisonReport:
     pair_ratios: list[dict]
     component_ratios: dict[str, float] = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        return {"designs": [vars(d) for d in self.designs],
+                "pair_ratios": self.pair_ratios,
+                "component_ratios": self.component_ratios}
+
     def to_json(self) -> str:
-        return json.dumps({
-            "designs": [vars(d) for d in self.designs],
-            "pair_ratios": self.pair_ratios,
-            "component_ratios": self.component_ratios,
-        }, indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_markdown(self) -> str:
         lines = ["| design | radix | width | gates | area ΣDi (nm) | "
@@ -494,48 +500,36 @@ def compare(designs) -> ComparisonReport:
     if len(designs) < 2:
         raise ValueError("compare needs at least two designs")
     metrics = [_metrics_for(*d) for d in designs]
-    pair_ratios = []
-    component: dict[str, float] = {}
-    for i in range(len(metrics)):
-        for j in range(i + 1, len(metrics)):
-            a, b = metrics[i], metrics[j]
-            ratio = {
-                "pair": f"{a.label} vs {b.label}",
-                "area_ratio": a.area_nm / b.area_nm if b.area_nm else None,
-                "delay_ratio": a.delay_ps / b.delay_ps if b.delay_ps else None,
-            }
-            ratio["smaller_area"] = a.label if a.area_nm <= b.area_nm else b.label
-            ratio["faster"] = a.label if a.delay_ps <= b.delay_ps else b.label
-            pair_ratios.append(ratio)
-            quat, binr = None, None
-            if a.radix == 4 and b.radix == 2:
-                quat, binr = (i, a), (j, b)
-            elif b.radix == 4 and a.radix == 2:
-                quat, binr = (j, b), (i, a)
-            if quat and not component:
-                qi, qm = quat
-                bi, bm = binr
-                qcost = designs[qi][2]
-                bcost = designs[bi][2]
-                component = _component_ratios(qm, bm, qcost, bcost)
+    # each design's metrics with its cost library, paired in input order
+    pairs = list(combinations(zip(metrics, (d[2] for d in designs)), 2))
+    pair_ratios = [{
+        "pair": f"{a.label} vs {b.label}",
+        "area_ratio": a.area_nm / b.area_nm if b.area_nm else None,
+        "delay_ratio": a.delay_ps / b.delay_ps if b.delay_ps else None,
+        "smaller_area": a.label if a.area_nm <= b.area_nm else b.label,
+        "faster": a.label if a.delay_ps <= b.delay_ps else b.label,
+    } for (a, _), (b, _) in pairs]
+    mixed = (_component_ratios(*p) for p in pairs
+             if {p[0][0].radix, p[1][0].radix} == {2, 4})
     return ComparisonReport(designs=metrics, pair_ratios=pair_ratios,
-                            component_ratios=component)
+                            component_ratios=next(filter(None, mixed), {}))
 
 
-def _component_ratios(qm: DesignMetrics, bm: DesignMetrics,
-                      qcost: CostLibrary, bcost: CostLibrary) -> dict:
+def _component_ratios(*pair: tuple[DesignMetrics, CostLibrary]) -> dict:
+    """Quaternary-over-binary adder ratios for a (metrics, cost library)
+    pair of one radix-4 and one radix-2 design, in either order."""
+    (qm, qcost), (bm, bcost) = sorted(pair, key=lambda p: -p[0].radix)
+    (_, qha_kind, qfa_kind), (_, bha_kind, bfa_kind) = CELLS[4], CELLS[2]
     out = {}
     try:
-        out["ha_area_ratio"] = (qcost.lookup(GateKind.QHA)
-                                / bcost.lookup(GateKind.BIN_HA))
-        out["fa_area_ratio"] = (qcost.lookup(GateKind.QFAC2)
-                                / bcost.lookup(GateKind.BIN_FA))
+        out["ha_area_ratio"] = qcost.lookup(qha_kind) / bcost.lookup(bha_kind)
+        out["fa_area_ratio"] = qcost.lookup(qfa_kind) / bcost.lookup(bfa_kind)
     except LibraryError:
         pass
-    qha = qm.inventory.get("QHA", 0)
-    qfa = qm.inventory.get("QFAC2", 0) + qm.inventory.get("QFAC2WC", 0)
-    bha = bm.inventory.get("BIN_HA", 0)
-    bfa = bm.inventory.get("BIN_FA", 0)
+    qha = qm.inventory.get(qha_kind.value, 0)
+    qfa = qm.inventory.get(qfa_kind.value, 0) + qm.inventory.get("QFAC2WC", 0)
+    bha = bm.inventory.get(bha_kind.value, 0)
+    bfa = bm.inventory.get(bfa_kind.value, 0)
     if bha:
         out["ha_count_ratio"] = qha / bha
     if bfa:

@@ -1,8 +1,9 @@
 """Wallace-tree multiplier generation for radix 2 and radix 4.
 
-The flow is the classic three-step one: digit-product stage (AND gates
-or 1x1 quit multipliers), row-grouped column reduction until every
-column holds at most two dots, then a ripple final add.
+The flow is the classic three-step one for both radices, built from
+the radix's cells in :data:`~mvlmul.core.CELLS`: digit-product stage
+(AND gates or 1x1 quit multipliers), row-grouped column reduction until
+every column holds at most two dots, then a ripple final add.
 
 Reduction policy
 ----------------
@@ -21,8 +22,8 @@ the 8x8-bit and 2x2-quit designs.
 
 Carries whose weight falls beyond the product width are provably zero
 (the product of width-N operands always fits in 2N digits); such carry
-outputs are left dangling, and the top gate of a quaternary final add
-is rewritten to the carry-less QFAC2WC.
+outputs are left dangling, and ``final_cpa`` creates the top-column
+full adder of a quaternary final add as the carry-less QFAC2WC.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import GateKind, output_ranges
+from .core import CELLS, PORTS, GateKind, output_ranges
 from .netlist import GateInstance, Netlist, Wire, validate_netlist
 
 
@@ -125,42 +126,29 @@ class DotMatrix:
 # partial products
 # ---------------------------------------------------------------------------
 
-def build_pp_binary(builder: NetBuilder, x_width: int, y_width: int) -> DotMatrix:
-    """AND-gate partial products; row j holds the XiYj terms at column i+j."""
-    if x_width < 1 or y_width < 1:
-        raise NetgenError("operand widths must be >= 1")
-    m = DotMatrix(base=2, width=x_width + y_width,
-                  max_product=(2 ** x_width - 1) * (2 ** y_width - 1))
-    for j in range(y_width):
-        row: dict[int, Dot] = {}
-        for i in range(x_width):
-            _, outs, rng = builder.add_gate(GateKind.AND, [f"x{i}", f"y{j}"])
-            row[i + j] = Dot(outs[0], rng[0])
-        m.rows.append(row)
-    return m
+def build_pp(builder: NetBuilder, radix: int, x_width: int,
+             y_width: int) -> DotMatrix:
+    """Digit-product partial products: per y digit, one row per output
+    of the radix's digit cell (``CELLS[radix][0]``).
 
-
-def build_pp_quaternary(builder: NetBuilder, x_width: int, y_width: int) -> DotMatrix:
-    """QM1 partial products: per y digit, a product row and a carry row.
-
-    The digit product of pair (i, j) lands in column i+j; its ternary
-    carry is a weight-4 term and lands in column i+j+1.  A width-N
-    operand pair therefore yields 2N rows.
+    Output k of the cell for pair (i, j) carries weight radix**(i+j+k)
+    and lands in column i+j+k, or is dropped past the top column.  Radix
+    2 gives one AND row per y digit; radix 4 gives a QM1 product row and
+    a ternary carry row, so a width-N operand pair yields 2N rows.
     """
     if x_width < 1 or y_width < 1:
         raise NetgenError("operand widths must be >= 1")
-    m = DotMatrix(base=4, width=x_width + y_width,
-                  max_product=(4 ** x_width - 1) * (4 ** y_width - 1))
+    cell = CELLS[radix][0]
+    m = DotMatrix(base=radix, width=x_width + y_width,
+                  max_product=(radix ** x_width - 1) * (radix ** y_width - 1))
     for j in range(y_width):
-        prow: dict[int, Dot] = {}
-        crow: dict[int, Dot] = {}
+        rows: list[dict[int, Dot]] = [{} for _ in PORTS[cell].outputs]
         for i in range(x_width):
-            _, outs, rng = builder.add_gate(GateKind.QM1, [f"x{i}", f"y{j}"])
-            prow[i + j] = Dot(outs[0], rng[0])
-            if i + j + 1 < m.width:
-                crow[i + j + 1] = Dot(outs[1], rng[1])
-        m.rows.append(prow)
-        m.rows.append(crow)
+            _, outs, rng = builder.add_gate(cell, [f"x{i}", f"y{j}"])
+            for k, row in enumerate(rows):
+                if i + j + k < m.width:
+                    row[i + j + k] = Dot(outs[k], rng[k])
+        m.rows.extend(rows)
     return m
 
 
@@ -183,14 +171,6 @@ def _default_grouping(nrows: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((3 * g, 3 * g + 1, 3 * g + 2) for g in range(nrows // 3))
 
 
-def _full_adder_kind(base: int) -> GateKind:
-    return GateKind.BIN_FA if base == 2 else GateKind.QFAC2
-
-
-def _half_adder_kind(base: int) -> GateKind:
-    return GateKind.BIN_HA if base == 2 else GateKind.QHA
-
-
 def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
                   grouping: tuple[tuple[int, int, int], ...] | None = None) \
         -> tuple[DotMatrix, list[str]]:
@@ -208,6 +188,7 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
         raise NetgenError(f"bad grouping {grouping} for {len(matrix.rows)} rows")
 
     base = matrix.base
+    _, half_adder, full_adder = CELLS[base]
     new_rows: list[dict[int, Dot]] = []
     created: list[str] = []
 
@@ -216,7 +197,7 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
         srow: dict[int, Dot] = {}
         crow: dict[int, Dot] = {}
         spill: list[dict[int, Dot]] = []
-        for c in sorted(set().union(*(set(r) for r in grp))):
+        for c in sorted(set().union(*grp)):
             dots = [r[c] for r in grp if c in r]
             if len(dots) == 1:
                 srow[c] = dots[0]
@@ -228,17 +209,14 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
                 if ti is None:
                     use_full = False  # no legal carry-in: half adder instead
                 else:
-                    cin = dots.pop(ti)
-                    dots.append(cin)  # cin is the last port
+                    dots.append(dots.pop(ti))  # cin is the last port
             if use_full:
-                kind = _full_adder_kind(base)
                 gid, outs, rng = builder.add_gate(
-                    kind, [d.wire for d in dots])
+                    full_adder, [d.wire for d in dots])
                 leftover = None
             else:
-                kind = _half_adder_kind(base)
                 gid, outs, rng = builder.add_gate(
-                    kind, [dots[0].wire, dots[1].wire])
+                    half_adder, [dots[0].wire, dots[1].wire])
                 leftover = dots[2] if len(dots) == 3 else None
             created.append(gid)
             srow[c] = Dot(outs[0], rng[0])
@@ -247,18 +225,11 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
             # rng[1] == 0 or a carry beyond the top column is provably
             # zero; the wire stays dangling.
             if leftover is not None:
-                placed = False
-                if c not in crow:
-                    crow[c] = leftover
-                    placed = True
-                if not placed:
-                    for row in spill:
-                        if c not in row:
-                            row[c] = leftover
-                            placed = True
-                            break
-                if not placed:
-                    spill.append({c: leftover})
+                row = next((r for r in (crow, *spill) if c not in r), None)
+                if row is None:
+                    row = {}
+                    spill.append(row)
+                row[c] = leftover
         new_rows.append(srow)
         if crow:
             new_rows.append(crow)
@@ -279,12 +250,14 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
     Returns (product digit wires LSB-first, created gate ids).  A column
     with a single value passes straight through; two values make a half
     adder; two dots plus the incoming carry make a full adder.  The
-    carry out of the top column is dangling (provably zero by operand
-    capacity).
+    carry out of the top column is provably zero by operand capacity:
+    it is left dangling, and a quaternary full adder there is the
+    carry-less QFAC2WC.
     """
     if matrix.max_height() > 2:
         raise NetgenError("final add requires height <= 2 everywhere")
     base = matrix.base
+    _, half_adder, full_adder = CELLS[base]
     cols = matrix.columns()
     digits: list[str] = []
     created: list[str] = []
@@ -302,20 +275,22 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
             digits.append(items[0].wire)
             continue
         if len(items) == 2:
-            kind = _half_adder_kind(base)
+            kind = half_adder
         elif len(items) == 3:
             # two dots plus the incoming carry; the carry sits last and
             # takes the (ternary) carry-in port
-            kind = _full_adder_kind(base)
+            kind = full_adder
             if base == 4 and items[-1].range_max > 2:
                 raise NetgenError(f"column {c}: carry-in wire "
                                   f"{items[-1].wire} is quaternary")
+            if kind is GateKind.QFAC2 and c == matrix.width - 1:
+                kind = GateKind.QFAC2WC
         else:
             raise NetgenError(f"column {c} has {len(items)} values")
         gid, outs, rng = builder.add_gate(kind, [d.wire for d in items])
         created.append(gid)
         digits.append(outs[0])
-        if rng[1] > 0:
+        if len(rng) > 1 and rng[1] > 0:
             carry = Dot(outs[1], rng[1])
     return digits, created
 
@@ -330,7 +305,7 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
     The result is validated before being returned; stage count and the
     tree / final-add inventory split are recorded in ``Netlist.stats``.
     """
-    if radix not in (2, 4):
+    if radix not in CELLS:
         raise NetgenError(f"radix must be 2 or 4, got {radix}")
     if not isinstance(width, int) or width < 1:
         raise NetgenError(f"width must be a positive integer, got {width}")
@@ -342,10 +317,7 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
     for j in range(width):
         builder.add_input(f"y{j}", digit_range)
 
-    if radix == 2:
-        matrix = build_pp_binary(builder, width, width)
-    else:
-        matrix = build_pp_quaternary(builder, width, width)
+    matrix = build_pp(builder, radix, width, width)
 
     plans = _GROUPING_PLANS.get((radix, len(matrix.rows)), {})
     tree_gates: list[str] = []
@@ -364,14 +336,6 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
             raise NetgenError("reduction did not converge")
 
     digits, cpa_gates = final_cpa(builder, matrix)
-    # the top final-add QFAC2 becomes the carry-less QFAC2WC when its carry
-    # is not a product digit; it is the last gate, so nothing consumes it
-    top = builder.gates[-1]
-    if cpa_gates and top.kind is GateKind.QFAC2 \
-            and top.outputs[1] not in digits:
-        del builder.wires[top.outputs[1]]
-        builder.gates[-1] = GateInstance(top.id, GateKind.QFAC2WC, top.inputs,
-                                         top.outputs[:1])
 
     kind_of = {g.id: g.kind.value for g in builder.gates}
     stats = {

@@ -124,28 +124,32 @@ class Netlist:
         if doc.get("version") != JSON_VERSION:
             raise NetlistError(f"unsupported version {doc.get('version')!r}")
         try:
-            wires = {w["id"]: Wire(w["id"], int(w["range_max"]))
+            wires = {w["id"]: Wire(w["id"], w["range_max"])
                      for w in doc["wires"]}
             gates = [GateInstance(g["id"], GateKind(g["kind"]),
                                   tuple(g["inputs"]), tuple(g["outputs"]))
                      for g in doc["gates"]]
-            net = cls(radix=int(doc["radix"]), width=int(doc["width"]),
+            net = cls(radix=doc["radix"], width=doc["width"],
                       wires=wires, gates=gates,
                       primary_inputs=list(doc["inputs"]),
                       primary_outputs=list(doc["outputs"]),
                       stats=doc.get("meta", {}))
         except (KeyError, TypeError, ValueError) as e:
             raise NetlistError(f"malformed netlist document: {e}") from None
-        for what, ids in (("wire id", wires),
-                          ("gate id", [g.id for g in gates]),
-                          ("gate port wire",
-                           [w for g in gates for w in g.inputs + g.outputs]),
-                          ("primary input", net.primary_inputs),
-                          ("primary output", net.primary_outputs)):
-            bad = [i for i in ids if not isinstance(i, str)]
+        # JSON types, not coercions: a 3.7, "4" or true is an error
+        for what, vals, typ in (
+                ("wire id", wires, str), ("gate id", [g.id for g in gates], str),
+                ("gate port wire",
+                 [w for g in gates for w in g.inputs + g.outputs], str),
+                ("primary input", net.primary_inputs, str),
+                ("primary output", net.primary_outputs, str),
+                ("radix", [net.radix], int), ("width", [net.width], int),
+                ("wire range_max", [w.range_max for w in wires.values()], int)):
+            bad = [v for v in vals if type(v) is not typ]
             if bad:
-                raise NetlistError(f"malformed netlist document: {what} "
-                                   f"{bad[0]!r} is not a string")
+                raise NetlistError(
+                    f"malformed netlist document: {what} {bad[0]!r} is not "
+                    + ("a string" if typ is str else "an integer"))
         return net
 
 
@@ -284,7 +288,7 @@ def topo_order(n: Netlist) -> list[GateInstance]:
     return order
 
 
-def disjoint_union(a: Netlist, b: Netlist, sep: str = "__") -> Netlist:
+def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
     """Combine two netlists side by side (ids prefixed, no shared wires).
 
     Useful for additivity checks; the result is a two-multiplier module
@@ -295,7 +299,7 @@ def disjoint_union(a: Netlist, b: Netlist, sep: str = "__") -> Netlist:
     ins: list[str] = []
     outs: list[str] = []
     for tag, net in (("a", a), ("b", b)):
-        ren = lambda w: f"{tag}{sep}{w}"
+        ren = lambda w: f"{tag}__{w}"
         for w in net.wires.values():
             wires[ren(w.id)] = Wire(ren(w.id), w.range_max)
         for g in net.gates:

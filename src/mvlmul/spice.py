@@ -13,10 +13,10 @@ from .core import PORTS
 from .netlist import Netlist
 
 
-def export_spice(net: Netlist, title: str | None = None) -> str:
+def export_spice(net: Netlist) -> str:
     """Render a netlist as a hierarchical structural deck."""
     kinds = sorted({g.kind for g in net.gates}, key=lambda k: k.value)
-    name = title or f"mul_r{net.radix}_w{net.width}"
+    name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "
              f"gates={len(net.gates)} wires={len(net.wires)}"]

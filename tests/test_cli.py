@@ -10,7 +10,10 @@ import pytest
 
 from mvlmul.cli import main
 from mvlmul.core import GateKind
-from mvlmul.netlist import GateInstance, Netlist, Wire, validate_netlist
+from mvlmul.metrics import (TimingLibrary, default_cost_library,
+                            timing_binary_0v9, timing_quaternary_0v9)
+from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
+                            validate_netlist)
 
 
 def run(argv, capsys):
@@ -155,6 +158,25 @@ def test_non_string_ids_are_usage_errors(tmp_path, capsys, q1, command):
     assert err.startswith("error:") and "wire id 0 is not a string" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("range_max", 3.7), ("range_max", "3"), ("radix", "4"), ("radix", 4.0),
+    ("width", True), ("width", 1.0),
+], ids=["range-float", "range-str", "radix-str", "radix-float",
+        "width-bool", "width-float"])
+def test_non_integer_numbers_are_rejected(tmp_path, capsys, q1, field,
+                                          value):
+    # int() coerced these, so verify passed the design
+    doc = json.loads(q1.to_json())
+    (doc["wires"][0] if field == "range_max" else doc)[field] = value
+    with pytest.raises(NetlistError, match=f"{field} .* is not an integer"):
+        Netlist.from_json(json.dumps(doc))
+    nl = tmp_path / "q1.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run(["verify", str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "is not an integer" in err
+
+
 def test_verify_random_seeded(tmp_path, capsys):
     nl = tmp_path / "b8.json"
     run(["generate", "--radix", "2", "--width", "8", "--out", str(nl)],
@@ -263,6 +285,48 @@ def test_compare_identical_designs_unity(capsys):
 def test_compare_needs_designs(capsys):
     code, _, err = run(["compare"], capsys)
     assert code == 2
+
+
+def test_compare_preset_json_is_one_array(capsys):
+    code, stdout, _ = run(["compare", "--preset", "--format", "json"], capsys)
+    assert code == 0
+    reports = json.loads(stdout)
+    assert isinstance(reports, list) and len(reports) == 3
+    assert [[d["label"] for d in r["designs"]] for r in reports] == [
+        ["1x1 quit", "2x2 bit"], ["2x2 quit", "4x4 bit"],
+        ["4x4 quit", "8x8 bit"]]
+
+
+def test_compare_preset_excludes_design(capsys):
+    code, stdout, err = run(["compare", "--preset", "--design", "2,2"],
+                            capsys)
+    assert code == 2 and stdout == ""
+    assert "not allowed with argument --preset" in err
+
+
+# a timing library that serves both radices
+_BOTH_TIMING = TimingLibrary("both", {**timing_binary_0v9().delays,
+                                      **timing_quaternary_0v9().delays})
+
+
+def _worst_paths(markdown):
+    """(design label, worst path ps) rows of a compare markdown table."""
+    rows = [line.split(" | ") for line in markdown.splitlines()]
+    return [(r[0], float(r[5])) for r in rows if len(r) == 7
+            and r[1] in ("2", "4")]
+
+
+def test_compare_preset_honours_timing_lib(tmp_path, capsys):
+    lib = tmp_path / "slow.json"
+    lib.write_text(_BOTH_TIMING.scaled(2).to_json())
+    code, default, _ = run(["compare", "--preset"], capsys)
+    assert code == 0
+    code, slow, _ = run(["compare", "--preset", "--timing-lib", str(lib)],
+                        capsys)
+    assert code == 0
+    base = _worst_paths(default)
+    assert len(base) == 6 and base[-1] == ("| 8x8 bit", 312.0)
+    assert _worst_paths(slow) == [(d, 2 * ps) for d, ps in base]
 
 
 def test_export_spice_counts_and_determinism(tmp_path, capsys):
@@ -383,10 +447,26 @@ def test_verify_non_object_netlist_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "not a netlist document" in err
 
 
+def _complete_library(text, section, key, value):
+    """A complete library document with one entry set to ``value``."""
+    doc = json.loads(text)
+    doc[section][key] = value
+    return json.dumps(doc)
+
 BAD_COST = ["{not json", '{"sigma_di": {"FOO": 1.0}}', '{"name": "x"}',
-            '{"sigma_di": {"AND": "wide"}}']
+            '{"sigma_di": {"AND": "wide"}}'] + [
+    pytest.param(_complete_library(default_cost_library().to_json(),
+                                   "sigma_di", kind, value),
+                 id=f"{kind}={value}")
+    for kind, value in (("AND", float("nan")), ("QHA", float("inf")),
+                        ("BIN_FA", -1.0))]
 BAD_TIMING = ["{not json", '{"delays": {"FOO.y": 1.0}}', '{"name": "x"}',
-              '{"delays": {"AND.y": "slow"}}']
+              '{"delays": {"AND.y": "slow"}}'] + [
+    pytest.param(_complete_library(_BOTH_TIMING.to_json(), "delays", port,
+                                   value), id=f"{port}={value}")
+    for port, value in (("BIN_HA.sum", float("inf")),
+                        ("QFAC2.cout", float("nan")),
+                        ("QM1.carry", -float("inf")))]
 
 
 @pytest.mark.parametrize("text", BAD_COST)

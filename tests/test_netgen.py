@@ -4,9 +4,8 @@ import pytest
 
 from mvlmul import netgen
 from mvlmul.core import GateKind, PORTS
-from mvlmul.netgen import (NetBuilder, NetgenError, build_pp_binary,
-                           build_pp_quaternary, final_cpa, gen_multiplier,
-                           wallace_stage)
+from mvlmul.netgen import (NetBuilder, NetgenError, build_pp, final_cpa,
+                           gen_multiplier, wallace_stage)
 from mvlmul.netlist import validate_netlist
 from mvlmul.sim import verify_exhaustive
 
@@ -23,34 +22,34 @@ def _fresh_builder(radix, width):
 
 def test_pp_binary_shapes():
     b = _fresh_builder(2, 2)
-    m = build_pp_binary(b, 2, 2)
+    m = build_pp(b, 2, 2, 2)
     assert sum(1 for g in b.gates if g.kind is GateKind.AND) == 4
     assert m.heights() == [1, 2, 1, 0]
 
     b = _fresh_builder(2, 1)
-    m = build_pp_binary(b, 1, 1)
+    m = build_pp(b, 2, 1, 1)
     assert m.heights() == [1, 0]
 
     b = _fresh_builder(2, 8)
-    m = build_pp_binary(b, 8, 8)
+    m = build_pp(b, 2, 8, 8)
     assert len(b.gates) == 64
     assert max(m.heights()) == 8
 
 
 def test_pp_quaternary_shapes():
     b = _fresh_builder(4, 4)
-    m = build_pp_quaternary(b, 4, 4)
+    m = build_pp(b, 4, 4, 4)
     assert len(b.gates) == 16
     assert len(m.rows) == 8  # product row + carry row per y digit
 
     b = _fresh_builder(4, 1)
-    m = build_pp_quaternary(b, 1, 1)
+    m = build_pp(b, 4, 1, 1)
     cols = m.columns()
     assert len(cols[0]) == 1 and cols[0][0].range_max == 3
     assert len(cols[1]) == 1 and cols[1][0].range_max == 2
 
     b = _fresh_builder(4, 2)
-    m = build_pp_quaternary(b, 2, 2)
+    m = build_pp(b, 4, 2, 2)
     assert len(b.gates) == 4
     dots = [d for row in m.rows for d in row.values()]
     assert sum(1 for d in dots if d.range_max == 3) == 4  # products
@@ -60,14 +59,14 @@ def test_pp_quaternary_shapes():
 def test_pp_rejects_zero_width():
     b = _fresh_builder(2, 1)
     with pytest.raises(NetgenError):
-        build_pp_binary(b, 0, 1)
+        build_pp(b, 2, 0, 1)
     with pytest.raises(NetgenError):
-        build_pp_quaternary(b, 1, 0)
+        build_pp(b, 4, 1, 0)
 
 
 def test_capacity_holds_from_the_start():
     b = _fresh_builder(4, 4)
-    m = build_pp_quaternary(b, 4, 4)
+    m = build_pp(b, 4, 4, 4)
     assert m.capacity_ok()
 
 
@@ -75,7 +74,7 @@ def test_capacity_holds_from_the_start():
 
 def test_stage_noop_on_reduced_matrix():
     b = _fresh_builder(2, 2)
-    m = build_pp_binary(b, 2, 2)
+    m = build_pp(b, 2, 2, 2)
     before = len(b.gates)
     m2, created = wallace_stage(b, m)
     assert created == [] and len(b.gates) == before
@@ -93,7 +92,7 @@ def test_stage_heights_strictly_decrease(all_designs):
 
 def test_capacity_preserved_each_stage():
     b = _fresh_builder(4, 4)
-    m = build_pp_quaternary(b, 4, 4)
+    m = build_pp(b, 4, 4, 4)
     while m.max_height() > 2:
         assert m.capacity_ok()
         m, _ = wallace_stage(b, m)
@@ -102,7 +101,7 @@ def test_capacity_preserved_each_stage():
 
 def test_stage_rejects_bad_grouping():
     b = _fresh_builder(2, 4)
-    m = build_pp_binary(b, 4, 4)
+    m = build_pp(b, 2, 4, 4)
     with pytest.raises(NetgenError):
         wallace_stage(b, m, grouping=((0, 1, 1),))
     with pytest.raises(NetgenError):
@@ -111,14 +110,14 @@ def test_stage_rejects_bad_grouping():
 
 def test_final_cpa_requires_reduced_matrix():
     b = _fresh_builder(2, 4)
-    m = build_pp_binary(b, 4, 4)
+    m = build_pp(b, 2, 4, 4)
     with pytest.raises(NetgenError):
         final_cpa(b, m)
 
 
 def test_final_cpa_single_row_passthrough():
     b = _fresh_builder(2, 1)
-    m = build_pp_binary(b, 1, 1)
+    m = build_pp(b, 2, 1, 1)
     digits, created = final_cpa(b, m)
     assert created == []
     assert len(digits) == 1

@@ -99,6 +99,14 @@ def test_to_json_matches_json_dumps_on_edge_cases(net):
 @pytest.mark.parametrize("radix, width, sha256", [
     (2, 8, "783ee11f4c0df02b1ffce9cbeba77849c794a64504cf8c35b2d900332667579b"),
     (4, 4, "56f10fa8de91a9a0d044ba676081c51b09951f8333d9d67c72c2cd808ded275f"),
+    (2, 1, "c83911886845061acbbcd9c26a7ecfb4b1c52c20011c9f828960bfe8911839e7"),
+    (2, 5, "0f132fa8f125281e06809d15f582356ad3d2a576de418ef215ee3cb3c9a13eed"),
+    (2, 32, "a74f1f7930b81ea9bb181a32a12116a6bb50e843f1649d1d0839d7810a17d2ba"),
+    (4, 1, "3de9dfe0dfcd56daaad4bfe768c6aa4d327a9f948c88c776583f0b6301e328c7"),
+    (4, 2, "9eb670f460534ac576f5e4af38746bd868cd5eb6a50a24276737f31487603be2"),
+    (4, 3, "eb2e4f99fc27adf9482fff9952ecde0b8972072d5d986abc98c7950fe452093b"),
+    (4, 5, "0d66328db2c4571f23bcd2466abb940560fcf121fc4977178a0e1fe233ec4f2c"),
+    (4, 16, "7af8859173ff73c0a51831c516f5ac7274fac803ba328a6298964a95f65a7fc8"),
 ])
 def test_netlist_json_bytes_pinned(radix, width, sha256):
     text = gen_multiplier(radix, width).to_json()
