@@ -6,9 +6,10 @@ because digit products carry in ternary while sums stay quaternary.
 
 Every gate used by the netlist generator is a pure function over digit
 values in :data:`KERNELS`, with its port signature (the maximum digit of
-each input and output) in :data:`PORTS`.  The simulator evaluates
-netlists through that table, and :func:`output_ranges` types the wires
-the generator creates.
+each input and output) in :data:`PORTS`; :data:`CELLS` is the only
+place that says which cell plays which role in each radix.  The
+simulator evaluates netlists through :data:`KERNELS`, and
+:func:`output_ranges` types the wires the generator creates.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ PORTS = {
                                (("nqi", 3), ("iqi", 3), ("pqi", 3))),
 }
 
-#: per radix, the cells a multiplier is built from: the digit-product
-#: cell, the half adder and the full adder.
+#: per radix, the cells a multiplier is built from, by role: the digit
+#: cell, the half adder, the full adder, and the full adder of the top
+#: product column, whose carry out is provably zero.
 CELLS = {
-    2: (GateKind.AND, GateKind.BIN_HA, GateKind.BIN_FA),
-    4: (GateKind.QM1, GateKind.QHA, GateKind.QFAC2),
+    2: (GateKind.AND, GateKind.BIN_HA, GateKind.BIN_FA, GateKind.BIN_FA),
+    4: (GateKind.QM1, GateKind.QHA, GateKind.QFAC2, GateKind.QFAC2WC),
 }
 
 

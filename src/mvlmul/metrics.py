@@ -2,10 +2,12 @@
 
 Area is the transistor-diameter-sum proxy: each gate kind carries one
 number (nanometers) and a netlist's area is the plain sum over its
-instances.  The bundled default library targets a 32 nm CNTFET flow;
-the block costs of the digit multiplier and the quaternary adders
-already include their internal decoders and muxes, so bare MUX4/DECODER
-instances default to zero to avoid double counting.
+instances.  A library holds only what pricing reads; which cell plays
+which role comes from :data:`~mvlmul.core.CELLS`.  The bundled default
+library targets a 32 nm CNTFET flow; the block costs of the digit
+multiplier and the quaternary adders already include their internal
+decoders and muxes, so bare MUX4/DECODER instances default to zero to
+avoid double counting.
 
 Timing is a calibrated lookup model, not a prediction.  Per-kind delays
 are fitted (least squares) to aggregate worst-path figures at a fixed
@@ -34,7 +36,7 @@ FRONTEND_KINDS = frozenset(cells[0] for cells in CELLS.values())
 
 
 class LibraryError(KeyError):
-    """A library is missing an entry for a gate kind used by a netlist."""
+    """A library document is malformed, or lacks an entry a netlist uses."""
 
     __str__ = Exception.__str__  # KeyError would quote the message
 
@@ -51,55 +53,37 @@ def _library_errors(what: str):
     except LibraryError:
         raise
     except (KeyError, ValueError, TypeError, AttributeError) as e:
-        # bad JSON (a ValueError), a missing key, an unknown kind or a
-        # non-numeric value
+        # bad JSON (a ValueError), a missing key or an unknown kind
         raise LibraryError(f"malformed {what} library: "
                            f"{type(e).__name__}: {e}") from None
 
 
-def _check_values(what: str, values: dict) -> None:
-    """Every library value must be a finite number >= 0."""
+def _checked(what: str, values: dict, name=str) -> dict:
+    """``values`` as floats.  Each must be a number (as in JSON: not a
+    bool, not a string) that is finite and >= 0."""
     for key, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise LibraryError(f"{what} for {name(key)} must be a number, "
+                               f"got {v!r}")
         if not (math.isfinite(v) and v >= 0):
-            raise LibraryError(f"{what} for {key} must be finite and "
+            raise LibraryError(f"{what} for {name(key)} must be finite and "
                                f">= 0, got {v}")
+    return {key: float(v) for key, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
 # cost (area) library
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiameterRow:
-    """One nanotube choice: chirality index, diameter, threshold voltage."""
-
-    n: int
-    diameter_nm: float
-    vth_v: float
-
-
-# chirality table for the 32 nm CNTFET flow; vth tracks 1/diameter.
-# Unused by the behavioral model, kept for completeness.
-DIAMETER_TABLE = (
-    DiameterRow(8, 0.626, 0.696),
-    DiameterRow(10, 0.783, 0.557),
-    DiameterRow(13, 1.018, 0.428),
-    DiameterRow(19, 1.487, 0.293),
-    DiameterRow(29, 2.27, 0.192),
-    DiameterRow(37, 2.896, 0.150),
-)
-
-
 @dataclass
 class CostLibrary:
-    """Per-kind diameter sums (nm) plus the nanotube diameter table."""
+    """Per-kind diameter sums (nm)."""
 
     name: str
     sigma_di: dict[GateKind, float]
-    diameters: tuple[DiameterRow, ...] = DIAMETER_TABLE
 
     def __post_init__(self):
-        _check_values("area", self.sigma_di)
+        self.sigma_di = _checked("area", self.sigma_di)
 
     def lookup(self, kind: GateKind) -> float:
         try:
@@ -108,30 +92,25 @@ class CostLibrary:
             raise LibraryError(f"cost library {self.name!r} has no entry "
                                f"for {kind}") from None
 
-    def missing_for(self, net: Netlist) -> list[GateKind]:
-        used = {g.kind for g in net.gates}
-        return sorted((k for k in used if k not in self.sigma_di),
-                      key=lambda k: k.value)
+    def require(self, net: Netlist) -> None:
+        """Raise a :class:`LibraryError` naming each uncosted kind."""
+        missing = sorted({g.kind for g in net.gates} - self.sigma_di.keys(),
+                         key=lambda k: k.value)
+        if missing:
+            raise LibraryError(f"cost library {self.name!r} missing entries "
+                               "for " + ", ".join(k.value for k in missing))
 
     def to_json(self) -> str:
-        return json.dumps({
-            "name": self.name,
-            "sigma_di": {k.value: v for k, v in self.sigma_di.items()},
-            "diameters": [{"n": r.n, "diameter_nm": r.diameter_nm,
-                           "vth_v": r.vth_v} for r in self.diameters],
-        }, indent=2) + "\n"
+        return json.dumps({"name": self.name, "sigma_di": {
+            k.value: v for k, v in self.sigma_di.items()}}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CostLibrary":
         with _library_errors("cost"):
             doc = json.loads(text)
             return cls(name=doc.get("name", "custom"),
-                       sigma_di={GateKind(k): float(v)
-                                 for k, v in doc["sigma_di"].items()},
-                       diameters=tuple(DiameterRow(r["n"], r["diameter_nm"],
-                                                   r["vth_v"])
-                                       for r in doc.get("diameters", ())) or
-                       DIAMETER_TABLE)
+                       sigma_di={GateKind(k): v
+                                 for k, v in doc["sigma_di"].items()})
 
 
 def default_cost_library() -> CostLibrary:
@@ -155,10 +134,7 @@ def default_cost_library() -> CostLibrary:
 
 def area_estimate(net: Netlist, lib: CostLibrary) -> float:
     """Sum of per-gate diameter sums, in nanometers."""
-    missing = lib.missing_for(net)
-    if missing:
-        raise LibraryError(f"cost library {lib.name!r} missing entries for "
-                           + ", ".join(k.value for k in missing))
+    lib.require(net)
     return sum(lib.lookup(g.kind) for g in net.gates)
 
 
@@ -172,11 +148,10 @@ class TimingLibrary:
 
     name: str
     delays: dict[tuple[GateKind, str], float]
-    load_note: str = ""
 
     def __post_init__(self):
-        _check_values("delay", {f"{k}.{p}": v
-                                for (k, p), v in self.delays.items()})
+        self.delays = _checked("delay", self.delays,
+                               name=lambda key: f"{key[0]}.{key[1]}")
 
     def delay(self, kind: GateKind, port: str) -> float:
         try:
@@ -185,29 +160,29 @@ class TimingLibrary:
             raise LibraryError(f"timing library {self.name!r} has no entry "
                                f"for {kind}.{port}") from None
 
-    def missing_for(self, net: Netlist) -> list[str]:
-        out = []
-        for kind in sorted({g.kind for g in net.gates}, key=lambda k: k.value):
-            for pname, _ in PORTS[kind].outputs:
-                if (kind, pname) not in self.delays:
-                    out.append(f"{kind.value}.{pname}")
-        return out
+    def require(self, net: Netlist) -> None:
+        """Raise a :class:`LibraryError` naming each port of ``net``'s
+        kinds that has no delay, in :data:`~mvlmul.core.PORTS` order."""
+        missing = [f"{kind}.{pname}"
+                   for kind in sorted({g.kind for g in net.gates},
+                                      key=lambda k: k.value)
+                   for pname, _ in PORTS[kind].outputs
+                   if (kind, pname) not in self.delays]
+        if missing:
+            raise LibraryError(f"timing library {self.name!r} missing "
+                               "entries for " + ", ".join(missing))
 
     def scaled(self, k: float) -> "TimingLibrary":
         if k <= 0:
             raise ValueError("scale factor must be positive")
         return TimingLibrary(name=f"{self.name}*{k}",
                              delays={key: v * k
-                                     for key, v in self.delays.items()},
-                             load_note=self.load_note)
+                                     for key, v in self.delays.items()})
 
     def to_json(self) -> str:
-        return json.dumps({
-            "name": self.name,
-            "load_note": self.load_note,
-            "delays": {f"{k.value}.{p}": v
-                       for (k, p), v in self.delays.items()},
-        }, indent=2) + "\n"
+        return json.dumps({"name": self.name, "delays": {
+            f"{k}.{p}": v for (k, p), v in self.delays.items()}},
+            indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TimingLibrary":
@@ -216,18 +191,19 @@ class TimingLibrary:
             delays = {}
             for key, v in doc["delays"].items():
                 kname, _, port = key.partition(".")
-                delays[(GateKind(kname), port)] = float(v)
-            return cls(name=doc.get("name", "custom"), delays=delays,
-                       load_note=doc.get("load_note", ""))
+                kind = GateKind(kname)
+                if port not in dict(PORTS[kind].outputs):
+                    raise LibraryError(f"timing key {key!r} is not "
+                                       f"{kind}.<output port>")
+                delays[(kind, port)] = v
+            return cls(name=doc.get("name", "custom"), delays=delays)
 
 
 def _uniform_delays(kinds_ps: dict[GateKind, float]) \
         -> dict[tuple[GateKind, str], float]:
-    out = {}
-    for kind, ps in kinds_ps.items():
-        for pname, _ in PORTS[kind].outputs:
-            out[(kind, pname)] = ps
-    return out
+    """Each kind's delay on every output port of that kind."""
+    return {(kind, pname): ps for kind, ps in kinds_ps.items()
+            for pname, _ in PORTS[kind].outputs}
 
 
 # Calibration anchors: aggregate worst-path delays of the generated
@@ -242,33 +218,29 @@ _AGG_QUAT_0V9_PS = 646.0
 QM1_DELAY_0V9_PS = 118.0
 
 
-def _timing_binary(name: str, aggregate_ps: float) -> TimingLibrary:
-    d = aggregate_ps / BINARY_8X8_PATH_CELLS
-    return TimingLibrary(
-        name=name,
-        delays=_uniform_delays({GateKind.AND: 0.0, GateKind.BIN_HA: d,
-                                GateKind.BIN_FA: d, GateKind.MUX4: 0.0,
-                                GateKind.DECODER: 0.0}),
-        load_note="2fF, calibrated to the 8x8 aggregate worst path")
+def _preset(name: str, radix: int, aggregate_ps: float, path_cells: int,
+            digit_ps: float = 0.0) -> TimingLibrary:
+    """Every adder of ``CELLS[radix]`` gets an equal share of the
+    aggregate worst path, the digit cell ``digit_ps``, MUX4/DECODER 0."""
+    digit, *adders = CELLS[radix]
+    return TimingLibrary(name, _uniform_delays({
+        digit: digit_ps,
+        **dict.fromkeys(adders, aggregate_ps / path_cells),
+        GateKind.MUX4: 0.0, GateKind.DECODER: 0.0}))
 
 
 def timing_binary_0v9() -> TimingLibrary:
-    return _timing_binary("binary-0.9v", _AGG_BIN_0V9_PS)
+    return _preset("binary-0.9v", 2, _AGG_BIN_0V9_PS, BINARY_8X8_PATH_CELLS)
 
 
 def timing_binary_0v45() -> TimingLibrary:
-    return _timing_binary("binary-0.45v", _AGG_BIN_0V45_PS)
+    return _preset("binary-0.45v", 2, _AGG_BIN_0V45_PS,
+                   BINARY_8X8_PATH_CELLS)
 
 
 def timing_quaternary_0v9() -> TimingLibrary:
-    d = _AGG_QUAT_0V9_PS / QUATERNARY_4X4_PATH_CELLS
-    return TimingLibrary(
-        name="quaternary-0.9v",
-        delays=_uniform_delays({GateKind.QM1: QM1_DELAY_0V9_PS,
-                                GateKind.QHA: d, GateKind.QFAC2: d,
-                                GateKind.QFAC2WC: d, GateKind.MUX4: 0.0,
-                                GateKind.DECODER: 0.0}),
-        load_note="2fF, calibrated to the 4x4 aggregate worst path")
+    return _preset("quaternary-0.9v", 4, _AGG_QUAT_0V9_PS,
+                   QUATERNARY_4X4_PATH_CELLS, digit_ps=QM1_DELAY_0V9_PS)
 
 
 TIMING_PRESETS = {
@@ -293,14 +265,11 @@ def calibrate_timing(constraints, equal_groups=()) -> TimingLibrary:
         raise CalibrationError("at least one constraint required")
     kinds = sorted({k for counts, _ in constraints for k in counts},
                    key=lambda k: k.value)
-    group_of = {}
+    # the tied groups in order, then one group per untied kind
     groups = [set(g) for g in equal_groups]
-    for kind in kinds:
-        holder = next((i for i, g in enumerate(groups) if kind in g), None)
-        if holder is None:
-            groups.append({kind})
-            holder = len(groups) - 1
-        group_of[kind] = holder
+    groups += [{k} for k in kinds if not any(k in g for g in groups)]
+    group_of = {k: next(i for i, g in enumerate(groups) if k in g)
+                for k in kinds}
     used = sorted({group_of[k] for k in kinds})
     col = {g: i for i, g in enumerate(used)}
 
@@ -315,8 +284,8 @@ def calibrate_timing(constraints, equal_groups=()) -> TimingLibrary:
         # identify unconstrained columns through the null space
         _, s, vt = np.linalg.svd(a)
         null = vt[rank:]
-        free = {kinds[i] for i in range(len(kinds))
-                if any(abs(null[:, col[group_of[kinds[i]]]]) > 1e-9)}
+        free = {k for k in kinds
+                if any(abs(null[:, col[group_of[k]]]) > 1e-9)}
         raise CalibrationError(
             "underdetermined calibration; free variables: "
             + ", ".join(sorted(k.value for k in free)))
@@ -350,10 +319,7 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     Ties between equally late paths break toward the lexicographically
     smallest gate-id sequence.
     """
-    missing = lib.missing_for(net)
-    if missing:
-        raise LibraryError(f"timing library {lib.name!r} missing entries "
-                           "for " + ", ".join(missing))
+    lib.require(net)
     exclude = frozenset(exclude_kinds)
     eps = 1e-9
 
@@ -477,11 +443,9 @@ def _metrics_for(label: str, net: Netlist, cost: CostLibrary,
     cp = critical_path(net, timing)
     # the digit-product stage sits outside the path sum; report its own
     # delay alongside so nothing is hidden
-    frontend = 0.0
-    kinds_used = {g.kind for g in net.gates}
-    for kind in FRONTEND_KINDS & kinds_used:
-        for pname, _ in PORTS[kind].outputs:
-            frontend = max(frontend, timing.delays.get((kind, pname), 0.0))
+    frontend = max([0.0] + [timing.delay(kind, pname) for kind in
+                            FRONTEND_KINDS & {g.kind for g in net.gates}
+                            for pname, _ in PORTS[kind].outputs])
     return DesignMetrics(label=label, radix=net.radix, width=net.width,
                          inventory=net.inventory(),
                          area_nm=area_estimate(net, cost),
@@ -517,21 +481,26 @@ def compare(designs) -> ComparisonReport:
 
 def _component_ratios(*pair: tuple[DesignMetrics, CostLibrary]) -> dict:
     """Quaternary-over-binary adder ratios for a (metrics, cost library)
-    pair of one radix-4 and one radix-2 design, in either order."""
+    pair of one radix-4 and one radix-2 design, in either order.
+
+    Area ratios compare the half and full adders of ``CELLS``; the full
+    adder count includes the top-column adder.  A ratio whose binary
+    figure is 0 is left out.
+    """
     (qm, qcost), (bm, bcost) = sorted(pair, key=lambda p: -p[0].radix)
-    (_, qha_kind, qfa_kind), (_, bha_kind, bfa_kind) = CELLS[4], CELLS[2]
-    out = {}
+    q, b = CELLS[4], CELLS[2]
     try:
-        out["ha_area_ratio"] = qcost.lookup(qha_kind) / bcost.lookup(bha_kind)
-        out["fa_area_ratio"] = qcost.lookup(qfa_kind) / bcost.lookup(bfa_kind)
+        area = {"ha": (qcost.lookup(q[1]), bcost.lookup(b[1])),
+                "fa": (qcost.lookup(q[2]), bcost.lookup(b[2]))}
     except LibraryError:
-        pass
-    qha = qm.inventory.get(qha_kind.value, 0)
-    qfa = qm.inventory.get(qfa_kind.value, 0) + qm.inventory.get("QFAC2WC", 0)
-    bha = bm.inventory.get(bha_kind.value, 0)
-    bfa = bm.inventory.get(bfa_kind.value, 0)
-    if bha:
-        out["ha_count_ratio"] = qha / bha
-    if bfa:
-        out["fa_count_ratio"] = qfa / bfa
-    return out
+        area = {}
+    count = {"ha": (_count(qm, q[1:2]), _count(bm, b[1:2])),
+             "fa": (_count(qm, q[2:]), _count(bm, b[2:]))}
+    return {f"{cell}_{stat}_ratio": qv / bv
+            for stat, ratios in (("area", area), ("count", count))
+            for cell, (qv, bv) in ratios.items() if bv}
+
+
+def _count(m: DesignMetrics, kinds) -> int:
+    """Instances of ``m`` whose kind is one of ``kinds``."""
+    return sum(m.inventory.get(k.value, 0) for k in set(kinds))

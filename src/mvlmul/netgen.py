@@ -22,8 +22,8 @@ the 8x8-bit and 2x2-quit designs.
 
 Carries whose weight falls beyond the product width are provably zero
 (the product of width-N operands always fits in 2N digits); such carry
-outputs are left dangling, and ``final_cpa`` creates the top-column
-full adder of a quaternary final add as the carry-less QFAC2WC.
+outputs are left dangling.  ``final_cpa`` puts the radix's top-column
+adder (``CELLS[radix][3]``: the carry-less QFAC2WC in radix 4) there.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
         raise NetgenError(f"bad grouping {grouping} for {len(matrix.rows)} rows")
 
     base = matrix.base
-    _, half_adder, full_adder = CELLS[base]
+    _, half_adder, full_adder, _ = CELLS[base]
     new_rows: list[dict[int, Dot]] = []
     created: list[str] = []
 
@@ -249,15 +249,13 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
 
     Returns (product digit wires LSB-first, created gate ids).  A column
     with a single value passes straight through; two values make a half
-    adder; two dots plus the incoming carry make a full adder.  The
-    carry out of the top column is provably zero by operand capacity:
-    it is left dangling, and a quaternary full adder there is the
-    carry-less QFAC2WC.
+    adder; two dots plus the incoming carry make a full adder (the
+    top-column adder in the top column, whose carry out is provably
+    zero by operand capacity and left dangling).
     """
     if matrix.max_height() > 2:
         raise NetgenError("final add requires height <= 2 everywhere")
-    base = matrix.base
-    _, half_adder, full_adder = CELLS[base]
+    _, half_adder, full_adder, top_adder = CELLS[matrix.base]
     cols = matrix.columns()
     digits: list[str] = []
     created: list[str] = []
@@ -279,12 +277,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
         elif len(items) == 3:
             # two dots plus the incoming carry; the carry sits last and
             # takes the (ternary) carry-in port
-            kind = full_adder
-            if base == 4 and items[-1].range_max > 2:
-                raise NetgenError(f"column {c}: carry-in wire "
-                                  f"{items[-1].wire} is quaternary")
-            if kind is GateKind.QFAC2 and c == matrix.width - 1:
-                kind = GateKind.QFAC2WC
+            kind = top_adder if c == matrix.width - 1 else full_adder
         else:
             raise NetgenError(f"column {c} has {len(items)} values")
         gid, outs, rng = builder.add_gate(kind, [d.wire for d in items])

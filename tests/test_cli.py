@@ -457,16 +457,19 @@ BAD_COST = ["{not json", '{"sigma_di": {"FOO": 1.0}}', '{"name": "x"}',
             '{"sigma_di": {"AND": "wide"}}'] + [
     pytest.param(_complete_library(default_cost_library().to_json(),
                                    "sigma_di", kind, value),
-                 id=f"{kind}={value}")
+                 id=f"{kind}={value!r}")
     for kind, value in (("AND", float("nan")), ("QHA", float("inf")),
-                        ("BIN_FA", -1.0))]
+                        ("BIN_FA", -1.0), ("AND", "8.9"), ("QM1", True))]
 BAD_TIMING = ["{not json", '{"delays": {"FOO.y": 1.0}}', '{"name": "x"}',
               '{"delays": {"AND.y": "slow"}}'] + [
     pytest.param(_complete_library(_BOTH_TIMING.to_json(), "delays", port,
-                                   value), id=f"{port}={value}")
+                                   value), id=f"{port}={value!r}")
     for port, value in (("BIN_HA.sum", float("inf")),
                         ("QFAC2.cout", float("nan")),
-                        ("QM1.carry", -float("inf")))]
+                        ("QM1.carry", -float("inf")),
+                        ("BIN_FA.cout", "20.8"), ("QM1.product", True),
+                        # a key must name an output port of its kind
+                        ("QM1", 0), ("QM1.sum", 1.0), ("QHA.", 1.0))]
 
 
 @pytest.mark.parametrize("text", BAD_COST)
@@ -487,6 +490,41 @@ def test_compare_bad_timing_library(tmp_path, capsys, text):
                         "--timing-lib", str(lib)], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_compare_missing_library_entries_are_named(tmp_path, capsys):
+    # kinds sorted by name, each kind's ports in port order
+    thin = tmp_path / "thin.json"
+    thin.write_text('{"name": "thin", "sigma_di": {"AND": 8.9, '
+                    '"BIN_HA": 18.0}}')
+    for extra, want in (
+            (["--design", "4,1", "--timing-lib", "binary-0.9v"],
+             "timing library 'binary-0.9v' missing entries for "
+             "QM1.product, QM1.carry"),
+            (["--design", "4,2", "--cost-lib", str(thin)],
+             "cost library 'thin' missing entries for QFAC2, QFAC2WC, "
+             "QHA, QM1")):
+        code, stdout, err = run(["compare", "--design", "2,2"] + extra,
+                                capsys)
+        assert (code, stdout, err) == (2, "", f"error: {want}\n")
+
+
+def test_compare_zero_cost_binary_adder_has_no_area_ratio(tmp_path,
+                                                          capsys):
+    # 0 nm is a legal cost; a ratio over it has no value and is left
+    # out, as the count ratios are when the binary design has no adder
+    lib = tmp_path / "zero_ha.json"
+    lib.write_text(_complete_library(default_cost_library().to_json(),
+                                     "sigma_di", "BIN_HA", 0.0))
+    argv = ["compare", "--preset", "--cost-lib", str(lib)]
+    code, stdout, err = run(argv + ["--format", "json"], capsys)
+    assert code == 0 and err == ""
+    for report in json.loads(stdout):
+        ratios = report["component_ratios"]
+        assert "fa_area_ratio" in ratios and "ha_area_ratio" not in ratios
+    code, stdout, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert "| fa_area_ratio |" in stdout and "ha_area_ratio" not in stdout
 
 
 def test_compare_preset_bad_env_cost_library(tmp_path, capsys, monkeypatch):

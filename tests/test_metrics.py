@@ -1,5 +1,7 @@
 """Area, calibrated timing, critical paths, comparison reports."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,18 +27,6 @@ def test_default_costs():
     assert lib.lookup(GateKind.QM1) == 132.0
     assert lib.lookup(GateKind.QFAC2) / lib.lookup(GateKind.BIN_FA) == \
         pytest.approx(7.09, abs=0.01)
-
-
-def test_diameter_table_rows():
-    lib = default_cost_library()
-    assert len(lib.diameters) >= 6
-    byn = {r.n: r for r in lib.diameters}
-    assert byn[8].diameter_nm == 0.626 and byn[8].vth_v == 0.696
-    assert byn[10].diameter_nm == 0.783 and byn[10].vth_v == 0.557
-    assert byn[13].diameter_nm == 1.018 and byn[13].vth_v == 0.428
-    assert byn[19].diameter_nm == 1.487 and byn[19].vth_v == 0.293
-    assert byn[29].diameter_nm == 2.27 and byn[29].vth_v == 0.192
-    assert byn[37].diameter_nm == 2.896 and byn[37].vth_v == 0.150
 
 
 def test_area_linear_sums(b2, b8, q4):
@@ -69,7 +59,6 @@ def test_cost_library_json_round_trip():
     lib = default_cost_library()
     again = CostLibrary.from_json(lib.to_json())
     assert again.sigma_di == lib.sigma_di
-    assert again.diameters == lib.diameters
 
 
 # --- calibration ------------------------------------------------------------
@@ -203,6 +192,45 @@ def test_timing_library_json_round_trip():
     again = TimingLibrary.from_json(lib.to_json())
     assert again.delays == lib.delays
     assert again.name == lib.name
+
+
+@pytest.mark.parametrize("cls,text,message", [
+    (CostLibrary, '{"sigma_di": {"AND": "8.9"}}',
+     "area for AND must be a number, got '8.9'"),
+    (CostLibrary, '{"sigma_di": {"QM1": true}}',
+     "area for QM1 must be a number, got True"),
+    (TimingLibrary, '{"delays": {"QM1.carry": false}}',
+     "delay for QM1.carry must be a number, got False"),
+    (TimingLibrary, '{"delays": {"QM1": 0}}',
+     "timing key 'QM1' is not QM1.<output port>"),
+    (TimingLibrary, '{"delays": {"QM1.sum": 1.0}}',
+     "timing key 'QM1.sum' is not QM1.<output port>"),
+], ids=["cost-str", "cost-bool", "timing-bool", "timing-no-port",
+        "timing-wrong-port"])
+def test_library_values_and_keys_are_strict(cls, text, message):
+    with pytest.raises(LibraryError) as err:
+        cls.from_json(text)
+    assert str(err.value) == message
+
+
+def test_libraries_with_dropped_keys_still_load(b8, q4):
+    # documents as earlier versions wrote them, with a nanotube diameter
+    # table and a load note that nothing reads; both keys are ignored
+    cost = default_cost_library()
+    old_cost = {**json.loads(cost.to_json()), "diameters": [
+        {"n": 8, "diameter_nm": 0.626, "vth_v": 0.696},
+        {"n": 10, "diameter_nm": 0.783, "vth_v": 0.557}]}
+    again = CostLibrary.from_json(json.dumps(old_cost, indent=2))
+    for net, timing, size in ((b8, timing_binary_0v9(), "8x8"),
+                              (q4, timing_quaternary_0v9(), "4x4")):
+        doc = json.loads(timing.to_json())
+        old_timing = {"name": doc["name"],
+                      "load_note": f"2fF, calibrated to the {size} "
+                                   "aggregate worst path",
+                      "delays": doc["delays"]}
+        loaded = TimingLibrary.from_json(json.dumps(old_timing, indent=2))
+        assert area_estimate(net, again) == area_estimate(net, cost)
+        assert critical_path(net, loaded) == critical_path(net, timing)
 
 
 # --- comparison ------------------------------------------------------------
