@@ -20,6 +20,8 @@ from .metrics import (CostLibrary, LibraryError, TIMING_PRESETS,
                       TimingLibrary, compare, default_cost_library)
 from .netgen import NetgenError, gen_multiplier
 from .netlist import Netlist, NetlistError, validate_netlist
+from .sim import (DEFAULT_EXHAUSTIVE_CAP, VerificationSpaceError,
+                  verify_exhaustive, verify_random)
 from .spice import export_spice
 
 EXIT_OK = 0
@@ -114,19 +116,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the simulator loads numpy, which no other command needs
-    from .sim import (DEFAULT_EXHAUSTIVE_CAP, VerificationSpaceError,
-                      verify_exhaustive, verify_random)
-
     if args.show < 0:
         raise CliError(f"--show must be >= 0, got {args.show}", EXIT_USAGE)
     net = _load_netlist(args.netlist)
     cap = DEFAULT_EXHAUSTIVE_CAP if args.cap is None else args.cap
     try:
         if args.mode == "exhaustive":
-            report = verify_exhaustive(net, cap=cap)
+            report = verify_exhaustive(net, cap=cap, keep=args.show)
         else:
-            report = verify_random(net, args.count, args.seed)
+            report = verify_random(net, args.count, args.seed,
+                                   keep=args.show)
     except VerificationSpaceError as e:
         raise CliError(f"{e} (rerun with --mode random --count N)",
                        EXIT_USAGE) from None
@@ -136,8 +135,8 @@ def cmd_verify(args) -> int:
         _write_text(args.out, report.to_json(max_mismatches=args.show))
     status = "PASS" if report.passed else "FAIL"
     print(f"{report.design} {report.mode}: {report.vectors_tested} vectors, "
-          f"{len(report.mismatches)} mismatches -> {status}")
-    for m in report.mismatches[:args.show]:
+          f"{report.mismatch_count} mismatches -> {status}")
+    for m in report.mismatches:
         print(f"  x={_digit_str(m['x'])} y={_digit_str(m['y'])} "
               f"expected={_digit_str(m['expected'])} "
               f"got={_digit_str(m['got'])}")

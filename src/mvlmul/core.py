@@ -8,7 +8,7 @@ Every gate used by the netlist generator is a pure function over digit
 values in :data:`KERNELS`, with its port signature (the maximum digit of
 each input and output) in :data:`PORTS`; :data:`CELLS` is the only
 place that says which cell plays which role in each radix.  The
-simulator evaluates netlists through :data:`KERNELS`, and
+simulator derives its bit-plane plans from :data:`KERNELS`, and
 :func:`output_ranges` types the wires the generator creates.
 """
 
@@ -72,7 +72,7 @@ CELLS = {
 }
 
 
-#: gate kernels on ints or unsigned digit arrays: each cell's one definition.
+#: gate kernels on digit ints: each cell's one definition.
 KERNELS = {
     GateKind.AND: lambda a, b: (a & b,),
     GateKind.BIN_HA: lambda a, b: ((a + b) & 1, (a + b) >> 1),

@@ -24,6 +24,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 from .core import CELLS, GateKind, PORTS
@@ -257,10 +258,10 @@ def calibrate_timing(constraints, equal_groups=()) -> TimingLibrary:
     pairs.  ``equal_groups`` ties kinds to a shared delay (the usual
     symmetry assumption, e.g. FA and HA propagate alike); without enough
     ties a single aggregate cannot pin several kinds and the fit raises
-    :class:`CalibrationError` naming the free variables.
+    :class:`CalibrationError` naming the free variables.  The normal
+    equations are solved exactly, by Gaussian elimination over
+    fractions, so rank and free variables need no tolerance.
     """
-    import numpy as np  # here, so that pricing designs never loads numpy
-
     if not constraints:
         raise CalibrationError("at least one constraint required")
     kinds = sorted({k for counts, _ in constraints for k in counts},
@@ -272,24 +273,40 @@ def calibrate_timing(constraints, equal_groups=()) -> TimingLibrary:
                 for k in kinds}
     used = sorted({group_of[k] for k in kinds})
     col = {g: i for i, g in enumerate(used)}
+    n = len(used)
 
-    a = np.zeros((len(constraints), len(used)))
-    b = np.zeros(len(constraints))
-    for r, (counts, observed) in enumerate(constraints):
+    a = [[Fraction(0)] * n for _ in constraints]
+    for row, (counts, _) in zip(a, constraints):
         for kind, cnt in counts.items():
-            a[r, col[group_of[kind]]] += cnt
-        b[r] = observed
-    rank = np.linalg.matrix_rank(a)
-    if rank < len(used):
-        # identify unconstrained columns through the null space
-        _, s, vt = np.linalg.svd(a)
-        null = vt[rank:]
-        free = {k for k in kinds
-                if any(abs(null[:, col[group_of[k]]]) > 1e-9)}
+            row[col[group_of[kind]]] += Fraction(cnt)
+    b = [Fraction(observed) for _, observed in constraints]
+    # [AᵀA | Aᵀb] to reduced row echelon form
+    rows = [[sum(r[i] * r[j] for r in a) for j in range(n)]
+            + [sum(r[i] * y for r, y in zip(a, b))] for i in range(n)]
+    pivots = []
+    for c in range(n):
+        p = next((i for i in range(len(pivots), n) if rows[i][c]), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if len(pivots) < n:
+        # a column is free when some null-space vector moves it: every
+        # non-pivot column, and each pivot its row ties to one of them
+        loose = set(range(n)) - set(pivots)
+        loose |= {p for r, p in enumerate(pivots)
+                  if any(rows[r][c] for c in loose)}
         raise CalibrationError(
             "underdetermined calibration; free variables: "
-            + ", ".join(sorted(k.value for k in free)))
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+            + ", ".join(sorted(k.value for k in kinds
+                               if col[group_of[k]] in loose)))
+    sol = {p: rows[r][n] for r, p in enumerate(pivots)}
     per_kind = {k: float(sol[col[group_of[k]]]) for k in kinds}
     if any(v < 0 for v in per_kind.values()):
         raise CalibrationError(f"fit produced negative delays: {per_kind}")

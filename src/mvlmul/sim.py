@@ -1,12 +1,18 @@
 """Functional netlist evaluation and verification against integer math.
 
-Evaluation is zero-delay: gates fire once in dependency order, each on
-a whole batch of input vectors.  Every write is checked against the
+Evaluation is zero-delay and bit-sliced, after bit-parallel pattern
+simulation (Waicukauski et al., "Fault Simulation for Structured VLSI",
+1985): a batch of vectors runs at once, each wire held as the
+``range_max.bit_length()`` bit-planes of its digit, and a plane is one
+Python int with one bit per vector.  Gates fire once each in
+``topo_order``, through a plan derived from the cell's kernel in
+:data:`~mvlmul.core.KERNELS` by enumerating its truth table, so each
+cell keeps its one definition.  Every write is checked against the
 wire's declared range over every vector of the batch, so a run doubles
 as an executable range-soundness check (the ternary-carry discipline in
-particular).  Verification compares the evaluated product digits of
-each batch with the integer products of its operands; :func:`oracle`
-is a batch of one.
+particular).  Verification compares the product digits with a
+bit-sliced shift-and-add of the operand bits, which shares no code with
+the cells; :func:`oracle` is plain integer multiplication.
 """
 
 from __future__ import annotations
@@ -14,19 +20,17 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from functools import cache, partial
+from itertools import islice, product, zip_longest
 
-import numpy as np
-
-from .core import KERNELS
+from .core import KERNELS, GateKind
 from .netlist import Netlist, topo_order
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 
-#: wire-digit bytes per batch: a batch holds ``BATCH_BYTES // wire count``
-#: vectors (at least one), so its memory does not grow with the design
-BATCH_BYTES = 2 ** 20
+#: vectors per batch: a plane holds at most this many bits, so a batch's
+#: memory depends on the design, not on how many vectors a run checks
+BATCH_VECTORS = 2 ** 12
 
 
 class SimulationError(ValueError):
@@ -42,12 +46,13 @@ class VerificationReport:
     design: str
     mode: str                      # "exhaustive" or "random"
     vectors_tested: int
-    mismatches: list[dict] = field(default_factory=list)
+    mismatch_count: int            # every mismatch, kept as a record or not
+    mismatches: list[dict] = field(default_factory=list)  # the first ones
     seed: int | None = None
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        return not self.mismatch_count
 
     def to_json(self, max_mismatches: int | None = None) -> str:
         return json.dumps({
@@ -56,62 +61,138 @@ class VerificationReport:
             "seed": self.seed,
             "vectors_tested": self.vectors_tested,
             "passed": self.passed,
-            "mismatch_count": len(self.mismatches),
+            "mismatch_count": self.mismatch_count,
             "mismatches": self.mismatches[:max_mismatches],
         }, indent=2) + "\n"
 
 
-def _batch_size(net: Netlist) -> int:
-    return max(1, BATCH_BYTES // len(net.wires))
+# -- gate plans ---------------------------------------------------------------
+
+class _Overflow(Exception):
+    """Raised by a plan: output ``port`` reached ``top`` past its range."""
 
 
-def _compile(net: Netlist):
-    """Input rows, output rows, ``topo_order``, and ``(kernel, places, ins,
-    outs)`` per (level, kind) group in level order: each gate's place in
-    the order and ``(ports, gates)`` wire rows.  A gate's level is 1 +
-    the max level of its input wires; primary inputs are level 0."""
-    index = {w: k for k, w in enumerate(net.wires)}
-    level = [0] * len(index)
-    order = topo_order(net)
-    groups: dict = {}
-    for pos, g in enumerate(order):
-        ins, outs = ([index[w] for w in ws] for ws in (g.inputs, g.outputs))
-        lv = 1 + max(map(level.__getitem__, ins), default=0)
-        for o in outs:
-            level[o] = lv
-        groups.setdefault((lv, g.kind), []).append((pos, ins, outs))
-    return ([index[w] for w in net.primary_inputs],
-            [index[w] for w in net.primary_outputs], order,
-            [(KERNELS[kind], *(np.array(a).T for a in zip(*gs)))
-             for (_, kind), gs in sorted(groups.items(),
-                                         key=lambda kv: kv[0][0])])
+def _literals(k: int, hi: int, v: int) -> list[str]:
+    """The fewest bit tests that tell value ``v`` of input ``k`` from its
+    other values 0..hi, as plane names: ``a{k}_{b}`` where bit ``b`` is
+    set, its complement ``n{k}_{b}`` where it is clear.  Values above
+    ``hi`` cannot occur, so a ternary 1 is just its low bit."""
+    tests = [(b, v >> b & 1) for b in range(hi.bit_length())]
+    for t in list(tests):
+        rest = [u for u in tests if u != t]
+        if not any(all(w >> b & 1 == s for b, s in rest)
+                   for w in range(hi + 1) if w != v):
+            tests = rest
+    return [f"{'a' if s else 'n'}{k}_{b}" for b, s in tests]
 
+
+@cache
+def _plan(kind: GateKind, in_ranges: tuple[int, ...],
+          out_ranges: tuple[int, ...]):
+    """``fire(mask, *input planes)``: a gate of ``kind`` on bit-planes.
+
+    It returns the output planes per port, or raises :class:`_Overflow`.
+    It is straight-line code derived from the kernel's truth table.  The
+    inputs are read one at a time.  After each, the input prefixes fall
+    into classes: two prefixes share a class when every completion gives
+    the same outputs, and a prefix whose completions all give zeros is
+    dropped, since no output bit reads it.  A class's indicator plane is
+    the OR, over the (earlier class, input value) pairs that lead to it,
+    of their ANDed indicators, so every output bit shares the products.
+    After the last input a class is one output tuple, and each output
+    bit ORs the classes that set it.  An overflow exists only where a
+    class exceeds a declared range, so only those classes are tested.
+    """
+    fn, n_out = KERNELS[kind], len(out_ranges)
+    domains = [range(r + 1) for r in in_ranges]
+
+    def residual(prefix):
+        return tuple(fn(*prefix, *rest)[:n_out]
+                     for rest in product(*domains[len(prefix):]))
+
+    body, reps = [], [()]  # reps: one prefix per live class
+    for k, (hi, dom) in enumerate(zip(in_ranges, domains)):
+        index, nxt, groups = {}, [], []  # groups: (class, value) per class
+        for c, rep in enumerate(reps):
+            to = []
+            for v in dom:
+                sig = residual(rep + (v,))
+                if any(map(any, sig)):
+                    if sig not in index:
+                        index[sig] = len(nxt)
+                        nxt.append(rep + (v,))
+                        groups.append([])
+                    to.append((index[sig], v))
+            if len(to) == len(dom) and len({d for d, _ in to}) == 1:
+                to = [(to[0][0], None)]  # the input does not matter here
+            for d, v in to:
+                groups[d].append((c, v))
+        reps = nxt
+        if planes := [f"a{k}_{b}" for b in range(hi.bit_length())]:
+            body.append(f"{', '.join(planes)}, = a{k}")
+        tests = {v: _literals(k, hi, v)
+                 for v in sorted({v for g in groups for _, v in g} - {None})}
+        body += [f"{n} = a{n[1:]} ^ m" for n in sorted(
+            {t for ts in tests.values() for t in ts if t[0] == "n"})]
+        ind = {None: "m"}  # the value's indicator plane, by name
+        for v, ts in tests.items():
+            if len(ts) == 1:
+                ind[v] = ts[0]
+            else:
+                ind[v] = f"i{k}_{v}"
+                body.append(f"{ind[v]} = {' & '.join(ts) or 'm'}")
+        body += [f"c{k}_{d} = " + " | ".join(
+            ind[v] if k == 0 else f"c{k - 1}_{c}" if v is None
+            else f"c{k - 1}_{c} & {ind[v]}" for c, v in g)
+            for d, g in enumerate(groups)]
+    last = f"c{len(in_ranges) - 1}_"
+    final = [fn(*rep)[:n_out] for rep in reps]
+    for o, hi in enumerate(out_ranges):
+        body += [f"if {last}{c}: raise _Overflow({o}, {t[o]})" for c, t in
+                 sorted(enumerate(final), key=lambda ct: -ct[1][o])
+                 if t[o] > hi]
+    ports = [", ".join(" | ".join(f"{last}{c}" for c, t in enumerate(final)
+                                  if t[o] >> b & 1) or "0"
+                       for b in range(hi.bit_length()))
+             for o, hi in enumerate(out_ranges)]
+    body.append("return " + "".join(f"({p},), " if p else "(), "
+                                    for p in ports))
+    args = "".join(f", a{k}" for k in range(len(in_ranges)))
+    scope = {"_Overflow": _Overflow}
+    exec(f"def fire(m{args}):\n" + "".join(f"    {line}\n" for line in body),
+         scope)
+    return scope["fire"]
+
+
+# -- simulation ---------------------------------------------------------------
 
 def _simulate(net: Netlist, batches):
-    """Yield ``(batch, output digits)``, each an ``(n, digits)`` array.
+    """Yield ``(n, columns, output planes)`` per batch.
 
-    A batch is one ``(wires, n)`` digit matrix; each (level, kind) group
-    fires its kernel once on its gathered rows.  An overflow names the
-    failing wire first in ``topo_order``: gates before it read in-range rows.
+    A batch is ``n`` vectors and one tuple of planes per primary input.
+    Each gate fires once per batch.  An overflow names the failing wire
+    first in ``topo_order``: every gate before it read in-range planes.
     """
-    ranges = np.array([w.range_max for w in net.wires.values()])
-    inputs, outputs, order, groups = _compile(net)
-    for batch in batches:
-        values = np.zeros((len(ranges), len(batch)), np.uint8)
-        values[inputs] = batch.T
-        over = []  # (topological place, port, wire, top) per overflow
-        for fn, pos, ins, outs in groups:
-            for k, (o, v) in enumerate(zip(outs, fn(*values[ins]))):
-                values[o] = v
-                top = v.max(axis=1)
-                over += [(pos[j], k, o[j], top[j])
-                         for j in np.flatnonzero(top > ranges[o])]
-        if over:
-            pos, _, o, top = min(over)
-            w, g = list(net.wires.values())[o], order[pos]
-            raise SimulationError(f"wire {w.id} (gate {g.id}, {g.kind}) "
-                                  f"left its range 0..{w.range_max}: {top}")
-        yield batch, values[outputs].T
+    ranges = {w: wire.range_max for w, wire in net.wires.items()}
+    zeros = {w: (0,) * r.bit_length() for w, r in ranges.items()}  # undriven
+    steps = [(_plan(g.kind, tuple(map(ranges.__getitem__, g.inputs)),
+                    tuple(map(ranges.__getitem__, g.outputs))), g)
+             for g in topo_order(net)]
+    for n, columns in batches:
+        mask, planes = (1 << n) - 1, zeros.copy()
+        for w, col in zip(net.primary_inputs, columns):
+            # as many planes as the input wire's declared range has bits
+            planes[w] = (col + zeros[w])[:len(zeros[w])]
+        for fire, g in steps:
+            try:
+                planes.update(zip(g.outputs, fire(
+                    mask, *map(planes.__getitem__, g.inputs))))
+            except _Overflow as e:
+                w = net.wires[g.outputs[e.args[0]]]
+                raise SimulationError(
+                    f"wire {w.id} (gate {g.id}, {g.kind}) left its range "
+                    f"0..{w.range_max}: {e.args[1]}") from None
+        yield n, columns, [planes[w] for w in net.primary_outputs]
 
 
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
@@ -128,8 +209,11 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
         v, hi = assignment[name], net.wires[name].range_max
         if not isinstance(v, int) or not 0 <= v <= hi:
             raise SimulationError(f"input {name}={v!r} outside 0..{hi}")
-    row = [assignment[name] for name in net.primary_inputs]
-    return next(_simulate(net, [np.array([row], np.uint8)]))[1][0].tolist()
+    columns = [tuple(assignment[name] >> b & 1
+                     for b in range(net.wires[name].range_max.bit_length()))
+               for name in net.primary_inputs]
+    *_, got = next(_simulate(net, [(1, columns)]))
+    return [sum(p << b for b, p in enumerate(planes)) for planes in got]
 
 
 def digits_of(value: int, radix: int, ndigits: int) -> tuple[int, ...]:
@@ -139,25 +223,6 @@ def digits_of(value: int, radix: int, ndigits: int) -> tuple[int, ...]:
 
 def int_of(digits, radix: int) -> int:
     return sum(d * radix ** i for i, d in enumerate(digits))
-
-
-def _products(radix: int, xs, ys):
-    """Product digits ``(n, 2N)``, LSB first, of ``(n, N)`` operand digits.
-
-    Operands become Python ints in ``object`` arrays, so the product is
-    plain integer multiplication at any width.  It is split into int64
-    limbs of ``k`` digits (``radix**k <= 2**62``), and each limb into
-    digits with int64 array arithmetic.
-    """
-    weights = np.array([radix ** i for i in range(xs.shape[1])], object)
-    p = (xs.astype(object) @ weights) * (ys.astype(object) @ weights)
-    k = 62 // (radix - 1).bit_length()
-    powers = radix ** np.arange(k, dtype=np.int64)
-    out = np.empty((len(p), 2 * xs.shape[1]), np.uint8)
-    for lo in range(0, out.shape[1], k):
-        limb, p = (p % radix ** k).astype(np.int64), p // radix ** k
-        out[:, lo:lo + k] = limb[:, None] // powers[:out.shape[1] - lo] % radix
-    return out
 
 
 def oracle(radix: int, width: int, x_digits, y_digits) -> tuple[int, ...]:
@@ -171,53 +236,125 @@ def oracle(radix: int, width: int, x_digits, y_digits) -> tuple[int, ...]:
             if not isinstance(d, int) or not 0 <= d < radix:
                 raise SimulationError(
                     f"{name} digit {d!r} outside 0..{radix - 1}")
-    xs, ys = np.array(list(operands.values()), np.uint8)[:, None]
-    return tuple(_products(radix, xs, ys)[0].tolist())
+    x, y = (int_of(d, radix) for d in operands.values())
+    return digits_of(x * y, radix, 2 * width)
 
 
-def _check(net: Netlist, count: int, rows) -> list[dict]:
-    """Mismatch records, in row order, for ``count`` rows of x then y digits.
+# -- verification -------------------------------------------------------------
 
-    ``rows(start, stop)`` returns one batch of rows as a digit array.
-    Degenerate designs may emit fewer than 2N digits; the missing top
-    digits must then be 0.
+def _product_planes(xs: list[int], ys: list[int]) -> list[int]:
+    """Bit-planes, LSB first, of x * y from those of x and y: shift and
+    add, one ripple-carry add per bit of y."""
+    acc = [0] * (len(xs) + len(ys))
+    for j, y in enumerate(ys):
+        carry = 0
+        for i, x in enumerate(xs, j):
+            p, a = x & y, acc[i]
+            t = a ^ p
+            acc[i] = t ^ carry
+            carry = a & p | carry & t
+        acc[j + len(xs)] = carry
+    return acc
+
+
+#: '0'/'1' bytes to the bytes 0/1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digit_bytes(planes, n: int) -> bytes:
+    """Byte ``j`` is the digit of vector ``j`` whose bit-planes these are."""
+    v = 0
+    for b, p in enumerate(planes):
+        v |= int.from_bytes(format(p, f"0{n}b").encode()
+                            .translate(_BIT_BYTES), "big") << b
+    return v.to_bytes(n, "little")
+
+
+def _check(net: Netlist, batches, keep: int | None) -> tuple[int, list[dict]]:
+    """The number of mismatching vectors, and records of the first ``keep``
+    (all when None) in vector order.
+
+    Each batch holds x then y digits.  Degenerate designs may emit fewer
+    than 2N digits; the missing top digits must then be 0.
     """
-    w, size = net.width, _batch_size(net)
-    batches = (rows(a, min(a + size, count)) for a in range(0, count, size))
-    mismatches = []
-    for batch, got in _simulate(net, batches):
-        want = _products(net.radix, batch[:, :w], batch[:, w:])
-        k = got.shape[1]
-        bad = (got != want[:, :k]).any(axis=1) | want[:, k:].any(axis=1)
-        for row, exp, g in zip(batch[bad].tolist(), want[bad].tolist(),
-                               got[bad].tolist()):
-            mismatches.append({"x": row[:w], "y": row[w:],
-                               "expected": exp, "got": g})
-    return mismatches
+    w, m = net.width, (net.radix - 1).bit_length()
+    if net.radix != 1 << m:
+        raise SimulationError(f"radix {net.radix} is not a power of two")
+    count, records = 0, []
+    for n, columns, got in _simulate(net, batches):
+        want = _product_planes(*([p for col in part for p in col]
+                                 for part in (columns[:w], columns[w:])))
+        want = [tuple(want[k:k + m]) for k in range(0, len(want), m)]
+        bad = 0
+        for g, e in zip_longest(got, want, fillvalue=()):
+            for a, b in zip_longest(g, e, fillvalue=0):
+                bad |= a ^ b
+        count += bad.bit_count()
+        if not bad or keep is not None and len(records) >= keep:
+            continue
+        x_y, exp, out = ([_digit_bytes(d, n) for d in part]
+                         for part in (columns, want, got))
+        flags = format(bad, f"0{n}b")[::-1]
+        fails = (j for j, f in enumerate(flags) if f == "1")
+        for j in islice(fails, None if keep is None else keep - len(records)):
+            row = [d[j] for d in x_y]
+            records.append({"x": row[:w], "y": row[w:],
+                            "expected": [d[j] for d in exp],
+                            "got": [d[j] for d in out]})
+    return count, records
 
 
-def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP) \
-        -> VerificationReport:
-    """Compare every input pair against the integer oracle."""
+def _count_plane(k: int, a: int, n: int) -> int:
+    """Bit ``k`` of each of ``a, a + 1, ..., a + n - 1``, as one plane."""
+    run = 1 << k  # consecutive values that share bit k
+    if run >= n:  # the window holds at most two runs
+        head = (1 << min(run - a % run, n)) - 1
+        return head if a >> k & 1 else head ^ ((1 << n) - 1)
+    period, span = ((1 << run) - 1) << run, 2 * run  # run 0s, then run 1s
+    o = a % span
+    plane = (period >> o | period << (span - o)) & ((1 << span) - 1)
+    while span < n:
+        plane |= plane << span
+        span *= 2
+    return plane & ((1 << n) - 1)
+
+
+def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
+                      keep: int | None = None) -> VerificationReport:
+    """Compare every input pair against the integer oracle.
+
+    Every mismatch is counted; records are kept for the first ``keep``
+    (all when None).
+    """
     space = (net.radix ** net.width) ** 2
     if space > cap:
         raise VerificationSpaceError(
             f"{space} vectors exceed the cap of {cap}; use verify_random")
-    # lexicographic over x then y digits: x outer, last position fastest
-    weights = net.radix ** np.arange(2 * net.width - 1, -1, -1)
-    mismatches = _check(net, space, lambda a, b: (
-        np.arange(a, b)[:, None] // weights % net.radix).astype(np.uint8))
+    # lexicographic over x then y digits, x outer, last position fastest:
+    # vector v's digits are those of v, most significant first, and the
+    # bits of a power-of-two radix's digits are v's bits
+    m, row = (net.radix - 1).bit_length(), 2 * net.width
+
+    def batches():
+        for a in range(0, space, BATCH_VECTORS):
+            n = min(BATCH_VECTORS, space - a)
+            yield n, [tuple(_count_plane(k, a, n) for k in range(p * m,
+                                                                (p + 1) * m))
+                      for p in reversed(range(row))]
+    count, mismatches = _check(net, batches(), keep)
     return VerificationReport(design=f"radix{net.radix}-w{net.width}",
                               mode="exhaustive", vectors_tested=space,
-                              mismatches=mismatches)
+                              mismatch_count=count, mismatches=mismatches)
 
 
-def verify_random(net: Netlist, count: int, seed: int) -> VerificationReport:
+def verify_random(net: Netlist, count: int, seed: int,
+                  keep: int | None = None) -> VerificationReport:
     """Compare ``count`` seeded random vectors against the oracle.
 
     The vector stream depends only on the seed, so reports are
     reproducible; it is drawn lazily, a batch at a time, so only the
-    stored mismatches grow with ``count``.
+    kept mismatch records grow with ``count``.  Every mismatch is
+    counted; records are kept for the first ``keep`` (all when None).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -225,9 +362,19 @@ def verify_random(net: Netlist, count: int, seed: int) -> VerificationReport:
     # of values >= radix: the same digits, drawn without a Python loop
     bits = partial(random.Random(seed).getrandbits, net.radix.bit_length())
     digits = filter(net.radix.__gt__, iter(bits, None))
-    n = 2 * net.width
-    mismatches = _check(net, count, lambda a, b: np.fromiter(
-        islice(digits, (b - a) * n), np.uint8, (b - a) * n).reshape(b - a, n))
+    m, row = (net.radix - 1).bit_length(), 2 * net.width
+    # each digit byte to b"1" where bit b is set and b"0" elsewhere; the
+    # column is reversed so that vector j lands on bit j of int(s, 2)
+    tables = [bytes(48 + (d >> b & 1) for d in range(256)) for b in range(m)]
+
+    def batches():
+        for a in range(0, count, BATCH_VECTORS):
+            n = min(BATCH_VECTORS, count - a)
+            drawn = bytes(islice(digits, n * row))
+            yield n, [tuple(int(col.translate(t), 2) for t in tables)
+                      for col in (drawn[i::row][::-1] for i in range(row))]
+    n_bad, mismatches = _check(net, batches(), keep)
     return VerificationReport(design=f"radix{net.radix}-w{net.width}",
                               mode="random", vectors_tested=count,
-                              mismatches=mismatches, seed=seed)
+                              mismatch_count=n_bad, mismatches=mismatches,
+                              seed=seed)

@@ -2,11 +2,11 @@
 
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mvlmul.core import GateKind, KERNELS, LogicError, PORTS, output_ranges
+from mvlmul.sim import _plan
 
 QM1, QHA, QFAC2, QFAC2WC = (KERNELS[k] for k in (
     GateKind.QM1, GateKind.QHA, GateKind.QFAC2, GateKind.QFAC2WC))
@@ -161,12 +161,21 @@ def test_output_ranges_rejects_wide_wires():
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=str)
 def test_kernels_on_digit_arrays_match_ints(kind):
-    # the simulator applies each kernel to one uint8 array per port
-    domain = list(product(*(range(hi + 1) for _, hi in PORTS[kind].inputs)))
-    columns = np.array(domain, dtype=np.uint8).T
-    got = [np.asarray(out).tolist() for out in KERNELS[kind](*columns)]
-    want = [list(out) for out in zip(*(KERNELS[kind](*v) for v in domain))]
-    assert got == want
+    # the simulator fires each cell through a plan derived from its
+    # kernel: one int per wire bit, one bit per vector.  Every input
+    # range the ports admit, with the output ranges the generator would
+    # declare, over the whole domain at once.
+    for in_ranges in product(*(range(1, hi + 1) for _, hi in
+                               PORTS[kind].inputs)):
+        domain = list(product(*(range(r + 1) for r in in_ranges)))
+        ins = [tuple(sum((v[k] >> b & 1) << j for j, v in enumerate(domain))
+                     for b in range(r.bit_length()))
+               for k, r in enumerate(in_ranges)]
+        fire = _plan(kind, in_ranges, output_ranges(kind, in_ranges))
+        got = fire((1 << len(domain)) - 1, *ins)
+        for j, v in enumerate(domain):
+            assert tuple(sum((p >> j & 1) << b for b, p in enumerate(port))
+                         for port in got) == KERNELS[kind](*v), (in_ranges, v)
 
 
 @given(st.sampled_from(sorted(PORTS, key=lambda k: k.value)),

@@ -87,6 +87,30 @@ def test_calibrate_underdetermined_names_free_variables():
     assert "BIN_FA" in str(err.value) and "BIN_HA" in str(err.value)
 
 
+@pytest.mark.parametrize("constraints, free", [
+    # a tied pair beside a kind the second aggregate pins
+    ([({GateKind.QFAC2: 1, GateKind.QHA: 1}, 10.0),
+      ({GateKind.QFAC2: 1, GateKind.QHA: 1, GateKind.QM1: 2}, 14.0)],
+     "QFAC2, QHA"),
+    # the null space (1e12, -1) moves BIN_HA by less than 1e-9 of its norm
+    ([({GateKind.BIN_FA: 1, GateKind.BIN_HA: 10 ** 12}, 1.0)],
+     "BIN_FA, BIN_HA"),
+], ids=["tied-pair", "lopsided"])
+def test_calibrate_underdetermined_names_exactly_the_free_kinds(constraints,
+                                                                free):
+    with pytest.raises(CalibrationError) as err:
+        calibrate_timing(constraints)
+    assert str(err.value) == \
+        f"underdetermined calibration; free variables: {free}"
+
+
+def test_calibrate_negative_fit_is_an_error():
+    with pytest.raises(CalibrationError,
+                       match="^fit produced negative delays: "):
+        calibrate_timing([({GateKind.QM1: 1}, 10.0),
+                          ({GateKind.QM1: 1, GateKind.QHA: 1}, 4.0)])
+
+
 def test_presets_are_consistent_with_their_aggregates(b8, q4):
     # the presets encode aggregate/path-cells; re-deriving them through
     # the fit from the generated path profiles must agree

@@ -1,13 +1,13 @@
 """Functional evaluation and verification against the integer oracle."""
 
+import hashlib
 import random
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvlmul import sim
+from mvlmul import gen_multiplier, sim
 from mvlmul.core import GateKind, KERNELS
 from mvlmul.netlist import GateInstance, Netlist, Wire
 from mvlmul.sim import (SimulationError, VerificationSpaceError, digits_of,
@@ -227,22 +227,46 @@ def test_random_is_deterministic(b8):
     assert r1.passed
 
 
+def _spy_batches(monkeypatch, size):
+    """Set the batch bound to ``size``; returns the list that then gets,
+    per simulated batch, its rows of input digits."""
+    monkeypatch.setattr(sim, "BATCH_VECTORS", size)
+    batches, simulate = [], sim._simulate
+
+    def spy(net, stream):
+        for n, columns, got in simulate(net, stream):
+            batches.append([[sum((p >> j & 1) << b for b, p in enumerate(c))
+                             for c in columns] for j in range(n)])
+            yield n, columns, got
+    monkeypatch.setattr(sim, "_simulate", spy)
+    return batches
+
+
 @pytest.mark.parametrize("seed", [5, 2024])
 @pytest.mark.parametrize("design", ["b4", "q2"])
 def test_random_stream_is_randrange(monkeypatch, request, design, seed):
     # the digits checked, across five batches of 7, are the seeded
     # stream drawn one randrange(radix) at a time, x digits then y
     net = request.getfixturevalue(design)
-    monkeypatch.setattr(sim, "BATCH_BYTES", 7 * len(net.wires))
-    seen, products = [], sim._products
-    def spy(radix, xs, ys):
-        seen.extend(np.hstack([xs, ys]).tolist())
-        return products(radix, xs, ys)
-    monkeypatch.setattr(sim, "_products", spy)
+    batches = _spy_batches(monkeypatch, 7)
     assert verify_random(net, 33, seed).passed
+    assert [len(b) for b in batches] == [7, 7, 7, 7, 5]
     rng = random.Random(seed)
-    assert seen == [[rng.randrange(net.radix) for _ in range(2 * net.width)]
-                    for _ in range(33)]
+    assert sum(batches, []) == [
+        [rng.randrange(net.radix) for _ in range(2 * net.width)]
+        for _ in range(33)]
+
+
+def test_verify_rejects_radix_not_power_of_two():
+    # the planes of a digit are its bits, so the radix must be 2**m
+    wires = {w: Wire(w, 2) for w in ("x0", "y0", "p", "c")}
+    gates = [GateInstance("g", GateKind.QHA, ("x0", "y0"), ("p", "c"))]
+    net = Netlist(radix=3, width=1, wires=wires, gates=gates,
+                  primary_inputs=["x0", "y0"], primary_outputs=["p", "c"])
+    for run in (lambda: verify_exhaustive(net),
+                lambda: verify_random(net, 5, seed=1)):
+        with pytest.raises(SimulationError, match="radix 3 is not a power"):
+            run()
 
 
 def test_random_rejects_zero_count(b2):
@@ -265,14 +289,24 @@ def _fault_b4(b4):
     return _corrupt(Netlist.from_json(b4.to_json()))
 
 
+def _x0_read_as_x1(net):
+    """A copy whose digit cell g00000, x0 * y0, reads x1 in place of x0."""
+    net = Netlist.from_json(net.to_json())
+    at = next(i for i, g in enumerate(net.gates) if g.id == "g00000")
+    g = net.gates[at]
+    net.gates[at] = GateInstance(g.id, g.kind, tuple(
+        "x1" if w == "x0" else w for w in g.inputs), g.outputs)
+    return net
+
+
 def test_random_report_independent_of_batch_size(monkeypatch, b4):
     # the faulty design pins mismatch order, not only the verdict: 500
     # vectors in batches of 7 against one single batch
     net = _fault_b4(b4)
     whole = verify_random(net, 500, seed=7)
-    monkeypatch.setattr(sim, "BATCH_BYTES", 7 * len(net.wires))
-    assert -(-500 // sim._batch_size(net)) >= 3
+    batches = _spy_batches(monkeypatch, 7)
     batched = verify_random(net, 500, seed=7)
+    assert len(batches) >= 3
     assert not whole.passed
     same = batched.to_json() == whole.to_json()  # a bool: fast on failure
     assert same, "batch boundaries changed the report"
@@ -282,8 +316,7 @@ def test_exhaustive_order_across_batches(monkeypatch, b4):
     # the faulty design pins the row order: batches of 7 rows against a
     # row-by-row reference over itertools.product with x outer
     net = _fault_b4(b4)
-    monkeypatch.setattr(sim, "BATCH_BYTES", 7 * len(net.wires))
-    assert sim._batch_size(net) == 7
+    batches = _spy_batches(monkeypatch, 7)
     want = []
     for row in product(range(2), repeat=8):
         x, y = int_of(row[:4], 2), int_of(row[4:], 2)
@@ -293,7 +326,11 @@ def test_exhaustive_order_across_batches(monkeypatch, b4):
                          "expected": list(digits_of(x * y, 2, 8)),
                          "got": got})
     assert want
+    batches.clear()  # evaluate is a batch of one
     assert verify_exhaustive(net).mismatches == want
+    assert [len(b) for b in batches] == [7] * 36 + [4]
+    assert sum(batches, []) == [list(row)
+                                for row in product(range(2), repeat=8)]
 
 
 def test_verify_sees_in_place_edits(b4):
@@ -311,8 +348,70 @@ def test_fault_injection_is_caught(b4):
     assert not verify_random(net, 2000, seed=3).passed
 
 
+def test_every_mismatch_counted_records_bounded():
+    # x0*y0 read as x1*y0 is wrong where x0 != x1 and y0 = 1: a quarter
+    # of the 2**20 vectors
+    net = _x0_read_as_x1(gen_multiplier(2, 10))
+    first = verify_exhaustive(net, keep=5)
+    for keep in (0, 1, 5):
+        report = verify_exhaustive(net, keep=keep)
+        assert report.mismatch_count == 262144 and not report.passed
+        assert report.mismatches == first.mismatches[:keep]
+        assert '"mismatch_count": 262144,' in report.to_json()
+    every = verify_random(net, 1000, seed=4)
+    assert every.mismatch_count == len(every.mismatches) > 3
+    some = verify_random(net, 1000, seed=4, keep=3)
+    assert some.mismatch_count == every.mismatch_count
+    assert some.mismatches == every.mismatches[:3]
+
+
 def test_report_serialization(q2):
     report = verify_exhaustive(q2)
     text = report.to_json()
     assert '"passed": true' in text
     assert '"mode": "exhaustive"' in text
+
+
+# --- pinned reports ----------------------------------------------------------
+
+# sha256 of to_json() with every record, as the simulator wrote them
+# when it ran on numpy digit matrices; each report is made from the
+# fixture getter
+PINNED_REPORTS = {
+    "b8": (lambda f: verify_exhaustive(f("b8")),
+           "7d0eb4257cb441078c56ed3a0164205b746ed5ada86f1342baf423843c6afcb6",
+           0),
+    "q4": (lambda f: verify_exhaustive(f("q4")),
+           "5adbae3c0dff7afdb1bab428549997d7a8301c4ef7419ecf7ed0d5f8935f6e10",
+           0),
+    "q4-fault": (
+        lambda f: verify_exhaustive(_x0_read_as_x1(f("q4"))),
+        "e7f6c0e31e0cb1932781ed311356e2696f9acb777e60571e409ea1121439367a",
+        36864),
+    "b4-fault-random": (
+        lambda f: verify_random(_fault_b4(f("b4")), 3000, 7),
+        "10cb2b2ecbf3856a2deee4617faf354fff1fefc6d796ef4bb706dd599c628b26",
+        1146),
+    "q16-random": (
+        lambda f: verify_random(gen_multiplier(4, 16), 500, 3),
+        "ade84bb564221fa1f8b973144e06f70ccecaec3a6542800959dbb0619fb6acef",
+        0),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_REPORTS))
+def test_reports_are_pinned(request, name):
+    run, digest, count = PINNED_REPORTS[name]
+    report = run(request.getfixturevalue)
+    assert report.mismatch_count == len(report.mismatches) == count
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_overflow_messages_are_pinned():
+    net, msg = _narrow_qha(), "wire s (gate g0, QHA) left its range 0..1: {}"
+    for run, top in ((lambda: evaluate(net, {"a": 1, "b": 1}), 2),
+                     (lambda: verify_exhaustive(net), 3),
+                     (lambda: verify_random(net, 50, 1), 3)):
+        with pytest.raises(SimulationError) as e:
+            run()
+        assert str(e.value) == msg.format(top)
