@@ -6,21 +6,33 @@ diameter area and calibrated worst-path delay.
 
 The package is pure Python: the simulator runs on Python ints as
 bit-planes, and the delay fit solves its normal equations over
-fractions.
+fractions.  Importing it loads no submodule: each public name loads its
+module on first use (PEP 562), so a command loads only what it runs.
 """
 
-from .core import CELLS, GateKind, LogicError
-from .netgen import (DotMatrix, NetBuilder, NetgenError, build_pp, final_cpa,
-                     gen_multiplier, wallace_stage)
-from .netlist import (GateInstance, Netlist, NetlistError, Violation, Wire,
-                      disjoint_union, validate_netlist)
-from .metrics import (CalibrationError, ComparisonReport, CostLibrary,
-                      CriticalPath, LibraryError, TimingLibrary,
-                      area_estimate, calibrate_timing, compare, critical_path,
-                      default_cost_library, timing_binary_0v45,
-                      timing_binary_0v9, timing_quaternary_0v9)
-from .sim import (SimulationError, VerificationReport, VerificationSpaceError,
-                  evaluate, oracle, verify_exhaustive, verify_random)
-from .spice import export_spice
+import importlib
 
+#: each public name's module
+_HOMES = {name: module for module, names in {
+    "core": "CELLS GateKind LogicError",
+    "netgen": "DotMatrix NetBuilder NetgenError build_pp final_cpa "
+              "gen_multiplier wallace_stage",
+    "netlist": "GateInstance Netlist NetlistError Violation Wire "
+               "validate_netlist",
+    "metrics": "CalibrationError ComparisonReport CostLibrary CriticalPath "
+               "LibraryError TimingLibrary area_estimate calibrate_timing "
+               "compare critical_path default_cost_library "
+               "timing_binary_0v45 timing_binary_0v9 timing_quaternary_0v9",
+    "sim": "SimulationError VerificationReport VerificationSpaceError "
+           "evaluate oracle verify_exhaustive verify_random",
+    "spice": "export_spice",
+}.items() for name in names.split()}
+
+__all__ = list(_HOMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

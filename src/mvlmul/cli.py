@@ -16,14 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from .metrics import (CostLibrary, LibraryError, TIMING_PRESETS,
-                      TimingLibrary, compare, default_cost_library)
-from .netgen import NetgenError, gen_multiplier
-from .netlist import Netlist, NetlistError, validate_netlist
-from .sim import (DEFAULT_EXHAUSTIVE_CAP, VerificationSpaceError,
-                  verify_exhaustive, verify_random)
-from .spice import export_spice
-
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
@@ -57,7 +49,8 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {e}", EXIT_IO) from None
 
 
-def _load_netlist(path: str) -> Netlist:
+def _load_netlist(path: str):
+    from .netlist import Netlist, NetlistError, validate_netlist
     text = _read_text(path)
     try:
         net = Netlist.from_json(text)
@@ -70,7 +63,8 @@ def _load_netlist(path: str) -> Netlist:
     return net
 
 
-def _cost_library(path: str | None) -> CostLibrary:
+def _cost_library(path: str | None):
+    from .metrics import CostLibrary, default_cost_library
     if path:
         return CostLibrary.from_json(_read_text(path))
     env = os.environ.get("MVL_DEFAULT_LIBS")
@@ -81,7 +75,8 @@ def _cost_library(path: str | None) -> CostLibrary:
     return default_cost_library()
 
 
-def _timing_library(spec: str) -> TimingLibrary:
+def _timing_library(spec: str):
+    from .metrics import TIMING_PRESETS, TimingLibrary
     env = os.environ.get("MVL_DEFAULT_LIBS")
     if env:
         cand = Path(env) / f"timing-{spec}.json"
@@ -100,11 +95,15 @@ def _digit_str(digits) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each imports only the modules it runs
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    net = gen_multiplier(args.radix, args.width)
+    from .netgen import NetgenError, gen_multiplier
+    try:
+        net = gen_multiplier(args.radix, args.width)
+    except NetgenError as e:
+        raise CliError(str(e), EXIT_USAGE) from None
     inv = ", ".join(f"{k}: {v}" for k, v in net.inventory().items())
     print(f"radix-{args.radix} {args.width}x{args.width} multiplier: "
           f"{{{inv}}}")
@@ -116,6 +115,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .sim import (DEFAULT_EXHAUSTIVE_CAP, VerificationSpaceError,
+                      verify_exhaustive, verify_random)
     if args.show < 0:
         raise CliError(f"--show must be >= 0, got {args.show}", EXIT_USAGE)
     net = _load_netlist(args.netlist)
@@ -153,19 +154,23 @@ def _parse_design(spec: str) -> tuple[str, int, int]:
 
 
 def cmd_compare(args) -> int:
-    cost = _cost_library(args.cost_lib)
-    if not args.preset and len(args.design or ()) < 2:
-        raise CliError("need --preset or at least two "
-                       "--design radix,width", EXIT_USAGE)
-    # the --design group parses lazily, so each design's errors surface
-    # in command-line order
-    groups = (COMPARE_PRESET if args.preset
-              else [map(_parse_design, args.design)])
-    reports = [compare([(label, gen_multiplier(radix, width), cost,
-                         _timing_library(args.timing_lib
-                                         or DEFAULT_TIMING[radix]))
-                        for label, radix, width in group])
-               for group in groups]
+    from .metrics import LibraryError, compare
+    from .netgen import NetgenError, gen_multiplier
+    try:
+        cost = _cost_library(args.cost_lib)
+        if not args.preset and len(args.design or ()) < 2:
+            raise CliError("need --preset or at least two "
+                           "--design radix,width", EXIT_USAGE)
+        # --design parses lazily: errors surface in command-line order
+        groups = (COMPARE_PRESET if args.preset
+                  else [map(_parse_design, args.design)])
+        reports = [compare([(label, gen_multiplier(radix, width), cost,
+                             _timing_library(args.timing_lib
+                                             or DEFAULT_TIMING[radix]))
+                            for label, radix, width in group])
+                   for group in groups]
+    except (LibraryError, NetgenError) as e:
+        raise CliError(str(e), EXIT_USAGE) from None
     if args.format == "json":
         docs = [r.to_dict() for r in reports]
         text = json.dumps(docs if args.preset else docs[0], indent=2) + "\n"
@@ -180,6 +185,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export_spice(args) -> int:
+    from .spice import export_spice
     net = _load_netlist(args.netlist)
     deck = export_spice(net)
     if args.out:
@@ -264,9 +270,6 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (LibraryError, NetgenError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

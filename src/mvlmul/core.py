@@ -15,7 +15,7 @@ simulator derives its bit-plane plans from :data:`KERNELS`, and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import product
 
@@ -39,12 +39,11 @@ class GateKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PortSpec:
-    """Named ports with the maximum digit each port may carry."""
+class PortSpec(namedtuple("PortSpec", "inputs outputs")):
+    """Named ports with the maximum digit each port may carry: ``inputs``
+    and ``outputs`` are tuples of ``(port name, max digit)``."""
 
-    inputs: tuple[tuple[str, int], ...]
-    outputs: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
 
 PORTS = {

@@ -7,13 +7,14 @@ never reach a ternary carry-in.  :func:`validate_netlist` checks that
 rule along with acyclicity, single drivers and output completeness.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
+The records are namedtuples and plain classes, not dataclasses: ``verify``
+loads this module, and ``dataclasses`` would load ``inspect`` with it.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .core import GateKind, PORTS
@@ -26,30 +27,25 @@ class NetlistError(ValueError):
     """Raised when a netlist document cannot be parsed or built."""
 
 
-@dataclass(frozen=True)
-class Wire:
-    id: str
-    range_max: int  # 1 = binary, 2 = ternary, 3 = quaternary
+class Wire(namedtuple("Wire", "id range_max")):
+    """A wire; ``range_max`` is 1 (binary), 2 (ternary) or 3 (quaternary)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GateInstance:
-    id: str
-    kind: GateKind
-    inputs: tuple[str, ...]   # wire ids, in port order
-    outputs: tuple[str, ...]  # wire ids, in port order
+class GateInstance(namedtuple("GateInstance", "id kind inputs outputs")):
+    """A gate; ``inputs`` and ``outputs`` are wire ids, in port order."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+class Violation(namedtuple("Violation", "code message")):
+    __slots__ = ()
 
     def __str__(self):
         return f"[{self.code}] {self.message}"
 
 
-@dataclass
 class Netlist:
     """A generated or hand-built multiplier netlist.
 
@@ -57,13 +53,16 @@ class Netlist:
     inventories); it is advisory and not part of the structural identity.
     """
 
-    radix: int
-    width: int
-    wires: dict[str, Wire]
-    gates: list[GateInstance]
-    primary_inputs: list[str]
-    primary_outputs: list[str]
-    stats: dict = field(default_factory=dict)
+    def __init__(self, radix: int, width: int, wires: dict[str, Wire],
+                 gates: list[GateInstance], primary_inputs: list[str],
+                 primary_outputs: list[str], stats: dict | None = None):
+        self.radix = radix
+        self.width = width
+        self.wires = wires
+        self.gates = gates
+        self.primary_inputs = primary_inputs
+        self.primary_outputs = primary_outputs
+        self.stats = {} if stats is None else stats
 
     # -- queries ------------------------------------------------------
 
@@ -136,6 +135,10 @@ class Netlist:
                       stats=doc.get("meta", {}))
         except (KeyError, TypeError, ValueError) as e:
             raise NetlistError(f"malformed netlist document: {e}") from None
+        if len(wires) < len(doc["wires"]):  # a later entry replaced one
+            ids = Counter(w["id"] for w in doc["wires"])
+            raise NetlistError("malformed netlist document: wire id "
+                               f"{max(ids, key=ids.get)!r} is repeated")
         # JSON types, not coercions: a 3.7, "4" or true is an error
         for what, vals, typ in (
                 ("wire id", wires, str), ("gate id", [g.id for g in gates], str),
@@ -287,26 +290,3 @@ def topo_order(n: Netlist) -> list[GateInstance]:
         raise NetlistError("netlist has a combinational cycle")
     return order
 
-
-def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
-    """Combine two netlists side by side (ids prefixed, no shared wires).
-
-    Useful for additivity checks; the result is a two-multiplier module
-    rather than anything electrically meaningful.
-    """
-    wires: dict[str, Wire] = {}
-    gates: list[GateInstance] = []
-    ins: list[str] = []
-    outs: list[str] = []
-    for tag, net in (("a", a), ("b", b)):
-        ren = lambda w: f"{tag}__{w}"
-        for w in net.wires.values():
-            wires[ren(w.id)] = Wire(ren(w.id), w.range_max)
-        for g in net.gates:
-            gates.append(GateInstance(ren(g.id), g.kind,
-                                      tuple(ren(w) for w in g.inputs),
-                                      tuple(ren(w) for w in g.outputs)))
-        ins.extend(ren(w) for w in net.primary_inputs)
-        outs.extend(ren(w) for w in net.primary_outputs)
-    return Netlist(radix=a.radix, width=max(a.width, b.width), wires=wires,
-                   gates=gates, primary_inputs=ins, primary_outputs=outs)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import islice, product, zip_longest
 
@@ -41,14 +40,19 @@ class VerificationSpaceError(ValueError):
     """The exhaustive input space exceeds the cap; use verify_random."""
 
 
-@dataclass
 class VerificationReport:
-    design: str
-    mode: str                      # "exhaustive" or "random"
-    vectors_tested: int
-    mismatch_count: int            # every mismatch, kept as a record or not
-    mismatches: list[dict] = field(default_factory=list)  # the first ones
-    seed: int | None = None
+    """An "exhaustive" or "random" run: ``mismatch_count`` counts every
+    mismatch, and ``mismatches`` holds records of the first ones."""
+
+    def __init__(self, design: str, mode: str, vectors_tested: int,
+                 mismatch_count: int, mismatches: list[dict] | None = None,
+                 seed: int | None = None):
+        self.design = design
+        self.mode = mode
+        self.vectors_tested = vectors_tested
+        self.mismatch_count = mismatch_count
+        self.mismatches = [] if mismatches is None else mismatches
+        self.seed = seed
 
     @property
     def passed(self) -> bool:

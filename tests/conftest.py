@@ -1,6 +1,31 @@
 import pytest
 
 from mvlmul import gen_multiplier
+from mvlmul.netlist import GateInstance, Netlist, Wire
+
+
+def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
+    """Combine two netlists side by side (ids prefixed, no shared wires).
+
+    Useful for additivity checks; the result is a two-multiplier module
+    rather than anything electrically meaningful.
+    """
+    wires: dict[str, Wire] = {}
+    gates: list[GateInstance] = []
+    ins: list[str] = []
+    outs: list[str] = []
+    for tag, net in (("a", a), ("b", b)):
+        ren = lambda w: f"{tag}__{w}"
+        for w in net.wires.values():
+            wires[ren(w.id)] = Wire(ren(w.id), w.range_max)
+        for g in net.gates:
+            gates.append(GateInstance(ren(g.id), g.kind,
+                                      tuple(ren(w) for w in g.inputs),
+                                      tuple(ren(w) for w in g.outputs)))
+        ins.extend(ren(w) for w in net.primary_inputs)
+        outs.extend(ren(w) for w in net.primary_outputs)
+    return Netlist(radix=a.radix, width=max(a.width, b.width), wires=wires,
+                   gates=gates, primary_inputs=ins, primary_outputs=outs)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from mvlmul import (compare, critical_path, default_cost_library,
-                    disjoint_union, evaluate, gen_multiplier,
-                    timing_binary_0v45, timing_binary_0v9,
+from conftest import disjoint_union
+from mvlmul import (compare, critical_path, default_cost_library, evaluate,
+                    gen_multiplier, timing_binary_0v45, timing_binary_0v9,
                     timing_quaternary_0v9, verify_exhaustive, verify_random)
 from mvlmul.core import PORTS
 from mvlmul.metrics import area_estimate

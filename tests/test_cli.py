@@ -158,6 +158,19 @@ def test_non_string_ids_are_usage_errors(tmp_path, capsys, q1, command):
     assert err.startswith("error:") and "wire id 0 is not a string" in err
 
 
+@pytest.mark.parametrize("command", ["export-spice", "verify"])
+def test_repeated_wire_id_is_usage_error(tmp_path, capsys, q4, command):
+    # the last entry won: verify passed and export-spice printed wires=93
+    doc = json.loads(q4.to_json())
+    doc["wires"].insert(1, dict(doc["wires"][0]))
+    nl = tmp_path / "q4.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {nl}: malformed netlist document: wire id 'x0' " \
+                  "is repeated\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("range_max", 3.7), ("range_max", "3"), ("radix", "4"), ("radix", 4.0),
     ("width", True), ("width", 1.0),
@@ -406,6 +419,67 @@ def test_build_commands_do_not_load_numpy(tmp_path):
         assert abs(lib.delay(GateKind.QM1, "product") - 118.0) < 1e-9
         assert "numpy" not in sys.modules
     """, str(tmp_path))
+
+
+def test_package_loads_names_on_first_use():
+    _run_python("""
+        import sys
+        import mvlmul
+        assert not [m for m in sys.modules if m.startswith("mvlmul.")]
+        for name in mvlmul.__all__:
+            assert getattr(mvlmul, name) is not None, name
+        namespace = {}
+        exec("from mvlmul import *", namespace)
+        assert set(mvlmul.__all__) <= set(namespace)
+        try:
+            mvlmul.no_such_name
+        except AttributeError as e:
+            assert "no_such_name" in str(e)
+        else:
+            raise AssertionError("mvlmul.no_such_name resolved")
+    """)
+
+
+def test_commands_load_only_their_modules(tmp_path, q4):
+    (tmp_path / "q4.json").write_text(q4.to_json())
+    loaded = """
+        import os, sys
+        import mvlmul.cli
+        os.chdir(sys.argv[1])
+
+        def run(*argv):
+            assert mvlmul.cli.main(list(argv)) == 0, argv
+            return {m for m in sys.modules if m.startswith("mvlmul")}
+    """
+    _run_python(loaded + """
+        mods = run("verify", "q4.json", "--mode", "exhaustive")
+        mods |= run("verify", "q4.json", "--mode", "random", "--count", "50")
+        assert mods == {"mvlmul", "mvlmul.cli", "mvlmul.core",
+                        "mvlmul.netlist", "mvlmul.sim"}, mods
+        assert "dataclasses" not in sys.modules
+        assert "inspect" not in sys.modules
+    """, str(tmp_path))
+    _run_python(loaded + """
+        mods = run("export-spice", "q4.json", "--out", "q4.sp")
+        assert not mods & {"mvlmul.sim", "mvlmul.netgen", "mvlmul.metrics"}
+    """, str(tmp_path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--radix", "2", "--width", "0"],
+    ["compare", "--design", "3,4", "--design", "2,2"],
+    ["compare", "--preset", "--cost-lib", "{lib}"],
+], ids=["netgen", "radix", "cost-lib"])
+def test_usage_errors_in_a_fresh_interpreter(tmp_path, argv):
+    # in process every module is loaded already, so these catch a command
+    # that does not import the error classes it must map to exit 2
+    lib = tmp_path / "bad.json"
+    lib.write_text('{"sigma_di": {"FOO": 1.0}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvlmul.cli", *(a.format(lib=lib) for a in argv)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",

@@ -5,13 +5,14 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import disjoint_union
 from mvlmul.core import GateKind
 from mvlmul.metrics import (CalibrationError, CostLibrary, LibraryError,
                             TimingLibrary, area_estimate, calibrate_timing,
                             compare, critical_path, default_cost_library,
                             timing_binary_0v45, timing_binary_0v9,
                             timing_quaternary_0v9)
-from mvlmul.netlist import GateInstance, Netlist, Wire, disjoint_union
+from mvlmul.netlist import GateInstance, Netlist, Wire
 
 
 # --- cost library -----------------------------------------------------------

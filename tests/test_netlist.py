@@ -5,10 +5,11 @@ import json
 
 import pytest
 
+from conftest import disjoint_union
 from mvlmul import gen_multiplier
-from mvlmul.core import GateKind
-from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
-                            disjoint_union, topo_order, validate_netlist)
+from mvlmul.core import PORTS, GateKind
+from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
+                            Wire, topo_order, validate_netlist)
 
 
 def _codes(violations):
@@ -126,6 +127,35 @@ def test_from_json_rejects_non_string_ids(q1, what, corrupt):
     corrupt(doc)
     with pytest.raises(NetlistError, match=f"{what} .* is not a string"):
         Netlist.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("range_max", [3, 2], ids=["same", "narrower"])
+def test_from_json_rejects_repeated_wire_ids(q4, range_max):
+    # the last entry won: the wire's range changed without an error
+    doc = json.loads(q4.to_json())
+    y = next(w for w in doc["wires"] if w["id"] == "y0")
+    doc["wires"].append({"id": "y0", "range_max": range_max})
+    assert y["range_max"] == 3
+    with pytest.raises(NetlistError, match="wire id 'y0' is repeated"):
+        Netlist.from_json(json.dumps(doc))
+
+
+def test_records_are_immutable_values():
+    w = Wire(id="x0", range_max=3)
+    g = GateInstance("g0", GateKind.QHA, inputs=("x0", "y0"),
+                     outputs=("s", "c"))
+    assert w == Wire("x0", 3) and hash(w) == hash(Wire("x0", 3))
+    assert repr(w) == "Wire(id='x0', range_max=3)"
+    assert (g.id, g.kind, g.inputs, g.outputs) == \
+        ("g0", GateKind.QHA, ("x0", "y0"), ("s", "c"))
+    assert str(Violation("cycle", "through g0")) == "[cycle] through g0"
+    for record, field in ((w, "range_max"), (g, "kind"),
+                          (PORTS[GateKind.AND], "inputs")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    a, b = (Netlist(radix=2, width=1, wires={}, gates=[], primary_inputs=[],
+                    primary_outputs=[]) for _ in range(2))
+    assert a.stats == {} and a.stats is not b.stats
 
 
 def _tiny(radix=2):

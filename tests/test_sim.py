@@ -370,6 +370,9 @@ def test_report_serialization(q2):
     text = report.to_json()
     assert '"passed": true' in text
     assert '"mode": "exhaustive"' in text
+    a, b = (sim.VerificationReport("d", "random", 1, 0) for _ in range(2))
+    assert a.passed and a.seed is None
+    assert a.mismatches == [] and a.mismatches is not b.mismatches
 
 
 # --- pinned reports ----------------------------------------------------------
