@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:    # a SimulationError or a bad --count
         raise CliError(str(e), EXIT_USAGE) from None
     if args.out:
-        _write_text(args.out, report.to_json(max_mismatches=args.show))
+        _write_text(args.out, report.to_json())
     status = "PASS" if report.passed else "FAIL"
     print(f"{report.design} {report.mode}: {report.vectors_tested} vectors, "
           f"{report.mismatch_count} mismatches -> {status}")

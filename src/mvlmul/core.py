@@ -32,8 +32,6 @@ class GateKind(enum.Enum):
     QHA = "QHA"
     QFAC2 = "QFAC2"
     QFAC2WC = "QFAC2WC"
-    MUX4 = "MUX4"
-    DECODER = "DECODER"
 
     def __str__(self):
         return self.value
@@ -56,10 +54,6 @@ PORTS = {
     GateKind.QFAC2: PortSpec((("a", 3), ("b", 3), ("cin", 2)),
                              (("sum", 3), ("cout", 2))),
     GateKind.QFAC2WC: PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),)),
-    GateKind.MUX4: PortSpec((("sel", 3), ("in0", 3), ("in1", 3),
-                             ("in2", 3), ("in3", 3)), (("y", 3),)),
-    GateKind.DECODER: PortSpec((("x", 3),),
-                               (("nqi", 3), ("iqi", 3), ("pqi", 3))),
 }
 
 #: per radix, the cells a multiplier is built from, by role: the digit
@@ -80,9 +74,6 @@ KERNELS = {
     GateKind.QHA: lambda a, b: ((a + b) % 4, (a + b) // 4),
     GateKind.QFAC2: lambda a, b, c: ((a + b + c) % 4, (a + b + c) // 4),
     GateKind.QFAC2WC: lambda a, b, c: ((a + b + c) % 4,),
-    GateKind.MUX4: lambda s, i0, i1, i2, i3: (
-        i0 * (s == 0) + i1 * (s == 1) + i2 * (s == 2) + i3 * (s == 3),),
-    GateKind.DECODER: lambda x: (3 * (x < 1), 3 * (x < 2), 3 * (x < 3)),
 }
 
 
@@ -93,7 +84,7 @@ def output_ranges(kind: GateKind, in_ranges: tuple[int, ...]) -> tuple[int, ...]
     Carry outputs narrow when the inputs cannot reach the port maximum
     (a quaternary adder fed one quit and two ternaries only ever carries
     a bit); the netlist generator uses this to type every wire.  The
-    domain is at most 1,024 input vectors (MUX4), so it is enumerated
+    domain is at most 48 input vectors (QFAC2), so it is enumerated
     exactly, once per distinct argument pair.
     """
     spec = PORTS[kind]

@@ -4,14 +4,15 @@ Area is the transistor-diameter-sum proxy: each gate kind carries one
 number (nanometers) and a netlist's area is the plain sum over its
 instances.  A library holds only what pricing reads; which cell plays
 which role comes from :data:`~mvlmul.core.CELLS`.  The bundled default
-library targets a 32 nm CNTFET flow; the block costs of the digit
-multiplier and the quaternary adders already include their internal
-decoders and muxes, so bare MUX4/DECODER instances default to zero to
-avoid double counting.
+library targets a 32 nm CNTFET flow; the digit multiplier (QM1) and
+the quaternary adders are block costs that include their internal
+decoders and muxes.
 
-Timing is a calibrated lookup model, not a prediction.  Per-kind delays
-are fitted (least squares) to aggregate worst-path figures at a fixed
-2 fF load, so the only claim the model makes is path-composition
+Timing is a calibrated lookup model, not a prediction.  Each preset
+gives every adder of its radix an equal share of an aggregate
+worst-path figure at a fixed 2 fF load; :func:`calibrate_timing` is the
+least-squares fit of per-kind delays to such aggregates, and the presets
+agree with it.  So the only claim the model makes is path-composition
 consistency: the generated design's worst path re-adds to the aggregate
 it was calibrated against.  The digit-product stage (AND / QM1) is kept
 out of path sums by default and reported separately, matching how the
@@ -34,6 +35,9 @@ from .netlist import Netlist, topo_order
 #: delay accounting by default (every input-to-output path crosses
 #: exactly one of them, and the calibration aggregates leave them out).
 FRONTEND_KINDS = frozenset(cells[0] for cells in CELLS.values())
+
+#: retired kinds, priced at 0 by older library files: their keys are skipped
+_RETIRED_KINDS = ("MUX4", "DECODER")
 
 
 class LibraryError(KeyError):
@@ -111,7 +115,8 @@ class CostLibrary:
             doc = json.loads(text)
             return cls(name=doc.get("name", "custom"),
                        sigma_di={GateKind(k): v
-                                 for k, v in doc["sigma_di"].items()})
+                                 for k, v in doc["sigma_di"].items()
+                                 if k not in _RETIRED_KINDS})
 
 
 def default_cost_library() -> CostLibrary:
@@ -128,8 +133,6 @@ def default_cost_library() -> CostLibrary:
         GateKind.QFAC2: 227.0,
         GateKind.QFAC2WC: 227.0,
         GateKind.QM1: 132.0,
-        GateKind.MUX4: 0.0,
-        GateKind.DECODER: 0.0,
     })
 
 
@@ -192,6 +195,8 @@ class TimingLibrary:
             delays = {}
             for key, v in doc["delays"].items():
                 kname, _, port = key.partition(".")
+                if kname in _RETIRED_KINDS:
+                    continue
                 kind = GateKind(kname)
                 if port not in dict(PORTS[kind].outputs):
                     raise LibraryError(f"timing key {key!r} is not "
@@ -222,12 +227,11 @@ QM1_DELAY_0V9_PS = 118.0
 def _preset(name: str, radix: int, aggregate_ps: float, path_cells: int,
             digit_ps: float = 0.0) -> TimingLibrary:
     """Every adder of ``CELLS[radix]`` gets an equal share of the
-    aggregate worst path, the digit cell ``digit_ps``, MUX4/DECODER 0."""
+    aggregate worst path, and the digit cell ``digit_ps``."""
     digit, *adders = CELLS[radix]
     return TimingLibrary(name, _uniform_delays({
         digit: digit_ps,
-        **dict.fromkeys(adders, aggregate_ps / path_cells),
-        GateKind.MUX4: 0.0, GateKind.DECODER: 0.0}))
+        **dict.fromkeys(adders, aggregate_ps / path_cells)}))
 
 
 def timing_binary_0v9() -> TimingLibrary:
@@ -395,7 +399,7 @@ class DesignMetrics:
     delay_ps: float
     path_kinds: list[str]
     frontend_delay_ps: float
-    energy: float | None = None  # optional per-gate attribute, no defaults
+    energy: float | None = None  # never set (no power model): JSON null
 
 
 def _fmt(ratio: float | None, template: str) -> str:

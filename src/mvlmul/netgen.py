@@ -48,13 +48,13 @@ class Dot:
 
 
 class NetBuilder:
-    """Accumulates wires and gates with deterministic ids."""
+    """Accumulates wires and gates with deterministic ids; ``gates`` is
+    in build order, and a gate's id is its index there."""
 
     def __init__(self):
         self.wires: dict[str, Wire] = {}
         self.gates: list[GateInstance] = []
         self._nwire = 0
-        self._ngate = 0
 
     def add_input(self, name: str, range_max: int) -> str:
         self.wires[name] = Wire(name, range_max)
@@ -68,8 +68,8 @@ class NetBuilder:
         return wid
 
     def add_gate(self, kind: GateKind, inputs: list[str]) \
-            -> tuple[str, list[str], tuple[int, ...]]:
-        """Instantiate a gate; returns (gate id, output wires, true ranges).
+            -> tuple[list[str], tuple[int, ...]]:
+        """Instantiate a gate; returns (output wires, true ranges).
 
         Output wire ranges are the tight bounds computed from the input
         wire ranges; a true range of 0 means the output is constant zero.
@@ -77,10 +77,9 @@ class NetBuilder:
         in_ranges = tuple(self.wires[w].range_max for w in inputs)
         ranges = output_ranges(kind, in_ranges)
         outs = [self._new_wire(r) for r in ranges]
-        gid = f"g{self._ngate:05d}"
-        self._ngate += 1
-        self.gates.append(GateInstance(gid, kind, tuple(inputs), tuple(outs)))
-        return gid, outs, ranges
+        self.gates.append(GateInstance(f"g{len(self.gates):05d}", kind,
+                                       tuple(inputs), tuple(outs)))
+        return outs, ranges
 
 
 @dataclass
@@ -144,7 +143,7 @@ def build_pp(builder: NetBuilder, radix: int, x_width: int,
     for j in range(y_width):
         rows: list[dict[int, Dot]] = [{} for _ in PORTS[cell].outputs]
         for i in range(x_width):
-            _, outs, rng = builder.add_gate(cell, [f"x{i}", f"y{j}"])
+            outs, rng = builder.add_gate(cell, [f"x{i}", f"y{j}"])
             for k, row in enumerate(rows):
                 if i + j + k < m.width:
                     row[i + j + k] = Dot(outs[k], rng[k])
@@ -173,13 +172,11 @@ def _default_grouping(nrows: int) -> tuple[tuple[int, int, int], ...]:
 
 def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
                   grouping: tuple[tuple[int, int, int], ...] | None = None) \
-        -> tuple[DotMatrix, list[str]]:
-    """One reduction stage. A matrix already at height <= 2 is untouched.
-
-    Returns the reduced matrix and the ids of the gates created.
-    """
+        -> DotMatrix:
+    """One reduction stage; returns the reduced matrix.  A matrix
+    already at height <= 2 is returned untouched."""
     if matrix.max_height() <= 2:
-        return matrix, []
+        return matrix
     if grouping is None:
         grouping = _default_grouping(len(matrix.rows))
     grouped = [i for trip in grouping for i in trip]
@@ -190,7 +187,6 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
     base = matrix.base
     _, half_adder, full_adder, _ = CELLS[base]
     new_rows: list[dict[int, Dot]] = []
-    created: list[str] = []
 
     for trip in grouping:
         grp = [matrix.rows[i] for i in trip]
@@ -211,14 +207,13 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
                 else:
                     dots.append(dots.pop(ti))  # cin is the last port
             if use_full:
-                gid, outs, rng = builder.add_gate(
+                outs, rng = builder.add_gate(
                     full_adder, [d.wire for d in dots])
                 leftover = None
             else:
-                gid, outs, rng = builder.add_gate(
+                outs, rng = builder.add_gate(
                     half_adder, [dots[0].wire, dots[1].wire])
                 leftover = dots[2] if len(dots) == 3 else None
-            created.append(gid)
             srow[c] = Dot(outs[0], rng[0])
             if rng[1] > 0 and c + 1 < matrix.width:
                 crow[c + 1] = Dot(outs[1], rng[1])
@@ -240,14 +235,13 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
                     if i not in in_group)
 
     return DotMatrix(base=base, width=matrix.width, rows=new_rows,
-                     max_product=matrix.max_product), created
+                     max_product=matrix.max_product)
 
 
-def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
-        -> tuple[list[str], list[str]]:
+def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
     """Ripple final add over a height-<=2 matrix.
 
-    Returns (product digit wires LSB-first, created gate ids).  A column
+    Returns the product digit wires, LSB first.  A column
     with a single value passes straight through; two values make a half
     adder; two dots plus the incoming carry make a full adder (the
     top-column adder in the top column, whose carry out is provably
@@ -258,7 +252,6 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
     _, half_adder, full_adder, top_adder = CELLS[matrix.base]
     cols = matrix.columns()
     digits: list[str] = []
-    created: list[str] = []
     carry: Dot | None = None
     for c in range(matrix.width):
         items = list(cols[c])
@@ -280,12 +273,11 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) \
             kind = top_adder if c == matrix.width - 1 else full_adder
         else:
             raise NetgenError(f"column {c} has {len(items)} values")
-        gid, outs, rng = builder.add_gate(kind, [d.wire for d in items])
-        created.append(gid)
+        outs, rng = builder.add_gate(kind, [d.wire for d in items])
         digits.append(outs[0])
         if len(rng) > 1 and rng[1] > 0:
             carry = Dot(outs[1], rng[1])
-    return digits, created
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -313,31 +305,32 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
     matrix = build_pp(builder, radix, width, width)
 
     plans = _GROUPING_PLANS.get((radix, len(matrix.rows)), {})
-    tree_gates: list[str] = []
+    gates = builder.gates
+    tree_start = len(gates)
     stage_heights = [matrix.heights()]
     stage = 0
     while matrix.max_height() > 2:
         if not matrix.capacity_ok():
             raise NetgenError("dot matrix lost capacity during reduction")
-        matrix, created = wallace_stage(builder, matrix, plans.get(stage))
-        if not created:
+        before = len(gates)
+        matrix = wallace_stage(builder, matrix, plans.get(stage))
+        if len(gates) == before:
             raise NetgenError("reduction stage made no progress")
-        tree_gates.extend(created)
         stage_heights.append(matrix.heights())
         stage += 1
         if stage > 64:
             raise NetgenError("reduction did not converge")
 
-    digits, cpa_gates = final_cpa(builder, matrix)
+    cpa_start = len(gates)
+    digits = final_cpa(builder, matrix)
 
-    kind_of = {g.id: g.kind.value for g in builder.gates}
     stats = {
         "stages": stage,
         "stage_heights": stage_heights,
         "tree_inventory": dict(sorted(Counter(
-            kind_of[g] for g in tree_gates).items())),
+            g.kind.value for g in gates[tree_start:cpa_start]).items())),
         "final_add_inventory": dict(sorted(Counter(
-            kind_of[g] for g in cpa_gates).items())),
+            g.kind.value for g in gates[cpa_start:]).items())),
     }
 
     net = Netlist(radix=radix, width=width, wires=builder.wires,

@@ -124,14 +124,15 @@ class Netlist:
             raise NetlistError(f"unsupported version {doc.get('version')!r}")
         try:
             wires = {w["id"]: Wire(w["id"], w["range_max"])
-                     for w in doc["wires"]}
+                     for w in _json_array(doc, "wires")}
             gates = [GateInstance(g["id"], GateKind(g["kind"]),
-                                  tuple(g["inputs"]), tuple(g["outputs"]))
-                     for g in doc["gates"]]
+                                  tuple(_json_array(g, "inputs", gate=True)),
+                                  tuple(_json_array(g, "outputs", gate=True)))
+                     for g in _json_array(doc, "gates")]
             net = cls(radix=doc["radix"], width=doc["width"],
                       wires=wires, gates=gates,
-                      primary_inputs=list(doc["inputs"]),
-                      primary_outputs=list(doc["outputs"]),
+                      primary_inputs=_json_array(doc, "inputs"),
+                      primary_outputs=_json_array(doc, "outputs"),
                       stats=doc.get("meta", {}))
         except (KeyError, TypeError, ValueError) as e:
             raise NetlistError(f"malformed netlist document: {e}") from None
@@ -154,6 +155,15 @@ class Netlist:
                     f"malformed netlist document: {what} {bad[0]!r} is not "
                     + ("a string" if typ is str else "an integer"))
         return net
+
+
+def _json_array(obj: dict, key: str, gate: bool = False) -> list:
+    """``obj[key]``, which must be a JSON array: ``tuple()`` would turn
+    an object into its keys and a string into its characters."""
+    if type(obj[key]) is not list:
+        owner = f"gate {obj['id']!r} " if gate else ""
+        raise TypeError(f"{owner}{key} is not an array")
+    return obj[key]
 
 
 def _array(items, pad: str) -> str:

@@ -58,7 +58,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.mismatch_count
 
-    def to_json(self, max_mismatches: int | None = None) -> str:
+    def to_json(self) -> str:
         return json.dumps({
             "design": self.design,
             "mode": self.mode,
@@ -66,7 +66,7 @@ class VerificationReport:
             "vectors_tested": self.vectors_tested,
             "passed": self.passed,
             "mismatch_count": self.mismatch_count,
-            "mismatches": self.mismatches[:max_mismatches],
+            "mismatches": self.mismatches,
         }, indent=2) + "\n"
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from mvlmul.metrics import (TimingLibrary, default_cost_library,
                             timing_binary_0v9, timing_quaternary_0v9)
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
                             validate_netlist)
+from mvlmul.spice import export_spice
 
 
 def run(argv, capsys):
@@ -158,6 +160,48 @@ def test_non_string_ids_are_usage_errors(tmp_path, capsys, q1, command):
     assert err.startswith("error:") and "wire id 0 is not a string" in err
 
 
+def _gate0(**fields):
+    return lambda doc: doc["gates"][0].update(fields)
+
+
+@pytest.mark.parametrize("command", ["export-spice", "verify"])
+@pytest.mark.parametrize("field, corrupt", [
+    ("gate 'g00000' inputs", _gate0(inputs={"x0": 0, "y0": 0})),
+    ("gate 'g00000' outputs", _gate0(outputs={"n00000": 0, "n00001": 0})),
+    ("outputs",
+     lambda doc: doc.update(outputs=dict.fromkeys(doc["outputs"], 0))),
+    ("inputs", lambda doc: doc.update(inputs="ab")),
+    ("wires", lambda doc: doc.update(wires={})),
+    ("gates", lambda doc: doc.update(gates={})),
+], ids=["gate-inputs", "gate-outputs", "outputs", "inputs-str", "wires",
+        "gates"])
+def test_non_array_fields_are_usage_errors(tmp_path, capsys, q1, command,
+                                           field, corrupt):
+    # tuple() and list() took an object's keys or a string's characters:
+    # each object case passed verify and exported a deck, and the others
+    # ended in unrelated validation errors
+    doc = json.loads(q1.to_json())
+    corrupt(doc)
+    nl = tmp_path / "q1.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {nl}: malformed netlist document: {field} is " \
+                  "not an array\n"
+
+
+@pytest.mark.parametrize("command", ["export-spice", "verify"])
+def test_retired_gate_kind_is_usage_error(tmp_path, capsys, q1, command):
+    doc = json.loads(q1.to_json())
+    doc["gates"][0]["kind"] = "MUX4"
+    nl = tmp_path / "q1.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {nl}: malformed netlist document: 'MUX4' is " \
+                  "not a valid GateKind\n"
+
+
 @pytest.mark.parametrize("command", ["export-spice", "verify"])
 def test_repeated_wire_id_is_usage_error(tmp_path, capsys, q4, command):
     # the last entry won: verify passed and export-spice printed wires=93
@@ -295,6 +339,25 @@ def test_compare_identical_designs_unity(capsys):
     assert doc["pair_ratios"][0]["area_ratio"] == pytest.approx(1.0)
 
 
+# sha256 of the stdout of ``compare --preset --format FMT``
+COMPARE_PRESET_SHA256 = {
+    "md": "19d0cec8bc0506829351125d697cd9003c6d015d3c12dfe52ff6dd36ec7d4c50",
+    "csv": "2e23daf11e2ce71fed17b9b44001d0cd767f5047468e98a68a46948b9f259e71",
+    "json": "b56666dd92b2fff914535f54d83eae192199d15ca72e00df70d71dee43907dde",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", sorted(COMPARE_PRESET_SHA256))
+def test_compare_preset_bytes_pinned(capsys, fmt):
+    code, stdout, err = run(["compare", "--preset", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert _sha256(stdout) == COMPARE_PRESET_SHA256[fmt]
+
+
 def test_compare_needs_designs(capsys):
     code, _, err = run(["compare"], capsys)
     assert code == 2
@@ -356,6 +419,14 @@ def test_export_spice_counts_and_determinism(tmp_path, capsys):
     assert sum(1 for l in lines if l.startswith("X") and l.endswith(" AND")) == 4
     assert sum(1 for l in lines if l.startswith("X")
                and l.endswith(" BIN_HA")) == 2
+
+
+@pytest.mark.parametrize("design, sha256", [
+    ("b8", "eb6c81b804805f11534434801f35245dc2f9bb85a50b60c675e391f888818e18"),
+    ("q4", "065c2f10e875f4e127c29231918ca6b58c98d9233b1b26daf2f05ad2ea2ed4ca"),
+])
+def test_export_spice_bytes_pinned(request, design, sha256):
+    assert _sha256(export_spice(request.getfixturevalue(design))) == sha256
 
 
 def test_export_spice_instances_match_inventory(tmp_path, capsys, q4):
@@ -538,7 +609,9 @@ BAD_COST = ["{not json", '{"sigma_di": {"FOO": 1.0}}', '{"name": "x"}',
                                    "sigma_di", kind, value),
                  id=f"{kind}={value!r}")
     for kind, value in (("AND", float("nan")), ("QHA", float("inf")),
-                        ("BIN_FA", -1.0), ("AND", "8.9"), ("QM1", True))]
+                        ("BIN_FA", -1.0), ("AND", "8.9"), ("QM1", True),
+                        # only the two retired kinds are skipped
+                        ("MUX8", 0.0))]
 BAD_TIMING = ["{not json", '{"delays": {"FOO.y": 1.0}}', '{"name": "x"}',
               '{"delays": {"AND.y": "slow"}}'] + [
     pytest.param(_complete_library(_BOTH_TIMING.to_json(), "delays", port,
@@ -547,6 +620,7 @@ BAD_TIMING = ["{not json", '{"delays": {"FOO.y": 1.0}}', '{"name": "x"}',
                         ("QFAC2.cout", float("nan")),
                         ("QM1.carry", -float("inf")),
                         ("BIN_FA.cout", "20.8"), ("QM1.product", True),
+                        ("MUX8.y", 0.0),
                         # a key must name an output port of its kind
                         ("QM1", 0), ("QM1.sum", 1.0), ("QHA.", 1.0))]
 
@@ -569,6 +643,33 @@ def test_compare_bad_timing_library(tmp_path, capsys, text):
                         "--timing-lib", str(lib)], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def _legacy(lib, section, retired):
+    """``lib`` as a library file written when MUX4 and DECODER were gate
+    kinds: every document also priced them, at 0, after the other keys."""
+    doc = json.loads(lib.to_json())
+    doc[section].update(dict.fromkeys(retired, 0.0))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_LEGACY_TIMING_KEYS = ("MUX4.y", "DECODER.nqi", "DECODER.iqi", "DECODER.pqi")
+
+
+@pytest.mark.parametrize("fmt", sorted(COMPARE_PRESET_SHA256))
+def test_legacy_libraries_price_the_preset_unchanged(tmp_path, capsys,
+                                                     monkeypatch, fmt):
+    libdir = tmp_path / "libs"
+    libdir.mkdir()
+    (libdir / "cost.json").write_text(_legacy(
+        default_cost_library(), "sigma_di", ("MUX4", "DECODER")))
+    for lib in (timing_binary_0v9(), timing_quaternary_0v9()):
+        (libdir / f"timing-{lib.name}.json").write_text(
+            _legacy(lib, "delays", _LEGACY_TIMING_KEYS))
+    monkeypatch.setenv("MVL_DEFAULT_LIBS", str(libdir))
+    code, stdout, err = run(["compare", "--preset", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert _sha256(stdout) == COMPARE_PRESET_SHA256[fmt]
 
 
 def test_compare_missing_library_entries_are_named(tmp_path, capsys):

@@ -30,9 +30,8 @@ QM1_CARRY_OPS = ("0000", "0000", "0011", "0012")
 
 
 def _qmul1_mux(a, b):
-    mux4 = KERNELS[GateKind.MUX4]
-    return tuple(mux4(a, *(int(op[b]) for op in ops))[0]
-                 for ops in (QM1_PRODUCT_OPS, QM1_CARRY_OPS))
+    # the selector: digit ``a`` picks the operator that is applied to ``b``
+    return tuple(int(ops[a][b]) for ops in (QM1_PRODUCT_OPS, QM1_CARRY_OPS))
 
 
 def test_qmul1_full_table():
@@ -123,31 +122,6 @@ def test_binary_cells():
         for cin in range(2):
             s, c = fa(a, b, cin)
             assert 2 * c + s == a + b + cin
-
-
-# --- mux and threshold decoder --------------------------------------------
-
-def test_mux4_routes_by_selector():
-    mux4 = KERNELS[GateKind.MUX4]
-    for s in range(4):
-        assert mux4(s, 0, 1, 2, 3) == (s,)
-    assert mux4(0, 3, 0, 0, 0) == (3,)
-
-
-def test_decoder_table():
-    rows = {0: (3, 3, 3), 1: (0, 3, 3), 2: (0, 0, 3), 3: (0, 0, 0)}
-    for x, want in rows.items():
-        assert KERNELS[GateKind.DECODER](x) == want
-    assert output_ranges(GateKind.DECODER, (3,)) == (3, 3, 3)
-
-
-def test_decoder_staircase_monotone():
-    prev = None
-    for x in range(4):
-        cur = KERNELS[GateKind.DECODER](x)
-        if prev is not None:
-            assert all(c <= p for c, p in zip(cur, prev))
-        prev = cur
 
 
 # --- kernels and ranges ---------------------------------------------------

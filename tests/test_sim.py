@@ -171,19 +171,6 @@ def test_overflow_names_first_wire_in_topo_order(order, vector):
     assert str(e.value) == msg.format(3)
 
 
-def test_mux4_decoder_netlist_through_evaluate():
-    names = ["s", "i0", "i1", "i2", "i3"]
-    wires = {w: Wire(w, 3) for w in names + ["y", "n", "i", "p"]}
-    gates = [GateInstance("m", GateKind.MUX4, tuple(names), ("y",)),
-             GateInstance("d", GateKind.DECODER, ("y",), ("n", "i", "p"))]
-    net = Netlist(radix=4, width=1, wires=wires, gates=gates,
-                  primary_inputs=names, primary_outputs=["n", "i", "p"])
-    for vals in product(range(4), repeat=5):
-        y = vals[1 + vals[0]]
-        want = [3 if y < k else 0 for k in (1, 2, 3)]
-        assert evaluate(net, dict(zip(names, vals))) == want
-
-
 @settings(max_examples=60)
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_commutativity_8x8(b8, x, y):
