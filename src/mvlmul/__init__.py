@@ -21,10 +21,10 @@ _HOMES = {name: module for module, names in {
                "validate_netlist",
     "metrics": "CalibrationError ComparisonReport CostLibrary CriticalPath "
                "LibraryError TimingLibrary area_estimate calibrate_timing "
-               "compare critical_path default_cost_library "
+               "compare critical_path default_cost_library timing_preset "
                "timing_binary_0v45 timing_binary_0v9 timing_quaternary_0v9",
     "sim": "SimulationError VerificationReport VerificationSpaceError "
-           "evaluate oracle verify_exhaustive verify_random",
+           "evaluate verify_exhaustive verify_random",
     "spice": "export_spice",
 }.items() for name in names.split()}
 

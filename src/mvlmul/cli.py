@@ -76,14 +76,14 @@ def _cost_library(path: str | None):
 
 
 def _timing_library(spec: str):
-    from .metrics import TIMING_PRESETS, TimingLibrary
+    from .metrics import TIMING_PRESETS, TimingLibrary, timing_preset
     env = os.environ.get("MVL_DEFAULT_LIBS")
     if env:
         cand = Path(env) / f"timing-{spec}.json"
         if cand.exists():
             return TimingLibrary.from_json(_read_text(str(cand)))
     if spec in TIMING_PRESETS:
-        return TIMING_PRESETS[spec]()
+        return timing_preset(spec)
     if Path(spec).exists():
         return TimingLibrary.from_json(_read_text(spec))
     raise CliError(f"unknown timing library {spec!r} "

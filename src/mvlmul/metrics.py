@@ -8,8 +8,9 @@ library targets a 32 nm CNTFET flow; the digit multiplier (QM1) and
 the quaternary adders are block costs that include their internal
 decoders and muxes.
 
-Timing is a calibrated lookup model, not a prediction.  Each preset
-gives every adder of its radix an equal share of an aggregate
+Timing is a calibrated lookup model, not a prediction.  Each preset is
+one row of :data:`TIMING_PRESETS`, and :func:`timing_preset` gives
+every adder of its radix an equal share of the row's aggregate
 worst-path figure at a fixed 2 fF load; :func:`calibrate_timing` is the
 least-squares fit of per-kind delays to such aggregates, and the presets
 agree with it.  So the only claim the model makes is path-composition
@@ -26,6 +27,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .core import CELLS, GateKind, PORTS
@@ -137,9 +139,14 @@ def default_cost_library() -> CostLibrary:
 
 
 def area_estimate(net: Netlist, lib: CostLibrary) -> float:
-    """Sum of per-gate diameter sums, in nanometers."""
+    """Sum of per-gate diameter sums, in nanometers, added one gate at a
+    time in gate order: from Python 3.12 on, ``sum`` of floats rounds
+    differently, and compare output would depend on the Python."""
     lib.require(net)
-    return sum(lib.lookup(g.kind) for g in net.gates)
+    total = 0.0
+    for g in net.gates:
+        total += lib.lookup(g.kind)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -212,47 +219,32 @@ def _uniform_delays(kinds_ps: dict[GateKind, float]) \
             for pname, _ in PORTS[kind].outputs}
 
 
-# Calibration anchors: aggregate worst-path delays of the generated
-# reference designs at 2 fF load.  The 8x8-bit worst path crosses 15
-# adder cells (tree depth 4 plus an 11-cell ripple chain); the 4x4-quit
-# path crosses 7 (4 QFAC2 in the tree, then QHA + QFAC2 + QFAC2WC).
-BINARY_8X8_PATH_CELLS = 15
-QUATERNARY_4X4_PATH_CELLS = 7
-_AGG_BIN_0V9_PS = 312.0
-_AGG_BIN_0V45_PS = 799.0
-_AGG_QUAT_0V9_PS = 646.0
-QM1_DELAY_0V9_PS = 118.0
+#: each timing preset by name: (radix, aggregate worst-path ps of its
+#: reference design at 2 fF load, adder cells on that path, digit-cell
+#: ps).  The 8x8-bit worst path crosses 15 adder cells (tree depth 4
+#: plus an 11-cell ripple chain); the 4x4-quit path crosses 7 (4 QFAC2
+#: in the tree, then QHA + QFAC2 + QFAC2WC).
+TIMING_PRESETS = {
+    "binary-0.9v": (2, 312.0, 15, 0.0),
+    "binary-0.45v": (2, 799.0, 15, 0.0),
+    "quaternary-0.9v": (4, 646.0, 7, 118.0),
+}
 
 
-def _preset(name: str, radix: int, aggregate_ps: float, path_cells: int,
-            digit_ps: float = 0.0) -> TimingLibrary:
-    """Every adder of ``CELLS[radix]`` gets an equal share of the
-    aggregate worst path, and the digit cell ``digit_ps``."""
+def timing_preset(name: str) -> TimingLibrary:
+    """Preset ``name``: every adder of its radix's ``CELLS`` gets an
+    equal share of the aggregate worst path, and the digit cell its own
+    delay."""
+    radix, aggregate_ps, path_cells, digit_ps = TIMING_PRESETS[name]
     digit, *adders = CELLS[radix]
     return TimingLibrary(name, _uniform_delays({
         digit: digit_ps,
         **dict.fromkeys(adders, aggregate_ps / path_cells)}))
 
 
-def timing_binary_0v9() -> TimingLibrary:
-    return _preset("binary-0.9v", 2, _AGG_BIN_0V9_PS, BINARY_8X8_PATH_CELLS)
-
-
-def timing_binary_0v45() -> TimingLibrary:
-    return _preset("binary-0.45v", 2, _AGG_BIN_0V45_PS,
-                   BINARY_8X8_PATH_CELLS)
-
-
-def timing_quaternary_0v9() -> TimingLibrary:
-    return _preset("quaternary-0.9v", 4, _AGG_QUAT_0V9_PS,
-                   QUATERNARY_4X4_PATH_CELLS, digit_ps=QM1_DELAY_0V9_PS)
-
-
-TIMING_PRESETS = {
-    "binary-0.9v": timing_binary_0v9,
-    "binary-0.45v": timing_binary_0v45,
-    "quaternary-0.9v": timing_quaternary_0v9,
-}
+timing_binary_0v9 = partial(timing_preset, "binary-0.9v")
+timing_binary_0v45 = partial(timing_preset, "binary-0.45v")
+timing_quaternary_0v9 = partial(timing_preset, "quaternary-0.9v")
 
 
 def calibrate_timing(constraints, equal_groups=()) -> TimingLibrary:

@@ -39,14 +39,6 @@ class NetgenError(ValueError):
     """Raised for invalid generator arguments or internal rule violations."""
 
 
-@dataclass(frozen=True)
-class Dot:
-    """One partial-product term: a wire plus its value range."""
-
-    wire: str
-    range_max: int
-
-
 class NetBuilder:
     """Accumulates wires and gates with deterministic ids; ``gates`` is
     in build order, and a gate's id is its index there."""
@@ -60,25 +52,22 @@ class NetBuilder:
         self.wires[name] = Wire(name, range_max)
         return name
 
-    def _new_wire(self, range_max: int) -> str:
-        wid = f"n{self._nwire:05d}"
-        self._nwire += 1
-        # a provably-zero output still needs a legal (binary) wire
-        self.wires[wid] = Wire(wid, max(1, range_max))
-        return wid
-
-    def add_gate(self, kind: GateKind, inputs: list[str]) \
-            -> tuple[list[str], tuple[int, ...]]:
+    def add_gate(self, kind: GateKind, inputs: list[Wire]) \
+            -> tuple[list[Wire], tuple[int, ...]]:
         """Instantiate a gate; returns (output wires, true ranges).
 
         Output wire ranges are the tight bounds computed from the input
         wire ranges; a true range of 0 means the output is constant zero.
         """
-        in_ranges = tuple(self.wires[w].range_max for w in inputs)
-        ranges = output_ranges(kind, in_ranges)
-        outs = [self._new_wire(r) for r in ranges]
+        ranges = output_ranges(kind, tuple(w.range_max for w in inputs))
+        # a provably-zero output still needs a legal (binary) wire
+        outs = [Wire(f"n{self._nwire + k:05d}", max(1, r))
+                for k, r in enumerate(ranges)]
+        self._nwire += len(outs)
+        self.wires.update((w.id, w) for w in outs)
         self.gates.append(GateInstance(f"g{len(self.gates):05d}", kind,
-                                       tuple(inputs), tuple(outs)))
+                                       tuple(w.id for w in inputs),
+                                       tuple(w.id for w in outs)))
         return outs, ranges
 
 
@@ -86,39 +75,34 @@ class NetBuilder:
 class DotMatrix:
     """Partial-product dots, kept per row with column positions.
 
-    ``rows`` preserves the reduction ordering; the column view used for
-    heights and the capacity check is derived.
+    A dot is the :class:`~mvlmul.netlist.Wire` of a gate output whose
+    true range is at least 1, so its value range is the wire's
+    ``range_max``.  ``rows`` preserves the reduction ordering; the
+    column view used for heights is derived.
     """
 
     base: int
     width: int
-    rows: list[dict[int, Dot]] = field(default_factory=list)
+    rows: list[dict[int, Wire]] = field(default_factory=list)
     max_product: int = 0
 
-    def columns(self) -> list[list[Dot]]:
-        cols: list[list[Dot]] = [[] for _ in range(self.width)]
+    def columns(self) -> list[list[Wire]]:
+        cols: list[list[Wire]] = [[] for _ in range(self.width)]
         for row in self.rows:
             for c in sorted(row):
                 cols[c].append(row[c])
         return cols
 
     def heights(self) -> list[int]:
-        h = [0] * self.width
-        for row in self.rows:
-            for c in row:
-                h[c] += 1
-        return h
+        return [len(col) for col in self.columns()]
 
     def max_height(self) -> int:
         return max(self.heights(), default=0)
 
-    def capacity(self) -> int:
-        """Largest value the dot pattern can represent."""
-        return sum(d.range_max * self.base ** c
-                   for row in self.rows for c, d in row.items())
-
     def capacity_ok(self) -> bool:
-        return self.capacity() >= self.max_product
+        """Whether the dot pattern can still represent every product."""
+        return sum(d.range_max * self.base ** c for row in self.rows
+                   for c, d in row.items()) >= self.max_product
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +125,13 @@ def build_pp(builder: NetBuilder, radix: int, x_width: int,
     m = DotMatrix(base=radix, width=x_width + y_width,
                   max_product=(radix ** x_width - 1) * (radix ** y_width - 1))
     for j in range(y_width):
-        rows: list[dict[int, Dot]] = [{} for _ in PORTS[cell].outputs]
+        rows: list[dict[int, Wire]] = [{} for _ in PORTS[cell].outputs]
         for i in range(x_width):
-            outs, rng = builder.add_gate(cell, [f"x{i}", f"y{j}"])
+            outs, _ = builder.add_gate(cell, [builder.wires[f"x{i}"],
+                                              builder.wires[f"y{j}"]])
             for k, row in enumerate(rows):
                 if i + j + k < m.width:
-                    row[i + j + k] = Dot(outs[k], rng[k])
+                    row[i + j + k] = outs[k]
         m.rows.extend(rows)
     return m
 
@@ -186,13 +171,13 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
 
     base = matrix.base
     _, half_adder, full_adder, _ = CELLS[base]
-    new_rows: list[dict[int, Dot]] = []
+    new_rows: list[dict[int, Wire]] = []
 
     for trip in grouping:
         grp = [matrix.rows[i] for i in trip]
-        srow: dict[int, Dot] = {}
-        crow: dict[int, Dot] = {}
-        spill: list[dict[int, Dot]] = []
+        srow: dict[int, Wire] = {}
+        crow: dict[int, Wire] = {}
+        spill: list[dict[int, Wire]] = []
         for c in sorted(set().union(*grp)):
             dots = [r[c] for r in grp if c in r]
             if len(dots) == 1:
@@ -207,16 +192,14 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
                 else:
                     dots.append(dots.pop(ti))  # cin is the last port
             if use_full:
-                outs, rng = builder.add_gate(
-                    full_adder, [d.wire for d in dots])
+                outs, rng = builder.add_gate(full_adder, dots)
                 leftover = None
             else:
-                outs, rng = builder.add_gate(
-                    half_adder, [dots[0].wire, dots[1].wire])
+                outs, rng = builder.add_gate(half_adder, dots[:2])
                 leftover = dots[2] if len(dots) == 3 else None
-            srow[c] = Dot(outs[0], rng[0])
+            srow[c] = outs[0]
             if rng[1] > 0 and c + 1 < matrix.width:
-                crow[c + 1] = Dot(outs[1], rng[1])
+                crow[c + 1] = outs[1]
             # rng[1] == 0 or a carry beyond the top column is provably
             # zero; the wire stays dangling.
             if leftover is not None:
@@ -252,7 +235,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
     _, half_adder, full_adder, top_adder = CELLS[matrix.base]
     cols = matrix.columns()
     digits: list[str] = []
-    carry: Dot | None = None
+    carry: Wire | None = None
     for c in range(matrix.width):
         items = list(cols[c])
         if carry is not None:
@@ -263,7 +246,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
                 raise NetgenError(f"gap at column {c} inside the product")
             break  # product ends here
         if len(items) == 1:
-            digits.append(items[0].wire)
+            digits.append(items[0].id)
             continue
         if len(items) == 2:
             kind = half_adder
@@ -273,10 +256,10 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
             kind = top_adder if c == matrix.width - 1 else full_adder
         else:
             raise NetgenError(f"column {c} has {len(items)} values")
-        outs, rng = builder.add_gate(kind, [d.wire for d in items])
-        digits.append(outs[0])
+        outs, rng = builder.add_gate(kind, items)
+        digits.append(outs[0].id)
         if len(rng) > 1 and rng[1] > 0:
-            carry = Dot(outs[1], rng[1])
+            carry = outs[1]
     return digits
 
 
@@ -296,11 +279,8 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
         raise NetgenError(f"width must be a positive integer, got {width}")
 
     builder = NetBuilder()
-    digit_range = radix - 1
-    for i in range(width):
-        builder.add_input(f"x{i}", digit_range)
-    for j in range(width):
-        builder.add_input(f"y{j}", digit_range)
+    inputs = [builder.add_input(f"{operand}{i}", radix - 1)
+              for operand in "xy" for i in range(width)]
 
     matrix = build_pp(builder, radix, width, width)
 
@@ -334,9 +314,7 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
     }
 
     net = Netlist(radix=radix, width=width, wires=builder.wires,
-                  gates=builder.gates,
-                  primary_inputs=[f"x{i}" for i in range(width)]
-                  + [f"y{j}" for j in range(width)],
+                  gates=builder.gates, primary_inputs=inputs,
                   primary_outputs=digits, stats=stats)
     problems = validate_netlist(net)
     if problems:

@@ -122,20 +122,30 @@ class Netlist:
                                f"(format={doc.get('format')!r})")
         if doc.get("version") != JSON_VERSION:
             raise NetlistError(f"unsupported version {doc.get('version')!r}")
+        # what is being read, for an error: the i-th wire or gate, or
+        # the document itself while i is None
+        what, i, entry = "wire", None, None
         try:
-            wires = {w["id"]: Wire(w["id"], w["range_max"])
-                     for w in _json_array(doc, "wires")}
-            gates = [GateInstance(g["id"], GateKind(g["kind"]),
-                                  tuple(_json_array(g, "inputs", gate=True)),
-                                  tuple(_json_array(g, "outputs", gate=True)))
-                     for g in _json_array(doc, "gates")]
+            wires: dict[str, Wire] = {}
+            for i, entry in enumerate(_json_array(doc, "wires")):
+                wires[entry["id"]] = Wire(entry["id"], entry["range_max"])
+            what, i, gates = "gate", None, []
+            for i, entry in enumerate(_json_array(doc, "gates")):
+                gates.append(GateInstance(
+                    entry["id"], GateKind(entry["kind"]),
+                    tuple(_json_array(entry, "inputs")),
+                    tuple(_json_array(entry, "outputs"))))
+            i = None
             net = cls(radix=doc["radix"], width=doc["width"],
                       wires=wires, gates=gates,
                       primary_inputs=_json_array(doc, "inputs"),
                       primary_outputs=_json_array(doc, "outputs"),
                       stats=doc.get("meta", {}))
+            if type(net.stats) is not dict:
+                raise TypeError("meta is not an object")
         except (KeyError, TypeError, ValueError) as e:
-            raise NetlistError(f"malformed netlist document: {e}") from None
+            raise NetlistError("malformed netlist document: "
+                               + _malformed(what, i, entry, e)) from None
         if len(wires) < len(doc["wires"]):  # a later entry replaced one
             ids = Counter(w["id"] for w in doc["wires"])
             raise NetlistError("malformed netlist document: wire id "
@@ -157,12 +167,31 @@ class Netlist:
         return net
 
 
-def _json_array(obj: dict, key: str, gate: bool = False) -> list:
+def _malformed(what: str, i: int | None, entry, e: Exception) -> str:
+    """What is wrong, for ``e`` raised reading ``entry``, the ``i``-th
+    ``what`` (wire or gate), or the document when ``i`` is None.  An
+    entry is named by its index until its id is read as a string."""
+    if i is None:
+        return (f"the document has no {e.args[0]}"
+                if isinstance(e, KeyError) else str(e))
+    if type(entry) is not dict:
+        return f"{what} {i} is not an object"
+    wid = entry.get("id")
+    name = f"{what} {wid!r}" if type(wid) is str else f"{what} {i}"
+    if isinstance(e, KeyError):
+        return f"{name} has no {e.args[0]}"
+    if isinstance(e, ValueError):  # only GateKind() raises one
+        return f"{name} kind {entry['kind']!r} is not a valid GateKind"
+    if what == "wire":  # only a wire's id is hashed
+        return f"wire id {wid!r} is not a string"
+    return f"{name} {e}"  # a gate's inputs or outputs is not an array
+
+
+def _json_array(obj: dict, key: str) -> list:
     """``obj[key]``, which must be a JSON array: ``tuple()`` would turn
     an object into its keys and a string into its characters."""
     if type(obj[key]) is not list:
-        owner = f"gate {obj['id']!r} " if gate else ""
-        raise TypeError(f"{owner}{key} is not an array")
+        raise TypeError(f"{key} is not an array")
     return obj[key]
 
 

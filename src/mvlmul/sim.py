@@ -12,7 +12,7 @@ wire's declared range over every vector of the batch, so a run doubles
 as an executable range-soundness check (the ternary-carry discipline in
 particular).  Verification compares the product digits with a
 bit-sliced shift-and-add of the operand bits, which shares no code with
-the cells; :func:`oracle` is plain integer multiplication.
+the cells.
 """
 
 from __future__ import annotations
@@ -220,30 +220,6 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     return [sum(p << b for b, p in enumerate(planes)) for planes in got]
 
 
-def digits_of(value: int, radix: int, ndigits: int) -> tuple[int, ...]:
-    """Little-endian digit expansion."""
-    return tuple(value // radix ** i % radix for i in range(ndigits))
-
-
-def int_of(digits, radix: int) -> int:
-    return sum(d * radix ** i for i, d in enumerate(digits))
-
-
-def oracle(radix: int, width: int, x_digits, y_digits) -> tuple[int, ...]:
-    """Expected product digits (LSB first) of ``width``-digit operands."""
-    operands = {"x": list(x_digits), "y": list(y_digits)}
-    for name, digits in operands.items():
-        if len(digits) != width:
-            raise SimulationError(f"{name} has {len(digits)} digits, "
-                                  f"width is {width}")
-        for d in digits:
-            if not isinstance(d, int) or not 0 <= d < radix:
-                raise SimulationError(
-                    f"{name} digit {d!r} outside 0..{radix - 1}")
-    x, y = (int_of(d, radix) for d in operands.values())
-    return digits_of(x * y, radix, 2 * width)
-
-
 # -- verification -------------------------------------------------------------
 
 def _product_planes(xs: list[int], ys: list[int]) -> list[int]:
@@ -274,9 +250,11 @@ def _digit_bytes(planes, n: int) -> bytes:
     return v.to_bytes(n, "little")
 
 
-def _check(net: Netlist, batches, keep: int | None) -> tuple[int, list[dict]]:
-    """The number of mismatching vectors, and records of the first ``keep``
-    (all when None) in vector order.
+def _verify(net: Netlist, mode: str, vectors: int, batches,
+            keep: int | None, seed: int | None = None) -> VerificationReport:
+    """The report of a ``mode`` run over ``vectors`` vectors in
+    ``batches``: every mismatch counted, and records of the first
+    ``keep`` (all when None) in vector order.
 
     Each batch holds x then y digits.  Degenerate designs may emit fewer
     than 2N digits; the missing top digits must then be 0.
@@ -305,7 +283,10 @@ def _check(net: Netlist, batches, keep: int | None) -> tuple[int, list[dict]]:
             records.append({"x": row[:w], "y": row[w:],
                             "expected": [d[j] for d in exp],
                             "got": [d[j] for d in out]})
-    return count, records
+    return VerificationReport(design=f"radix{net.radix}-w{net.width}",
+                              mode=mode, vectors_tested=vectors,
+                              mismatch_count=count, mismatches=records,
+                              seed=seed)
 
 
 def _count_plane(k: int, a: int, n: int) -> int:
@@ -325,7 +306,7 @@ def _count_plane(k: int, a: int, n: int) -> int:
 
 def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
                       keep: int | None = None) -> VerificationReport:
-    """Compare every input pair against the integer oracle.
+    """Compare every input pair's product digits against x * y.
 
     Every mismatch is counted; records are kept for the first ``keep``
     (all when None).
@@ -345,15 +326,12 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
             yield n, [tuple(_count_plane(k, a, n) for k in range(p * m,
                                                                 (p + 1) * m))
                       for p in reversed(range(row))]
-    count, mismatches = _check(net, batches(), keep)
-    return VerificationReport(design=f"radix{net.radix}-w{net.width}",
-                              mode="exhaustive", vectors_tested=space,
-                              mismatch_count=count, mismatches=mismatches)
+    return _verify(net, "exhaustive", space, batches(), keep)
 
 
 def verify_random(net: Netlist, count: int, seed: int,
                   keep: int | None = None) -> VerificationReport:
-    """Compare ``count`` seeded random vectors against the oracle.
+    """Compare ``count`` seeded random vectors against x * y.
 
     The vector stream depends only on the seed, so reports are
     reproducible; it is drawn lazily, a batch at a time, so only the
@@ -377,8 +355,4 @@ def verify_random(net: Netlist, count: int, seed: int,
             drawn = bytes(islice(digits, n * row))
             yield n, [tuple(int(col.translate(t), 2) for t in tables)
                       for col in (drawn[i::row][::-1] for i in range(row))]
-    n_bad, mismatches = _check(net, batches(), keep)
-    return VerificationReport(design=f"radix{net.radix}-w{net.width}",
-                              mode="random", vectors_tested=count,
-                              mismatch_count=n_bad, mismatches=mismatches,
-                              seed=seed)
+    return _verify(net, "random", count, batches(), keep, seed)

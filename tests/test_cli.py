@@ -198,8 +198,47 @@ def test_retired_gate_kind_is_usage_error(tmp_path, capsys, q1, command):
     nl.write_text(json.dumps(doc))
     code, stdout, err = run([command, str(nl)], capsys)
     assert code == 2 and stdout == ""
-    assert err == f"error: {nl}: malformed netlist document: 'MUX4' is " \
-                  "not a valid GateKind\n"
+    assert err == f"error: {nl}: malformed netlist document: gate " \
+                  "'g00000' kind 'MUX4' is not a valid GateKind\n"
+
+
+def _drop(entries, i, key):
+    return lambda doc: doc[entries][i].pop(key)
+
+
+@pytest.mark.parametrize("command", ["export-spice", "verify"])
+@pytest.mark.parametrize("problem, corrupt", [
+    ("wire 0 is not an object", lambda doc: doc["wires"].__setitem__(0, 1)),
+    ("gate 0 is not an object",
+     lambda doc: doc["gates"].__setitem__(0, "g")),
+    ("wire id ['a'] is not a string",
+     lambda doc: doc["wires"][1].update(id=["a"])),
+    ("wire 0 has no id", _drop("wires", 0, "id")),
+    ("wire 'y0' has no range_max", _drop("wires", 1, "range_max")),
+    ("gate 0 has no id", _drop("gates", 0, "id")),
+    ("gate 'g00000' has no kind", _drop("gates", 0, "kind")),
+    ("gate 'g00000' has no outputs", _drop("gates", 0, "outputs")),
+    ("the document has no radix", lambda doc: doc.pop("radix")),
+    ("gate 'g00000' kind 'NAND' is not a valid GateKind",
+     _gate0(kind="NAND")),
+    ("gate 'g00000' kind 5 is not a valid GateKind", _gate0(kind=5)),
+    ("gate 'g00000' kind ['AND'] is not a valid GateKind",
+     _gate0(kind=["AND"])),
+    ("meta is not an object", lambda doc: doc.update(meta=3)),
+], ids=["wire-int", "gate-str", "wire-id-list", "wire-no-id",
+        "wire-no-range", "gate-no-id", "gate-no-kind", "gate-no-outputs",
+        "no-radix", "kind-name", "kind-int", "kind-list", "meta-int"])
+def test_malformed_entries_are_named(tmp_path, capsys, q1, command, problem,
+                                     corrupt):
+    # Python's own words ("'int' object is not subscriptable", a bare
+    # 'range_max') named no entry, and a non-object meta passed verify
+    doc = json.loads(q1.to_json())
+    corrupt(doc)
+    nl = tmp_path / "q1.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {nl}: malformed netlist document: {problem}\n"
 
 
 @pytest.mark.parametrize("command", ["export-spice", "verify"])

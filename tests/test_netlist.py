@@ -108,6 +108,8 @@ def test_to_json_matches_json_dumps_on_edge_cases(net):
     (4, 3, "eb2e4f99fc27adf9482fff9952ecde0b8972072d5d986abc98c7950fe452093b"),
     (4, 5, "0d66328db2c4571f23bcd2466abb940560fcf121fc4977178a0e1fe233ec4f2c"),
     (4, 16, "7af8859173ff73c0a51831c516f5ac7274fac803ba328a6298964a95f65a7fc8"),
+    (2, 128, "2d8ee84e0f3d1791c08ce57dc373181a61fb289807774a70559a64cd4b838561"),
+    (4, 64, "c2363cbea0b57b630b99a3ab1a055531f08a55b96fac8352986e3db903743723"),
 ])
 def test_netlist_json_bytes_pinned(radix, width, sha256):
     text = gen_multiplier(radix, width).to_json()

@@ -1,4 +1,4 @@
-"""Functional evaluation and verification against the integer oracle."""
+"""Functional evaluation, and verification of product digits against x * y."""
 
 import hashlib
 import random
@@ -10,9 +10,17 @@ from hypothesis import given, settings, strategies as st
 from mvlmul import gen_multiplier, sim
 from mvlmul.core import GateKind, KERNELS
 from mvlmul.netlist import GateInstance, Netlist, Wire
-from mvlmul.sim import (SimulationError, VerificationSpaceError, digits_of,
-                        evaluate, int_of, oracle, verify_exhaustive,
-                        verify_random)
+from mvlmul.sim import (SimulationError, VerificationSpaceError, evaluate,
+                        verify_exhaustive, verify_random)
+
+
+def digits_of(value, radix, ndigits):
+    """Little-endian digit expansion."""
+    return tuple(value // radix ** i % radix for i in range(ndigits))
+
+
+def int_of(digits, radix):
+    return sum(d * radix ** i for i, d in enumerate(digits))
 
 
 def _assign(net, x, y):
@@ -21,69 +29,6 @@ def _assign(net, x, y):
     a = {f"x{i}": d for i, d in enumerate(xd)}
     a.update({f"y{i}": d for i, d in enumerate(yd)})
     return a
-
-
-# --- oracle ---------------------------------------------------------------
-
-def test_oracle_quaternary_reference_products():
-    # 23q * 33q = 11 * 15 = 165 = 2211q ; 23q * 23q = 121 = 1321q
-    assert oracle(4, 2, (3, 2), (3, 3)) == (1, 1, 2, 2)
-    assert oracle(4, 2, (3, 2), (3, 2)) == (1, 2, 3, 1)
-
-
-def test_oracle_binary_follows_integer_arithmetic():
-    # 1111b * 1101b = 15 * 13 = 195 = 11000011b
-    assert oracle(2, 4, (1, 1, 1, 1), (1, 0, 1, 1)) == \
-        (1, 1, 0, 0, 0, 0, 1, 1)
-    # 1111b * 1111b = 225 = 11100001b
-    assert oracle(2, 4, (1, 1, 1, 1), (1, 1, 1, 1)) == \
-        (1, 0, 0, 0, 0, 1, 1, 1)
-
-
-def test_oracle_single_digit_matches_qmul1():
-    assert oracle(4, 1, (3,), (3,)) == (1, 2)
-
-
-@pytest.mark.parametrize("x, y, match", [
-    ((4,), (0,), "x digit 4 outside 0..3"),
-    ((0,), (-1,), "y digit -1 outside 0..3"),
-    ((1.5,), (2,), "x digit 1.5 outside"),
-    ((1, 0), (2,), "x has 2 digits, width is 1"),
-    ((1,), (), "y has 0 digits, width is 1"),
-], ids=["too-big", "negative", "float", "long", "short"])
-def test_oracle_rejects_bad_digits(x, y, match):
-    with pytest.raises(SimulationError, match=match):
-        oracle(4, 1, x, y)
-
-
-@given(st.integers(0, 255), st.integers(0, 255),
-       st.sampled_from([2, 4]))
-def test_oracle_round_trip(x, y, radix):
-    width = 8 if radix == 2 else 4
-    d = oracle(radix, width, digits_of(x, radix, width),
-               digits_of(y, radix, width))
-    assert int_of(d, radix) == x * y
-
-
-@settings(max_examples=60)
-@given(st.data(), st.sampled_from([(2, 64), (2, 128), (4, 32), (4, 64)]))
-def test_oracle_beyond_64_bit_products(data, rw):
-    radix, width = rw
-    x, y = (data.draw(st.integers(0, radix ** width - 1)) for _ in "xy")
-    d = oracle(radix, width, digits_of(x, radix, width),
-               digits_of(y, radix, width))
-    assert int_of(d, radix) == x * y
-
-
-@pytest.mark.parametrize("radix, width", [
-    (2, 30), (2, 31), (2, 32), (2, 62), (4, 15), (4, 16), (4, 31)])
-def test_oracle_across_limb_boundaries(radix, width):
-    # products split into int64 limbs of k digits, k = 62 (radix 2) or
-    # 31 (radix 4); all-max operands fill every digit up to 2N = k - 2
-    # .. k + 2 and 2k, where a split off by one digit shows
-    top = radix ** width - 1
-    assert oracle(radix, width, [radix - 1] * width, [radix - 1] * width) \
-        == digits_of(top * top, radix, 2 * width)
 
 
 # --- evaluate ---------------------------------------------------------------
