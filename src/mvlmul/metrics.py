@@ -31,7 +31,7 @@ from functools import partial
 from itertools import combinations
 
 from .core import CELLS, GateKind, PORTS
-from .netlist import Netlist, topo_order
+from .netlist import Netlist
 
 #: gate kinds that form the digit-product stage; excluded from path
 #: delay accounting by default (every input-to-output path crosses
@@ -59,8 +59,10 @@ def _library_errors(what: str):
         yield
     except LibraryError:
         raise
-    except (KeyError, ValueError, TypeError, AttributeError) as e:
-        # bad JSON (a ValueError), a missing key or an unknown kind
+    except (KeyError, ValueError, TypeError, AttributeError,
+            RecursionError) as e:
+        # bad JSON (a ValueError, or a RecursionError when nested too
+        # deeply), a missing key or an unknown kind
         raise LibraryError(f"malformed {what} library: "
                            f"{type(e).__name__}: {e}") from None
 
@@ -325,7 +327,8 @@ class CriticalPath:
 
 def critical_path(net: Netlist, lib: TimingLibrary,
                   exclude_kinds=FRONTEND_KINDS) -> CriticalPath:
-    """Longest weighted input-to-output path (static analysis).
+    """Longest weighted input-to-output path (static analysis), in one
+    backward pass over the gate list, which is in dependency order.
 
     Gate kinds in ``exclude_kinds`` contribute zero delay and are left
     out of the reported sequence (by default the digit-product stage).
@@ -339,7 +342,7 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     # one reverse pass: per wire, the latest remaining delay down to any
     # output, and the first hop (gate id, port, position) that achieves
     # it; a primary output with nothing later keeps the hop None
-    order = topo_order(net)
+    order = net.gates  # a dependency order, read backwards
     rem = {w: 0.0 for w in net.primary_outputs}
     hop: dict[str, tuple | None] = dict.fromkeys(rem)
     for i in range(len(order) - 1, -1, -1):

@@ -3,8 +3,11 @@
 Wires are single-driver and carry a ``range_max`` annotation (1/2/3).
 The central structural rule is the carry discipline: a gate input port
 only accepts wires whose range fits the port, so a quaternary wire can
-never reach a ternary carry-in.  :func:`validate_netlist` checks that
-rule along with acyclicity, single drivers and output completeness.
+never reach a ternary carry-in.  The gates are listed in dependency
+order: each reads only primary inputs and outputs of gates listed
+before it, so the list is an evaluation order and holds no cycle.
+:func:`validate_netlist` checks both rules along with single drivers
+and output completeness.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
 The records are namedtuples and plain classes, not dataclasses: ``verify``
@@ -114,6 +117,8 @@ class Netlist:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise NetlistError(f"not valid JSON: {e}") from None
+        except RecursionError:
+            raise NetlistError("JSON nested too deeply to read") from None
         if not isinstance(doc, dict):
             raise NetlistError("not a netlist document (top level is "
                                f"{type(doc).__name__}, not an object)")
@@ -150,20 +155,29 @@ class Netlist:
             ids = Counter(w["id"] for w in doc["wires"])
             raise NetlistError("malformed netlist document: wire id "
                                f"{max(ids, key=ids.get)!r} is repeated")
-        # JSON types, not coercions: a 3.7, "4" or true is an error
-        for what, vals, typ in (
-                ("wire id", wires, str), ("gate id", [g.id for g in gates], str),
+        # JSON types, not coercions: a 3.7, "4" or true is an error.  The
+        # (name, values) entries are generated only once a check fails, to
+        # name its entry: by id, since ids are checked first, or by index.
+        for what, vals, typ, entries in (
+                ("wire id", wires, str, ()),
+                ("gate id", [g.id for g in gates], str,
+                 ((f"gate {i}", [g.id]) for i, g in enumerate(gates))),
                 ("gate port wire",
-                 [w for g in gates for w in g.inputs + g.outputs], str),
-                ("primary input", net.primary_inputs, str),
-                ("primary output", net.primary_outputs, str),
-                ("radix", [net.radix], int), ("width", [net.width], int),
-                ("wire range_max", [w.range_max for w in wires.values()], int)):
+                 [w for g in gates for w in g.inputs + g.outputs], str,
+                 ((f"gate {g.id!r}", g.inputs + g.outputs) for g in gates)),
+                ("primary input", net.primary_inputs, str, ()),
+                ("primary output", net.primary_outputs, str, ()),
+                ("radix", [net.radix], int, ()),
+                ("width", [net.width], int, ()),
+                ("wire range_max", [w.range_max for w in wires.values()], int,
+                 ((f"wire {w.id!r}", [w.range_max]) for w in wires.values()))):
             bad = [v for v in vals if type(v) is not typ]
             if bad:
+                of = next((f" of {name}" for name, vs in entries
+                           if any(type(v) is not typ for v in vs)), "")
                 raise NetlistError(
-                    f"malformed netlist document: {what} {bad[0]!r} is not "
-                    + ("a string" if typ is str else "an integer"))
+                    f"malformed netlist document: {what} {bad[0]!r}{of} is "
+                    + ("not a string" if typ is str else "not an integer"))
         return net
 
 
@@ -207,7 +221,8 @@ def validate_netlist(n: Netlist) -> list[Violation]:
 
     Checks: field sanity, wire ranges, primary-input count and digit
     ranges, port arity, single drivers, dangling inputs, port/wire range
-    compatibility (no quaternary wire on a carry port), acyclicity, and
+    compatibility (no quaternary wire on a carry port), gate order (no
+    gate reads a wire before the gate that drives it), and
     product-output completeness (each digit named once).
     """
     v: list[Violation] = []
@@ -223,6 +238,7 @@ def validate_netlist(n: Netlist) -> list[Violation]:
 
     seen_gate_ids = set()
     driver_count: Counter = Counter()
+    early: list[tuple[str, str]] = []  # (gate, wire) read before any driver
     for name in n.primary_inputs:
         if name not in n.wires:
             v.append(Violation("missing-wire", f"input wire {name} undeclared"))
@@ -254,6 +270,8 @@ def validate_netlist(n: Netlist) -> list[Violation]:
                 v.append(Violation(
                     "range", f"gate {g.id} ({g.kind}) port {pname} accepts "
                     f"max {pmax} but wire {wid} carries up to {w.range_max}"))
+            if not driver_count[wid]:  # not driven yet: later, or never
+                early.append((g.id, wid))
         for (pname, pmax), wid in zip(spec.outputs, g.outputs):
             w = n.wires.get(wid)
             if w is None:
@@ -272,6 +290,11 @@ def validate_netlist(n: Netlist) -> list[Violation]:
             v.append(Violation("undriven", f"wire {wid} has no driver"))
         elif c > 1:
             v.append(Violation("multi-driver", f"wire {wid} has {c} drivers"))
+    # a wire no gate drives is only undriven; one driven by the reading
+    # gate itself or a later one breaks the order (a cycle always does)
+    v += [Violation("order", f"gate {gid} reads wire {wid} before the "
+                    "gate that drives it")
+          for gid, wid in early if driver_count[wid]]
 
     for out in n.primary_outputs:
         if out not in n.wires:
@@ -289,43 +312,4 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     if len(n.primary_outputs) != expected:
         v.append(Violation("outputs", f"expected {expected} product digits, "
                            f"got {len(n.primary_outputs)}"))
-
-    stuck = _kahn(n)[1]
-    if stuck:
-        v.append(Violation("cycle", "combinational cycle through "
-                           + ", ".join(stuck[:8])))
     return v
-
-
-def _kahn(n: Netlist) -> tuple[list[GateInstance], list[str]]:
-    """Kahn walk: gates in dependency order, plus the sorted ids of the
-    gates it never reaches (those on or downstream of a cycle)."""
-    producer: dict[str, int] = {}
-    for i, g in enumerate(n.gates):
-        for w in g.outputs:
-            producer.setdefault(w, i)
-    indeg = [0] * len(n.gates)
-    consumers: list[list[int]] = [[] for _ in n.gates]
-    for i, g in enumerate(n.gates):
-        for w in g.inputs:
-            src = producer.get(w)
-            if src is not None:
-                indeg[i] += 1
-                consumers[src].append(i)
-    queue = [i for i, d in enumerate(indeg) if d == 0]
-    for i in queue:  # FIFO: the loop also visits gates appended below
-        for j in consumers[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    stuck = sorted(g.id for g, d in zip(n.gates, indeg) if d > 0)
-    return [n.gates[i] for i in queue], stuck
-
-
-def topo_order(n: Netlist) -> list[GateInstance]:
-    """Gates in dependency order; raises NetlistError on cycles."""
-    order, stuck = _kahn(n)
-    if stuck:
-        raise NetlistError("netlist has a combinational cycle")
-    return order
-

@@ -4,15 +4,15 @@ Evaluation is zero-delay and bit-sliced, after bit-parallel pattern
 simulation (Waicukauski et al., "Fault Simulation for Structured VLSI",
 1985): a batch of vectors runs at once, each wire held as the
 ``range_max.bit_length()`` bit-planes of its digit, and a plane is one
-Python int with one bit per vector.  Gates fire once each in
-``topo_order``, through a plan derived from the cell's kernel in
-:data:`~mvlmul.core.KERNELS` by enumerating its truth table, so each
-cell keeps its one definition.  Every write is checked against the
-wire's declared range over every vector of the batch, so a run doubles
-as an executable range-soundness check (the ternary-carry discipline in
-particular).  Verification compares the product digits with a
-bit-sliced shift-and-add of the operand bits, which shares no code with
-the cells.
+Python int with one bit per vector.  Gates fire once each in gate
+order, which is a dependency order (see :mod:`mvlmul.netlist`), through
+a plan derived from the cell's kernel in :data:`~mvlmul.core.KERNELS`
+by enumerating its truth table, so each cell keeps its one definition.
+Every write is checked against the wire's declared range over every
+vector of the batch, so a run doubles as an executable range-soundness
+check (the ternary-carry discipline in particular).  Verification
+compares the product digits with a bit-sliced shift-and-add of the
+operand bits, which shares no code with the cells.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cache, partial
 from itertools import islice, product, zip_longest
 
 from .core import KERNELS, GateKind
-from .netlist import Netlist, topo_order
+from .netlist import Netlist
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 
@@ -174,19 +174,20 @@ def _simulate(net: Netlist, batches):
     """Yield ``(n, columns, output planes)`` per batch.
 
     A batch is ``n`` vectors and one tuple of planes per primary input.
-    Each gate fires once per batch.  An overflow names the failing wire
-    first in ``topo_order``: every gate before it read in-range planes.
+    Each gate fires once per batch, in gate order.  An overflow names
+    the failing wire first in that order: every gate before it read
+    in-range planes.  A wire read before any gate drives it is an error.
     """
     ranges = {w: wire.range_max for w, wire in net.wires.items()}
-    zeros = {w: (0,) * r.bit_length() for w, r in ranges.items()}  # undriven
+    # as many planes as each input wire's declared range has bits
+    bits = [ranges[w].bit_length() for w in net.primary_inputs]
     steps = [(_plan(g.kind, tuple(map(ranges.__getitem__, g.inputs)),
                     tuple(map(ranges.__getitem__, g.outputs))), g)
-             for g in topo_order(net)]
+             for g in net.gates]
     for n, columns in batches:
-        mask, planes = (1 << n) - 1, zeros.copy()
-        for w, col in zip(net.primary_inputs, columns):
-            # as many planes as the input wire's declared range has bits
-            planes[w] = (col + zeros[w])[:len(zeros[w])]
+        mask = (1 << n) - 1
+        planes = {w: (col + (0,) * k)[:k]
+                  for w, col, k in zip(net.primary_inputs, columns, bits)}
         for fire, g in steps:
             try:
                 planes.update(zip(g.outputs, fire(
@@ -196,6 +197,11 @@ def _simulate(net: Netlist, batches):
                 raise SimulationError(
                     f"wire {w.id} (gate {g.id}, {g.kind}) left its range "
                     f"0..{w.range_max}: {e.args[1]}") from None
+            except KeyError as e:
+                raise SimulationError(f"gate {g.id} reads wire {e.args[0]} "
+                                      "before any gate drives it") from None
+        if undriven := [w for w in net.primary_outputs if w not in planes]:
+            raise SimulationError(f"product digit {undriven[0]} has no driver")
         yield n, columns, [planes[w] for w in net.primary_outputs]
 
 

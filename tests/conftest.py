@@ -48,6 +48,14 @@ def b8():
     return gen_multiplier(2, 8)
 
 
+@pytest.fixture
+def b8_last_gate_first(b8):
+    """b8 with its last gate moved to the front: still acyclic, but that
+    gate (g00126) now reads wires n00167 and n00187 before their drivers."""
+    return Netlist(b8.radix, b8.width, b8.wires, b8.gates[-1:] + b8.gates[:-1],
+                   b8.primary_inputs, b8.primary_outputs)
+
+
 @pytest.fixture(scope="session")
 def q1():
     return gen_multiplier(4, 1)

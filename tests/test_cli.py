@@ -242,6 +242,45 @@ def test_malformed_entries_are_named(tmp_path, capsys, q1, command, problem,
 
 
 @pytest.mark.parametrize("command", ["export-spice", "verify"])
+def test_gate_read_before_its_driver_is_usage_error(tmp_path, capsys,
+                                                    b8_last_gate_first,
+                                                    command):
+    # the gates were re-sorted: verify passed and a deck was written
+    nl = tmp_path / "b8.json"
+    nl.write_text(b8_last_gate_first.to_json())
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {nl}: invalid netlist: " + "; ".join(
+        f"[order] gate g00126 reads wire {w} before the gate that drives it"
+        for w in ("n00167", "n00187")) + "\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "{f}"], "b8.json"),
+    (["export-spice", "{f}"], "b8.json"),
+    (["compare", "--preset", "--cost-lib", "{f}"], "cost.json"),
+    (["compare", "--design", "4,2", "--design", "2,4", "--timing-lib",
+      "{f}"], "timing.json"),
+    # the default libraries, replaced through MVL_DEFAULT_LIBS
+    (["compare", "--preset"], "cost.json"),
+    (["compare", "--preset"], "timing-binary-0.9v.json"),
+], ids=["verify", "export-spice", "cost-lib", "timing-lib", "env-cost",
+        "env-timing"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, monkeypatch,
+                                           argv, name):
+    # json.loads raised a RecursionError: a traceback and exit 1, which
+    # is verify's code for mismatches
+    f = tmp_path / name
+    f.write_text("[" * 100_000)
+    if "{f}" not in argv:
+        monkeypatch.setenv("MVL_DEFAULT_LIBS", str(tmp_path))
+    code, stdout, err = run([a.format(f=f) for a in argv], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nested too deeply" in err or "RecursionError" in err
+
+
+@pytest.mark.parametrize("command", ["export-spice", "verify"])
 def test_repeated_wire_id_is_usage_error(tmp_path, capsys, q4, command):
     # the last entry won: verify passed and export-spice printed wires=93
     doc = json.loads(q4.to_json())

@@ -9,7 +9,7 @@ from conftest import disjoint_union
 from mvlmul import gen_multiplier
 from mvlmul.core import PORTS, GateKind
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
-                            Wire, topo_order, validate_netlist)
+                            Wire, validate_netlist)
 
 
 def _codes(violations):
@@ -131,6 +131,25 @@ def test_from_json_rejects_non_string_ids(q1, what, corrupt):
         Netlist.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d["wires"][40].update(range_max=3.7),
+     "wire range_max 3.7 of wire 'n00024' is not an integer"),
+    (lambda d: d["gates"][70]["inputs"].__setitem__(0, 1),
+     "gate port wire 1 of gate 'g00070' is not a string"),
+    (lambda d: d["gates"][70]["outputs"].__setitem__(1, None),
+     "gate port wire None of gate 'g00070' is not a string"),
+    (lambda d: d["gates"][70].update(id=7),
+     "gate id 7 of gate 70 is not a string"),
+], ids=["wire-range", "gate-input", "gate-output", "gate-id"])
+def test_from_json_type_errors_name_the_entry(b8, corrupt, message):
+    # the value alone named no wire or gate: by id once read, else by index
+    doc = json.loads(b8.to_json())
+    corrupt(doc)
+    with pytest.raises(NetlistError) as e:
+        Netlist.from_json(json.dumps(doc))
+    assert str(e.value) == f"malformed netlist document: {message}"
+
+
 @pytest.mark.parametrize("range_max", [3, 2], ids=["same", "narrower"])
 def test_from_json_rejects_repeated_wire_ids(q4, range_max):
     # the last entry won: the wire's range changed without an error
@@ -204,9 +223,25 @@ def test_cycle_detected():
     ]
     n = Netlist(radix=2, width=1, wires=wires, gates=gates,
                 primary_inputs=["a"], primary_outputs=["s2"])
-    assert "cycle" in _codes(validate_netlist(n))
-    with pytest.raises(NetlistError):
-        topo_order(n)
+    # g0 reads s2 before g1 drives it: a cycle always reads out of order
+    orders = [str(p) for p in validate_netlist(n) if p.code == "order"]
+    assert orders == ["[order] gate g0 reads wire s2 before the gate that "
+                      "drives it"]
+
+
+def test_gate_read_before_its_driver_detected(b8_last_gate_first):
+    # the gate list is the evaluation order; it used to be re-sorted
+    assert [str(p) for p in validate_netlist(b8_last_gate_first)] == [
+        f"[order] gate g00126 reads wire {w} before the gate that drives it"
+        for w in ("n00167", "n00187")]
+
+
+def test_undriven_wire_is_not_an_order_violation():
+    # a wire no gate drives is undriven, whoever reads it
+    n = _tiny(2)
+    n.wires["loose"] = Wire("loose", 1)
+    n.gates[0] = GateInstance("g0", GateKind.AND, ("x0", "loose"), ("p0",))
+    assert _codes(validate_netlist(n)) == {"undriven"}
 
 
 def test_undriven_and_missing_wires_detected():

@@ -99,21 +99,48 @@ def _two_overflows(order):
                    primary_inputs=["x0", "y0"], primary_outputs=["s3", "c3"])
 
 
-@pytest.mark.parametrize("order, vector", [
-    # one level, two kinds: the QHA group (g0, g2) fires before QM1 (g1)
-    (["g0", "g1", "g2"], {"x0": 2, "y0": 1}),
-    # two levels: g3 comes first in the gate list but last in topo order
-    (["g3", "g0", "g1"], {"x0": 2, "y0": 3}),
+@pytest.mark.parametrize("order, vector, msg", [
+    # one level, two kinds: gate g1 comes before g2 in the list
+    (["g0", "g1", "g2"], {"x0": 2, "y0": 1},
+     ["wire p1 (gate g1, QM1) left its range 0..1: {}".format(v)
+      for v in (2, 3)]),
+    # two levels: g3 on level 2 comes before g1 on level 1 in the list
+    (["g0", "g3", "g1"], {"x0": 2, "y0": 3},
+     ["wire s3 (gate g3, QHA) left its range 0..1: 3"] * 2),
 ], ids=["two-kinds", "two-levels"])
-def test_overflow_names_first_wire_in_topo_order(order, vector):
+def test_overflow_names_first_wire_in_topo_order(order, vector, msg):
+    # the gate list is a topological order, and gates fire in it
     net = _two_overflows(order)
-    msg = "wire p1 (gate g1, QM1) left its range 0..1: {}"
     with pytest.raises(SimulationError) as e:
         evaluate(net, vector)
-    assert str(e.value) == msg.format(2)
+    assert str(e.value) == msg[0]
     with pytest.raises(SimulationError) as e:
         verify_exhaustive(net)
-    assert str(e.value) == msg.format(3)
+    assert str(e.value) == msg[1]
+
+
+def test_read_before_driver_is_a_simulation_error(b8_last_gate_first):
+    # unvalidated, the first gate to read a wire that no earlier gate
+    # drives is named; the gates used to be re-sorted, and this passed
+    net = b8_last_gate_first
+    msg = "gate g00126 reads wire n00167 before any gate drives it"
+    with pytest.raises(SimulationError) as e:
+        evaluate(net, _assign(net, 3, 5))
+    assert str(e.value) == msg
+    with pytest.raises(SimulationError) as e:
+        verify_exhaustive(net)
+    assert str(e.value) == msg
+
+
+def test_undriven_product_digit_is_a_simulation_error():
+    # it read as zeros
+    net = _narrow_qha()
+    net.wires["s"] = Wire("s", 3)
+    net.wires["ghost"] = Wire("ghost", 3)
+    net.primary_outputs = ["s", "ghost"]
+    with pytest.raises(SimulationError, match="^product digit ghost has no "
+                                              "driver$"):
+        evaluate(net, {"a": 1, "b": 2})
 
 
 @settings(max_examples=60)
