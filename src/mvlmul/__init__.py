@@ -5,8 +5,8 @@ against integer multiplication, and compare designs by transistor-
 diameter area and calibrated worst-path delay.
 
 The package is pure Python: the simulator runs on Python ints as
-bit-planes, and the delay fit solves its normal equations over
-fractions.  Importing it loads no submodule: each public name loads its
+bit-planes, and each timing library is a closed-form preset row or a
+JSON file.  Importing it loads no submodule: each public name loads its
 module on first use (PEP 562), so a command loads only what it runs.
 """
 
@@ -19,10 +19,9 @@ _HOMES = {name: module for module, names in {
               "gen_multiplier wallace_stage",
     "netlist": "GateInstance Netlist NetlistError Violation Wire "
                "validate_netlist",
-    "metrics": "CalibrationError ComparisonReport CostLibrary CriticalPath "
-               "LibraryError TimingLibrary area_estimate calibrate_timing "
-               "compare critical_path default_cost_library timing_preset "
-               "timing_binary_0v45 timing_binary_0v9 timing_quaternary_0v9",
+    "metrics": "ComparisonReport CostLibrary CriticalPath LibraryError "
+               "TimingLibrary area_estimate compare critical_path "
+               "default_cost_library timing_preset",
     "sim": "SimulationError VerificationReport VerificationSpaceError "
            "evaluate verify_exhaustive verify_random",
     "spice": "export_spice",

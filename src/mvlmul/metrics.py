@@ -11,23 +11,21 @@ decoders and muxes.
 Timing is a calibrated lookup model, not a prediction.  Each preset is
 one row of :data:`TIMING_PRESETS`, and :func:`timing_preset` gives
 every adder of its radix an equal share of the row's aggregate
-worst-path figure at a fixed 2 fF load; :func:`calibrate_timing` is the
-least-squares fit of per-kind delays to such aggregates, and the presets
-agree with it.  So the only claim the model makes is path-composition
-consistency: the generated design's worst path re-adds to the aggregate
-it was calibrated against.  The digit-product stage (AND / QM1) is kept
-out of path sums by default and reported separately, matching how the
-reference aggregates are quoted.
+worst-path figure at a fixed 2 fF load.  So the only claim the model
+makes is path-composition consistency: the generated design's worst
+path re-adds to the aggregate it was calibrated against.  The
+digit-product stage (AND / QM1) is kept out of path sums by default and
+reported separately, matching how the reference aggregates are quoted.
+
+The records are namedtuples and plain classes, as in :mod:`mvlmul.netlist`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import partial
 from itertools import combinations
 
 from .core import CELLS, GateKind, PORTS
@@ -35,7 +33,7 @@ from .netlist import Netlist
 
 #: gate kinds that form the digit-product stage; excluded from path
 #: delay accounting by default (every input-to-output path crosses
-#: exactly one of them, and the calibration aggregates leave them out).
+#: exactly one of them, and the reference aggregates leave them out).
 FRONTEND_KINDS = frozenset(cells[0] for cells in CELLS.values())
 
 #: retired kinds, priced at 0 by older library files: their keys are skipped
@@ -46,10 +44,6 @@ class LibraryError(KeyError):
     """A library document is malformed, or lacks an entry a netlist uses."""
 
     __str__ = Exception.__str__  # KeyError would quote the message
-
-
-class CalibrationError(ValueError):
-    """The calibration system is underdetermined or inconsistent."""
 
 
 @contextmanager
@@ -84,15 +78,12 @@ def _checked(what: str, values: dict, name=str) -> dict:
 # cost (area) library
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CostLibrary:
     """Per-kind diameter sums (nm)."""
 
-    name: str
-    sigma_di: dict[GateKind, float]
-
-    def __post_init__(self):
-        self.sigma_di = _checked("area", self.sigma_di)
+    def __init__(self, name: str, sigma_di: dict[GateKind, float]):
+        self.name = name
+        self.sigma_di = _checked("area", sigma_di)
 
     def lookup(self, kind: GateKind) -> float:
         try:
@@ -155,15 +146,12 @@ def area_estimate(net: Netlist, lib: CostLibrary) -> float:
 # timing library
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TimingLibrary:
     """Per (kind, output port) propagation delays in picoseconds."""
 
-    name: str
-    delays: dict[tuple[GateKind, str], float]
-
-    def __post_init__(self):
-        self.delays = _checked("delay", self.delays,
+    def __init__(self, name: str, delays: dict[tuple[GateKind, str], float]):
+        self.name = name
+        self.delays = _checked("delay", delays,
                                name=lambda key: f"{key[0]}.{key[1]}")
 
     def delay(self, kind: GateKind, port: str) -> float:
@@ -184,13 +172,6 @@ class TimingLibrary:
         if missing:
             raise LibraryError(f"timing library {self.name!r} missing "
                                "entries for " + ", ".join(missing))
-
-    def scaled(self, k: float) -> "TimingLibrary":
-        if k <= 0:
-            raise ValueError("scale factor must be positive")
-        return TimingLibrary(name=f"{self.name}*{k}",
-                             delays={key: v * k
-                                     for key, v in self.delays.items()})
 
     def to_json(self) -> str:
         return json.dumps({"name": self.name, "delays": {
@@ -214,13 +195,6 @@ class TimingLibrary:
             return cls(name=doc.get("name", "custom"), delays=delays)
 
 
-def _uniform_delays(kinds_ps: dict[GateKind, float]) \
-        -> dict[tuple[GateKind, str], float]:
-    """Each kind's delay on every output port of that kind."""
-    return {(kind, pname): ps for kind, ps in kinds_ps.items()
-            for pname, _ in PORTS[kind].outputs}
-
-
 #: each timing preset by name: (radix, aggregate worst-path ps of its
 #: reference design at 2 fF load, adder cells on that path, digit-cell
 #: ps).  The 8x8-bit worst path crosses 15 adder cells (tree depth 4
@@ -236,90 +210,23 @@ TIMING_PRESETS = {
 def timing_preset(name: str) -> TimingLibrary:
     """Preset ``name``: every adder of its radix's ``CELLS`` gets an
     equal share of the aggregate worst path, and the digit cell its own
-    delay."""
+    delay, on every output port."""
     radix, aggregate_ps, path_cells, digit_ps = TIMING_PRESETS[name]
-    digit, *adders = CELLS[radix]
-    return TimingLibrary(name, _uniform_delays({
-        digit: digit_ps,
-        **dict.fromkeys(adders, aggregate_ps / path_cells)}))
-
-
-timing_binary_0v9 = partial(timing_preset, "binary-0.9v")
-timing_binary_0v45 = partial(timing_preset, "binary-0.45v")
-timing_quaternary_0v9 = partial(timing_preset, "quaternary-0.9v")
-
-
-def calibrate_timing(constraints, equal_groups=()) -> TimingLibrary:
-    """Least-squares fit of per-kind delays to aggregate path delays.
-
-    ``constraints`` is a list of (kind -> traversal count, observed ps)
-    pairs.  ``equal_groups`` ties kinds to a shared delay (the usual
-    symmetry assumption, e.g. FA and HA propagate alike); without enough
-    ties a single aggregate cannot pin several kinds and the fit raises
-    :class:`CalibrationError` naming the free variables.  The normal
-    equations are solved exactly, by Gaussian elimination over
-    fractions, so rank and free variables need no tolerance.
-    """
-    if not constraints:
-        raise CalibrationError("at least one constraint required")
-    kinds = sorted({k for counts, _ in constraints for k in counts},
-                   key=lambda k: k.value)
-    # the tied groups in order, then one group per untied kind
-    groups = [set(g) for g in equal_groups]
-    groups += [{k} for k in kinds if not any(k in g for g in groups)]
-    group_of = {k: next(i for i, g in enumerate(groups) if k in g)
-                for k in kinds}
-    used = sorted({group_of[k] for k in kinds})
-    col = {g: i for i, g in enumerate(used)}
-    n = len(used)
-
-    a = [[Fraction(0)] * n for _ in constraints]
-    for row, (counts, _) in zip(a, constraints):
-        for kind, cnt in counts.items():
-            row[col[group_of[kind]]] += Fraction(cnt)
-    b = [Fraction(observed) for _, observed in constraints]
-    # [AᵀA | Aᵀb] to reduced row echelon form
-    rows = [[sum(r[i] * r[j] for r in a) for j in range(n)]
-            + [sum(r[i] * y for r, y in zip(a, b))] for i in range(n)]
-    pivots = []
-    for c in range(n):
-        p = next((i for i in range(len(pivots), n) if rows[i][c]), None)
-        if p is None:
-            continue
-        r = len(pivots)
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    if len(pivots) < n:
-        # a column is free when some null-space vector moves it: every
-        # non-pivot column, and each pivot its row ties to one of them
-        loose = set(range(n)) - set(pivots)
-        loose |= {p for r, p in enumerate(pivots)
-                  if any(rows[r][c] for c in loose)}
-        raise CalibrationError(
-            "underdetermined calibration; free variables: "
-            + ", ".join(sorted(k.value for k in kinds
-                               if col[group_of[k]] in loose)))
-    sol = {p: rows[r][n] for r, p in enumerate(pivots)}
-    per_kind = {k: float(sol[col[group_of[k]]]) for k in kinds}
-    if any(v < 0 for v in per_kind.values()):
-        raise CalibrationError(f"fit produced negative delays: {per_kind}")
-    return TimingLibrary(name="calibrated", delays=_uniform_delays(per_kind))
+    digit = CELLS[radix][0]
+    return TimingLibrary(name, {
+        (kind, pname): digit_ps if kind is digit else aggregate_ps / path_cells
+        for kind in dict.fromkeys(CELLS[radix])
+        for pname, _ in PORTS[kind].outputs})
 
 
 # ---------------------------------------------------------------------------
 # critical path
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CriticalPath:
-    delay_ps: float
-    gates: list[str]
-    kinds: list[GateKind]
+class CriticalPath(namedtuple("CriticalPath", "delay_ps gates kinds")):
+    """A worst path: its delay (ps), and its gate ids and kinds in order."""
+
+    __slots__ = ()
 
     def kind_names(self) -> list[str]:
         return [k.value for k in self.kinds]
@@ -384,17 +291,11 @@ def critical_path(net: Netlist, lib: TimingLibrary,
 # comparison reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DesignMetrics:
-    label: str
-    radix: int
-    width: int
-    inventory: dict[str, int]
-    area_nm: float
-    delay_ps: float
-    path_kinds: list[str]
-    frontend_delay_ps: float
-    energy: float | None = None  # never set (no power model): JSON null
+#: one design's figures; ``energy`` is never set (no power model), so
+#: its JSON is null
+DesignMetrics = namedtuple(
+    "DesignMetrics", "label radix width inventory area_nm delay_ps "
+                     "path_kinds frontend_delay_ps energy", defaults=(None,))
 
 
 def _fmt(ratio: float | None, template: str) -> str:
@@ -402,14 +303,14 @@ def _fmt(ratio: float | None, template: str) -> str:
     return "n/a" if ratio is None else template.format(ratio)
 
 
-@dataclass
-class ComparisonReport:
-    designs: list[DesignMetrics]
-    pair_ratios: list[dict]
-    component_ratios: dict[str, float] = field(default_factory=dict)
+class ComparisonReport(namedtuple("ComparisonReport",
+                                  "designs pair_ratios component_ratios")):
+    """Per-design metrics, pairwise ratios and component ratios."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"designs": [vars(d) for d in self.designs],
+        return {"designs": [d._asdict() for d in self.designs],
                 "pair_ratios": self.pair_ratios,
                 "component_ratios": self.component_ratios}
 

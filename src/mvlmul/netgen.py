@@ -28,8 +28,7 @@ adder (``CELLS[radix][3]``: the carry-less QFAC2WC in radix 4) there.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from .core import CELLS, PORTS, GateKind, output_ranges
 from .netlist import GateInstance, Netlist, Wire, validate_netlist
@@ -71,20 +70,17 @@ class NetBuilder:
         return outs, ranges
 
 
-@dataclass
-class DotMatrix:
+class DotMatrix(namedtuple("DotMatrix", "base width rows max_product")):
     """Partial-product dots, kept per row with column positions.
 
     A dot is the :class:`~mvlmul.netlist.Wire` of a gate output whose
     true range is at least 1, so its value range is the wire's
-    ``range_max``.  ``rows`` preserves the reduction ordering; the
-    column view used for heights is derived.
+    ``range_max``.  ``rows`` (a list of ``{column: dot}``) preserves the
+    reduction ordering; the column view used for heights is derived.
+    ``max_product`` is the largest product the dots must represent.
     """
 
-    base: int
-    width: int
-    rows: list[dict[int, Wire]] = field(default_factory=list)
-    max_product: int = 0
+    __slots__ = ()
 
     def columns(self) -> list[list[Wire]]:
         cols: list[list[Wire]] = [[] for _ in range(self.width)]
@@ -122,7 +118,7 @@ def build_pp(builder: NetBuilder, radix: int, x_width: int,
     if x_width < 1 or y_width < 1:
         raise NetgenError("operand widths must be >= 1")
     cell = CELLS[radix][0]
-    m = DotMatrix(base=radix, width=x_width + y_width,
+    m = DotMatrix(base=radix, width=x_width + y_width, rows=[],
                   max_product=(radix ** x_width - 1) * (radix ** y_width - 1))
     for j in range(y_width):
         rows: list[dict[int, Wire]] = [{} for _ in PORTS[cell].outputs]

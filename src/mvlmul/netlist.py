@@ -10,8 +10,8 @@ before it, so the list is an evaluation order and holds no cycle.
 and output completeness.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
-The records are namedtuples and plain classes, not dataclasses: ``verify``
-loads this module, and ``dataclasses`` would load ``inspect`` with it.
+The records are namedtuples and plain classes, as in every module of the
+package: ``dataclasses`` would load ``inspect`` into every command.
 """
 
 from __future__ import annotations

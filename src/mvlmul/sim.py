@@ -176,18 +176,21 @@ def _simulate(net: Netlist, batches):
     A batch is ``n`` vectors and one tuple of planes per primary input.
     Each gate fires once per batch, in gate order.  An overflow names
     the failing wire first in that order: every gate before it read
-    in-range planes.  A wire read before any gate drives it is an error.
+    in-range planes.  A wire read before any gate drives it is an error,
+    and so is a primary input not declared a full digit.
     """
     ranges = {w: wire.range_max for w, wire in net.wires.items()}
-    # as many planes as each input wire's declared range has bits
-    bits = [ranges[w].bit_length() for w in net.primary_inputs]
+    for w in net.primary_inputs:
+        if ranges[w] != net.radix - 1:
+            raise SimulationError(
+                f"input wire {w} has range_max {ranges[w]}, radix "
+                f"{net.radix} digits need {net.radix - 1}")
     steps = [(_plan(g.kind, tuple(map(ranges.__getitem__, g.inputs)),
                     tuple(map(ranges.__getitem__, g.outputs))), g)
              for g in net.gates]
     for n, columns in batches:
         mask = (1 << n) - 1
-        planes = {w: (col + (0,) * k)[:k]
-                  for w, col, k in zip(net.primary_inputs, columns, bits)}
+        planes = dict(zip(net.primary_inputs, columns))
         for fire, g in steps:
             try:
                 planes.update(zip(g.outputs, fire(

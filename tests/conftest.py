@@ -1,6 +1,7 @@
 import pytest
 
 from mvlmul import gen_multiplier
+from mvlmul.metrics import TimingLibrary
 from mvlmul.netlist import GateInstance, Netlist, Wire
 
 
@@ -26,6 +27,12 @@ def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
         outs.extend(ren(w) for w in net.primary_outputs)
     return Netlist(radix=a.radix, width=max(a.width, b.width), wires=wires,
                    gates=gates, primary_inputs=ins, primary_outputs=outs)
+
+
+def scaled_timing(lib: TimingLibrary, k: float) -> TimingLibrary:
+    """``lib`` with every delay multiplied by ``k`` (> 0)."""
+    return TimingLibrary(f"{lib.name}*{k}",
+                         {key: v * k for key, v in lib.delays.items()})
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from conftest import disjoint_union
+from conftest import disjoint_union, scaled_timing
 from mvlmul import (compare, critical_path, default_cost_library, evaluate,
-                    gen_multiplier, timing_binary_0v45, timing_binary_0v9,
-                    timing_quaternary_0v9, verify_exhaustive, verify_random)
+                    gen_multiplier, timing_preset, verify_exhaustive,
+                    verify_random)
 from mvlmul.core import PORTS
 from mvlmul.metrics import area_estimate
 
@@ -126,9 +126,9 @@ def test_criterion_3_pairwise_ratios(all_designs):
 # -- 4. critical-path composition ---------------------------------------------
 
 def test_criterion_4_calibrated_delays(b8, q4):
-    checks = ((b8, timing_binary_0v9(), 312.0),
-              (b8, timing_binary_0v45(), 799.0),
-              (q4, timing_quaternary_0v9(), 646.0))
+    checks = ((b8, timing_preset("binary-0.9v"), 312.0),
+              (b8, timing_preset("binary-0.45v"), 799.0),
+              (q4, timing_preset("quaternary-0.9v"), 646.0))
     for net, lib, target in checks:
         got = critical_path(net, lib).delay_ps
         note(4, abs(got - target) <= 1.0,
@@ -137,7 +137,7 @@ def test_criterion_4_calibrated_delays(b8, q4):
 
 
 def test_criterion_4_quaternary_path_structure(q4):
-    cp = critical_path(q4, timing_quaternary_0v9())
+    cp = critical_path(q4, timing_preset("quaternary-0.9v"))
     kinds = cp.kind_names()
     ok = kinds == ["QFAC2"] * 4 + ["QHA", "QFAC2", "QFAC2WC"]
     note(4, ok, f"quaternary worst path {kinds}: 4 QFAC2 in the tree, "
@@ -188,11 +188,11 @@ def test_criterion_5_scaling_argmax_invariance():
     for _ in range(8):
         radix, width = rng.choice([2, 4]), rng.randint(2, 5)
         net = gen_multiplier(radix, width)
-        lib = (timing_quaternary_0v9() if radix == 4
-               else timing_binary_0v9())
+        lib = timing_preset("quaternary-0.9v" if radix == 4
+                            else "binary-0.9v")
         k = 2.0 ** rng.randint(-3, 4)
         base = critical_path(net, lib)
-        scaled = critical_path(net, lib.scaled(k))
+        scaled = critical_path(net, scaled_timing(lib, k))
         assert scaled.gates == base.gates
         assert scaled.delay_ps == pytest.approx(base.delay_ps * k)
     note(5, True, "scaling every delay by k scales the path by k and "
@@ -203,8 +203,8 @@ def test_criterion_5_scaling_argmax_invariance():
 
 def test_criterion_6_component_ratios(q4, b8):
     lib = default_cost_library()
-    rep = compare([("4x4 quit", q4, lib, timing_quaternary_0v9()),
-                   ("8x8 bit", b8, lib, timing_binary_0v9())])
+    rep = compare([("4x4 quit", q4, lib, timing_preset("quaternary-0.9v")),
+                   ("8x8 bit", b8, lib, timing_preset("binary-0.9v"))])
     cr = rep.component_ratios
     targets = {"ha_area_ratio": 4.6, "fa_area_ratio": 7.1,
                "ha_count_ratio": 0.31, "fa_count_ratio": 0.47}

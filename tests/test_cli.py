@@ -9,10 +9,10 @@ import textwrap
 
 import pytest
 
+from conftest import scaled_timing
 from mvlmul.cli import main
 from mvlmul.core import GateKind
-from mvlmul.metrics import (TimingLibrary, default_cost_library,
-                            timing_binary_0v9, timing_quaternary_0v9)
+from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
                             validate_netlist)
 from mvlmul.spice import export_spice
@@ -459,8 +459,9 @@ def test_compare_preset_excludes_design(capsys):
 
 
 # a timing library that serves both radices
-_BOTH_TIMING = TimingLibrary("both", {**timing_binary_0v9().delays,
-                                      **timing_quaternary_0v9().delays})
+_BOTH_TIMING = TimingLibrary("both", {
+    **timing_preset("binary-0.9v").delays,
+    **timing_preset("quaternary-0.9v").delays})
 
 
 def _worst_paths(markdown):
@@ -472,7 +473,7 @@ def _worst_paths(markdown):
 
 def test_compare_preset_honours_timing_lib(tmp_path, capsys):
     lib = tmp_path / "slow.json"
-    lib.write_text(_BOTH_TIMING.scaled(2).to_json())
+    lib.write_text(scaled_timing(_BOTH_TIMING, 2).to_json())
     code, default, _ = run(["compare", "--preset"], capsys)
     assert code == 0
     code, slow, _ = run(["compare", "--preset", "--timing-lib", str(lib)],
@@ -543,7 +544,7 @@ def test_import_does_not_load_numpy():
 
 def test_build_commands_do_not_load_numpy(tmp_path):
     # nothing in mvlmul loads numpy: not the build commands, not verify
-    # and not the delay fit
+    # and not the timing presets
     _run_python("""
         import os, sys
         import mvlmul.cli
@@ -558,14 +559,14 @@ def test_build_commands_do_not_load_numpy(tmp_path):
             assert mvlmul.cli.main(argv) == 0
             assert "numpy" not in sys.modules, argv
 
-        from mvlmul import (GateKind, SimulationError, calibrate_timing,
-                            evaluate, gen_multiplier, verify_exhaustive)
+        from mvlmul import (GateKind, SimulationError, evaluate,
+                            gen_multiplier, timing_preset, verify_exhaustive)
         net = gen_multiplier(4, 1)
         assert verify_exhaustive(net).passed
         assert evaluate(net, {"x0": 3, "y0": 2}) == [2, 1]
         assert issubclass(SimulationError, ValueError)
-        lib = calibrate_timing([({GateKind.QM1: 2}, 236.0)])
-        assert abs(lib.delay(GateKind.QM1, "product") - 118.0) < 1e-9
+        lib = timing_preset("quaternary-0.9v")
+        assert lib.delay(GateKind.QM1, "product") == 118.0
         assert "numpy" not in sys.modules
     """, str(tmp_path))
 
@@ -611,6 +612,13 @@ def test_commands_load_only_their_modules(tmp_path, q4):
     _run_python(loaded + """
         mods = run("export-spice", "q4.json", "--out", "q4.sp")
         assert not mods & {"mvlmul.sim", "mvlmul.netgen", "mvlmul.metrics"}
+    """, str(tmp_path))
+    _run_python(loaded + """
+        for argv in (["generate", "--radix", "4", "--width", "4"],
+                     ["compare", "--preset"]):
+            run(*argv)
+            assert not {"dataclasses", "inspect", "fractions"} & set(
+                sys.modules), argv
     """, str(tmp_path))
 
 
@@ -741,7 +749,8 @@ def test_legacy_libraries_price_the_preset_unchanged(tmp_path, capsys,
     libdir.mkdir()
     (libdir / "cost.json").write_text(_legacy(
         default_cost_library(), "sigma_di", ("MUX4", "DECODER")))
-    for lib in (timing_binary_0v9(), timing_quaternary_0v9()):
+    for lib in (timing_preset("binary-0.9v"),
+                timing_preset("quaternary-0.9v")):
         (libdir / f"timing-{lib.name}.json").write_text(
             _legacy(lib, "delays", _LEGACY_TIMING_KEYS))
     monkeypatch.setenv("MVL_DEFAULT_LIBS", str(libdir))

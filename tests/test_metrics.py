@@ -1,17 +1,15 @@
-"""Area, calibrated timing, critical paths, comparison reports."""
+"""Area, timing presets, critical paths, comparison reports."""
 
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import disjoint_union
+from conftest import disjoint_union, scaled_timing
 from mvlmul.core import GateKind
-from mvlmul.metrics import (CalibrationError, CostLibrary, LibraryError,
-                            TimingLibrary, area_estimate, calibrate_timing,
-                            compare, critical_path, default_cost_library,
-                            timing_binary_0v45, timing_binary_0v9,
-                            timing_quaternary_0v9)
+from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
+                            area_estimate, compare, critical_path,
+                            default_cost_library, timing_preset)
 from mvlmul.netlist import GateInstance, Netlist, Wire
 
 
@@ -62,96 +60,34 @@ def test_cost_library_json_round_trip():
     assert again.sigma_di == lib.sigma_di
 
 
-# --- calibration ------------------------------------------------------------
-
-def test_calibrate_single_aggregate():
-    lib = calibrate_timing(
-        [({GateKind.BIN_FA: 11, GateKind.BIN_HA: 3}, 312.0)],
-        equal_groups=[{GateKind.BIN_FA, GateKind.BIN_HA}])
-    assert lib.delay(GateKind.BIN_FA, "sum") == pytest.approx(312 / 14)
-    assert lib.delay(GateKind.BIN_HA, "cout") == pytest.approx(22.29,
-                                                               abs=0.01)
-
-
-def test_calibrate_quaternary_aggregates():
-    lib = calibrate_timing(
-        [({GateKind.QFAC2: 6, GateKind.QHA: 1}, 646.0),
-         ({GateKind.QM1: 1}, 118.0)],
-        equal_groups=[{GateKind.QFAC2, GateKind.QHA}])
-    assert lib.delay(GateKind.QFAC2, "sum") == pytest.approx(646 / 7)
-    assert lib.delay(GateKind.QM1, "product") == pytest.approx(118.0)
-
-
-def test_calibrate_underdetermined_names_free_variables():
-    with pytest.raises(CalibrationError) as err:
-        calibrate_timing([({GateKind.BIN_FA: 11, GateKind.BIN_HA: 3}, 312.0)])
-    assert "BIN_FA" in str(err.value) and "BIN_HA" in str(err.value)
-
-
-@pytest.mark.parametrize("constraints, free", [
-    # a tied pair beside a kind the second aggregate pins
-    ([({GateKind.QFAC2: 1, GateKind.QHA: 1}, 10.0),
-      ({GateKind.QFAC2: 1, GateKind.QHA: 1, GateKind.QM1: 2}, 14.0)],
-     "QFAC2, QHA"),
-    # the null space (1e12, -1) moves BIN_HA by less than 1e-9 of its norm
-    ([({GateKind.BIN_FA: 1, GateKind.BIN_HA: 10 ** 12}, 1.0)],
-     "BIN_FA, BIN_HA"),
-], ids=["tied-pair", "lopsided"])
-def test_calibrate_underdetermined_names_exactly_the_free_kinds(constraints,
-                                                                free):
-    with pytest.raises(CalibrationError) as err:
-        calibrate_timing(constraints)
-    assert str(err.value) == \
-        f"underdetermined calibration; free variables: {free}"
-
-
-def test_calibrate_negative_fit_is_an_error():
-    with pytest.raises(CalibrationError,
-                       match="^fit produced negative delays: "):
-        calibrate_timing([({GateKind.QM1: 1}, 10.0),
-                          ({GateKind.QM1: 1, GateKind.QHA: 1}, 4.0)])
-
-
-def test_presets_are_consistent_with_their_aggregates(b8, q4):
-    # the presets encode aggregate/path-cells; re-deriving them through
-    # the fit from the generated path profiles must agree
-    cp = critical_path(b8, timing_binary_0v9())
-    cells = len(cp.gates)
-    fit = calibrate_timing(
-        [({GateKind.BIN_FA: cells - 2, GateKind.BIN_HA: 2}, 312.0)],
-        equal_groups=[{GateKind.BIN_FA, GateKind.BIN_HA}])
-    assert fit.delay(GateKind.BIN_FA, "sum") == pytest.approx(
-        timing_binary_0v9().delay(GateKind.BIN_FA, "sum"))
-
-
 # --- critical path ------------------------------------------------------------
 
 def test_reference_path_delays(b8, q4):
-    assert critical_path(b8, timing_binary_0v9()).delay_ps == \
+    assert critical_path(b8, timing_preset("binary-0.9v")).delay_ps == \
         pytest.approx(312.0, abs=1e-6)
-    assert critical_path(b8, timing_binary_0v45()).delay_ps == \
+    assert critical_path(b8, timing_preset("binary-0.45v")).delay_ps == \
         pytest.approx(799.0, abs=1e-6)
-    assert critical_path(q4, timing_quaternary_0v9()).delay_ps == \
-        pytest.approx(646.0, abs=1e-6)
+    assert critical_path(q4, timing_preset("quaternary-0.9v")) \
+        .delay_ps == pytest.approx(646.0, abs=1e-6)
 
 
 def test_quaternary_path_structure(q4):
-    cp = critical_path(q4, timing_quaternary_0v9())
+    cp = critical_path(q4, timing_preset("quaternary-0.9v"))
     assert cp.kind_names() == ["QFAC2"] * 4 + ["QHA", "QFAC2", "QFAC2WC"]
 
 
 def test_binary_path_cells(b8):
-    cp = critical_path(b8, timing_binary_0v9())
+    cp = critical_path(b8, timing_preset("binary-0.9v"))
     assert len(cp.gates) == 15  # 4 tree cells + 11-cell ripple chain
 
 
 def test_reference_path_gate_ids(b8, q4):
     # pins the tie-break: among equally late paths the smallest
     # (gate id, port) is taken at every step
-    assert critical_path(b8, timing_binary_0v9()).gates == [
+    assert critical_path(b8, timing_preset("binary-0.9v")).gates == [
         "g00064", "g00080", "g00096", "g00105"] + [
         f"g{k:05d}" for k in range(116, 127)]
-    assert critical_path(q4, timing_quaternary_0v9()).gates == [
+    assert critical_path(q4, timing_preset("quaternary-0.9v")).gates == [
         "g00016", "g00024", "g00032", "g00036", "g00040", "g00041",
         "g00042"]
 
@@ -175,13 +111,13 @@ def _chain(k):
 
 def test_single_gate_netlist_reports_that_gates_delay():
     net = _chain(1)
-    cp = critical_path(net, timing_quaternary_0v9())
+    cp = critical_path(net, timing_preset("quaternary-0.9v"))
     assert cp.delay_ps == pytest.approx(646 / 7)
     assert cp.kind_names() == ["QFAC2"]
 
 
 def test_longer_chains_never_get_faster():
-    lib = timing_quaternary_0v9()
+    lib = timing_preset("quaternary-0.9v")
     delays = [critical_path(_chain(k), lib).delay_ps for k in (1, 2, 3, 4)]
     assert delays == sorted(delays)
     assert delays[-1] == pytest.approx(4 * 646 / 7)
@@ -189,9 +125,9 @@ def test_longer_chains_never_get_faster():
 
 @given(st.integers(-4, 4).filter(lambda e: e != 0))
 def test_scaling_leaves_the_argmax_path_alone(q4, e):
-    lib = timing_quaternary_0v9()
+    lib = timing_preset("quaternary-0.9v")
     k = 2.0 ** e  # dyadic scaling is exact in floats
-    scaled = lib.scaled(k)
+    scaled = scaled_timing(lib, k)
     base = critical_path(q4, lib)
     after = critical_path(q4, scaled)
     assert after.gates == base.gates
@@ -199,7 +135,7 @@ def test_scaling_leaves_the_argmax_path_alone(q4, e):
 
 
 def test_frontend_kinds_can_be_included(q1):
-    lib = timing_quaternary_0v9()
+    lib = timing_preset("quaternary-0.9v")
     assert critical_path(q1, lib).delay_ps == 0.0
     cp = critical_path(q1, lib, exclude_kinds=())
     assert cp.delay_ps == pytest.approx(118.0)
@@ -213,7 +149,7 @@ def test_missing_timing_entry_raises(b2):
 
 
 def test_timing_library_json_round_trip():
-    lib = timing_quaternary_0v9()
+    lib = timing_preset("quaternary-0.9v")
     again = TimingLibrary.from_json(lib.to_json())
     assert again.delays == lib.delays
     assert again.name == lib.name
@@ -246,8 +182,8 @@ def test_libraries_with_dropped_keys_still_load(b8, q4):
         {"n": 8, "diameter_nm": 0.626, "vth_v": 0.696},
         {"n": 10, "diameter_nm": 0.783, "vth_v": 0.557}]}
     again = CostLibrary.from_json(json.dumps(old_cost, indent=2))
-    for net, timing, size in ((b8, timing_binary_0v9(), "8x8"),
-                              (q4, timing_quaternary_0v9(), "4x4")):
+    for net, timing, size in ((b8, timing_preset("binary-0.9v"), "8x8"),
+                              (q4, timing_preset("quaternary-0.9v"), "4x4")):
         doc = json.loads(timing.to_json())
         old_timing = {"name": doc["name"],
                       "load_note": f"2fF, calibrated to the {size} "
@@ -262,8 +198,8 @@ def test_libraries_with_dropped_keys_still_load(b8, q4):
 
 def _preset_pairs(all_designs):
     cost = default_cost_library()
-    bl = timing_binary_0v9()
-    ql = timing_quaternary_0v9()
+    bl = timing_preset("binary-0.9v")
+    ql = timing_preset("quaternary-0.9v")
     return {
         "1v2": compare([("q1", all_designs[(4, 1)], cost, ql),
                         ("b2", all_designs[(2, 2)], cost, bl)]),
@@ -303,7 +239,7 @@ def test_component_ratio_block(all_designs):
 
 def test_self_compare_is_unity(q4):
     cost = default_cost_library()
-    ql = timing_quaternary_0v9()
+    ql = timing_preset("quaternary-0.9v")
     rep = compare([("a", q4, cost, ql), ("b", q4, cost, ql)])
     assert rep.pair_ratios[0]["area_ratio"] == pytest.approx(1.0)
     assert rep.pair_ratios[0]["delay_ratio"] == pytest.approx(1.0)
@@ -322,4 +258,4 @@ def test_report_renders(all_designs):
 def test_compare_needs_two(q4):
     with pytest.raises(ValueError):
         compare([("solo", q4, default_cost_library(),
-                  timing_quaternary_0v9())])
+                  timing_preset("quaternary-0.9v"))])

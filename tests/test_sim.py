@@ -143,6 +143,19 @@ def test_undriven_product_digit_is_a_simulation_error():
         evaluate(net, {"a": 1, "b": 2})
 
 
+def test_narrowed_input_is_a_simulation_error(q1):
+    # unvalidated, an input declared narrower than a digit used to be
+    # simulated on its cut planes: 6 mismatches, with x=2 read as 0
+    net = Netlist(q1.radix, q1.width, {**q1.wires, "x0": Wire("x0", 1)},
+                  q1.gates, q1.primary_inputs, q1.primary_outputs)
+    msg = "input wire x0 has range_max 1, radix 4 digits need 3"
+    for run in (lambda: verify_exhaustive(net),
+                lambda: verify_random(net, 100, seed=1)):
+        with pytest.raises(SimulationError) as e:
+            run()
+        assert str(e.value) == msg
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_commutativity_8x8(b8, x, y):
