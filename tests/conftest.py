@@ -1,6 +1,7 @@
 import pytest
 
 from mvlmul import gen_multiplier
+from mvlmul.core import GateKind
 from mvlmul.metrics import TimingLibrary
 from mvlmul.netlist import GateInstance, Netlist, Wire
 
@@ -61,6 +62,48 @@ def b8_last_gate_first(b8):
     gate (g00126) now reads wires n00167 and n00187 before their drivers."""
     return Netlist(b8.radix, b8.width, b8.wires, b8.gates[-1:] + b8.gates[:-1],
                    b8.primary_inputs, b8.primary_outputs)
+
+
+@pytest.fixture
+def every_violation():
+    """A radix-2 1x1 netlist that breaks every check but the radix and
+    width ones at once; its violations, in the order
+    :func:`validate_netlist` lists them, are :data:`EVERY_VIOLATION`."""
+    wires = [Wire("x0", 1), Wire("y0", 3), Wire("z", 1), Wire("p0", 1),
+             Wire("late", 1), Wire("wide", 3), Wire("loose", 1),
+             Wire("bad", 0)]
+    gates = [("g0", ("x0", "y0"), ("p0",)),
+             ("g1", ("x0", "late"), ("p0",)),
+             ("g1", ("x0",), ("late",)),
+             ("g2", ("x0", "ghost"), ("late",)),
+             ("g3", ("x0", "z"), ("gone",)),
+             ("g4", ("x0", "z"), ("wide",))]
+    return Netlist(radix=2, width=1, wires={w.id: w for w in wires},
+                   gates=[GateInstance(gid, GateKind.AND, ins, outs)
+                          for gid, ins, outs in gates],
+                   primary_inputs=["x0", "y0", "z", "v"],
+                   primary_outputs=["p0", "p0", "wide", "void"])
+
+
+EVERY_VIOLATION = [
+    "[wire-range] wire bad has range_max 0",
+    "[input-range] input wire y0 has range_max 3, radix 2 digits need 1",
+    "[missing-wire] input wire v undeclared",
+    "[inputs] expected 2 operand digits (x then y), got 4",
+    "[range] gate g0 (AND) port b accepts max 1 but wire y0 carries up to 3",
+    "[dup-gate] gate id g1 reused",
+    "[arity] gate g1 (AND) has 1 in / 1 out",
+    "[missing-wire] gate g2 input b -> ghost undeclared",
+    "[missing-wire] gate g3 output y -> gone undeclared",
+    "[range] gate g4 (AND) output y max 1 but wire wide declares 3",
+    "[multi-driver] wire p0 has 2 drivers",
+    "[undriven] wire loose has no driver",
+    "[undriven] wire bad has no driver",
+    "[order] gate g1 reads wire late before the gate that drives it",
+    "[missing-wire] output wire void undeclared",
+    "[dup-output] wire p0 is listed as 2 product digits",
+    "[outputs] expected 1 product digits, got 4",
+]
 
 
 @pytest.fixture(scope="session")

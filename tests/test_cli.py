@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from conftest import scaled_timing
+from conftest import EVERY_VIOLATION, scaled_timing
 from mvlmul.cli import main
 from mvlmul.core import GateKind
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
@@ -253,6 +253,18 @@ def test_gate_read_before_its_driver_is_usage_error(tmp_path, capsys,
     assert err == f"error: {nl}: invalid netlist: " + "; ".join(
         f"[order] gate g00126 reads wire {w} before the gate that drives it"
         for w in ("n00167", "n00187")) + "\n"
+
+
+@pytest.mark.parametrize("command", ["export-spice", "verify"])
+def test_invalid_netlist_names_its_first_eight_violations(tmp_path, capsys,
+                                                          every_violation,
+                                                          command):
+    nl = tmp_path / "bad.json"
+    nl.write_text(every_violation.to_json())
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == (f"error: {nl}: invalid netlist: "
+                   + "; ".join(EVERY_VIOLATION[:8]) + "\n")
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import disjoint_union
+from conftest import EVERY_VIOLATION, disjoint_union
 from mvlmul import gen_multiplier
 from mvlmul.core import PORTS, GateKind
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
@@ -293,6 +293,13 @@ def test_input_count_checked():
     n2.primary_inputs.remove("y0")
     n2.gates[0] = GateInstance("g0", GateKind.AND, ("x0", "x0"), ("p0",))
     assert _codes(validate_netlist(n2)) == {"inputs"}
+
+
+def test_every_violation_listed_in_order(every_violation):
+    # one netlist with every code: pins each message and the order across
+    # codes, which a rewrite of the checks must keep
+    assert [str(p) for p in validate_netlist(every_violation)] == \
+        EVERY_VIOLATION
 
 
 def test_inventory_matches_gate_list(q4):
