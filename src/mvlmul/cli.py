@@ -11,6 +11,7 @@ replace the built-in libraries.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -117,8 +118,9 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     from .sim import (DEFAULT_EXHAUSTIVE_CAP, VerificationSpaceError,
                       verify_exhaustive, verify_random)
-    if args.show < 0:
-        raise CliError(f"--show must be >= 0, got {args.show}", EXIT_USAGE)
+    for flag, value in (("--show", args.show), ("--cap", args.cap)):
+        if value is not None and value < 0:
+            raise CliError(f"{flag} must be >= 0, got {value}", EXIT_USAGE)
     net = _load_netlist(args.netlist)
     cap = DEFAULT_EXHAUSTIVE_CAP if args.cap is None else args.cap
     try:
@@ -259,6 +261,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse already printed a message; normalize its exit code
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    # no netlist record forms a cycle, so during a command the cyclic GC
+    # would only rescan the parsed document and the netlist, many times
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
@@ -270,6 +276,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

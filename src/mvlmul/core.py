@@ -33,6 +33,10 @@ class GateKind(enum.Enum):
     QFAC2 = "QFAC2"
     QFAC2WC = "QFAC2WC"
 
+    # members are singletons equal only to themselves, so object's C hash
+    # agrees with equality; Enum's is Python, run on every kind-keyed lookup
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 

@@ -74,9 +74,7 @@ def _checked(what: str, values: dict, name=str) -> dict:
     return {key: float(v) for key, v in values.items()}
 
 
-# ---------------------------------------------------------------------------
-# cost (area) library
-# ---------------------------------------------------------------------------
+# -- cost (area) library ------------------------------------------------------
 
 class CostLibrary:
     """Per-kind diameter sums (nm)."""
@@ -142,9 +140,7 @@ def area_estimate(net: Netlist, lib: CostLibrary) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# timing library
-# ---------------------------------------------------------------------------
+# -- timing library -----------------------------------------------------------
 
 class TimingLibrary:
     """Per (kind, output port) propagation delays in picoseconds."""
@@ -219,9 +215,7 @@ def timing_preset(name: str) -> TimingLibrary:
         for pname, _ in PORTS[kind].outputs})
 
 
-# ---------------------------------------------------------------------------
-# critical path
-# ---------------------------------------------------------------------------
+# -- critical path ------------------------------------------------------------
 
 class CriticalPath(namedtuple("CriticalPath", "delay_ps gates kinds")):
     """A worst path: its delay (ps), and its gate ids and kinds in order."""
@@ -245,6 +239,10 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     lib.require(net)
     exclude = frozenset(exclude_kinds)
     eps = 1e-9
+    # each kind's delay per output port; an excluded kind's 0.0 adds exactly
+    delays = {kind: [0.0 if kind in exclude else lib.delay(kind, p)
+                     for p, _ in PORTS[kind].outputs]
+              for kind in {g.kind for g in net.gates}}
 
     # one reverse pass: per wire, the latest remaining delay down to any
     # output, and the first hop (gate id, port, position) that achieves
@@ -257,8 +255,7 @@ def critical_path(net: Netlist, lib: TimingLibrary,
         for k, ow in enumerate(g.outputs):
             if ow not in rem:
                 continue
-            t = rem[ow] if g.kind in exclude else \
-                lib.delay(g.kind, PORTS[g.kind].outputs[k][0]) + rem[ow]
+            t = delays[g.kind][k] + rem[ow]
             h = (g.id, k, i)
             for w in g.inputs:
                 r = rem.get(w)
@@ -287,9 +284,7 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     return CriticalPath(total, gates_seq, kinds_seq)
 
 
-# ---------------------------------------------------------------------------
-# comparison reports
-# ---------------------------------------------------------------------------
+# -- comparison reports -------------------------------------------------------
 
 #: one design's figures; ``energy`` is never set (no power model), so
 #: its JSON is null

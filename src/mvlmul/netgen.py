@@ -58,15 +58,18 @@ class NetBuilder:
         Output wire ranges are the tight bounds computed from the input
         wire ranges; a true range of 0 means the output is constant zero.
         """
-        ranges = output_ranges(kind, tuple(w.range_max for w in inputs))
-        # a provably-zero output still needs a legal (binary) wire
-        outs = [Wire(f"n{self._nwire + k:05d}", max(1, r))
-                for k, r in enumerate(ranges)]
-        self._nwire += len(outs)
-        self.wires.update((w.id, w) for w in outs)
+        ranges = output_ranges(kind, tuple([w.range_max for w in inputs]))
+        outs, ids = [], []
+        for r in ranges:
+            wid = f"n{self._nwire:05d}"
+            self._nwire += 1
+            # a provably-zero output still needs a legal (binary) wire
+            outs.append(Wire(wid, r or 1))
+            self.wires[wid] = outs[-1]
+            ids.append(wid)
         self.gates.append(GateInstance(f"g{len(self.gates):05d}", kind,
-                                       tuple(w.id for w in inputs),
-                                       tuple(w.id for w in outs)))
+                                       tuple([w.id for w in inputs]),
+                                       tuple(ids)))
         return outs, ranges
 
 
@@ -101,9 +104,7 @@ class DotMatrix(namedtuple("DotMatrix", "base width rows max_product")):
                    for c, d in row.items()) >= self.max_product
 
 
-# ---------------------------------------------------------------------------
-# partial products
-# ---------------------------------------------------------------------------
+# -- partial products ---------------------------------------------------------
 
 def build_pp(builder: NetBuilder, radix: int, x_width: int,
              y_width: int) -> DotMatrix:
@@ -132,9 +133,7 @@ def build_pp(builder: NetBuilder, radix: int, x_width: int,
     return m
 
 
-# ---------------------------------------------------------------------------
-# reduction
-# ---------------------------------------------------------------------------
+# -- reduction ----------------------------------------------------------------
 
 # Fixed grouping plans, keyed by (base, row count) and stage index.
 # Entries list the row-index triples to group; unlisted rows pass through.
@@ -259,9 +258,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
     return digits
 
 
-# ---------------------------------------------------------------------------
-# top level
-# ---------------------------------------------------------------------------
+# -- top level ----------------------------------------------------------------
 
 def gen_multiplier(radix: int, width: int) -> Netlist:
     """Generate a complete width x width multiplier netlist.
@@ -285,7 +282,7 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
     tree_start = len(gates)
     stage_heights = [matrix.heights()]
     stage = 0
-    while matrix.max_height() > 2:
+    while max(stage_heights[-1]) > 2:
         if not matrix.capacity_ok():
             raise NetgenError("dot matrix lost capacity during reduction")
         before = len(gates)

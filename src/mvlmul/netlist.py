@@ -24,6 +24,7 @@ from .core import GateKind, PORTS
 
 JSON_FORMAT = "mvl-netlist"
 JSON_VERSION = 1
+_KINDS = {k.value: k for k in GateKind}
 
 
 class NetlistError(ValueError):
@@ -71,8 +72,8 @@ class Netlist:
 
     def inventory(self) -> dict[str, int]:
         """Per-kind gate counts, e.g. ``{"AND": 64, "BIN_FA": 47, ...}``."""
-        counts = Counter(g.kind.value for g in self.gates)
-        return dict(sorted(counts.items()))
+        counts = Counter([g.kind for g in self.gates])
+        return dict(sorted((k.value, c) for k, c in counts.items()))
 
     # -- serialization -------------------------------------------------
 
@@ -84,17 +85,20 @@ class Netlist:
         indent always runs the pure-Python encoder; strings still go
         through its C escaper.
         """
-        q = encode_basestring_ascii
+        q, sep = encode_basestring_ascii, ",\n        "
+        kinds = {k: q(k.value) for k in GateKind}
         wires = [f'{{\n'
                  f'      "id": {q(w.id)},\n'
                  f'      "range_max": {w.range_max}\n'
                  f'    }}' for w in self.wires.values()]
         gates = [f'{{\n'
                  f'      "id": {q(g.id)},\n'
-                 f'      "kind": {q(g.kind.value)},\n'
-                 f'      "inputs": {_array(map(q, g.inputs), "      ")},\n'
-                 f'      "outputs": {_array(map(q, g.outputs), "      ")}\n'
+                 f'      "kind": {kinds[g.kind]},\n'
+                 f'      "inputs": [\n        {sep.join(map(q, g.inputs))}\n      ],\n'
+                 f'      "outputs": [\n        {sep.join(map(q, g.outputs))}\n      ]\n'
                  f'    }}' for g in self.gates]
+        # an empty port list, the one with no item inside, is written as []
+        gates = _array(gates, "  ").replace("[\n        \n      ]", "[]")
         meta = ""
         if self.stats:
             # an encoded string holds no raw newline, so this only indents
@@ -108,7 +112,7 @@ class Netlist:
                 f'  "inputs": {_array(map(q, self.primary_inputs), "  ")},\n'
                 f'  "outputs": {_array(map(q, self.primary_outputs), "  ")},\n'
                 f'  "wires": {_array(wires, "  ")},\n'
-                f'  "gates": {_array(gates, "  ")}{meta}\n'
+                f'  "gates": {gates}{meta}\n'
                 f'}}\n')
 
     @classmethod
@@ -136,9 +140,13 @@ class Netlist:
                 wires[entry["id"]] = Wire(entry["id"], entry["range_max"])
             what, i, gates = "gate", None, []
             for i, entry in enumerate(_json_array(doc, "gates")):
+                gid = entry["id"]  # read first: a missing id is named first
+                try:
+                    kind = _KINDS[entry["kind"]]
+                except (KeyError, TypeError):  # GateKind() names the error
+                    kind = GateKind(entry["kind"])
                 gates.append(GateInstance(
-                    entry["id"], GateKind(entry["kind"]),
-                    tuple(_json_array(entry, "inputs")),
+                    gid, kind, tuple(_json_array(entry, "inputs")),
                     tuple(_json_array(entry, "outputs"))))
             i = None
             net = cls(radix=doc["radix"], width=doc["width"],
@@ -236,8 +244,9 @@ def validate_netlist(n: Netlist) -> list[Violation]:
             v.append(Violation("wire-range",
                                f"wire {w.id} has range_max {w.range_max}"))
 
+    wire = n.wires.get
     seen_gate_ids = set()
-    driver_count: Counter = Counter()
+    drivers: dict[str, int] = {}  # per driven wire, its driver count
     early: list[tuple[str, str]] = []  # (gate, wire) read before any driver
     for name in n.primary_inputs:
         if name not in n.wires:
@@ -247,7 +256,7 @@ def validate_netlist(n: Netlist) -> list[Violation]:
                 "input-range", f"input wire {name} has range_max "
                 f"{n.wires[name].range_max}, radix {n.radix} digits need "
                 f"{n.radix - 1}"))
-        driver_count[name] += 1
+        drivers[name] = drivers.get(name, 0) + 1
     if len(n.primary_inputs) != 2 * n.width:
         v.append(Violation("inputs", f"expected {2 * n.width} operand "
                            f"digits (x then y), got {len(n.primary_inputs)}"))
@@ -262,7 +271,7 @@ def validate_netlist(n: Netlist) -> list[Violation]:
                                f"{len(g.inputs)} in / {len(g.outputs)} out"))
             continue
         for (pname, pmax), wid in zip(spec.inputs, g.inputs):
-            w = n.wires.get(wid)
+            w = wire(wid)
             if w is None:
                 v.append(Violation("missing-wire",
                                    f"gate {g.id} input {pname} -> {wid} undeclared"))
@@ -270,22 +279,22 @@ def validate_netlist(n: Netlist) -> list[Violation]:
                 v.append(Violation(
                     "range", f"gate {g.id} ({g.kind}) port {pname} accepts "
                     f"max {pmax} but wire {wid} carries up to {w.range_max}"))
-            if not driver_count[wid]:  # not driven yet: later, or never
+            if wid not in drivers:  # not driven yet: later, or never
                 early.append((g.id, wid))
         for (pname, pmax), wid in zip(spec.outputs, g.outputs):
-            w = n.wires.get(wid)
+            w = wire(wid)
             if w is None:
                 v.append(Violation("missing-wire",
                                    f"gate {g.id} output {pname} -> {wid} undeclared"))
             else:
-                driver_count[wid] += 1
+                drivers[wid] = drivers.get(wid, 0) + 1
                 if w.range_max > pmax:
                     v.append(Violation(
                         "range", f"gate {g.id} ({g.kind}) output {pname} "
                         f"max {pmax} but wire {wid} declares {w.range_max}"))
 
     for wid in n.wires:
-        c = driver_count[wid]
+        c = drivers.get(wid, 0)
         if c == 0:
             v.append(Violation("undriven", f"wire {wid} has no driver"))
         elif c > 1:
@@ -294,7 +303,7 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     # gate itself or a later one breaks the order (a cycle always does)
     v += [Violation("order", f"gate {gid} reads wire {wid} before the "
                     "gate that drives it")
-          for gid, wid in early if driver_count[wid]]
+          for gid, wid in early if wid in drivers]
 
     for out in n.primary_outputs:
         if out not in n.wires:

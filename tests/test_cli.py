@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, round trips."""
 
+import gc
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import textwrap
 import pytest
 
 from conftest import EVERY_VIOLATION, scaled_timing
+from mvlmul import cli
 from mvlmul.cli import main
 from mvlmul.core import GateKind
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
@@ -101,6 +103,18 @@ def test_verify_rejects_negative_show(tmp_path, capsys):
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and "--show" in err
     assert not rep.exists()
+
+
+def test_verify_rejects_negative_cap(tmp_path, capsys):
+    # --cap -1 was taken as a cap that every design exceeds
+    nl = tmp_path / "q1.json"
+    run(["generate", "--radix", "4", "--width", "1", "--out", str(nl)],
+        capsys)
+    code, stdout, err = run(["verify", str(nl), "--cap", "-1"], capsys)
+    assert code == 2 and stdout == ""
+    assert err == "error: --cap must be >= 0, got -1\n"
+    code, _, err = run(["verify", str(nl), "--cap", "0"], capsys)
+    assert code == 2 and "16 vectors exceed the cap of 0" in err
 
 
 def test_verify_missing_file_is_io_error(capsys):
@@ -649,6 +663,53 @@ def test_usage_errors_in_a_fresh_interpreter(tmp_path, argv):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--radix", "4", "--width", "1"], 0),
+    (["compare", "--design", "3,1", "--design", "2,1"], 2),
+    (["generate", "--radix", "5", "--width", "1"], 2),
+], ids=["ok", "cli-error", "argparse-error"])
+def test_main_leaves_gc_as_it_found_it(capsys, argv, code, enabled):
+    # main turns the cyclic GC off for a command; in process, a GC left
+    # off would leak into the caller, and one the caller turned off must
+    # stay off
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_gc_is_off_while_a_command_runs(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_generate",
+                        lambda args: seen.append(gc.isenabled()) or 0)
+    assert main(["generate", "--radix", "4", "--width", "1"]) == 0
+    assert seen == [False]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # GateKind hashes by identity, so a set of kinds iterates in address
+    # order, as it iterated in PYTHONHASHSEED order before: no output may
+    # depend on that order
+    nl, deck = tmp_path / "q8.json", tmp_path / "q8.sp"
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        out = [subprocess.run([sys.executable, "-m", "mvlmul.cli", *argv],
+                              capture_output=True, env=env,
+                              check=True).stdout
+               for argv in (["generate", "--radix", "4", "--width", "8",
+                             "--out", str(nl)],
+                            ["export-spice", str(nl), "--out", str(deck)],
+                            ["compare", "--design", "4,8", "--design", "2,16",
+                             "--format", "json"])]
+        runs.append(out + [nl.read_bytes(), deck.read_bytes()])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
