@@ -14,7 +14,7 @@ import importlib
 
 #: each public name's module
 _HOMES = {name: module for module, names in {
-    "core": "CELLS GateKind LogicError",
+    "core": "CELLS LogicError",
     "netgen": "DotMatrix NetBuilder NetgenError build_pp final_cpa "
               "gen_multiplier wallace_stage",
     "netlist": "GateInstance Netlist NetlistError Violation Wire "

@@ -4,6 +4,8 @@ Signals carry small unsigned digits. A wire is binary (max 1), ternary
 (max 2) or quaternary (max 3); the quaternary multipliers mix all three,
 because digit products carry in ternary while sums stay quaternary.
 
+A gate kind is the string that names it, such as ``"QM1"``, in memory
+as in every file mvlmul writes; :data:`PORTS` is the registry of kinds.
 Every gate used by the netlist generator is a pure function over digit
 values in :data:`KERNELS`, with its port signature (the maximum digit of
 each input and output) in :data:`PORTS`; :data:`CELLS` is the only
@@ -14,7 +16,6 @@ simulator derives its bit-plane plans from :data:`KERNELS`, and
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from functools import cache
 from itertools import product
@@ -24,23 +25,6 @@ class LogicError(ValueError):
     """A wire range is wider than the gate port it feeds."""
 
 
-class GateKind(enum.Enum):
-    AND = "AND"
-    BIN_HA = "BIN_HA"
-    BIN_FA = "BIN_FA"
-    QM1 = "QM1"
-    QHA = "QHA"
-    QFAC2 = "QFAC2"
-    QFAC2WC = "QFAC2WC"
-
-    # members are singletons equal only to themselves, so object's C hash
-    # agrees with equality; Enum's is Python, run on every kind-keyed lookup
-    __hash__ = object.__hash__
-
-    def __str__(self):
-        return self.value
-
-
 class PortSpec(namedtuple("PortSpec", "inputs outputs")):
     """Named ports with the maximum digit each port may carry: ``inputs``
     and ``outputs`` are tuples of ``(port name, max digit)``."""
@@ -48,41 +32,42 @@ class PortSpec(namedtuple("PortSpec", "inputs outputs")):
     __slots__ = ()
 
 
+#: every gate kind, by name, with its port signature
 PORTS = {
-    GateKind.AND: PortSpec((("a", 1), ("b", 1)), (("y", 1),)),
-    GateKind.BIN_HA: PortSpec((("a", 1), ("b", 1)), (("sum", 1), ("cout", 1))),
-    GateKind.BIN_FA: PortSpec((("a", 1), ("b", 1), ("cin", 1)),
-                              (("sum", 1), ("cout", 1))),
-    GateKind.QM1: PortSpec((("a", 3), ("b", 3)), (("product", 3), ("carry", 2))),
-    GateKind.QHA: PortSpec((("a", 3), ("b", 3)), (("sum", 3), ("cout", 1))),
-    GateKind.QFAC2: PortSpec((("a", 3), ("b", 3), ("cin", 2)),
-                             (("sum", 3), ("cout", 2))),
-    GateKind.QFAC2WC: PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),)),
+    "AND": PortSpec((("a", 1), ("b", 1)), (("y", 1),)),
+    "BIN_HA": PortSpec((("a", 1), ("b", 1)), (("sum", 1), ("cout", 1))),
+    "BIN_FA": PortSpec((("a", 1), ("b", 1), ("cin", 1)),
+                       (("sum", 1), ("cout", 1))),
+    "QM1": PortSpec((("a", 3), ("b", 3)), (("product", 3), ("carry", 2))),
+    "QHA": PortSpec((("a", 3), ("b", 3)), (("sum", 3), ("cout", 1))),
+    "QFAC2": PortSpec((("a", 3), ("b", 3), ("cin", 2)),
+                      (("sum", 3), ("cout", 2))),
+    "QFAC2WC": PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),)),
 }
 
 #: per radix, the cells a multiplier is built from, by role: the digit
 #: cell, the half adder, the full adder, and the full adder of the top
 #: product column, whose carry out is provably zero.
 CELLS = {
-    2: (GateKind.AND, GateKind.BIN_HA, GateKind.BIN_FA, GateKind.BIN_FA),
-    4: (GateKind.QM1, GateKind.QHA, GateKind.QFAC2, GateKind.QFAC2WC),
+    2: ("AND", "BIN_HA", "BIN_FA", "BIN_FA"),
+    4: ("QM1", "QHA", "QFAC2", "QFAC2WC"),
 }
 
 
 #: gate kernels on digit ints: each cell's one definition.
 KERNELS = {
-    GateKind.AND: lambda a, b: (a & b,),
-    GateKind.BIN_HA: lambda a, b: ((a + b) & 1, (a + b) >> 1),
-    GateKind.BIN_FA: lambda a, b, c: ((a + b + c) & 1, (a + b + c) >> 1),
-    GateKind.QM1: lambda a, b: (a * b % 4, a * b // 4),
-    GateKind.QHA: lambda a, b: ((a + b) % 4, (a + b) // 4),
-    GateKind.QFAC2: lambda a, b, c: ((a + b + c) % 4, (a + b + c) // 4),
-    GateKind.QFAC2WC: lambda a, b, c: ((a + b + c) % 4,),
+    "AND": lambda a, b: (a & b,),
+    "BIN_HA": lambda a, b: ((a + b) & 1, (a + b) >> 1),
+    "BIN_FA": lambda a, b, c: ((a + b + c) & 1, (a + b + c) >> 1),
+    "QM1": lambda a, b: (a * b % 4, a * b // 4),
+    "QHA": lambda a, b: ((a + b) % 4, (a + b) // 4),
+    "QFAC2": lambda a, b, c: ((a + b + c) % 4, (a + b + c) // 4),
+    "QFAC2WC": lambda a, b, c: ((a + b + c) % 4,),
 }
 
 
 @cache
-def output_ranges(kind: GateKind, in_ranges: tuple[int, ...]) -> tuple[int, ...]:
+def output_ranges(kind: str, in_ranges: tuple[int, ...]) -> tuple[int, ...]:
     """Tight per-output ranges for a gate given its input wire ranges.
 
     Carry outputs narrow when the inputs cannot reach the port maximum

@@ -25,10 +25,9 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from contextlib import contextmanager
 from itertools import combinations
 
-from .core import CELLS, GateKind, PORTS
+from .core import CELLS, PORTS
 from .netlist import Netlist
 
 #: gate kinds that form the digit-product stage; excluded from path
@@ -46,19 +45,33 @@ class LibraryError(KeyError):
     __str__ = Exception.__str__  # KeyError would quote the message
 
 
-@contextmanager
-def _library_errors(what: str):
-    """Report a malformed library document as a :class:`LibraryError`."""
+def _document(what: str, text: str, section: str) -> tuple[str, dict]:
+    """The name and the ``section`` of a ``what`` library document: a
+    JSON object whose ``section`` is an object and whose ``name``, if
+    given, is a string."""
     try:
-        yield
-    except LibraryError:
-        raise
-    except (KeyError, ValueError, TypeError, AttributeError,
-            RecursionError) as e:
-        # bad JSON (a ValueError, or a RecursionError when nested too
-        # deeply), a missing key or an unknown kind
-        raise LibraryError(f"malformed {what} library: "
-                           f"{type(e).__name__}: {e}") from None
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:  # too deep is a RecursionError
+        problem = f"{type(e).__name__}: {e}"
+    else:
+        problem = ("the document is not an object" if type(doc) is not dict
+                   else f"the document has no {section}"
+                   if section not in doc
+                   else f"{section} is not an object"
+                   if type(doc[section]) is not dict
+                   else f"name {doc['name']!r} is not a string"
+                   if type(doc.get("name", "")) is not str else None)
+    if problem:
+        raise LibraryError(f"malformed {what} library: {problem}")
+    return doc.get("name", "custom"), doc[section]
+
+
+def _kind(what: str, name: str) -> str:
+    """``name``, which must be a gate kind, read from a ``what`` library."""
+    if name not in PORTS:
+        raise LibraryError(f"malformed {what} library: ValueError: "
+                           f"{name!r} is not a valid GateKind")
+    return name
 
 
 def _checked(what: str, values: dict, name=str) -> dict:
@@ -79,11 +92,11 @@ def _checked(what: str, values: dict, name=str) -> dict:
 class CostLibrary:
     """Per-kind diameter sums (nm)."""
 
-    def __init__(self, name: str, sigma_di: dict[GateKind, float]):
+    def __init__(self, name: str, sigma_di: dict[str, float]):
         self.name = name
         self.sigma_di = _checked("area", sigma_di)
 
-    def lookup(self, kind: GateKind) -> float:
+    def lookup(self, kind: str) -> float:
         try:
             return self.sigma_di[kind]
         except KeyError:
@@ -92,24 +105,20 @@ class CostLibrary:
 
     def require(self, net: Netlist) -> None:
         """Raise a :class:`LibraryError` naming each uncosted kind."""
-        missing = sorted({g.kind for g in net.gates} - self.sigma_di.keys(),
-                         key=lambda k: k.value)
+        missing = sorted({g.kind for g in net.gates} - self.sigma_di.keys())
         if missing:
             raise LibraryError(f"cost library {self.name!r} missing entries "
-                               "for " + ", ".join(k.value for k in missing))
+                               "for " + ", ".join(missing))
 
     def to_json(self) -> str:
-        return json.dumps({"name": self.name, "sigma_di": {
-            k.value: v for k, v in self.sigma_di.items()}}, indent=2) + "\n"
+        return json.dumps({"name": self.name, "sigma_di": self.sigma_di},
+                          indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CostLibrary":
-        with _library_errors("cost"):
-            doc = json.loads(text)
-            return cls(name=doc.get("name", "custom"),
-                       sigma_di={GateKind(k): v
-                                 for k, v in doc["sigma_di"].items()
-                                 if k not in _RETIRED_KINDS})
+        name, sigma_di = _document("cost", text, "sigma_di")
+        return cls(name, {_kind("cost", k): v for k, v in sigma_di.items()
+                          if k not in _RETIRED_KINDS})
 
 
 def default_cost_library() -> CostLibrary:
@@ -119,14 +128,8 @@ def default_cost_library() -> CostLibrary:
     the QFAC2 figure since no separate number is available.
     """
     return CostLibrary(name="cntfet-32nm-default", sigma_di={
-        GateKind.AND: 8.9,
-        GateKind.BIN_HA: 18.0,
-        GateKind.BIN_FA: 32.0,
-        GateKind.QHA: 83.0,
-        GateKind.QFAC2: 227.0,
-        GateKind.QFAC2WC: 227.0,
-        GateKind.QM1: 132.0,
-    })
+        "AND": 8.9, "BIN_HA": 18.0, "BIN_FA": 32.0, "QHA": 83.0,
+        "QFAC2": 227.0, "QFAC2WC": 227.0, "QM1": 132.0})
 
 
 def area_estimate(net: Netlist, lib: CostLibrary) -> float:
@@ -145,12 +148,12 @@ def area_estimate(net: Netlist, lib: CostLibrary) -> float:
 class TimingLibrary:
     """Per (kind, output port) propagation delays in picoseconds."""
 
-    def __init__(self, name: str, delays: dict[tuple[GateKind, str], float]):
+    def __init__(self, name: str, delays: dict[tuple[str, str], float]):
         self.name = name
         self.delays = _checked("delay", delays,
                                name=lambda key: f"{key[0]}.{key[1]}")
 
-    def delay(self, kind: GateKind, port: str) -> float:
+    def delay(self, kind: str, port: str) -> float:
         try:
             return self.delays[(kind, port)]
         except KeyError:
@@ -161,8 +164,7 @@ class TimingLibrary:
         """Raise a :class:`LibraryError` naming each port of ``net``'s
         kinds that has no delay, in :data:`~mvlmul.core.PORTS` order."""
         missing = [f"{kind}.{pname}"
-                   for kind in sorted({g.kind for g in net.gates},
-                                      key=lambda k: k.value)
+                   for kind in sorted({g.kind for g in net.gates})
                    for pname, _ in PORTS[kind].outputs
                    if (kind, pname) not in self.delays]
         if missing:
@@ -176,19 +178,17 @@ class TimingLibrary:
 
     @classmethod
     def from_json(cls, text: str) -> "TimingLibrary":
-        with _library_errors("timing"):
-            doc = json.loads(text)
-            delays = {}
-            for key, v in doc["delays"].items():
-                kname, _, port = key.partition(".")
-                if kname in _RETIRED_KINDS:
-                    continue
-                kind = GateKind(kname)
-                if port not in dict(PORTS[kind].outputs):
-                    raise LibraryError(f"timing key {key!r} is not "
-                                       f"{kind}.<output port>")
-                delays[(kind, port)] = v
-            return cls(name=doc.get("name", "custom"), delays=delays)
+        name, entries = _document("timing", text, "delays")
+        delays = {}
+        for key, v in entries.items():
+            kind, _, port = key.partition(".")
+            if kind in _RETIRED_KINDS:
+                continue
+            if port not in dict(PORTS[_kind("timing", kind)].outputs):
+                raise LibraryError(f"timing key {key!r} is not "
+                                   f"{kind}.<output port>")
+            delays[(kind, port)] = v
+        return cls(name, delays)
 
 
 #: each timing preset by name: (radix, aggregate worst-path ps of its
@@ -210,20 +210,15 @@ def timing_preset(name: str) -> TimingLibrary:
     radix, aggregate_ps, path_cells, digit_ps = TIMING_PRESETS[name]
     digit = CELLS[radix][0]
     return TimingLibrary(name, {
-        (kind, pname): digit_ps if kind is digit else aggregate_ps / path_cells
+        (kind, pname): digit_ps if kind == digit else aggregate_ps / path_cells
         for kind in dict.fromkeys(CELLS[radix])
         for pname, _ in PORTS[kind].outputs})
 
 
 # -- critical path ------------------------------------------------------------
 
-class CriticalPath(namedtuple("CriticalPath", "delay_ps gates kinds")):
-    """A worst path: its delay (ps), and its gate ids and kinds in order."""
-
-    __slots__ = ()
-
-    def kind_names(self) -> list[str]:
-        return [k.value for k in self.kinds]
+#: a worst path: its delay (ps), and its gate ids and kinds in order
+CriticalPath = namedtuple("CriticalPath", "delay_ps gates kinds")
 
 
 def critical_path(net: Netlist, lib: TimingLibrary,
@@ -274,7 +269,7 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     w = min((w for w in starts if rem[w] >= total - eps),
             key=lambda w: hop[w] or ())
     gates_seq: list[str] = []
-    kinds_seq: list[GateKind] = []
+    kinds_seq: list[str] = []
     while hop[w] is not None:
         g = order[hop[w][2]]
         if g.kind not in exclude:
@@ -361,7 +356,7 @@ def _metrics_for(label: str, net: Netlist, cost: CostLibrary,
     return DesignMetrics(label=label, radix=net.radix, width=net.width,
                          inventory=net.inventory(),
                          area_nm=area_estimate(net, cost),
-                         delay_ps=cp.delay_ps, path_kinds=cp.kind_names(),
+                         delay_ps=cp.delay_ps, path_kinds=list(cp.kinds),
                          frontend_delay_ps=frontend)
 
 
@@ -415,4 +410,4 @@ def _component_ratios(*pair: tuple[DesignMetrics, CostLibrary]) -> dict:
 
 def _count(m: DesignMetrics, kinds) -> int:
     """Instances of ``m`` whose kind is one of ``kinds``."""
-    return sum(m.inventory.get(k.value, 0) for k in set(kinds))
+    return sum(m.inventory.get(k, 0) for k in set(kinds))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .core import CELLS, PORTS, GateKind, output_ranges
+from .core import CELLS, PORTS, output_ranges
 from .netlist import GateInstance, Netlist, Wire, validate_netlist
 
 
@@ -51,7 +51,7 @@ class NetBuilder:
         self.wires[name] = Wire(name, range_max)
         return name
 
-    def add_gate(self, kind: GateKind, inputs: list[Wire]) \
+    def add_gate(self, kind: str, inputs: list[Wire]) \
             -> tuple[list[Wire], tuple[int, ...]]:
         """Instantiate a gate; returns (output wires, true ranges).
 
@@ -301,9 +301,9 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
         "stages": stage,
         "stage_heights": stage_heights,
         "tree_inventory": dict(sorted(Counter(
-            g.kind.value for g in gates[tree_start:cpa_start]).items())),
+            g.kind for g in gates[tree_start:cpa_start]).items())),
         "final_add_inventory": dict(sorted(Counter(
-            g.kind.value for g in gates[cpa_start:]).items())),
+            g.kind for g in gates[cpa_start:]).items())),
     }
 
     net = Netlist(radix=radix, width=width, wires=builder.wires,

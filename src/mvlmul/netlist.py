@@ -20,11 +20,10 @@ import json
 from collections import Counter, namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .core import GateKind, PORTS
+from .core import PORTS
 
 JSON_FORMAT = "mvl-netlist"
 JSON_VERSION = 1
-_KINDS = {k.value: k for k in GateKind}
 
 
 class NetlistError(ValueError):
@@ -38,7 +37,8 @@ class Wire(namedtuple("Wire", "id range_max")):
 
 
 class GateInstance(namedtuple("GateInstance", "id kind inputs outputs")):
-    """A gate; ``inputs`` and ``outputs`` are wire ids, in port order."""
+    """A gate: ``kind`` is a key of :data:`~mvlmul.core.PORTS`, and
+    ``inputs`` and ``outputs`` are wire ids, in port order."""
 
     __slots__ = ()
 
@@ -72,8 +72,7 @@ class Netlist:
 
     def inventory(self) -> dict[str, int]:
         """Per-kind gate counts, e.g. ``{"AND": 64, "BIN_FA": 47, ...}``."""
-        counts = Counter([g.kind for g in self.gates])
-        return dict(sorted((k.value, c) for k, c in counts.items()))
+        return dict(sorted(Counter([g.kind for g in self.gates]).items()))
 
     # -- serialization -------------------------------------------------
 
@@ -86,14 +85,13 @@ class Netlist:
         through its C escaper.
         """
         q, sep = encode_basestring_ascii, ",\n        "
-        kinds = {k: q(k.value) for k in GateKind}
         wires = [f'{{\n'
                  f'      "id": {q(w.id)},\n'
                  f'      "range_max": {w.range_max}\n'
                  f'    }}' for w in self.wires.values()]
         gates = [f'{{\n'
                  f'      "id": {q(g.id)},\n'
-                 f'      "kind": {kinds[g.kind]},\n'
+                 f'      "kind": {q(g.kind)},\n'
                  f'      "inputs": [\n        {sep.join(map(q, g.inputs))}\n      ],\n'
                  f'      "outputs": [\n        {sep.join(map(q, g.outputs))}\n      ]\n'
                  f'    }}' for g in self.gates]
@@ -129,8 +127,9 @@ class Netlist:
         if doc.get("format") != JSON_FORMAT:
             raise NetlistError("not a netlist document "
                                f"(format={doc.get('format')!r})")
-        if doc.get("version") != JSON_VERSION:
-            raise NetlistError(f"unsupported version {doc.get('version')!r}")
+        version = doc.get("version")  # the JSON integer: not 1.0 or true
+        if type(version) is not int or version != JSON_VERSION:
+            raise NetlistError(f"unsupported version {version!r}")
         # what is being read, for an error: the i-th wire or gate, or
         # the document itself while i is None
         what, i, entry = "wire", None, None
@@ -141,10 +140,9 @@ class Netlist:
             what, i, gates = "gate", None, []
             for i, entry in enumerate(_json_array(doc, "gates")):
                 gid = entry["id"]  # read first: a missing id is named first
-                try:
-                    kind = _KINDS[entry["kind"]]
-                except (KeyError, TypeError):  # GateKind() names the error
-                    kind = GateKind(entry["kind"])
+                kind = entry["kind"]
+                if not (type(kind) is str and kind in PORTS):
+                    raise ValueError  # _malformed names the kind
                 gates.append(GateInstance(
                     gid, kind, tuple(_json_array(entry, "inputs")),
                     tuple(_json_array(entry, "outputs"))))
@@ -202,7 +200,7 @@ def _malformed(what: str, i: int | None, entry, e: Exception) -> str:
     name = f"{what} {wid!r}" if type(wid) is str else f"{what} {i}"
     if isinstance(e, KeyError):
         return f"{name} has no {e.args[0]}"
-    if isinstance(e, ValueError):  # only GateKind() raises one
+    if isinstance(e, ValueError):  # only the kind test raises one
         return f"{name} kind {entry['kind']!r} is not a valid GateKind"
     if what == "wire":  # only a wire's id is hashed
         return f"wire id {wid!r} is not a string"
@@ -228,10 +226,10 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     """Check structural invariants; returns an empty list when sound.
 
     Checks: field sanity, wire ranges, primary-input count and digit
-    ranges, port arity, single drivers, dangling inputs, port/wire range
-    compatibility (no quaternary wire on a carry port), gate order (no
-    gate reads a wire before the gate that drives it), and
-    product-output completeness (each digit named once).
+    ranges, gate kinds, port arity, single drivers, dangling inputs,
+    port/wire range compatibility (no quaternary wire on a carry port),
+    gate order (no gate reads a wire before the gate that drives it),
+    and product-output completeness (each digit named once).
     """
     v: list[Violation] = []
     if n.radix not in (2, 4):
@@ -265,7 +263,11 @@ def validate_netlist(n: Netlist) -> list[Violation]:
         if g.id in seen_gate_ids:
             v.append(Violation("dup-gate", f"gate id {g.id} reused"))
         seen_gate_ids.add(g.id)
-        spec = PORTS[g.kind]
+        spec = PORTS.get(g.kind)
+        if spec is None:
+            v.append(Violation("kind",
+                               f"gate {g.id} has unknown kind {g.kind!r}"))
+            continue
         if len(g.inputs) != len(spec.inputs) or len(g.outputs) != len(spec.outputs):
             v.append(Violation("arity", f"gate {g.id} ({g.kind}) has "
                                f"{len(g.inputs)} in / {len(g.outputs)} out"))

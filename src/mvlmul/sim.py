@@ -22,7 +22,7 @@ import random
 from functools import cache, partial
 from itertools import islice, product, zip_longest
 
-from .core import KERNELS, GateKind
+from .core import KERNELS, PORTS
 from .netlist import Netlist
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
@@ -91,7 +91,7 @@ def _literals(k: int, hi: int, v: int) -> list[str]:
 
 
 @cache
-def _plan(kind: GateKind, in_ranges: tuple[int, ...],
+def _plan(kind: str, in_ranges: tuple[int, ...],
           out_ranges: tuple[int, ...]):
     """``fire(mask, *input planes)``: a gate of ``kind`` on bit-planes.
 
@@ -177,7 +177,8 @@ def _simulate(net: Netlist, batches):
     Each gate fires once per batch, in gate order.  An overflow names
     the failing wire first in that order: every gate before it read
     in-range planes.  A wire read before any gate drives it is an error,
-    and so is a primary input not declared a full digit.
+    and so are a primary input not declared a full digit, an unknown
+    kind, a port count that is not the kind's and an undeclared wire.
     """
     ranges = {w: wire.range_max for w, wire in net.wires.items()}
     for w in net.primary_inputs:
@@ -185,9 +186,21 @@ def _simulate(net: Netlist, batches):
             raise SimulationError(
                 f"input wire {w} has range_max {ranges[w]}, radix "
                 f"{net.radix} digits need {net.radix - 1}")
-    steps = [(_plan(g.kind, tuple(map(ranges.__getitem__, g.inputs)),
-                    tuple(map(ranges.__getitem__, g.outputs))), g)
-             for g in net.gates]
+    steps = []
+    for g in net.gates:
+        spec = PORTS.get(g.kind)
+        if spec is None:
+            raise SimulationError(f"gate {g.id} has unknown kind {g.kind!r}")
+        ins = tuple(map(ranges.get, g.inputs))
+        outs = tuple(map(ranges.get, g.outputs))
+        if (len(ins), len(outs)) != (len(spec.inputs), len(spec.outputs)):
+            raise SimulationError(
+                f"gate {g.id} ({g.kind}) has {len(ins)} in / {len(outs)} "
+                f"out, not {len(spec.inputs)} / {len(spec.outputs)}")
+        if None in ins or None in outs:
+            w = next(w for w in g.inputs + g.outputs if w not in ranges)
+            raise SimulationError(f"gate {g.id} names undeclared wire {w}")
+        steps.append((_plan(g.kind, ins, outs), g))
     for n, columns in batches:
         mask = (1 << n) - 1
         planes = dict(zip(net.primary_inputs, columns))

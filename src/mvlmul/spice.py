@@ -15,7 +15,7 @@ from .netlist import Netlist
 
 def export_spice(net: Netlist) -> str:
     """Render a netlist as a hierarchical structural deck."""
-    kinds = sorted({g.kind for g in net.gates}, key=lambda k: k.value)
+    kinds = sorted({g.kind for g in net.gates})
     name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "
@@ -27,7 +27,7 @@ def export_spice(net: Netlist) -> str:
     for kind in kinds:
         spec = PORTS[kind]
         ports = " ".join(n for n, _ in spec.inputs + spec.outputs)
-        lines.append(f".SUBCKT {kind.value} {ports}")
+        lines.append(f".SUBCKT {kind} {ports}")
         lines.append(f"* behavioral black box ({len(spec.inputs)} in, "
                      f"{len(spec.outputs)} out)")
         lines.append(".ENDS")
@@ -37,7 +37,7 @@ def export_spice(net: Netlist) -> str:
     lines.append(f".SUBCKT {name} {ports}")
     for g in net.gates:
         conns = " ".join(g.inputs + g.outputs)
-        lines.append(f"X{g.id} {conns} {g.kind.value}")
+        lines.append(f"X{g.id} {conns} {g.kind}")
     lines.append(".ENDS")
     lines.append(".END")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,6 @@
 import pytest
 
 from mvlmul import gen_multiplier
-from mvlmul.core import GateKind
 from mvlmul.metrics import TimingLibrary
 from mvlmul.netlist import GateInstance, Netlist, Wire
 
@@ -79,7 +78,7 @@ def every_violation():
              ("g3", ("x0", "z"), ("gone",)),
              ("g4", ("x0", "z"), ("wide",))]
     return Netlist(radix=2, width=1, wires={w.id: w for w in wires},
-                   gates=[GateInstance(gid, GateKind.AND, ins, outs)
+                   gates=[GateInstance(gid, "AND", ins, outs)
                           for gid, ins, outs in gates],
                    primary_inputs=["x0", "y0", "z", "v"],
                    primary_outputs=["p0", "p0", "wide", "void"])

@@ -138,7 +138,7 @@ def test_criterion_4_calibrated_delays(b8, q4):
 
 def test_criterion_4_quaternary_path_structure(q4):
     cp = critical_path(q4, timing_preset("quaternary-0.9v"))
-    kinds = cp.kind_names()
+    kinds = cp.kinds
     ok = kinds == ["QFAC2"] * 4 + ["QHA", "QFAC2", "QFAC2WC"]
     note(4, ok, f"quaternary worst path {kinds}: 4 QFAC2 in the tree, "
          "then QHA + QFAC2 + QFAC2WC in the final add")

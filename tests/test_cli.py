@@ -13,7 +13,6 @@ import pytest
 from conftest import EVERY_VIOLATION, scaled_timing
 from mvlmul import cli
 from mvlmul.cli import main
-from mvlmul.core import GateKind
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
                             validate_netlist)
@@ -216,6 +215,18 @@ def test_retired_gate_kind_is_usage_error(tmp_path, capsys, q1, command):
                   "'g00000' kind 'MUX4' is not a valid GateKind\n"
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_non_integer_version_is_usage_error(tmp_path, capsys, q4, version):
+    # true and 1.0 equal 1 in Python: such a q4 verified PASS, exit 0
+    doc = json.loads(q4.to_json())
+    doc["version"] = version
+    nl = tmp_path / "q4.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run(["verify", str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {nl}: unsupported version {version!r}\n"
+
+
 def _drop(entries, i, key):
     return lambda doc: doc[entries][i].pop(key)
 
@@ -367,7 +378,7 @@ def test_verify_range_overflow_is_usage_error(tmp_path, capsys):
     wires = {"x0": Wire("x0", 3), "y0": Wire("y0", 3),
              "s": Wire("s", 1), "c": Wire("c", 1)}
     net = Netlist(radix=4, width=1, wires=wires,
-                  gates=[GateInstance("g0", GateKind.QHA, ("x0", "y0"),
+                  gates=[GateInstance("g0", "QHA", ("x0", "y0"),
                                       ("s", "c"))],
                   primary_inputs=["x0", "y0"], primary_outputs=["s", "c"])
     assert validate_netlist(net) == []
@@ -384,7 +395,7 @@ def test_verify_rejects_wrong_input_count(tmp_path, capsys):
     # it; a missing y0 used to pass against a y the netlist never reads
     def and_chain(inputs, pairs):
         wires = {w: Wire(w, 1) for w in inputs + ["t", "p"]}
-        gates = [GateInstance(f"g{i}", GateKind.AND, ins, (out,))
+        gates = [GateInstance(f"g{i}", "AND", ins, (out,))
                  for i, (ins, out) in enumerate(pairs)]
         return Netlist(radix=2, width=1, wires=wires, gates=gates,
                        primary_inputs=inputs, primary_outputs=["p"])
@@ -585,14 +596,14 @@ def test_build_commands_do_not_load_numpy(tmp_path):
             assert mvlmul.cli.main(argv) == 0
             assert "numpy" not in sys.modules, argv
 
-        from mvlmul import (GateKind, SimulationError, evaluate,
-                            gen_multiplier, timing_preset, verify_exhaustive)
+        from mvlmul import (SimulationError, evaluate, gen_multiplier,
+                            timing_preset, verify_exhaustive)
         net = gen_multiplier(4, 1)
         assert verify_exhaustive(net).passed
         assert evaluate(net, {"x0": 3, "y0": 2}) == [2, 1]
         assert issubclass(SimulationError, ValueError)
         lib = timing_preset("quaternary-0.9v")
-        assert lib.delay(GateKind.QM1, "product") == 118.0
+        assert lib.delay("QM1", "product") == 118.0
         assert "numpy" not in sys.modules
     """, str(tmp_path))
 
@@ -693,9 +704,8 @@ def test_gc_is_off_while_a_command_runs(capsys, monkeypatch):
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # GateKind hashes by identity, so a set of kinds iterates in address
-    # order, as it iterated in PYTHONHASHSEED order before: no output may
-    # depend on that order
+    # a gate kind is a str, so a set of kinds iterates in PYTHONHASHSEED
+    # order: no output may depend on that order
     nl, deck = tmp_path / "q8.json", tmp_path / "q8.sp"
     runs = []
     for seed in ("0", "1"):

@@ -5,11 +5,11 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from mvlmul.core import GateKind, KERNELS, LogicError, PORTS, output_ranges
+from mvlmul.core import KERNELS, LogicError, PORTS, output_ranges
 from mvlmul.sim import _plan
 
 QM1, QHA, QFAC2, QFAC2WC = (KERNELS[k] for k in (
-    GateKind.QM1, GateKind.QHA, GateKind.QFAC2, GateKind.QFAC2WC))
+    "QM1", "QHA", "QFAC2", "QFAC2WC"))
 
 
 # --- digit multiplier -----------------------------------------------------
@@ -44,7 +44,7 @@ def test_qmul1_arithmetic_identity_and_carry_bound():
         p, c = QM1(a, b)
         assert 4 * c + p == a * b
         assert c <= 2
-    assert output_ranges(GateKind.QM1, (3, 3)) == (3, 2)
+    assert output_ranges("QM1", (3, 3)) == (3, 2)
 
 
 def test_qmul1_mux_composition_matches_direct():
@@ -81,7 +81,7 @@ def test_qfac2_exhaustive_mod_div():
     for a, b, cin in product(range(4), range(4), range(3)):
         t = a + b + cin
         assert QFAC2(a, b, cin) == (t % 4, t // 4)
-    assert output_ranges(GateKind.QFAC2, (3, 3, 2)) == (3, 2)
+    assert output_ranges("QFAC2", (3, 3, 2)) == (3, 2)
 
 
 def test_qfac2_examples():
@@ -93,7 +93,7 @@ def test_qfac2_rejects_carry_three():
     # the carry-in port is ternary: a quaternary wire there breaks the
     # carry discipline
     with pytest.raises(LogicError):
-        output_ranges(GateKind.QFAC2, (3, 3, 3))
+        output_ranges("QFAC2", (3, 3, 3))
 
 
 def test_qfac2wc_is_sum_only():
@@ -104,14 +104,14 @@ def test_qfac2wc_is_sum_only():
 def test_qha_exhaustive():
     for a, b in product(range(4), repeat=2):
         assert QHA(a, b) == ((a + b) % 4, (a + b) // 4)
-    assert output_ranges(GateKind.QHA, (3, 3)) == (3, 1)
+    assert output_ranges("QHA", (3, 3)) == (3, 1)
     assert QHA(3, 3) == (2, 1)
     assert QHA(1, 2) == (3, 0)
 
 
 def test_binary_cells():
     and2, ha, fa = (KERNELS[k] for k in (
-        GateKind.AND, GateKind.BIN_HA, GateKind.BIN_FA))
+        "AND", "BIN_HA", "BIN_FA"))
     assert fa(1, 1, 1) == (1, 1)
     assert ha(1, 1) == (0, 1)
     assert and2(1, 0) == (0,)
@@ -128,12 +128,12 @@ def test_binary_cells():
 
 def test_output_ranges_rejects_wide_wires():
     with pytest.raises(LogicError, match="accepts at most 1"):
-        output_ranges(GateKind.AND, (2, 1))
+        output_ranges("AND", (2, 1))
     with pytest.raises(LogicError, match="takes 2 inputs"):
-        output_ranges(GateKind.AND, (1,))
+        output_ranges("AND", (1,))
 
 
-@pytest.mark.parametrize("kind", list(GateKind), ids=str)
+@pytest.mark.parametrize("kind", list(PORTS), ids=str)
 def test_kernels_on_digit_arrays_match_ints(kind):
     # the simulator fires each cell through a plan derived from its
     # kernel: one int per wire bit, one bit per vector.  Every input
@@ -152,7 +152,7 @@ def test_kernels_on_digit_arrays_match_ints(kind):
                          for port in got) == KERNELS[kind](*v), (in_ranges, v)
 
 
-@given(st.sampled_from(sorted(PORTS, key=lambda k: k.value)),
+@given(st.sampled_from(sorted(PORTS)),
        st.data())
 def test_output_ranges_are_tight_bounds(kind, data):
     spec = PORTS[kind]

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import disjoint_union, scaled_timing
-from mvlmul.core import GateKind
 from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
                             area_estimate, compare, critical_path,
                             default_cost_library, timing_preset)
@@ -17,14 +16,14 @@ from mvlmul.netlist import GateInstance, Netlist, Wire
 
 def test_default_costs():
     lib = default_cost_library()
-    assert lib.lookup(GateKind.AND) == 8.9
-    assert lib.lookup(GateKind.BIN_HA) == 18.0
-    assert lib.lookup(GateKind.BIN_FA) == 32.0
-    assert lib.lookup(GateKind.QHA) == 83.0
-    assert lib.lookup(GateKind.QFAC2) == 227.0
-    assert lib.lookup(GateKind.QFAC2WC) == 227.0
-    assert lib.lookup(GateKind.QM1) == 132.0
-    assert lib.lookup(GateKind.QFAC2) / lib.lookup(GateKind.BIN_FA) == \
+    assert lib.lookup("AND") == 8.9
+    assert lib.lookup("BIN_HA") == 18.0
+    assert lib.lookup("BIN_FA") == 32.0
+    assert lib.lookup("QHA") == 83.0
+    assert lib.lookup("QFAC2") == 227.0
+    assert lib.lookup("QFAC2WC") == 227.0
+    assert lib.lookup("QM1") == 132.0
+    assert lib.lookup("QFAC2") / lib.lookup("BIN_FA") == \
         pytest.approx(7.09, abs=0.01)
 
 
@@ -42,7 +41,7 @@ def test_area_empty_netlist_is_zero():
 
 
 def test_area_missing_entry_raises(b2):
-    lib = CostLibrary(name="thin", sigma_di={GateKind.AND: 8.9})
+    lib = CostLibrary(name="thin", sigma_di={"AND": 8.9})
     with pytest.raises(LibraryError):
         area_estimate(b2, lib)
 
@@ -73,7 +72,7 @@ def test_reference_path_delays(b8, q4):
 
 def test_quaternary_path_structure(q4):
     cp = critical_path(q4, timing_preset("quaternary-0.9v"))
-    assert cp.kind_names() == ["QFAC2"] * 4 + ["QHA", "QFAC2", "QFAC2WC"]
+    assert cp.kinds == ["QFAC2"] * 4 + ["QHA", "QFAC2", "QFAC2WC"]
 
 
 def test_binary_path_cells(b8):
@@ -101,7 +100,7 @@ def _chain(k):
         s, co = f"s{i}", f"co{i}"
         wires[s] = Wire(s, 3)
         wires[co] = Wire(co, 2)
-        gates.append(GateInstance(f"g{i}", GateKind.QFAC2,
+        gates.append(GateInstance(f"g{i}", "QFAC2",
                                   ("a", "b", cin), (s, co)))
         cin = co
     return Netlist(radix=4, width=max(1, (k + 1) // 2), wires=wires,
@@ -113,7 +112,7 @@ def test_single_gate_netlist_reports_that_gates_delay():
     net = _chain(1)
     cp = critical_path(net, timing_preset("quaternary-0.9v"))
     assert cp.delay_ps == pytest.approx(646 / 7)
-    assert cp.kind_names() == ["QFAC2"]
+    assert cp.kinds == ["QFAC2"]
 
 
 def test_longer_chains_never_get_faster():
@@ -139,11 +138,11 @@ def test_frontend_kinds_can_be_included(q1):
     assert critical_path(q1, lib).delay_ps == 0.0
     cp = critical_path(q1, lib, exclude_kinds=())
     assert cp.delay_ps == pytest.approx(118.0)
-    assert cp.kind_names() == ["QM1"]
+    assert cp.kinds == ["QM1"]
 
 
 def test_missing_timing_entry_raises(b2):
-    lib = TimingLibrary(name="thin", delays={(GateKind.AND, "y"): 0.0})
+    lib = TimingLibrary(name="thin", delays={("AND", "y"): 0.0})
     with pytest.raises(LibraryError):
         critical_path(b2, lib)
 
@@ -166,8 +165,32 @@ def test_timing_library_json_round_trip():
      "timing key 'QM1' is not QM1.<output port>"),
     (TimingLibrary, '{"delays": {"QM1.sum": 1.0}}',
      "timing key 'QM1.sum' is not QM1.<output port>"),
+    # Python's words ("'list' object has no attribute 'get'", KeyError:
+    # 'delays') named no field, and a name of 5 was accepted
+    (CostLibrary, "[]",
+     "malformed cost library: the document is not an object"),
+    (CostLibrary, "{}",
+     "malformed cost library: the document has no sigma_di"),
+    (CostLibrary, '{"sigma_di": []}',
+     "malformed cost library: sigma_di is not an object"),
+    (CostLibrary, '{"name": 5, "sigma_di": {}}',
+     "malformed cost library: name 5 is not a string"),
+    (CostLibrary, '{"sigma_di": {"NAND": 1}}',
+     "malformed cost library: ValueError: 'NAND' is not a valid GateKind"),
+    (TimingLibrary, "[]",
+     "malformed timing library: the document is not an object"),
+    (TimingLibrary, "{}",
+     "malformed timing library: the document has no delays"),
+    (TimingLibrary, '{"delays": []}',
+     "malformed timing library: delays is not an object"),
+    (TimingLibrary, '{"name": 5, "delays": {}}',
+     "malformed timing library: name 5 is not a string"),
+    (TimingLibrary, '{"delays": {"NAND.y": 1}}',
+     "malformed timing library: ValueError: 'NAND' is not a valid GateKind"),
 ], ids=["cost-str", "cost-bool", "timing-bool", "timing-no-port",
-        "timing-wrong-port"])
+        "timing-wrong-port", "cost-list", "cost-empty", "cost-section-list",
+        "cost-name-int", "cost-kind", "timing-list", "timing-empty",
+        "timing-section-list", "timing-name-int", "timing-kind"])
 def test_library_values_and_keys_are_strict(cls, text, message):
     with pytest.raises(LibraryError) as err:
         cls.from_json(text)

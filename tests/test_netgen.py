@@ -3,7 +3,7 @@
 import pytest
 
 from mvlmul import netgen
-from mvlmul.core import GateKind, PORTS
+from mvlmul.core import PORTS
 from mvlmul.netgen import (NetBuilder, NetgenError, build_pp, final_cpa,
                            gen_multiplier, wallace_stage)
 from mvlmul.netlist import validate_netlist
@@ -23,7 +23,7 @@ def _fresh_builder(radix, width):
 def test_pp_binary_shapes():
     b = _fresh_builder(2, 2)
     m = build_pp(b, 2, 2, 2)
-    assert sum(1 for g in b.gates if g.kind is GateKind.AND) == 4
+    assert sum(1 for g in b.gates if g.kind == "AND") == 4
     assert m.heights() == [1, 2, 1, 0]
 
     b = _fresh_builder(2, 1)
@@ -162,7 +162,7 @@ def test_no_quaternary_wire_feeds_a_carry_port(all_designs):
 
 def test_wc_substitution_only_at_the_top(q2, q4):
     for net in (q2, q4):
-        wcs = [g for g in net.gates if g.kind is GateKind.QFAC2WC]
+        wcs = [g for g in net.gates if g.kind == "QFAC2WC"]
         assert len(wcs) == 1
         # its sum drives the most significant product digit
         assert wcs[0].outputs[0] == net.primary_outputs[-1]

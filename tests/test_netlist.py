@@ -7,7 +7,7 @@ import pytest
 
 from conftest import EVERY_VIOLATION, disjoint_union
 from mvlmul import gen_multiplier
-from mvlmul.core import PORTS, GateKind
+from mvlmul.core import PORTS
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
                             Wire, validate_netlist)
 
@@ -39,6 +39,17 @@ def test_json_rejects_garbage():
         Netlist.from_json('{"format": "mvl-netlist", "version": 99}')
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None],
+                         ids=["true", "float", "string", "null"])
+def test_json_version_is_the_integer_1(q1, version):
+    # 1.0 and true equal 1 in Python: both used to load as version 1
+    doc = json.loads(q1.to_json())
+    doc["version"] = version
+    with pytest.raises(NetlistError) as e:
+        Netlist.from_json(json.dumps(doc))
+    assert str(e.value) == f"unsupported version {version!r}"
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"mvl-netlist"', "3", "null"])
 def test_json_rejects_non_object_documents(text):
     with pytest.raises(NetlistError, match="not a netlist document"):
@@ -57,7 +68,7 @@ def _reference_json(net):
         "outputs": list(net.primary_outputs),
         "wires": [{"id": w.id, "range_max": w.range_max}
                   for w in net.wires.values()],
-        "gates": [{"id": g.id, "kind": g.kind.value,
+        "gates": [{"id": g.id, "kind": g.kind,
                    "inputs": list(g.inputs), "outputs": list(g.outputs)}
                   for g in net.gates],
     }
@@ -84,9 +95,9 @@ ODD_IDS = ['a"b', "c\\d", "e\tf", "\u00e9t\u00e9", "\U0001d465"]
 @pytest.mark.parametrize("net", [
     _odd(),
     _odd(wires=[Wire("x0", 3)], ins=["x0"]),
-    _odd(gates=[GateInstance("g0", GateKind.QM1, (), ())], outs=["p0"]),
+    _odd(gates=[GateInstance("g0", "QM1", (), ())], outs=["p0"]),
     _odd(wires=[Wire(i, 3) for i in ODD_IDS],
-         gates=[GateInstance(i, GateKind.QM1, tuple(ODD_IDS[:2]), (i,))
+         gates=[GateInstance(i, "QM1", tuple(ODD_IDS[:2]), (i,))
                 for i in ODD_IDS], ins=ODD_IDS, outs=ODD_IDS[::-1]),
     _odd(wires=[Wire("x0", 3)],
          stats={"stages": 2, "tree": {"QFA": 3, "rows": [4, 3, [2, []]]},
@@ -163,15 +174,15 @@ def test_from_json_rejects_repeated_wire_ids(q4, range_max):
 
 def test_records_are_immutable_values():
     w = Wire(id="x0", range_max=3)
-    g = GateInstance("g0", GateKind.QHA, inputs=("x0", "y0"),
+    g = GateInstance("g0", "QHA", inputs=("x0", "y0"),
                      outputs=("s", "c"))
     assert w == Wire("x0", 3) and hash(w) == hash(Wire("x0", 3))
     assert repr(w) == "Wire(id='x0', range_max=3)"
     assert (g.id, g.kind, g.inputs, g.outputs) == \
-        ("g0", GateKind.QHA, ("x0", "y0"), ("s", "c"))
+        ("g0", "QHA", ("x0", "y0"), ("s", "c"))
     assert str(Violation("cycle", "through g0")) == "[cycle] through g0"
     for record, field in ((w, "range_max"), (g, "kind"),
-                          (PORTS[GateKind.AND], "inputs")):
+                          (PORTS["AND"], "inputs")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     a, b = (Netlist(radix=2, width=1, wires={}, gates=[], primary_inputs=[],
@@ -182,7 +193,7 @@ def test_records_are_immutable_values():
 def _tiny(radix=2):
     wires = {"x0": Wire("x0", radix - 1), "y0": Wire("y0", radix - 1),
              "p0": Wire("p0", radix - 1)}
-    kind = GateKind.AND if radix == 2 else GateKind.QM1
+    kind = "AND" if radix == 2 else "QM1"
     gates = [GateInstance("g0", kind, ("x0", "y0"),
                           ("p0",) if radix == 2 else ("p0", "p1"))]
     if radix == 4:
@@ -199,7 +210,7 @@ def test_hand_built_minimal_netlist_is_valid():
 
 def test_multi_driver_detected():
     n = _tiny(2)
-    n.gates.append(GateInstance("g1", GateKind.AND, ("x0", "y0"), ("p0",)))
+    n.gates.append(GateInstance("g1", "AND", ("x0", "y0"), ("p0",)))
     assert "multi-driver" in _codes(validate_netlist(n))
 
 
@@ -207,7 +218,7 @@ def test_quaternary_wire_on_carry_port_detected():
     # a quit wire wired into the ternary carry-in of a QFAC2
     wires = {"a": Wire("a", 3), "b": Wire("b", 3), "c": Wire("c", 3),
              "s": Wire("s", 3), "co": Wire("co", 2)}
-    gates = [GateInstance("g0", GateKind.QFAC2, ("a", "b", "c"),
+    gates = [GateInstance("g0", "QFAC2", ("a", "b", "c"),
                           ("s", "co"))]
     n = Netlist(radix=4, width=1, wires=wires, gates=gates,
                 primary_inputs=["a", "b", "c"], primary_outputs=["s", "co"])
@@ -218,8 +229,8 @@ def test_cycle_detected():
     wires = {"a": Wire("a", 1), "s1": Wire("s1", 1), "c1": Wire("c1", 1),
              "s2": Wire("s2", 1), "c2": Wire("c2", 1)}
     gates = [
-        GateInstance("g0", GateKind.BIN_HA, ("a", "s2"), ("s1", "c1")),
-        GateInstance("g1", GateKind.BIN_HA, ("s1", "c1"), ("s2", "c2")),
+        GateInstance("g0", "BIN_HA", ("a", "s2"), ("s1", "c1")),
+        GateInstance("g1", "BIN_HA", ("s1", "c1"), ("s2", "c2")),
     ]
     n = Netlist(radix=2, width=1, wires=wires, gates=gates,
                 primary_inputs=["a"], primary_outputs=["s2"])
@@ -240,7 +251,7 @@ def test_undriven_wire_is_not_an_order_violation():
     # a wire no gate drives is undriven, whoever reads it
     n = _tiny(2)
     n.wires["loose"] = Wire("loose", 1)
-    n.gates[0] = GateInstance("g0", GateKind.AND, ("x0", "loose"), ("p0",))
+    n.gates[0] = GateInstance("g0", "AND", ("x0", "loose"), ("p0",))
     assert _codes(validate_netlist(n)) == {"undriven"}
 
 
@@ -250,14 +261,23 @@ def test_undriven_and_missing_wires_detected():
     v = validate_netlist(n)
     assert "undriven" in _codes(v)
     n2 = _tiny(2)
-    n2.gates[0] = GateInstance("g0", GateKind.AND, ("x0", "ghost"), ("p0",))
+    n2.gates[0] = GateInstance("g0", "AND", ("x0", "ghost"), ("p0",))
     assert "missing-wire" in _codes(validate_netlist(n2))
 
 
 def test_arity_checked():
     n = _tiny(2)
-    n.gates[0] = GateInstance("g0", GateKind.AND, ("x0",), ("p0",))
+    n.gates[0] = GateInstance("g0", "AND", ("x0",), ("p0",))
     assert "arity" in _codes(validate_netlist(n))
+
+
+def test_unknown_kind_checked():
+    # a typo is named, and the gate's ports go unchecked, as for arity
+    n = _tiny(2)
+    n.gates[0] = GateInstance("g0", "QFA2", ("x0",), ("p0",))
+    assert [str(p) for p in validate_netlist(n)] == [
+        "[kind] gate g0 has unknown kind 'QFA2'",
+        "[undriven] wire p0 has no driver"]
 
 
 def test_output_completeness_checked(b2):
@@ -291,7 +311,7 @@ def test_input_count_checked():
     n2 = _tiny(2)
     del n2.wires["y0"]
     n2.primary_inputs.remove("y0")
-    n2.gates[0] = GateInstance("g0", GateKind.AND, ("x0", "x0"), ("p0",))
+    n2.gates[0] = GateInstance("g0", "AND", ("x0", "x0"), ("p0",))
     assert _codes(validate_netlist(n2)) == {"inputs"}
 
 

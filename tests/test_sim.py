@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvlmul import gen_multiplier, sim
-from mvlmul.core import GateKind, KERNELS
+from mvlmul.core import KERNELS
 from mvlmul.netlist import GateInstance, Netlist, Wire
 from mvlmul.sim import (SimulationError, VerificationSpaceError, evaluate,
                         verify_exhaustive, verify_random)
@@ -60,7 +60,7 @@ def _narrow_qha():
     """A QHA whose sum wire is declared binary: overflows on 2+1=3."""
     wires = {"a": Wire("a", 3), "b": Wire("b", 3),
              "s": Wire("s", 1), "c": Wire("c", 1)}
-    gates = [GateInstance("g0", GateKind.QHA, ("a", "b"), ("s", "c"))]
+    gates = [GateInstance("g0", "QHA", ("a", "b"), ("s", "c"))]
     return Netlist(radix=4, width=1, wires=wires, gates=gates,
                    primary_inputs=["a", "b"], primary_outputs=["s", "c"])
 
@@ -85,13 +85,13 @@ def _two_overflows(order):
     at level 1, QHA g3 at level 2; ``order`` lists the gates."""
     ranges = {"x0": 3, "y0": 3, "s0": 3, "c0": 1, "p1": 1, "c1": 2,
               "s2": 1, "c2": 1, "s3": 1, "c3": 1}
-    gates = {"g0": GateInstance("g0", GateKind.QHA, ("x0", "y0"),
+    gates = {"g0": GateInstance("g0", "QHA", ("x0", "y0"),
                                 ("s0", "c0")),
-             "g1": GateInstance("g1", GateKind.QM1, ("x0", "y0"),
+             "g1": GateInstance("g1", "QM1", ("x0", "y0"),
                                 ("p1", "c1")),
-             "g2": GateInstance("g2", GateKind.QHA, ("x0", "y0"),
+             "g2": GateInstance("g2", "QHA", ("x0", "y0"),
                                 ("s2", "c2")),
-             "g3": GateInstance("g3", GateKind.QHA, ("s0", "x0"),
+             "g3": GateInstance("g3", "QHA", ("s0", "x0"),
                                 ("s3", "c3"))}
     return Netlist(radix=4, width=1,
                    wires={w: Wire(w, r) for w, r in ranges.items()},
@@ -130,6 +130,30 @@ def test_read_before_driver_is_a_simulation_error(b8_last_gate_first):
     with pytest.raises(SimulationError) as e:
         verify_exhaustive(net)
     assert str(e.value) == msg
+
+
+@pytest.mark.parametrize("design, kind, edit, msg", [
+    ("q1", "QM1", lambda g: {"inputs": ("zz", "y0")},
+     "gate {} names undeclared wire zz"),
+    ("q1", "QM1", lambda g: {"inputs": g.inputs[:1]},
+     "gate {} (QM1) has 1 in / 2 out, not 2 / 2"),
+    ("q2", "QHA", lambda g: {"outputs": g.outputs[:1]},
+     "gate {} (QHA) has 2 in / 1 out, not 2 / 2"),
+    ("q1", "QM1", lambda g: {"kind": "QFA2"},
+     "gate {} has unknown kind 'QFA2'"),
+], ids=["undeclared-wire", "input-too-few", "output-too-few", "unknown-kind"])
+def test_unvalidated_gate_is_a_simulation_error(request, design, kind, edit,
+                                                msg):
+    # unvalidated, these raised a bare KeyError, the kernel's TypeError,
+    # and a later gate's "reads wire ... before any gate drives it"
+    net = Netlist.from_json(request.getfixturevalue(design).to_json())
+    i = next(i for i, g in enumerate(net.gates) if g.kind == kind)
+    g = net.gates[i]
+    net.gates[i] = g._replace(**edit(g))
+    for run in (verify_exhaustive, lambda n: evaluate(n, _assign(n, 1, 2))):
+        with pytest.raises(SimulationError) as e:
+            run(net)
+        assert str(e.value) == msg.format(g.id)
 
 
 def test_undriven_product_digit_is_a_simulation_error():
@@ -184,7 +208,7 @@ def test_exhaustive_reproduces_digit_multiplier_table(q1):
     assert report.vectors_tested == 16 and report.passed
     for a, b in product(range(4), repeat=2):
         assert evaluate(q1, {"x0": a, "y0": b}) == \
-            list(KERNELS[GateKind.QM1](a, b))
+            list(KERNELS["QM1"](a, b))
 
 
 def test_exhaustive_cap(b8):
@@ -232,7 +256,7 @@ def test_random_stream_is_randrange(monkeypatch, request, design, seed):
 def test_verify_rejects_radix_not_power_of_two():
     # the planes of a digit are its bits, so the radix must be 2**m
     wires = {w: Wire(w, 2) for w in ("x0", "y0", "p", "c")}
-    gates = [GateInstance("g", GateKind.QHA, ("x0", "y0"), ("p", "c"))]
+    gates = [GateInstance("g", "QHA", ("x0", "y0"), ("p", "c"))]
     net = Netlist(radix=3, width=1, wires=wires, gates=gates,
                   primary_inputs=["x0", "y0"], primary_outputs=["p", "c"])
     for run in (lambda: verify_exhaustive(net),
@@ -250,9 +274,9 @@ def _corrupt(net):
     """Feed the first half adder twice from the same wire, in place: a
     real functional corruption that still validates."""
     victim = next(i for i, g in enumerate(net.gates)
-                  if g.kind is GateKind.BIN_HA)
+                  if g.kind == "BIN_HA")
     g = net.gates[victim]
-    net.gates[victim] = GateInstance(g.id, GateKind.BIN_HA,
+    net.gates[victim] = GateInstance(g.id, "BIN_HA",
                                      (g.inputs[0], g.inputs[0]), g.outputs)
     return net
 
