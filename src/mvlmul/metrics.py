@@ -162,9 +162,14 @@ class TimingLibrary:
 
     def require(self, net: Netlist) -> None:
         """Raise a :class:`LibraryError` naming each port of ``net``'s
-        kinds that has no delay, in :data:`~mvlmul.core.PORTS` order."""
+        kinds that has no delay, in :data:`~mvlmul.core.PORTS` order,
+        or the first gate whose kind has no ports."""
+        kinds = {g.kind for g in net.gates}
+        if not kinds <= PORTS.keys():
+            g = next(g for g in net.gates if g.kind not in PORTS)
+            raise LibraryError(f"gate {g.id} has unknown kind {g.kind!r}")
         missing = [f"{kind}.{pname}"
-                   for kind in sorted({g.kind for g in net.gates})
+                   for kind in sorted(kinds)
                    for pname, _ in PORTS[kind].outputs
                    if (kind, pname) not in self.delays]
         if missing:

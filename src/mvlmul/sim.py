@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from functools import cache, partial
+from functools import cache
 from itertools import islice, product, zip_longest
 
 from .core import KERNELS, PORTS
@@ -30,6 +30,10 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 #: vectors per batch: a plane holds at most this many bits, so a batch's
 #: memory depends on the design, not on how many vectors a run checks
 BATCH_VECTORS = 2 ** 12
+
+#: Mersenne Twister words per ``getrandbits`` call of the random digit
+#: stream, at most: the draw's memory stays small on wide designs
+_DRAW_WORDS = 2 ** 14
 
 
 class SimulationError(ValueError):
@@ -177,11 +181,14 @@ def _simulate(net: Netlist, batches):
     Each gate fires once per batch, in gate order.  An overflow names
     the failing wire first in that order: every gate before it read
     in-range planes.  A wire read before any gate drives it is an error,
-    and so are a primary input not declared a full digit, an unknown
-    kind, a port count that is not the kind's and an undeclared wire.
+    and so are a primary input undeclared or not declared a full digit,
+    an unknown kind, a port count that is not the kind's and an
+    undeclared wire.
     """
     ranges = {w: wire.range_max for w, wire in net.wires.items()}
     for w in net.primary_inputs:
+        if w not in ranges:
+            raise SimulationError(f"input wire {w} undeclared")
         if ranges[w] != net.radix - 1:
             raise SimulationError(
                 f"input wire {w} has range_max {ranges[w]}, radix "
@@ -232,6 +239,8 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     for name in net.primary_inputs:
         if name not in assignment:
             raise SimulationError(f"input {name} not assigned")
+        if name not in net.wires:
+            raise SimulationError(f"input wire {name} undeclared")
         v, hi = assignment[name], net.wires[name].range_max
         if not isinstance(v, int) or not 0 <= v <= hi:
             raise SimulationError(f"input {name}={v!r} outside 0..{hi}")
@@ -351,6 +360,43 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
     return _verify(net, "exhaustive", space, batches(), keep)
 
 
+def _digit_source(seed: int, radix: int):
+    """``take(n)``: the next ``n`` digits of the stream seeded by
+    ``seed``, one byte each: the digits of ``randrange(radix)`` drawn
+    one at a time.
+
+    ``randrange(radix)`` is ``getrandbits(k)``, ``k = radix.bit_length()``,
+    with values >= radix rejected; for k <= 32 that is the top k bits of
+    one 32-bit MT19937 word, and ``getrandbits(32 * w)`` is the next w
+    words, the first least significant.  So the top byte of each word,
+    in draw order and shifted right by 8 - k, is the next candidate, and
+    a few C calls draw thousands of digits.  A digit must fit in that
+    byte: k <= 8, so radix <= 128.
+    """
+    k = radix.bit_length()
+    if k > 8:
+        raise SimulationError(f"radix {radix} exceeds 128, the largest "
+                              "radix whose random digits fit in a byte")
+    rng = random.Random(seed)
+    to_digit = bytes(b >> 8 - k for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> 8 - k >= radix)
+    spare = b""  # digits drawn past the last take
+
+    def take(n: int) -> bytearray:
+        # the digits grow in place, so a batch's digits are held once
+        nonlocal spare
+        drawn, spare = bytearray(spare[:n]), spare[n:]
+        while (short := n - len(drawn)) > 0:
+            # about half the candidates of a power-of-two radix are rejected
+            w = min(2 * short + 64, _DRAW_WORDS)
+            part = (rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4]
+                    .translate(to_digit, rejected))
+            drawn += part[:short]
+            spare = part[short:]
+        return drawn
+    return take
+
+
 def verify_random(net: Netlist, count: int, seed: int,
                   keep: int | None = None) -> VerificationReport:
     """Compare ``count`` seeded random vectors against x * y.
@@ -362,10 +408,7 @@ def verify_random(net: Netlist, count: int, seed: int,
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # randrange(radix) is getrandbits(radix.bit_length()) with rejection
-    # of values >= radix: the same digits, drawn without a Python loop
-    bits = partial(random.Random(seed).getrandbits, net.radix.bit_length())
-    digits = filter(net.radix.__gt__, iter(bits, None))
+    take = _digit_source(seed, net.radix)
     m, row = (net.radix - 1).bit_length(), 2 * net.width
     # each digit byte to b"1" where bit b is set and b"0" elsewhere; the
     # column is reversed so that vector j lands on bit j of int(s, 2)
@@ -374,7 +417,7 @@ def verify_random(net: Netlist, count: int, seed: int,
     def batches():
         for a in range(0, count, BATCH_VECTORS):
             n = min(BATCH_VECTORS, count - a)
-            drawn = bytes(islice(digits, n * row))
+            drawn = take(n * row)
             yield n, [tuple(int(col.translate(t), 2) for t in tables)
                       for col in (drawn[i::row][::-1] for i in range(row))]
     return _verify(net, "random", count, batches(), keep, seed)

@@ -13,9 +13,16 @@ from .core import PORTS
 from .netlist import Netlist
 
 
+class SpiceExportError(ValueError):
+    """A gate's kind has no port list to declare its subcircuit with."""
+
+
 def export_spice(net: Netlist) -> str:
     """Render a netlist as a hierarchical structural deck."""
-    kinds = sorted({g.kind for g in net.gates})
+    kinds = {g.kind for g in net.gates}
+    if not kinds <= PORTS.keys():
+        g = next(g for g in net.gates if g.kind not in PORTS)
+        raise SpiceExportError(f"gate {g.id} has unknown kind {g.kind!r}")
     name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "
@@ -24,7 +31,7 @@ def export_spice(net: Netlist) -> str:
         lines.append(f"* product digit {k} = {wid}")
     lines.append("")
 
-    for kind in kinds:
+    for kind in sorted(kinds):
         spec = PORTS[kind]
         ports = " ".join(n for n, _ in spec.inputs + spec.outputs)
         lines.append(f".SUBCKT {kind} {ports}")

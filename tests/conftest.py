@@ -29,6 +29,14 @@ def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
                    gates=gates, primary_inputs=ins, primary_outputs=outs)
 
 
+def with_kind(net: Netlist, gate_id: str, kind: str) -> Netlist:
+    """A copy of ``net`` whose gate ``gate_id`` has kind ``kind``."""
+    return Netlist(net.radix, net.width, net.wires,
+                   [GateInstance(g.id, kind, g.inputs, g.outputs)
+                    if g.id == gate_id else g for g in net.gates],
+                   net.primary_inputs, net.primary_outputs)
+
+
 def scaled_timing(lib: TimingLibrary, k: float) -> TimingLibrary:
     """``lib`` with every delay multiplied by ``k`` (> 0)."""
     return TimingLibrary(f"{lib.name}*{k}",

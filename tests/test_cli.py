@@ -10,13 +10,13 @@ import textwrap
 
 import pytest
 
-from conftest import EVERY_VIOLATION, scaled_timing
+from conftest import EVERY_VIOLATION, scaled_timing, with_kind
 from mvlmul import cli
 from mvlmul.cli import main
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
                             validate_netlist)
-from mvlmul.spice import export_spice
+from mvlmul.spice import SpiceExportError, export_spice
 
 
 def run(argv, capsys):
@@ -543,6 +543,12 @@ def test_export_spice_counts_and_determinism(tmp_path, capsys):
 ])
 def test_export_spice_bytes_pinned(request, design, sha256):
     assert _sha256(export_spice(request.getfixturevalue(design))) == sha256
+
+
+def test_export_spice_names_unknown_kind(q4):
+    with pytest.raises(SpiceExportError,
+                       match="^gate g00000 has unknown kind 'QFA2'$"):
+        export_spice(with_kind(q4, "g00000", "QFA2"))
 
 
 def test_export_spice_instances_match_inventory(tmp_path, capsys, q4):

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import disjoint_union, scaled_timing
+from conftest import disjoint_union, scaled_timing, with_kind
 from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
                             area_estimate, compare, critical_path,
                             default_cost_library, timing_preset)
@@ -145,6 +145,13 @@ def test_missing_timing_entry_raises(b2):
     lib = TimingLibrary(name="thin", delays={("AND", "y"): 0.0})
     with pytest.raises(LibraryError):
         critical_path(b2, lib)
+
+
+def test_critical_path_names_unknown_kind(q4):
+    net = with_kind(q4, "g00000", "QFA2")
+    with pytest.raises(LibraryError,
+                       match="^gate g00000 has unknown kind 'QFA2'$"):
+        critical_path(net, timing_preset("quaternary-0.9v"))
 
 
 def test_timing_library_json_round_trip():

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,19 @@ def test_evaluate_rejects_bad_assignments(b2):
     bad["x0"] = 2
     with pytest.raises(SimulationError):
         evaluate(b2, bad)
+
+
+def test_undeclared_input_is_named(q1):
+    # x0 is a primary input, but no wire x0 is declared
+    net = Netlist(q1.radix, q1.width,
+                  {w: v for w, v in q1.wires.items() if w != "x0"},
+                  q1.gates, q1.primary_inputs, q1.primary_outputs)
+    for run in (lambda: evaluate(net, {"x0": 1, "y0": 2}),
+                lambda: verify_exhaustive(net),
+                lambda: verify_random(net, 5, seed=1)):
+        with pytest.raises(SimulationError,
+                           match="^input wire x0 undeclared$"):
+            run()
 
 
 def _narrow_qha():
@@ -238,19 +252,61 @@ def _spy_batches(monkeypatch, size):
     return batches
 
 
-@pytest.mark.parametrize("seed", [5, 2024])
-@pytest.mark.parametrize("design", ["b4", "q2"])
-def test_random_stream_is_randrange(monkeypatch, request, design, seed):
-    # the digits checked, across five batches of 7, are the seeded
-    # stream drawn one randrange(radix) at a time, x digits then y
+def _count_draws(monkeypatch):
+    """Count the ``getrandbits`` calls of the Random that sim makes."""
+    calls = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+    monkeypatch.setattr(sim, "random", SimpleNamespace(Random=Counting))
+    return calls
+
+
+# seven-vector batches, and 5,000 vectors at the default batch size,
+# whose first batch takes several bulk draws
+@pytest.mark.parametrize("design, seed, batch, count", [
+    pytest.param(d, s, 7, 33, id=f"{d}-{s}")
+    for d in ("b4", "q2") for s in (5, 2024)] + [
+    pytest.param(d, 5, sim.BATCH_VECTORS, 5000, id=f"{d}-5-default-batch")
+    for d in ("b4", "q2")])
+def test_random_stream_is_randrange(monkeypatch, request, design, seed,
+                                    batch, count):
+    # the digits checked, across the batches, are the seeded stream
+    # drawn one randrange(radix) at a time, x digits then y
     net = request.getfixturevalue(design)
-    batches = _spy_batches(monkeypatch, 7)
-    assert verify_random(net, 33, seed).passed
-    assert [len(b) for b in batches] == [7, 7, 7, 7, 5]
+    default = batch == sim.BATCH_VECTORS
+    batches = _spy_batches(monkeypatch, batch)
+    draws = _count_draws(monkeypatch)
+    assert verify_random(net, count, seed).passed
+    assert [len(b) for b in batches] == [
+        min(batch, count - a) for a in range(0, count, batch)]
+    if default:
+        assert len(draws) > len(batches)
     rng = random.Random(seed)
     assert sum(batches, []) == [
         [rng.randrange(net.radix) for _ in range(2 * net.width)]
-        for _ in range(33)]
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("radix", range(2, 129))
+def test_digit_source_is_randrange(radix):
+    # taken in uneven pieces, so leftover digits carry between takes
+    take = sim._digit_source(11, radix)
+    got = b"".join(take(n) for n in (1, 0, 700, 5, 2300))
+    rng = random.Random(11)
+    assert got == bytes(rng.randrange(radix) for _ in range(3006))
+
+
+def test_random_rejects_radix_over_128():
+    # a digit is drawn from one byte of a word; validate_netlist allows
+    # only radix 2 and 4, so this one is built by hand
+    wires = {w: Wire(w, 255) for w in ("x0", "y0")}
+    net = Netlist(radix=256, width=1, wires=wires, gates=[],
+                  primary_inputs=["x0", "y0"], primary_outputs=[])
+    with pytest.raises(SimulationError, match="radix 256 exceeds 128"):
+        verify_random(net, 5, seed=1)
 
 
 def test_verify_rejects_radix_not_power_of_two():
@@ -395,6 +451,11 @@ PINNED_REPORTS = {
         lambda f: verify_random(gen_multiplier(4, 16), 500, 3),
         "ade84bb564221fa1f8b973144e06f70ccecaec3a6542800959dbb0619fb6acef",
         0),
+    # 9,000 vectors cross two batch boundaries of the default size
+    "q4-fault-random": (
+        lambda f: verify_random(_x0_read_as_x1(f("q4")), 9000, 7),
+        "263f791869a08200723bb42a138a2a4170e19f2f87f3328a8d46f9ffcecb9b3a",
+        5120),
 }
 
 
