@@ -45,6 +45,9 @@ PORTS = {
     "QFAC2WC": PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),)),
 }
 
+#: per kind, its number of inputs and of outputs
+ARITY = {kind: (len(s.inputs), len(s.outputs)) for kind, s in PORTS.items()}
+
 #: per radix, the cells a multiplier is built from, by role: the digit
 #: cell, the half adder, the full adder, and the full adder of the top
 #: product column, whose carry out is provably zero.

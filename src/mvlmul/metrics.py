@@ -167,7 +167,7 @@ class TimingLibrary:
         kinds = {g.kind for g in net.gates}
         if not kinds <= PORTS.keys():
             g = next(g for g in net.gates if g.kind not in PORTS)
-            raise LibraryError(f"gate {g.id} has unknown kind {g.kind!r}")
+            raise LibraryError(g.port_error())
         missing = [f"{kind}.{pname}"
                    for kind in sorted(kinds)
                    for pname, _ in PORTS[kind].outputs
@@ -250,20 +250,23 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     order = net.gates  # a dependency order, read backwards
     rem = {w: 0.0 for w in net.primary_outputs}
     hop: dict[str, tuple | None] = dict.fromkeys(rem)
-    for i in range(len(order) - 1, -1, -1):
-        g = order[i]
-        for k, ow in enumerate(g.outputs):
-            if ow not in rem:
-                continue
-            t = delays[g.kind][k] + rem[ow]
-            h = (g.id, k, i)
-            for w in g.inputs:
-                r = rem.get(w)
-                if r is None or t > r + eps or (
-                        t >= r - eps and hop[w] is not None and h < hop[w]):
-                    hop[w] = h
-                if r is None or t > r:
-                    rem[w] = t
+    try:
+        for i in range(len(order) - 1, -1, -1):
+            g = order[i]
+            for k, ow in enumerate(g.outputs):
+                if ow not in rem:
+                    continue
+                t = delays[g.kind][k] + rem[ow]
+                h = (g.id, k, i)
+                for w in g.inputs:
+                    r = rem.get(w)
+                    if r is None or t > r + eps or t >= r - eps and (
+                            hop[w] is not None and h < hop[w]):
+                        hop[w] = h
+                    if r is None or t > r:
+                        rem[w] = t
+    except IndexError:  # g has more outputs than its kind
+        raise LibraryError(g.port_error()) from None
 
     starts = [w for w in net.primary_inputs if w in rem]
     if not starts or not net.gates:

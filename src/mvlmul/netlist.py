@@ -20,7 +20,7 @@ import json
 from collections import Counter, namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .core import PORTS
+from .core import ARITY, PORTS
 
 JSON_FORMAT = "mvl-netlist"
 JSON_VERSION = 1
@@ -41,6 +41,14 @@ class GateInstance(namedtuple("GateInstance", "id kind inputs outputs")):
     ``inputs`` and ``outputs`` are wire ids, in port order."""
 
     __slots__ = ()
+
+    def port_error(self) -> str:
+        """Why this gate's kind is unknown or its port counts are wrong."""
+        if self.kind not in ARITY:
+            return f"gate {self.id} has unknown kind {self.kind!r}"
+        n_in, n_out = ARITY[self.kind]
+        return (f"gate {self.id} ({self.kind}) has {len(self.inputs)} in / "
+                f"{len(self.outputs)} out, not {n_in} / {n_out}")
 
 
 class Violation(namedtuple("Violation", "code message")):

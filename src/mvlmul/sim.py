@@ -4,15 +4,15 @@ Evaluation is zero-delay and bit-sliced, after bit-parallel pattern
 simulation (Waicukauski et al., "Fault Simulation for Structured VLSI",
 1985): a batch of vectors runs at once, each wire held as the
 ``range_max.bit_length()`` bit-planes of its digit, and a plane is one
-Python int with one bit per vector.  Gates fire once each in gate
-order, which is a dependency order (see :mod:`mvlmul.netlist`), through
-a plan derived from the cell's kernel in :data:`~mvlmul.core.KERNELS`
-by enumerating its truth table, so each cell keeps its one definition.
-Every write is checked against the wire's declared range over every
-vector of the batch, so a run doubles as an executable range-soundness
-check (the ternary-carry discipline in particular).  Verification
-compares the product digits with a bit-sliced shift-and-add of the
-operand bits, which shares no code with the cells.
+Python int with one bit per vector.  Gates fire once each in gate order,
+which is a dependency order (see :mod:`mvlmul.netlist`), as ripple-carry
+code for the sum or product of their inputs that their kernel in
+:data:`~mvlmul.core.KERNELS` computes, so each cell keeps its one
+definition.  Every write is checked against the wire's declared range
+over every vector of the batch, so a run doubles as an executable
+range-soundness check (the ternary-carry discipline in particular).
+Verification compares the product digits with a bit-sliced shift-and-add
+of the operand bits, which shares no code with the cells.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import json
 import random
 from functools import cache
 from itertools import islice, product, zip_longest
+from math import prod
 
-from .core import KERNELS, PORTS
+from .core import ARITY, KERNELS, PORTS
 from .netlist import Netlist
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
@@ -80,95 +81,69 @@ class _Overflow(Exception):
     """Raised by a plan: output ``port`` reached ``top`` past its range."""
 
 
-def _literals(k: int, hi: int, v: int) -> list[str]:
-    """The fewest bit tests that tell value ``v`` of input ``k`` from its
-    other values 0..hi, as plane names: ``a{k}_{b}`` where bit ``b`` is
-    set, its complement ``n{k}_{b}`` where it is clear.  Values above
-    ``hi`` cannot occur, so a ternary 1 is just its low bit."""
-    tests = [(b, v >> b & 1) for b in range(hi.bit_length())]
-    for t in list(tests):
-        rest = [u for u in tests if u != t]
-        if not any(all(w >> b & 1 == s for b, s in rest)
-                   for w in range(hi + 1) if w != v):
-            tests = rest
-    return [f"{'a' if s else 'n'}{k}_{b}" for b, s in tests]
-
-
 @cache
 def _plan(kind: str, in_ranges: tuple[int, ...],
           out_ranges: tuple[int, ...]):
-    """``fire(mask, *input planes)``: a gate of ``kind`` on bit-planes.
-
-    It returns the output planes per port, or raises :class:`_Overflow`.
-    It is straight-line code derived from the kernel's truth table.  The
-    inputs are read one at a time.  After each, the input prefixes fall
-    into classes: two prefixes share a class when every completion gives
-    the same outputs, and a prefix whose completions all give zeros is
-    dropped, since no output bit reads it.  A class's indicator plane is
-    the OR, over the (earlier class, input value) pairs that lead to it,
-    of their ANDed indicators, so every output bit shares the products.
-    After the last input a class is one output tuple, and each output
-    bit ORs the classes that set it.  An overflow exists only where a
-    class exceeds a declared range, so only those classes are tested.
+    """``fire(mask, *input planes)``, the output planes of a ``kind`` gate
+    per port, or None if its kernel is neither the sum nor the product
+    of its inputs over their ranges.  Checked over that domain, it is one
+    of them in digits as wide as its first output, the last keeping the
+    bits above or not (``QFAC2WC``).  ``fire`` adds the input bits, or
+    the partial products, column by column with half and full adders.
+    Only a port whose range is below the kernel's largest value there is
+    tested: the first past it raises :class:`_Overflow` with its largest
+    value in the batch.
     """
-    fn, n_out = KERNELS[kind], len(out_ranges)
-    domains = [range(r + 1) for r in in_ranges]
+    fn, n = KERNELS[kind], len(out_ranges)
+    m = PORTS[kind].outputs[0][1].bit_length()  # bits per output digit
+    table = {v: fn(*v) for v in product(*(range(r + 1) for r in in_ranges))}
 
-    def residual(prefix):
-        return tuple(fn(*prefix, *rest)[:n_out]
-                     for rest in product(*domains[len(prefix):]))
+    def digits(v, keep):
+        return tuple(v >> m * o if keep and o == n - 1
+                     else v >> m * o & (1 << m) - 1 for o in range(n))
+    op, keep = next(((op, keep) for op in (sum, prod) for keep in (True, False)
+                     if all(digits(op(v), keep) == out
+                            for v, out in table.items())), (None, False))
+    if op is None:
+        return None
+    body = []
 
-    body, reps = [], [()]  # reps: one prefix per live class
-    for k, (hi, dom) in enumerate(zip(in_ranges, domains)):
-        index, nxt, groups = {}, [], []  # groups: (class, value) per class
-        for c, rep in enumerate(reps):
-            to = []
-            for v in dom:
-                sig = residual(rep + (v,))
-                if any(map(any, sig)):
-                    if sig not in index:
-                        index[sig] = len(nxt)
-                        nxt.append(rep + (v,))
-                        groups.append([])
-                    to.append((index[sig], v))
-            if len(to) == len(dom) and len({d for d, _ in to}) == 1:
-                to = [(to[0][0], None)]  # the input does not matter here
-            for d, v in to:
-                groups[d].append((c, v))
-        reps = nxt
-        if planes := [f"a{k}_{b}" for b in range(hi.bit_length())]:
-            body.append(f"{', '.join(planes)}, = a{k}")
-        tests = {v: _literals(k, hi, v)
-                 for v in sorted({v for g in groups for _, v in g} - {None})}
-        body += [f"{n} = a{n[1:]} ^ m" for n in sorted(
-            {t for ts in tests.values() for t in ts if t[0] == "n"})]
-        ind = {None: "m"}  # the value's indicator plane, by name
-        for v, ts in tests.items():
-            if len(ts) == 1:
-                ind[v] = ts[0]
-            else:
-                ind[v] = f"i{k}_{v}"
-                body.append(f"{ind[v]} = {' & '.join(ts) or 'm'}")
-        body += [f"c{k}_{d} = " + " | ".join(
-            ind[v] if k == 0 else f"c{k - 1}_{c}" if v is None
-            else f"c{k - 1}_{c} & {ind[v]}" for c, v in g)
-            for d, g in enumerate(groups)]
-    last = f"c{len(in_ranges) - 1}_"
-    final = [fn(*rep)[:n_out] for rep in reps]
+    def let(expr):  # names a new plane
+        body.append(f"t{len(body)} = {expr}")
+        return f"t{len(body) - 1}"
+    bits = [[f"a{k}_{b}" for b in range(r.bit_length())]
+            for k, r in enumerate(in_ranges)]
+    body += [f"{', '.join(bs)}, = a{k}" for k, bs in enumerate(bits) if bs]
+    cols = [[] for _ in range(max(map(op, table)).bit_length())]
+    for t in ([[t] for bs in bits for t in enumerate(bs)] if op is sum
+              else product(*map(enumerate, bits))):  # partial products
+        p = " & ".join(p for _, p in t)
+        cols[sum(b for b, _ in t)].append(let(p) if len(t) > 1 else p)
+    for w, col in enumerate(cols):
+        while len(col) > 1:
+            x, y, *z = col[:3]
+            del col[:3]
+            s = let(f"{x} ^ {y}")
+            if w + 1 < len(cols):  # a carry out of the top column is 0
+                cols[w + 1].append(let(
+                    f"{x} & {y}" + "".join(f" | {c} & {s}" for c in z)))
+            col.append(let(f"{s} ^ {z[0]}") if z else s)
+    value, ports = [col[0] if col else "0" for col in cols], []
     for o, hi in enumerate(out_ranges):
-        body += [f"if {last}{c}: raise _Overflow({o}, {t[o]})" for c, t in
-                 sorted(enumerate(final), key=lambda ct: -ct[1][o])
-                 if t[o] > hi]
-    ports = [", ".join(" | ".join(f"{last}{c}" for c, t in enumerate(final)
-                                  if t[o] >> b & 1) or "0"
-                       for b in range(hi.bit_length()))
-             for o, hi in enumerate(out_ranges)]
-    body.append("return " + "".join(f"({p},), " if p else "(), "
-                                    for p in ports))
+        ps = value[m * o:] if keep and o == n - 1 else value[m * o:m * o + m]
+        if hi < max(out[o] for out in table.values()):
+            # above hi: a bit hi clears is set, and every bit above it hi sets
+            over = " | ".join(" & ".join(
+                p for c, p in enumerate(ps) if c == b or c > b and hi >> c & 1)
+                for b in range(len(ps)) if not hi >> b & 1)
+            body.append(f"if {over}: raise _Overflow({o}, max(_digit_bytes("
+                        f"({', '.join(ps)},), mask.bit_length())))")
+        ports.append((ps + ["0"] * hi.bit_length())[:hi.bit_length()])
+    body.append("return " + "".join(
+        f"({''.join(p + ', ' for p in ps)}), " for ps in ports))
     args = "".join(f", a{k}" for k in range(len(in_ranges)))
-    scope = {"_Overflow": _Overflow}
-    exec(f"def fire(m{args}):\n" + "".join(f"    {line}\n" for line in body),
-         scope)
+    scope = {"_Overflow": _Overflow, "_digit_bytes": _digit_bytes}
+    exec(f"def fire(mask{args}):\n    " + "\n    ".join(body), scope)
     return scope["fire"]
 
 
@@ -182,8 +157,8 @@ def _simulate(net: Netlist, batches):
     the failing wire first in that order: every gate before it read
     in-range planes.  A wire read before any gate drives it is an error,
     and so are a primary input undeclared or not declared a full digit,
-    an unknown kind, a port count that is not the kind's and an
-    undeclared wire.
+    an unknown kind, a port count that is not the kind's, an undeclared
+    wire and a kernel that is no sum or product over the input ranges.
     """
     ranges = {w: wire.range_max for w, wire in net.wires.items()}
     for w in net.primary_inputs:
@@ -195,19 +170,18 @@ def _simulate(net: Netlist, batches):
                 f"{net.radix} digits need {net.radix - 1}")
     steps = []
     for g in net.gates:
-        spec = PORTS.get(g.kind)
-        if spec is None:
-            raise SimulationError(f"gate {g.id} has unknown kind {g.kind!r}")
+        if (len(g.inputs), len(g.outputs)) != ARITY.get(g.kind):
+            raise SimulationError(g.port_error())
         ins = tuple(map(ranges.get, g.inputs))
         outs = tuple(map(ranges.get, g.outputs))
-        if (len(ins), len(outs)) != (len(spec.inputs), len(spec.outputs)):
-            raise SimulationError(
-                f"gate {g.id} ({g.kind}) has {len(ins)} in / {len(outs)} "
-                f"out, not {len(spec.inputs)} / {len(spec.outputs)}")
         if None in ins or None in outs:
             w = next(w for w in g.inputs + g.outputs if w not in ranges)
             raise SimulationError(f"gate {g.id} names undeclared wire {w}")
-        steps.append((_plan(g.kind, ins, outs), g))
+        if (fire := _plan(g.kind, ins, outs)) is None:
+            raise SimulationError(
+                f"gate {g.id} ({g.kind}) is neither the sum nor the product "
+                f"of inputs up to {', '.join(map(str, ins))}")
+        steps.append((fire, g))
     for n, columns in batches:
         mask = (1 << n) - 1
         planes = dict(zip(net.primary_inputs, columns))

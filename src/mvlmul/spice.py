@@ -9,20 +9,21 @@ implied; the deck is a structural interchange format.
 
 from __future__ import annotations
 
-from .core import PORTS
+from .core import ARITY, PORTS
 from .netlist import Netlist
 
 
 class SpiceExportError(ValueError):
-    """A gate's kind has no port list to declare its subcircuit with."""
+    """A gate's kind is unknown, or its port counts are not the kind's."""
 
 
 def export_spice(net: Netlist) -> str:
     """Render a netlist as a hierarchical structural deck."""
-    kinds = {g.kind for g in net.gates}
-    if not kinds <= PORTS.keys():
-        g = next(g for g in net.gates if g.kind not in PORTS)
-        raise SpiceExportError(f"gate {g.id} has unknown kind {g.kind!r}")
+    cells = []
+    for g in net.gates:
+        if (len(g.inputs), len(g.outputs)) != ARITY.get(g.kind):
+            raise SpiceExportError(g.port_error())
+        cells.append(f"X{g.id} {' '.join(g.inputs + g.outputs)} {g.kind}")
     name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "
@@ -31,7 +32,7 @@ def export_spice(net: Netlist) -> str:
         lines.append(f"* product digit {k} = {wid}")
     lines.append("")
 
-    for kind in sorted(kinds):
+    for kind in sorted({g.kind for g in net.gates}):
         spec = PORTS[kind]
         ports = " ".join(n for n, _ in spec.inputs + spec.outputs)
         lines.append(f".SUBCKT {kind} {ports}")
@@ -41,10 +42,5 @@ def export_spice(net: Netlist) -> str:
         lines.append("")
 
     ports = " ".join(net.primary_inputs + net.primary_outputs)
-    lines.append(f".SUBCKT {name} {ports}")
-    for g in net.gates:
-        conns = " ".join(g.inputs + g.outputs)
-        lines.append(f"X{g.id} {conns} {g.kind}")
-    lines.append(".ENDS")
-    lines.append(".END")
+    lines += [f".SUBCKT {name} {ports}", *cells, ".ENDS", ".END"]
     return "\n".join(lines) + "\n"

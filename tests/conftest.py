@@ -29,11 +29,11 @@ def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
                    gates=gates, primary_inputs=ins, primary_outputs=outs)
 
 
-def with_kind(net: Netlist, gate_id: str, kind: str) -> Netlist:
-    """A copy of ``net`` whose gate ``gate_id`` has kind ``kind``."""
+def with_gate(net: Netlist, gate_id: str, **fields) -> Netlist:
+    """A copy of ``net`` whose gate ``gate_id`` has ``fields`` replaced."""
     return Netlist(net.radix, net.width, net.wires,
-                   [GateInstance(g.id, kind, g.inputs, g.outputs)
-                    if g.id == gate_id else g for g in net.gates],
+                   [g._replace(**fields) if g.id == gate_id else g
+                    for g in net.gates],
                    net.primary_inputs, net.primary_outputs)
 
 

@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from conftest import EVERY_VIOLATION, scaled_timing, with_kind
+from conftest import EVERY_VIOLATION, scaled_timing, with_gate
 from mvlmul import cli
 from mvlmul.cli import main
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
@@ -548,7 +548,26 @@ def test_export_spice_bytes_pinned(request, design, sha256):
 def test_export_spice_names_unknown_kind(q4):
     with pytest.raises(SpiceExportError,
                        match="^gate g00000 has unknown kind 'QFA2'$"):
-        export_spice(with_kind(q4, "g00000", "QFA2"))
+        export_spice(with_gate(q4, "g00000", kind="QFA2"))
+
+
+def test_export_spice_names_miscounted_gate(q2):
+    # the deck held "Xg00008 n00007 n00016 QFAC2WC" under a three-input
+    # .SUBCKT QFAC2WC, and no error was raised
+    g = q2.gates[-1]
+    with pytest.raises(SpiceExportError, match=r"^gate g00008 \(QFAC2WC\) "
+                       r"has 1 in / 1 out, not 3 / 1$"):
+        export_spice(with_gate(q2, g.id, inputs=g.inputs[:1]))
+
+
+def test_export_spice_stdout_is_the_out_deck(tmp_path, capsys, q4):
+    nl = tmp_path / "q4.json"
+    nl.write_text(q4.to_json())
+    out = tmp_path / "q4.sp"
+    assert run(["export-spice", str(nl), "--out", str(out)], capsys)[0] == 0
+    code, stdout, err = run(["export-spice", str(nl)], capsys)
+    assert (code, err) == (0, "")
+    assert stdout.encode() == out.read_bytes()
 
 
 def test_export_spice_instances_match_inventory(tmp_path, capsys, q4):
@@ -881,6 +900,20 @@ def test_compare_zero_cost_binary_adder_has_no_area_ratio(tmp_path,
     code, stdout, err = run(argv, capsys)
     assert code == 0 and err == ""
     assert "| fa_area_ratio |" in stdout and "ha_area_ratio" not in stdout
+
+
+def test_compare_without_quaternary_adder_costs_has_count_ratio_only(
+        tmp_path, capsys):
+    # the area ratios need QHA and QFAC2 prices; without them only the
+    # count ratios are reported, and the 2x2 bit design has no full adder
+    lib = tmp_path / "no_qadders.json"
+    lib.write_text(json.dumps({"name": "no-qadders", "sigma_di": {
+        "AND": 8.9, "BIN_HA": 18.0, "BIN_FA": 32.0, "QM1": 132.0}}))
+    code, stdout, err = run(["compare", "--design", "4,1", "--design", "2,2",
+                             "--format", "json", "--cost-lib", str(lib)],
+                            capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["component_ratios"] == {"ha_count_ratio": 0.0}
 
 
 def test_compare_preset_bad_env_cost_library(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import disjoint_union, scaled_timing, with_kind
+from conftest import disjoint_union, scaled_timing, with_gate
 from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
                             area_estimate, compare, critical_path,
                             default_cost_library, timing_preset)
@@ -148,9 +148,18 @@ def test_missing_timing_entry_raises(b2):
 
 
 def test_critical_path_names_unknown_kind(q4):
-    net = with_kind(q4, "g00000", "QFA2")
+    net = with_gate(q4, "g00000", kind="QFA2")
     with pytest.raises(LibraryError,
                        match="^gate g00000 has unknown kind 'QFA2'$"):
+        critical_path(net, timing_preset("quaternary-0.9v"))
+
+
+def test_critical_path_names_miscounted_gate(q2):
+    # a second output on the last gate raised a bare IndexError
+    g = q2.gates[-1]
+    net = with_gate(q2, g.id, outputs=(*g.outputs, q2.primary_outputs[0]))
+    with pytest.raises(LibraryError, match=r"^gate g00008 \(QFAC2WC\) has "
+                       r"3 in / 2 out, not 3 / 1$"):
         critical_path(net, timing_preset("quaternary-0.9v"))
 
 

@@ -322,6 +322,14 @@ def test_every_violation_listed_in_order(every_violation):
         EVERY_VIOLATION
 
 
+def test_radix_and_width_violations_come_first(b1):
+    net = Netlist(3, 0, b1.wires, b1.gates, b1.primary_inputs,
+                  b1.primary_outputs)
+    assert [str(p) for p in validate_netlist(net)][:2] == [
+        "[radix] radix must be 2 or 4, got 3",
+        "[width] width must be >= 1, got 0"]
+
+
 def test_inventory_matches_gate_list(q4):
     inv = q4.inventory()
     assert sum(inv.values()) == len(q4.gates)

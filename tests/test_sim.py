@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvlmul import gen_multiplier, sim
-from mvlmul.core import KERNELS
+from mvlmul.core import KERNELS, PORTS
 from mvlmul.netlist import GateInstance, Netlist, Wire
 from mvlmul.sim import (SimulationError, VerificationSpaceError, evaluate,
                         verify_exhaustive, verify_random)
@@ -168,6 +168,76 @@ def test_unvalidated_gate_is_a_simulation_error(request, design, kind, edit,
         with pytest.raises(SimulationError) as e:
             run(net)
         assert str(e.value) == msg.format(g.id)
+
+
+def _planes(vectors, k, bits):
+    """Bit-planes of position ``k`` of each of ``vectors``: bit ``j`` of
+    plane ``b`` is bit ``b`` of ``vectors[j][k]``."""
+    return tuple(sum((v[k] >> b & 1) << j for j, v in enumerate(vectors))
+                 for b in range(bits))
+
+
+@pytest.mark.parametrize("kind", list(PORTS))
+def test_plans_fire_the_kernel_or_name_the_overflow(kind):
+    # expected values come from KERNELS alone: every input range up to one
+    # past its port's maximum, every declared output range 0..7, and two
+    # batches, the whole domain and the domain without each vector that
+    # reaches a port's largest value, so an overflow's value is the
+    # batch's own largest, not the kernel's
+    spec = PORTS[kind]
+    for in_ranges in product(*(range(hi + 2) for _, hi in spec.inputs)):
+        domain = list(product(*(range(r + 1) for r in in_ranges)))
+        outs = {v: KERNELS[kind](*v) for v in domain}
+        top = [max(o[p] for o in outs.values())
+               for p in range(len(spec.outputs))]
+        batches = []  # (mask, input planes, output planes, port maxima)
+        for batch in (domain, [v for v in domain
+                               if all(map(int.__lt__, outs[v], top))]):
+            if batch:
+                got = [outs[v] for v in batch]
+                batches.append((
+                    (1 << len(batch)) - 1,
+                    [_planes(batch, k, r.bit_length())
+                     for k, r in enumerate(in_ranges)],
+                    # a value above 7 overflows every declared range
+                    [_planes(got, p, 3) for p in range(len(top))],
+                    [max(o[p] for o in got) for p in range(len(top))]))
+        for declared in product(range(8), repeat=len(spec.outputs)):
+            fire = sim._plan(kind, in_ranges, declared)
+            if (kind, in_ranges) == ("AND", (2, 2)):
+                # 2 & 2 is 2: neither the product 4 nor its low bit 0
+                assert fire is None
+                continue
+            for mask, args, planes, maxima in batches:
+                key = (in_ranges, declared, mask.bit_length())
+                over = [(p, v) for p, (v, hi) in
+                        enumerate(zip(maxima, declared)) if v > hi]
+                if over:
+                    with pytest.raises(sim._Overflow) as e:
+                        fire(mask, *args)
+                    assert e.value.args == over[0], key
+                else:
+                    assert list(fire(mask, *args)) == [
+                        ps[:hi.bit_length()]
+                        for ps, hi in zip(planes, declared)], key
+
+
+def test_and_of_non_bits_is_a_simulation_error():
+    # a QM1 carry (0..2) read twice by an AND: 2 & 2 is neither a sum nor
+    # a product of the inputs, and validate_netlist rejects the netlist
+    wires = {w: Wire(w, r) for w, r in
+             (("x0", 3), ("y0", 3), ("p", 3), ("c", 2), ("y", 1))}
+    gates = [GateInstance("g0", "QM1", ("x0", "y0"), ("p", "c")),
+             GateInstance("g1", "AND", ("c", "c"), ("y",))]
+    net = Netlist(radix=4, width=1, wires=wires, gates=gates,
+                  primary_inputs=["x0", "y0"], primary_outputs=["p", "y"])
+    for run in (verify_exhaustive, lambda n: verify_random(n, 50, 1),
+                lambda n: evaluate(n, {"x0": 3, "y0": 3})):
+        with pytest.raises(SimulationError) as e:
+            run(net)
+        assert type(e.value) is SimulationError
+        assert str(e.value) == ("gate g1 (AND) is neither the sum nor the "
+                                "product of inputs up to 2, 2")
 
 
 def test_undriven_product_digit_is_a_simulation_error():
