@@ -138,89 +138,81 @@ class Netlist:
         version = doc.get("version")  # the JSON integer: not 1.0 or true
         if type(version) is not int or version != JSON_VERSION:
             raise NetlistError(f"unsupported version {version!r}")
-        # what is being read, for an error: the i-th wire or gate, or
-        # the document itself while i is None
-        what, i, entry = "wire", None, None
-        try:
-            wires: dict[str, Wire] = {}
-            for i, entry in enumerate(_json_array(doc, "wires")):
-                wires[entry["id"]] = Wire(entry["id"], entry["range_max"])
-            what, i, gates = "gate", None, []
-            for i, entry in enumerate(_json_array(doc, "gates")):
-                gid = entry["id"]  # read first: a missing id is named first
-                kind = entry["kind"]
-                if not (type(kind) is str and kind in PORTS):
-                    raise ValueError  # _malformed names the kind
-                gates.append(GateInstance(
-                    gid, kind, tuple(_json_array(entry, "inputs")),
-                    tuple(_json_array(entry, "outputs"))))
-            i = None
-            net = cls(radix=doc["radix"], width=doc["width"],
-                      wires=wires, gates=gates,
-                      primary_inputs=_json_array(doc, "inputs"),
-                      primary_outputs=_json_array(doc, "outputs"),
-                      stats=doc.get("meta", {}))
-            if type(net.stats) is not dict:
-                raise TypeError("meta is not an object")
-        except (KeyError, TypeError, ValueError) as e:
-            raise NetlistError("malformed netlist document: "
-                               + _malformed(what, i, entry, e)) from None
-        if len(wires) < len(doc["wires"]):  # a later entry replaced one
-            ids = Counter(w["id"] for w in doc["wires"])
-            raise NetlistError("malformed netlist document: wire id "
-                               f"{max(ids, key=ids.get)!r} is repeated")
-        # JSON types, not coercions: a 3.7, "4" or true is an error.  The
-        # (name, values) entries are generated only once a check fails, to
-        # name its entry: by id, since ids are checked first, or by index.
-        for what, vals, typ, entries in (
-                ("wire id", wires, str, ()),
-                ("gate id", [g.id for g in gates], str,
-                 ((f"gate {i}", [g.id]) for i, g in enumerate(gates))),
-                ("gate port wire",
-                 [w for g in gates for w in g.inputs + g.outputs], str,
-                 ((f"gate {g.id!r}", g.inputs + g.outputs) for g in gates)),
-                ("primary input", net.primary_inputs, str, ()),
-                ("primary output", net.primary_outputs, str, ()),
-                ("radix", [net.radix], int, ()),
-                ("width", [net.width], int, ()),
-                ("wire range_max", [w.range_max for w in wires.values()], int,
-                 ((f"wire {w.id!r}", [w.range_max]) for w in wires.values()))):
-            bad = [v for v in vals if type(v) is not typ]
-            if bad:
-                of = next((f" of {name}" for name, vs in entries
-                           if any(type(v) is not typ for v in vs)), "")
-                raise NetlistError(
-                    f"malformed netlist document: {what} {bad[0]!r}{of} is "
-                    + ("not a string" if typ is str else "not an integer"))
-        return net
+        # each entry is checked where it is read, so the first fault in
+        # reading order is named; a 3.7, "4" or true is no JSON integer
+        wires, gates = {}, []
+        for i, entry in enumerate(_field(doc, "wires", list)):
+            try:
+                wid, range_max = entry["id"], entry["range_max"]
+            except (KeyError, TypeError):
+                raise _entry_fault("wire", i, entry) from None
+            if type(wid) is not str:
+                raise _fault(f"wire id {wid!r} is not a string")
+            if wid in wires:
+                raise _fault(f"wire id {wid!r} is repeated")
+            if type(range_max) is not int:
+                raise _fault(f"wire range_max {range_max!r} of wire {wid!r} "
+                             "is not an integer")
+            wires[wid] = Wire(wid, range_max)
+        for i, entry in enumerate(_field(doc, "gates", list)):
+            try:
+                gid, kind = entry["id"], entry["kind"]
+                ins, outs = entry["inputs"], entry["outputs"]
+            except (KeyError, TypeError):
+                raise _entry_fault("gate", i, entry) from None
+            if type(kind) is not str or kind not in PORTS:
+                raise _entry_fault("gate", i, entry,
+                                   f"kind {kind!r} is not a valid GateKind")
+            if type(ins) is not list or type(outs) is not list:
+                raise _entry_fault("gate", i, entry, ("outputs" if type(ins)
+                                   is list else "inputs") + " is not an array")
+            if type(gid) is not str:
+                raise _fault(f"gate id {gid!r} of gate {i} is not a string")
+            for w in ins + outs:
+                if type(w) is not str:
+                    raise _fault(f"gate port wire {w!r} of gate {gid!r} "
+                                 "is not a string")
+            gates.append(GateInstance(gid, kind, tuple(ins), tuple(outs)))
+        radix, width = _field(doc, "radix", int), _field(doc, "width", int)
+        ins = _field(doc, "inputs", list, "primary input")
+        outs = _field(doc, "outputs", list, "primary output")
+        meta = doc.get("meta", {})
+        if type(meta) is not dict:
+            raise _fault("meta is not an object")
+        return cls(radix, width, wires, gates, ins, outs, meta)
 
 
-def _malformed(what: str, i: int | None, entry, e: Exception) -> str:
-    """What is wrong, for ``e`` raised reading ``entry``, the ``i``-th
-    ``what`` (wire or gate), or the document when ``i`` is None.  An
-    entry is named by its index until its id is read as a string."""
-    if i is None:
-        return (f"the document has no {e.args[0]}"
-                if isinstance(e, KeyError) else str(e))
+def _fault(problem: str) -> NetlistError:
+    return NetlistError("malformed netlist document: " + problem)
+
+
+def _entry_fault(what: str, i: int, entry, problem="") -> NetlistError:
+    """The fault of the ``i``-th ``what`` (wire or gate): that ``entry``
+    is not an object, else the first key it lacks, else ``problem``.  It
+    is named by its id when that is a string, else by its index."""
     if type(entry) is not dict:
-        return f"{what} {i} is not an object"
-    wid = entry.get("id")
-    name = f"{what} {wid!r}" if type(wid) is str else f"{what} {i}"
-    if isinstance(e, KeyError):
-        return f"{name} has no {e.args[0]}"
-    if isinstance(e, ValueError):  # only the kind test raises one
-        return f"{name} kind {entry['kind']!r} is not a valid GateKind"
-    if what == "wire":  # only a wire's id is hashed
-        return f"wire id {wid!r} is not a string"
-    return f"{name} {e}"  # a gate's inputs or outputs is not an array
+        return _fault(f"{what} {i} is not an object")
+    eid = entry.get("id")
+    keys = (Wire if what == "wire" else GateInstance)._fields  # read order
+    problem = next((f"has no {k}" for k in keys if k not in entry), problem)
+    return _fault(f"{what} {eid!r} {problem}" if type(eid) is str
+                  else f"{what} {i} {problem}")
 
 
-def _json_array(obj: dict, key: str) -> list:
-    """``obj[key]``, which must be a JSON array: ``tuple()`` would turn
-    an object into its keys and a string into its characters."""
-    if type(obj[key]) is not list:
-        raise TypeError(f"{key} is not an array")
-    return obj[key]
+def _field(doc: dict, key: str, typ: type, item: str = ""):
+    """``doc[key]``: a JSON integer (``typ`` int) or array (``typ`` list;
+    ``tuple()`` would turn an object into its keys and a string into its
+    characters), whose members are strings if ``item`` names them."""
+    if key not in doc:
+        raise _fault(f"the document has no {key}")
+    value = doc[key]
+    if type(value) is not typ:
+        raise _fault(f"{key} is not an array" if typ is list
+                     else f"{key} {value!r} is not an integer")
+    for v in value if item else ():
+        if type(v) is not str:
+            raise _fault(f"{item} {v!r} is not a string")
+    return value
 
 
 def _array(items, pad: str) -> str:
