@@ -27,16 +27,13 @@ import math
 from collections import namedtuple
 from itertools import combinations
 
-from .core import CELLS, PORTS
+from .core import ARITY, CELLS, PORTS
 from .netlist import Netlist
 
 #: gate kinds that form the digit-product stage; excluded from path
 #: delay accounting by default (every input-to-output path crosses
 #: exactly one of them, and the reference aggregates leave them out).
 FRONTEND_KINDS = frozenset(cells[0] for cells in CELLS.values())
-
-#: retired kinds, priced at 0 by older library files: their keys are skipped
-_RETIRED_KINDS = ("MUX4", "DECODER")
 
 
 class LibraryError(KeyError):
@@ -69,8 +66,8 @@ def _document(what: str, text: str, section: str) -> tuple[str, dict]:
 def _kind(what: str, name: str) -> str:
     """``name``, which must be a gate kind, read from a ``what`` library."""
     if name not in PORTS:
-        raise LibraryError(f"malformed {what} library: ValueError: "
-                           f"{name!r} is not a valid GateKind")
+        raise LibraryError(f"malformed {what} library: {name!r} is not a "
+                           "gate kind")
     return name
 
 
@@ -117,8 +114,7 @@ class CostLibrary:
     @classmethod
     def from_json(cls, text: str) -> "CostLibrary":
         name, sigma_di = _document("cost", text, "sigma_di")
-        return cls(name, {_kind("cost", k): v for k, v in sigma_di.items()
-                          if k not in _RETIRED_KINDS})
+        return cls(name, {_kind("cost", k): v for k, v in sigma_di.items()})
 
 
 def default_cost_library() -> CostLibrary:
@@ -162,12 +158,9 @@ class TimingLibrary:
 
     def require(self, net: Netlist) -> None:
         """Raise a :class:`LibraryError` naming each port of ``net``'s
-        kinds that has no delay, in :data:`~mvlmul.core.PORTS` order,
-        or the first gate whose kind has no ports."""
+        kinds, which must be gate kinds, that has no delay, in
+        :data:`~mvlmul.core.PORTS` order."""
         kinds = {g.kind for g in net.gates}
-        if not kinds <= PORTS.keys():
-            g = next(g for g in net.gates if g.kind not in PORTS)
-            raise LibraryError(g.port_error())
         missing = [f"{kind}.{pname}"
                    for kind in sorted(kinds)
                    for pname, _ in PORTS[kind].outputs
@@ -187,8 +180,6 @@ class TimingLibrary:
         delays = {}
         for key, v in entries.items():
             kind, _, port = key.partition(".")
-            if kind in _RETIRED_KINDS:
-                continue
             if port not in dict(PORTS[_kind("timing", kind)].outputs):
                 raise LibraryError(f"timing key {key!r} is not "
                                    f"{kind}.<output port>")
@@ -236,6 +227,9 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     Ties between equally late paths break toward the lexicographically
     smallest gate-id sequence.
     """
+    for g in net.gates:
+        if (len(g.inputs), len(g.outputs)) != ARITY.get(g.kind):
+            raise LibraryError(g.port_error())
     lib.require(net)
     exclude = frozenset(exclude_kinds)
     eps = 1e-9
@@ -250,23 +244,20 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     order = net.gates  # a dependency order, read backwards
     rem = {w: 0.0 for w in net.primary_outputs}
     hop: dict[str, tuple | None] = dict.fromkeys(rem)
-    try:
-        for i in range(len(order) - 1, -1, -1):
-            g = order[i]
-            for k, ow in enumerate(g.outputs):
-                if ow not in rem:
-                    continue
-                t = delays[g.kind][k] + rem[ow]
-                h = (g.id, k, i)
-                for w in g.inputs:
-                    r = rem.get(w)
-                    if r is None or t > r + eps or t >= r - eps and (
-                            hop[w] is not None and h < hop[w]):
-                        hop[w] = h
-                    if r is None or t > r:
-                        rem[w] = t
-    except IndexError:  # g has more outputs than its kind
-        raise LibraryError(g.port_error()) from None
+    for i in range(len(order) - 1, -1, -1):
+        g = order[i]
+        for k, ow in enumerate(g.outputs):
+            if ow not in rem:
+                continue
+            t = delays[g.kind][k] + rem[ow]
+            h = (g.id, k, i)
+            for w in g.inputs:
+                r = rem.get(w)
+                if r is None or t > r + eps or t >= r - eps and (
+                        hop[w] is not None and h < hop[w]):
+                    hop[w] = h
+                if r is None or t > r:
+                    rem[w] = t
 
     starts = [w for w in net.primary_inputs if w in rem]
     if not starts or not net.gates:

@@ -162,7 +162,7 @@ class Netlist:
                 raise _entry_fault("gate", i, entry) from None
             if type(kind) is not str or kind not in PORTS:
                 raise _entry_fault("gate", i, entry,
-                                   f"kind {kind!r} is not a valid GateKind")
+                                   f"kind {kind!r} is not a gate kind")
             if type(ins) is not list or type(outs) is not list:
                 raise _entry_fault("gate", i, entry, ("outputs" if type(ins)
                                    is list else "inputs") + " is not an array")

@@ -1,9 +1,11 @@
 """Netlist structure: validation, JSON round trips, violations."""
 
+import copy
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import EVERY_VIOLATION, disjoint_union
 from mvlmul import gen_multiplier
@@ -170,6 +172,67 @@ def test_from_json_rejects_repeated_wire_ids(q4, range_max):
     assert y["range_max"] == 3
     with pytest.raises(NetlistError, match="wire id 'y0' is repeated"):
         Netlist.from_json(json.dumps(doc))
+
+
+def test_first_fault_in_reading_order_is_named(b8):
+    # the type checks ran by category after reading: gate 70's id was
+    # named, though wire 40 comes first
+    doc = json.loads(b8.to_json())
+    doc["wires"][40]["range_max"] = 3.7
+    doc["gates"][70]["id"] = 7
+    with pytest.raises(NetlistError) as e:
+        Netlist.from_json(json.dumps(doc))
+    assert str(e.value) == ("malformed netlist document: wire range_max 3.7 "
+                            "of wire 'n00024' is not an integer")
+
+
+def test_null_meta_is_malformed(q1):
+    # it loaded, and to_json then dropped the key
+    doc = json.loads(q1.to_json())
+    doc["meta"] = None
+    with pytest.raises(NetlistError) as e:
+        Netlist.from_json(json.dumps(doc))
+    assert str(e.value) == "malformed netlist document: meta is not an object"
+
+
+#: a wrong JSON value of each type, for any field or array item
+_WRONG = (None, 0, 1.5, True, "x0", [1], {"id": "x0"})
+
+
+def _places(doc):
+    """(container, key) of every field and array item of ``doc``."""
+    places, todo = [], [doc]
+    while todo:
+        obj = todo.pop()
+        keys = (obj if type(obj) is dict
+                else range(len(obj)) if type(obj) is list else ())
+        places += [(obj, k) for k in keys]
+        todo += [obj[k] for k in keys]
+    return places
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 999), st.sampled_from(
+    ["delete", "repeat-wire", *range(len(_WRONG))])), min_size=1, max_size=2))
+def test_any_fault_is_named_or_read(q1, faults):
+    # each fault is a deleted field or item, a wrong value (a non-object
+    # entry among them) or a repeated wire
+    doc = json.loads(q1.to_json())
+    for where, fault in faults:
+        places = _places(doc)
+        obj, key = places[where % len(places)]
+        wires = doc.get("wires")
+        if fault == "delete":
+            del obj[key]
+        elif fault != "repeat-wire":
+            obj[key] = copy.deepcopy(_WRONG[fault])
+        elif type(wires) is list and wires:
+            wires.append(copy.deepcopy(wires[where % len(wires)]))
+    try:
+        net = Netlist.from_json(json.dumps(doc))
+    except NetlistError:
+        return
+    assert Netlist.from_json(net.to_json()).to_json() == net.to_json()
 
 
 def test_records_are_immutable_values():
