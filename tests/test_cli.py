@@ -248,9 +248,12 @@ def _drop(entries, i, key):
     ("gate 'g00000' kind 5 is not a gate kind", _gate0(kind=5)),
     ("gate 'g00000' kind ['AND'] is not a gate kind", _gate0(kind=["AND"])),
     ("meta is not an object", lambda doc: doc.update(meta=3)),
+    # it loaded, and to_json then dropped the key
+    ("meta is not an object", lambda doc: doc.update(meta=None)),
 ], ids=["wire-int", "gate-str", "wire-id-list", "wire-no-id",
         "wire-no-range", "gate-no-id", "gate-no-kind", "gate-no-outputs",
-        "no-radix", "kind-name", "kind-int", "kind-list", "meta-int"])
+        "no-radix", "kind-name", "kind-int", "kind-list", "meta-int",
+        "meta-null"])
 def test_malformed_entries_are_named(tmp_path, capsys, q1, command, problem,
                                      corrupt):
     # Python's own words ("'int' object is not subscriptable", a bare

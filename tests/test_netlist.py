@@ -153,7 +153,13 @@ def test_from_json_rejects_non_string_ids(q1, what, corrupt):
      "gate port wire None of gate 'g00070' is not a string"),
     (lambda d: d["gates"][70].update(id=7),
      "gate id 7 of gate 70 is not a string"),
-], ids=["wire-range", "gate-input", "gate-output", "gate-id"])
+    # two faults: the type checks ran by category after reading, and so
+    # named the gate id, though wire 40 is read first
+    (lambda d: (d["wires"][40].update(range_max=3.7),
+                d["gates"][70].update(id=7)),
+     "wire range_max 3.7 of wire 'n00024' is not an integer"),
+], ids=["wire-range", "gate-input", "gate-output", "gate-id",
+        "first-in-reading-order"])
 def test_from_json_type_errors_name_the_entry(b8, corrupt, message):
     # the value alone named no wire or gate: by id once read, else by index
     doc = json.loads(b8.to_json())
@@ -172,27 +178,6 @@ def test_from_json_rejects_repeated_wire_ids(q4, range_max):
     assert y["range_max"] == 3
     with pytest.raises(NetlistError, match="wire id 'y0' is repeated"):
         Netlist.from_json(json.dumps(doc))
-
-
-def test_first_fault_in_reading_order_is_named(b8):
-    # the type checks ran by category after reading: gate 70's id was
-    # named, though wire 40 comes first
-    doc = json.loads(b8.to_json())
-    doc["wires"][40]["range_max"] = 3.7
-    doc["gates"][70]["id"] = 7
-    with pytest.raises(NetlistError) as e:
-        Netlist.from_json(json.dumps(doc))
-    assert str(e.value) == ("malformed netlist document: wire range_max 3.7 "
-                            "of wire 'n00024' is not an integer")
-
-
-def test_null_meta_is_malformed(q1):
-    # it loaded, and to_json then dropped the key
-    doc = json.loads(q1.to_json())
-    doc["meta"] = None
-    with pytest.raises(NetlistError) as e:
-        Netlist.from_json(json.dumps(doc))
-    assert str(e.value) == "malformed netlist document: meta is not an object"
 
 
 #: a wrong JSON value of each type, for any field or array item
