@@ -174,12 +174,12 @@ class Netlist:
                                  "is not a string")
             gates.append(GateInstance(gid, kind, tuple(ins), tuple(outs)))
         radix, width = _field(doc, "radix", int), _field(doc, "width", int)
-        ins = _field(doc, "inputs", list, "primary input")
-        outs = _field(doc, "outputs", list, "primary output")
+        inputs = _field(doc, "inputs", list, "primary input")
+        outputs = _field(doc, "outputs", list, "primary output")
         meta = doc.get("meta", {})
         if type(meta) is not dict:
             raise _fault("meta is not an object")
-        return cls(radix, width, wires, gates, ins, outs, meta)
+        return cls(radix, width, wires, gates, inputs, outputs, meta)
 
 
 def _fault(problem: str) -> NetlistError:
