@@ -1,48 +1,50 @@
-"""Gate semantics: one table of cell kernels and port signatures.
+"""Gate semantics: each cell is one row of :data:`PORTS`.
 
 Signals carry small unsigned digits. A wire is binary (max 1), ternary
 (max 2) or quaternary (max 3); the quaternary multipliers mix all three,
 because digit products carry in ternary while sums stay quaternary.
 
 A gate kind is the string that names it, such as ``"QM1"``, in memory
-as in every file mvlmul writes; :data:`PORTS` is the registry of kinds.
-Every gate used by the netlist generator is a pure function over digit
-values in :data:`KERNELS`, with its port signature (the maximum digit of
-each input and output) in :data:`PORTS`; :data:`CELLS` is the only
-place that says which cell plays which role in each radix.  The
-simulator derives its bit-plane plans from :data:`KERNELS`, and
-:func:`output_ranges` types the wires the generator creates.
+as in every file mvlmul writes; :data:`PORTS` is the registry of kinds,
+and a kind's row is its one definition: the maximum digit of each port,
+and an ``op``, ``sum`` or ``math.prod``, whose low base-2^m digits are
+its outputs, m bits being as wide as its first output.  :data:`KERNELS`
+evaluates that rule on digit ints, the simulator compiles it to
+bit-plane plans, and :func:`output_ranges` types the wires the generator
+creates.  :data:`CELLS` says which cell plays which role in each radix.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial
 from itertools import product
+from math import prod
 
 
 class LogicError(ValueError):
     """A wire range is wider than the gate port it feeds."""
 
 
-class PortSpec(namedtuple("PortSpec", "inputs outputs")):
-    """Named ports with the maximum digit each port may carry: ``inputs``
-    and ``outputs`` are tuples of ``(port name, max digit)``."""
+class PortSpec(namedtuple("PortSpec", "inputs outputs op")):
+    """A cell: ``inputs`` and ``outputs`` are tuples of ``(port name, max
+    digit)``, and ``op``, ``sum`` or ``math.prod``, what it computes."""
 
     __slots__ = ()
 
 
-#: every gate kind, by name, with its port signature
+#: every gate kind, by name; a carry past the last output is dropped
 PORTS = {
-    "AND": PortSpec((("a", 1), ("b", 1)), (("y", 1),)),
-    "BIN_HA": PortSpec((("a", 1), ("b", 1)), (("sum", 1), ("cout", 1))),
+    "AND": PortSpec((("a", 1), ("b", 1)), (("y", 1),), prod),
+    "BIN_HA": PortSpec((("a", 1), ("b", 1)), (("sum", 1), ("cout", 1)), sum),
     "BIN_FA": PortSpec((("a", 1), ("b", 1), ("cin", 1)),
-                       (("sum", 1), ("cout", 1))),
-    "QM1": PortSpec((("a", 3), ("b", 3)), (("product", 3), ("carry", 2))),
-    "QHA": PortSpec((("a", 3), ("b", 3)), (("sum", 3), ("cout", 1))),
+                       (("sum", 1), ("cout", 1)), sum),
+    "QM1": PortSpec((("a", 3), ("b", 3)),
+                    (("product", 3), ("carry", 2)), prod),
+    "QHA": PortSpec((("a", 3), ("b", 3)), (("sum", 3), ("cout", 1)), sum),
     "QFAC2": PortSpec((("a", 3), ("b", 3), ("cin", 2)),
-                      (("sum", 3), ("cout", 2))),
-    "QFAC2WC": PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),)),
+                      (("sum", 3), ("cout", 2)), sum),
+    "QFAC2WC": PortSpec((("a", 3), ("b", 3), ("cin", 2)), (("sum", 3),), sum),
 }
 
 #: per kind, its number of inputs and of outputs
@@ -57,16 +59,15 @@ CELLS = {
 }
 
 
-#: gate kernels on digit ints: each cell's one definition.
-KERNELS = {
-    "AND": lambda a, b: (a & b,),
-    "BIN_HA": lambda a, b: ((a + b) & 1, (a + b) >> 1),
-    "BIN_FA": lambda a, b, c: ((a + b + c) & 1, (a + b + c) >> 1),
-    "QM1": lambda a, b: (a * b % 4, a * b // 4),
-    "QHA": lambda a, b: ((a + b) % 4, (a + b) // 4),
-    "QFAC2": lambda a, b, c: ((a + b + c) % 4, (a + b + c) // 4),
-    "QFAC2WC": lambda a, b, c: ((a + b + c) % 4,),
-}
+def _digits(spec: PortSpec, *v: int) -> tuple[int, ...]:
+    """``spec``'s outputs for digits ``v``: the low digits of ``op(v)``."""
+    m = spec.outputs[0][1].bit_length()
+    return tuple(spec.op(v) >> m * o & (1 << m) - 1
+                 for o in range(len(spec.outputs)))
+
+
+#: gate kernels on digit ints, one per :data:`PORTS` row
+KERNELS = {kind: partial(_digits, spec) for kind, spec in PORTS.items()}
 
 
 @cache

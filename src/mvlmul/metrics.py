@@ -157,10 +157,13 @@ class TimingLibrary:
                                f"for {kind}.{port}") from None
 
     def require(self, net: Netlist) -> None:
-        """Raise a :class:`LibraryError` naming each port of ``net``'s
-        kinds, which must be gate kinds, that has no delay, in
-        :data:`~mvlmul.core.PORTS` order."""
+        """Raise a :class:`LibraryError` naming the first gate of ``net``
+        whose kind is unknown, or else each port of its kinds that has no
+        delay, in :data:`~mvlmul.core.PORTS` order."""
         kinds = {g.kind for g in net.gates}
+        if not kinds <= PORTS.keys():
+            raise LibraryError(next(g.port_error() for g in net.gates
+                                    if g.kind not in PORTS))
         missing = [f"{kind}.{pname}"
                    for kind in sorted(kinds)
                    for pname, _ in PORTS[kind].outputs

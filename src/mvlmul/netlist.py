@@ -50,6 +50,12 @@ class GateInstance(namedtuple("GateInstance", "id kind inputs outputs")):
         return (f"gate {self.id} ({self.kind}) has {len(self.inputs)} in / "
                 f"{len(self.outputs)} out, not {n_in} / {n_out}")
 
+    def range_error(self, port: int, wire_max: int) -> str:
+        """Why input ``port`` may not read its wire, of range 0..wire_max."""
+        pname, pmax = PORTS[self.kind].inputs[port]
+        return (f"gate {self.id} ({self.kind}) port {pname} accepts max {pmax}"
+                f" but wire {self.inputs[port]} carries up to {wire_max}")
+
 
 class Violation(namedtuple("Violation", "code message")):
     __slots__ = ()
@@ -264,13 +270,9 @@ def validate_netlist(n: Netlist) -> list[Violation]:
             v.append(Violation("dup-gate", f"gate id {g.id} reused"))
         seen_gate_ids.add(g.id)
         spec = PORTS.get(g.kind)
-        if spec is None:
-            v.append(Violation("kind",
-                               f"gate {g.id} has unknown kind {g.kind!r}"))
-            continue
-        if len(g.inputs) != len(spec.inputs) or len(g.outputs) != len(spec.outputs):
-            v.append(Violation("arity", f"gate {g.id} ({g.kind}) has "
-                               f"{len(g.inputs)} in / {len(g.outputs)} out"))
+        if spec is None or (len(g.inputs), len(g.outputs)) != ARITY[g.kind]:
+            v.append(Violation("kind" if spec is None else "arity",
+                               g.port_error()))
             continue
         for (pname, pmax), wid in zip(spec.inputs, g.inputs):
             w = wire(wid)
@@ -278,9 +280,8 @@ def validate_netlist(n: Netlist) -> list[Violation]:
                 v.append(Violation("missing-wire",
                                    f"gate {g.id} input {pname} -> {wid} undeclared"))
             elif w.range_max > pmax:
-                v.append(Violation(
-                    "range", f"gate {g.id} ({g.kind}) port {pname} accepts "
-                    f"max {pmax} but wire {wid} carries up to {w.range_max}"))
+                v.append(Violation("range", g.range_error(
+                    spec.inputs.index((pname, pmax)), w.range_max)))
             if wid not in drivers:  # not driven yet: later, or never
                 early.append((g.id, wid))
         for (pname, pmax), wid in zip(spec.outputs, g.outputs):

@@ -6,11 +6,12 @@ simulation (Waicukauski et al., "Fault Simulation for Structured VLSI",
 ``range_max.bit_length()`` bit-planes of its digit, and a plane is one
 Python int with one bit per vector.  Gates fire once each in gate order,
 which is a dependency order (see :mod:`mvlmul.netlist`), as ripple-carry
-code for the sum or product of their inputs that their kernel in
-:data:`~mvlmul.core.KERNELS` computes, so each cell keeps its one
-definition.  Every write is checked against the wire's declared range
-over every vector of the batch, so a run doubles as an executable
-range-soundness check (the ternary-carry discipline in particular).
+code for the ``op`` of their :data:`~mvlmul.core.PORTS` row, so each
+cell keeps its one definition.  An input wire wider than its port is
+an error before any gate fires, and every write is checked against the
+wire's declared range over every vector of the batch, so a run doubles
+as an executable range-soundness check (the ternary-carry discipline in
+particular).
 Verification compares the product digits with a bit-sliced shift-and-add
 of the operand bits, which shares no code with the cells.
 """
@@ -21,9 +22,8 @@ import json
 import random
 from functools import cache
 from itertools import islice, product, zip_longest
-from math import prod
 
-from .core import ARITY, KERNELS, PORTS
+from .core import ARITY, PORTS, output_ranges
 from .netlist import Netlist
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
@@ -85,27 +85,18 @@ class _Overflow(Exception):
 def _plan(kind: str, in_ranges: tuple[int, ...],
           out_ranges: tuple[int, ...]):
     """``fire(mask, *input planes)``, the output planes of a ``kind`` gate
-    per port, or None if its kernel is neither the sum nor the product
-    of its inputs over their ranges.  Checked over that domain, it is one
-    of them in digits as wide as its first output, the last keeping the
-    bits above or not (``QFAC2WC``).  ``fire`` adds the input bits, or
-    the partial products, column by column with half and full adders.
-    Only a port whose range is below the kernel's largest value there is
-    tested: the first past it raises :class:`_Overflow` with its largest
-    value in the batch.
+    per port, or None if an input range is wider than its port.  ``fire``
+    adds the input bits, or for ``prod`` the partial products, column by
+    column with half and full adders; each output is the next digit of
+    the result, as wide as the first output.  Only a port whose range is
+    below the largest value the cell reaches there is tested: the first
+    past it raises :class:`_Overflow` with its largest value in the batch.
     """
-    fn, n = KERNELS[kind], len(out_ranges)
-    m = PORTS[kind].outputs[0][1].bit_length()  # bits per output digit
-    table = {v: fn(*v) for v in product(*(range(r + 1) for r in in_ranges))}
-
-    def digits(v, keep):
-        return tuple(v >> m * o if keep and o == n - 1
-                     else v >> m * o & (1 << m) - 1 for o in range(n))
-    op, keep = next(((op, keep) for op in (sum, prod) for keep in (True, False)
-                     if all(digits(op(v), keep) == out
-                            for v, out in table.items())), (None, False))
-    if op is None:
+    spec = PORTS[kind]
+    if any(r > hi for r, (_, hi) in zip(in_ranges, spec.inputs)):
         return None
+    op, m = spec.op, spec.outputs[0][1].bit_length()  # bits per digit
+    tops = output_ranges(kind, in_ranges)
     body = []
 
     def let(expr):  # names a new plane
@@ -114,7 +105,7 @@ def _plan(kind: str, in_ranges: tuple[int, ...],
     bits = [[f"a{k}_{b}" for b in range(r.bit_length())]
             for k, r in enumerate(in_ranges)]
     body += [f"{', '.join(bs)}, = a{k}" for k, bs in enumerate(bits) if bs]
-    cols = [[] for _ in range(max(map(op, table)).bit_length())]
+    cols = [[] for _ in range(op(in_ranges).bit_length())]
     for t in ([[t] for bs in bits for t in enumerate(bs)] if op is sum
               else product(*map(enumerate, bits))):  # partial products
         p = " & ".join(p for _, p in t)
@@ -130,8 +121,8 @@ def _plan(kind: str, in_ranges: tuple[int, ...],
             col.append(let(f"{s} ^ {z[0]}") if z else s)
     value, ports = [col[0] if col else "0" for col in cols], []
     for o, hi in enumerate(out_ranges):
-        ps = value[m * o:] if keep and o == n - 1 else value[m * o:m * o + m]
-        if hi < max(out[o] for out in table.values()):
+        ps = value[m * o:m * o + m]
+        if hi < tops[o]:
             # above hi: a bit hi clears is set, and every bit above it hi sets
             over = " | ".join(" & ".join(
                 p for c, p in enumerate(ps) if c == b or c > b and hi >> c & 1)
@@ -158,7 +149,7 @@ def _simulate(net: Netlist, batches):
     in-range planes.  A wire read before any gate drives it is an error,
     and so are a primary input undeclared or not declared a full digit,
     an unknown kind, a port count that is not the kind's, an undeclared
-    wire and a kernel that is no sum or product over the input ranges.
+    wire and an input wire wider than its port.
     """
     ranges = {w: wire.range_max for w, wire in net.wires.items()}
     for w in net.primary_inputs:
@@ -178,9 +169,9 @@ def _simulate(net: Netlist, batches):
             w = next(w for w in g.inputs + g.outputs if w not in ranges)
             raise SimulationError(f"gate {g.id} names undeclared wire {w}")
         if (fire := _plan(g.kind, ins, outs)) is None:
-            raise SimulationError(
-                f"gate {g.id} ({g.kind}) is neither the sum nor the product "
-                f"of inputs up to {', '.join(map(str, ins))}")
+            raise SimulationError(next(
+                g.range_error(k, r) for k, (r, (_, hi))
+                in enumerate(zip(ins, PORTS[g.kind].inputs)) if r > hi))
         steps.append((fire, g))
     for n, columns in batches:
         mask = (1 << n) - 1

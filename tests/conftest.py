@@ -99,7 +99,7 @@ EVERY_VIOLATION = [
     "[inputs] expected 2 operand digits (x then y), got 4",
     "[range] gate g0 (AND) port b accepts max 1 but wire y0 carries up to 3",
     "[dup-gate] gate id g1 reused",
-    "[arity] gate g1 (AND) has 1 in / 1 out",
+    "[arity] gate g1 (AND) has 1 in / 1 out, not 2 / 1",
     "[missing-wire] gate g2 input b -> ghost undeclared",
     "[missing-wire] gate g3 output y -> gone undeclared",
     "[range] gate g4 (AND) output y max 1 but wire wide declares 3",

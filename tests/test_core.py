@@ -135,8 +135,8 @@ def test_output_ranges_rejects_wide_wires():
 
 @pytest.mark.parametrize("kind", list(PORTS), ids=str)
 def test_kernels_on_digit_arrays_match_ints(kind):
-    # the simulator fires each cell through a plan derived from its
-    # kernel: one int per wire bit, one bit per vector.  Every input
+    # the simulator fires each cell through a plan compiled from its
+    # PORTS row: one int per wire bit, one bit per vector.  Every input
     # range the ports admit, with the output ranges the generator would
     # declare, over the whole domain at once.
     for in_ranges in product(*(range(1, hi + 1) for _, hi in

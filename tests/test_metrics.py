@@ -154,6 +154,14 @@ def test_critical_path_names_unknown_kind(q4):
         critical_path(net, timing_preset("quaternary-0.9v"))
 
 
+def test_timing_library_require_names_unknown_kind(q2):
+    # called directly, it raised a bare KeyError('QFA2')
+    net = with_gate(q2, "g00000", kind="QFA2")
+    with pytest.raises(LibraryError,
+                       match="^gate g00000 has unknown kind 'QFA2'$"):
+        timing_preset("quaternary-0.9v").require(net)
+
+
 def test_critical_path_names_miscounted_gate(q2):
     # a second output on the last gate raised a bare IndexError
     g = q2.gates[-1]

@@ -179,13 +179,19 @@ def _planes(vectors, k, bits):
 
 @pytest.mark.parametrize("kind", list(PORTS))
 def test_plans_fire_the_kernel_or_name_the_overflow(kind):
-    # expected values come from KERNELS alone: every input range up to one
-    # past its port's maximum, every declared output range 0..7, and two
+    # expected values come from KERNELS alone: every input range up to
+    # its port's maximum, every declared output range 0..7, and two
     # batches, the whole domain and the domain without each vector that
     # reaches a port's largest value, so an overflow's value is the
-    # batch's own largest, not the kernel's
+    # batch's own largest, not the kernel's.  One past a port's maximum,
+    # there is no plan.
     spec = PORTS[kind]
     for in_ranges in product(*(range(hi + 2) for _, hi in spec.inputs)):
+        plans = {declared: sim._plan(kind, in_ranges, declared) for declared
+                 in product(range(8), repeat=len(spec.outputs))}
+        if any(r > hi for r, (_, hi) in zip(in_ranges, spec.inputs)):
+            assert set(plans.values()) == {None}, in_ranges
+            continue
         domain = list(product(*(range(r + 1) for r in in_ranges)))
         outs = {v: KERNELS[kind](*v) for v in domain}
         top = [max(o[p] for o in outs.values())
@@ -202,12 +208,7 @@ def test_plans_fire_the_kernel_or_name_the_overflow(kind):
                     # a value above 7 overflows every declared range
                     [_planes(got, p, 3) for p in range(len(top))],
                     [max(o[p] for o in got) for p in range(len(top))]))
-        for declared in product(range(8), repeat=len(spec.outputs)):
-            fire = sim._plan(kind, in_ranges, declared)
-            if (kind, in_ranges) == ("AND", (2, 2)):
-                # 2 & 2 is 2: neither the product 4 nor its low bit 0
-                assert fire is None
-                continue
+        for declared, fire in plans.items():
             for mask, args, planes, maxima in batches:
                 key = (in_ranges, declared, mask.bit_length())
                 over = [(p, v) for p, (v, hi) in
@@ -222,22 +223,32 @@ def test_plans_fire_the_kernel_or_name_the_overflow(kind):
                         for ps, hi in zip(planes, declared)], key
 
 
-def test_and_of_non_bits_is_a_simulation_error():
-    # a QM1 carry (0..2) read twice by an AND: 2 & 2 is neither a sum nor
-    # a product of the inputs, and validate_netlist rejects the netlist
-    wires = {w: Wire(w, r) for w, r in
-             (("x0", 3), ("y0", 3), ("p", 3), ("c", 2), ("y", 1))}
-    gates = [GateInstance("g0", "QM1", ("x0", "y0"), ("p", "c")),
-             GateInstance("g1", "AND", ("c", "c"), ("y",))]
-    net = Netlist(radix=4, width=1, wires=wires, gates=gates,
-                  primary_inputs=["x0", "y0"], primary_outputs=["p", "y"])
+@pytest.mark.parametrize("kind, port", [
+    pytest.param(kind, k, id=f"{kind}.{name}") for kind, spec in PORTS.items()
+    for k, (name, _) in enumerate(spec.inputs)])
+def test_wire_wider_than_its_port_is_a_simulation_error(kind, port):
+    # one unvalidated gate whose wire on ``port`` is one wider than the
+    # port allows, each wire named for its port: the simulator names it
+    # as validate_netlist does, before any gate fires.  An AND that read
+    # two QM1 carries (0..2) was "neither the sum nor the product" of its
+    # inputs (2 & 2 is 2), and a QFAC2 whose cin read a quit ran
+    spec = PORTS[kind]
+    wires = {"x0": Wire("x0", 1), "y0": Wire("y0", 1)}
+    wires.update((name, Wire(name, hi + (k == port)))
+                 for k, (name, hi) in enumerate(spec.inputs))
+    wires.update((name, Wire(name, hi)) for name, hi in spec.outputs)
+    g = GateInstance("g0", kind, tuple(name for name, _ in spec.inputs),
+                     tuple(name for name, _ in spec.outputs))
+    net = Netlist(radix=2, width=1, wires=wires, gates=[g],
+                  primary_inputs=["x0", "y0"], primary_outputs=list(g.outputs))
+    name, hi = spec.inputs[port]
     for run in (verify_exhaustive, lambda n: verify_random(n, 50, 1),
-                lambda n: evaluate(n, {"x0": 3, "y0": 3})):
+                lambda n: evaluate(n, {"x0": 1, "y0": 1})):
         with pytest.raises(SimulationError) as e:
             run(net)
         assert type(e.value) is SimulationError
-        assert str(e.value) == ("gate g1 (AND) is neither the sum nor the "
-                                "product of inputs up to 2, 2")
+        assert str(e.value) == (f"gate g0 ({kind}) port {name} accepts max "
+                                f"{hi} but wire {name} carries up to {hi + 1}")
 
 
 def test_undriven_product_digit_is_a_simulation_error():
