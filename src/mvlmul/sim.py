@@ -7,11 +7,11 @@ simulation (Waicukauski et al., "Fault Simulation for Structured VLSI",
 Python int with one bit per vector.  Gates fire once each in gate order,
 which is a dependency order (see :mod:`mvlmul.netlist`), as ripple-carry
 code for the ``op`` of their :data:`~mvlmul.core.PORTS` row, so each
-cell keeps its one definition.  An input wire wider than its port is
-an error before any gate fires, and every write is checked against the
-wire's declared range over every vector of the batch, so a run doubles
-as an executable range-soundness check (the ternary-carry discipline in
-particular).
+cell keeps its one definition.  Before any gate fires, each gate's
+declared ranges are checked over every input they allow (an input wire
+no wider than its port, an output wire no narrower than what the gate
+can carry there), so a run doubles as a range-soundness check of the
+whole netlist (the ternary-carry discipline in particular).
 Verification compares the product digits with a bit-sliced shift-and-add
 of the operand bits, which shares no code with the cells.
 """
@@ -38,7 +38,7 @@ _DRAW_WORDS = 2 ** 14
 
 
 class SimulationError(ValueError):
-    """Bad assignment, or a wire left its declared range during a run."""
+    """Bad assignment, or a netlist the simulator cannot run soundly."""
 
 
 class VerificationSpaceError(ValueError):
@@ -77,26 +77,24 @@ class VerificationReport:
 
 # -- gate plans ---------------------------------------------------------------
 
-class _Overflow(Exception):
-    """Raised by a plan: output ``port`` reached ``top`` past its range."""
-
-
 @cache
 def _plan(kind: str, in_ranges: tuple[int, ...],
           out_ranges: tuple[int, ...]):
-    """``fire(mask, *input planes)``, the output planes of a ``kind`` gate
-    per port, or None if an input range is wider than its port.  ``fire``
-    adds the input bits, or for ``prod`` the partial products, column by
-    column with half and full adders; each output is the next digit of
-    the result, as wide as the first output.  Only a port whose range is
-    below the largest value the cell reaches there is tested: the first
-    past it raises :class:`_Overflow` with its largest value in the batch.
+    """``fire(*input planes)``, the output planes of a ``kind`` gate per
+    port, or None if an input range is wider than its port or a declared
+    output range is below what the cell can carry there, its
+    :func:`~mvlmul.core.output_ranges`.  ``fire`` adds the input bits, or
+    for ``prod`` the partial products, column by column with half and
+    full adders; each output is the next digit of the result, as wide as
+    the first output, and the carry out of the last column an output
+    reads is dropped.
     """
     spec = PORTS[kind]
-    if any(r > hi for r, (_, hi) in zip(in_ranges, spec.inputs)):
+    if (any(r > hi for r, (_, hi) in zip(in_ranges, spec.inputs))
+            or any(map(int.__lt__, out_ranges,
+                       output_ranges(kind, in_ranges)))):
         return None
     op, m = spec.op, spec.outputs[0][1].bit_length()  # bits per digit
-    tops = output_ranges(kind, in_ranges)
     body = []
 
     def let(expr):  # names a new plane
@@ -105,7 +103,8 @@ def _plan(kind: str, in_ranges: tuple[int, ...],
     bits = [[f"a{k}_{b}" for b in range(r.bit_length())]
             for k, r in enumerate(in_ranges)]
     body += [f"{', '.join(bs)}, = a{k}" for k, bs in enumerate(bits) if bs]
-    cols = [[] for _ in range(op(in_ranges).bit_length())]
+    cols = [[] for _ in range(min(op(in_ranges).bit_length(),
+                                  m * len(out_ranges)))]
     for t in ([[t] for bs in bits for t in enumerate(bs)] if op is sum
               else product(*map(enumerate, bits))):  # partial products
         p = " & ".join(p for _, p in t)
@@ -115,26 +114,18 @@ def _plan(kind: str, in_ranges: tuple[int, ...],
             x, y, *z = col[:3]
             del col[:3]
             s = let(f"{x} ^ {y}")
-            if w + 1 < len(cols):  # a carry out of the top column is 0
+            if w + 1 < len(cols):  # no output reads the last carry
                 cols[w + 1].append(let(
                     f"{x} & {y}" + "".join(f" | {c} & {s}" for c in z)))
             col.append(let(f"{s} ^ {z[0]}") if z else s)
-    value, ports = [col[0] if col else "0" for col in cols], []
-    for o, hi in enumerate(out_ranges):
-        ps = value[m * o:m * o + m]
-        if hi < tops[o]:
-            # above hi: a bit hi clears is set, and every bit above it hi sets
-            over = " | ".join(" & ".join(
-                p for c, p in enumerate(ps) if c == b or c > b and hi >> c & 1)
-                for b in range(len(ps)) if not hi >> b & 1)
-            body.append(f"if {over}: raise _Overflow({o}, max(_digit_bytes("
-                        f"({', '.join(ps)},), mask.bit_length())))")
-        ports.append((ps + ["0"] * hi.bit_length())[:hi.bit_length()])
+    value = [col[0] if col else "0" for col in cols]
+    ports = [(value[m * o:m * o + m] + ["0"] * hi.bit_length())
+             [:hi.bit_length()] for o, hi in enumerate(out_ranges)]
     body.append("return " + "".join(
         f"({''.join(p + ', ' for p in ps)}), " for ps in ports))
-    args = "".join(f", a{k}" for k in range(len(in_ranges)))
-    scope = {"_Overflow": _Overflow, "_digit_bytes": _digit_bytes}
-    exec(f"def fire(mask{args}):\n    " + "\n    ".join(body), scope)
+    args = ", ".join(f"a{k}" for k in range(len(in_ranges)))
+    scope = {}
+    exec(f"def fire({args}):\n    " + "\n    ".join(body), scope)
     return scope["fire"]
 
 
@@ -144,12 +135,15 @@ def _simulate(net: Netlist, batches):
     """Yield ``(n, columns, output planes)`` per batch.
 
     A batch is ``n`` vectors and one tuple of planes per primary input.
-    Each gate fires once per batch, in gate order.  An overflow names
-    the failing wire first in that order: every gate before it read
-    in-range planes.  A wire read before any gate drives it is an error,
-    and so are a primary input undeclared or not declared a full digit,
-    an unknown kind, a port count that is not the kind's, an undeclared
-    wire and an input wire wider than its port.
+    Each gate fires once per batch, in gate order.  Before any gate
+    fires, each gate's declared ranges are checked over every input they
+    allow: an input wire wider than its port, or an output wire declared
+    below what the gate can carry there, is an error that names the
+    gate's first such wire.  Primary inputs are full digits, so no wire
+    of a run can leave its declared range.  A wire read before any gate
+    drives it is an error, and so are a primary input undeclared or not
+    declared a full digit, an unknown kind, a port count that is not the
+    kind's and an undeclared wire.
     """
     ranges = {w: wire.range_max for w, wire in net.wires.items()}
     for w in net.primary_inputs:
@@ -169,22 +163,19 @@ def _simulate(net: Netlist, batches):
             w = next(w for w in g.inputs + g.outputs if w not in ranges)
             raise SimulationError(f"gate {g.id} names undeclared wire {w}")
         if (fire := _plan(g.kind, ins, outs)) is None:
-            raise SimulationError(next(
-                g.range_error(k, r) for k, (r, (_, hi))
-                in enumerate(zip(ins, PORTS[g.kind].inputs)) if r > hi))
+            wide = [g.range_error(k, r) for k, (r, (_, hi))
+                    in enumerate(zip(ins, PORTS[g.kind].inputs)) if r > hi]
+            raise SimulationError(wide[0] if wide else next(
+                f"wire {w} (gate {g.id}, {g.kind}) is declared 0..{r} but "
+                f"can carry up to {top}" for w, r, top in
+                zip(g.outputs, outs, output_ranges(g.kind, ins)) if r < top))
         steps.append((fire, g))
     for n, columns in batches:
-        mask = (1 << n) - 1
         planes = dict(zip(net.primary_inputs, columns))
         for fire, g in steps:
             try:
                 planes.update(zip(g.outputs, fire(
-                    mask, *map(planes.__getitem__, g.inputs))))
-            except _Overflow as e:
-                w = net.wires[g.outputs[e.args[0]]]
-                raise SimulationError(
-                    f"wire {w.id} (gate {g.id}, {g.kind}) left its range "
-                    f"0..{w.range_max}: {e.args[1]}") from None
+                    *map(planes.__getitem__, g.inputs))))
             except KeyError as e:
                 raise SimulationError(f"gate {g.id} reads wire {e.args[0]} "
                                       "before any gate drives it") from None
@@ -196,21 +187,21 @@ def _simulate(net: Netlist, batches):
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     """Evaluate one input vector; returns product digits, LSB first.
 
-    The assignment must cover every primary input with an in-range
-    digit.  Internal wires are range-checked on every gate firing.
+    The assignment must cover every primary input with a digit of the
+    radix.  Every gate's ranges are checked before any gate fires, as in
+    every run.
     """
     if extra := set(assignment) - set(net.primary_inputs):
         raise SimulationError(f"unknown inputs: {sorted(extra)}")
     for name in net.primary_inputs:
         if name not in assignment:
             raise SimulationError(f"input {name} not assigned")
-        if name not in net.wires:
-            raise SimulationError(f"input wire {name} undeclared")
-        v, hi = assignment[name], net.wires[name].range_max
-        if not isinstance(v, int) or not 0 <= v <= hi:
-            raise SimulationError(f"input {name}={v!r} outside 0..{hi}")
-    columns = [tuple(assignment[name] >> b & 1
-                     for b in range(net.wires[name].range_max.bit_length()))
+        v = assignment[name]
+        if not isinstance(v, int) or not 0 <= v < net.radix:
+            raise SimulationError(
+                f"input {name}={v!r} outside 0..{net.radix - 1}")
+    bits = range((net.radix - 1).bit_length())
+    columns = [tuple(assignment[name] >> b & 1 for b in bits)
                for name in net.primary_inputs]
     *_, got = next(_simulate(net, [(1, columns)]))
     return [sum(p << b for b, p in enumerate(planes)) for planes in got]

@@ -388,7 +388,8 @@ def test_verify_range_overflow_is_usage_error(tmp_path, capsys):
     for mode in ("exhaustive", "random"):
         code, stdout, err = run(["verify", str(nl), "--mode", mode], capsys)
         assert code == 2 and stdout == "", mode
-        assert err == "error: wire s (gate g0, QHA) left its range 0..1: 3\n"
+        assert err == ("error: wire s (gate g0, QHA) is declared 0..1 but "
+                       "can carry up to 3\n")
 
 
 def test_verify_rejects_wrong_input_count(tmp_path, capsys):

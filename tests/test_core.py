@@ -146,7 +146,7 @@ def test_kernels_on_digit_arrays_match_ints(kind):
                      for b in range(r.bit_length()))
                for k, r in enumerate(in_ranges)]
         fire = _plan(kind, in_ranges, output_ranges(kind, in_ranges))
-        got = fire((1 << len(domain)) - 1, *ins)
+        got = fire(*ins)
         for j, v in enumerate(domain):
             assert tuple(sum((p >> j & 1) << b for b, p in enumerate(port))
                          for port in got) == KERNELS[kind](*v), (in_ranges, v)

@@ -71,7 +71,7 @@ def test_undeclared_input_is_named(q1):
 
 
 def _narrow_qha():
-    """A QHA whose sum wire is declared binary: overflows on 2+1=3."""
+    """A QHA whose sum wire is declared binary, though it can carry 3."""
     wires = {"a": Wire("a", 3), "b": Wire("b", 3),
              "s": Wire("s", 1), "c": Wire("c", 1)}
     gates = [GateInstance("g0", "QHA", ("a", "b"), ("s", "c"))]
@@ -83,15 +83,20 @@ def test_evaluate_checks_internal_ranges():
     net = _narrow_qha()
     with pytest.raises(SimulationError):
         evaluate(net, {"a": 2, "b": 1})
-    # in range, runs fine
-    assert evaluate(net, {"a": 1, "b": 0}) == [1, 0]
+    # a vector whose sum fits the narrowed wire used to run: the ranges
+    # are checked before any gate fires, not on the values a vector makes
+    with pytest.raises(SimulationError):
+        evaluate(net, {"a": 1, "b": 0})
 
 
 def test_range_check_covers_every_vector_of_a_batch():
-    # vectors (0,0) and (0,1) stay in range; (0,2) is the first overflow,
-    # in the middle of the single 16-vector batch
-    with pytest.raises(SimulationError, match="range 0..1: 3"):
-        verify_exhaustive(_narrow_qha())
+    # a batch of only (0,0) and (0,1), whose sums fit the narrowed wire:
+    # the check covers every vector the declared input ranges allow, not
+    # only those a run happens to reach
+    batch = (2, [(0, 0), (0b10, 0)])  # planes of a, then of b
+    with pytest.raises(SimulationError, match="declared 0..1 but can carry "
+                                              "up to 3$"):
+        next(sim._simulate(_narrow_qha(), [batch]))
 
 
 def _two_overflows(order):
@@ -116,21 +121,21 @@ def _two_overflows(order):
 @pytest.mark.parametrize("order, vector, msg", [
     # one level, two kinds: gate g1 comes before g2 in the list
     (["g0", "g1", "g2"], {"x0": 2, "y0": 1},
-     ["wire p1 (gate g1, QM1) left its range 0..1: {}".format(v)
-      for v in (2, 3)]),
+     "wire p1 (gate g1, QM1) is declared 0..1 but can carry up to 3"),
     # two levels: g3 on level 2 comes before g1 on level 1 in the list
     (["g0", "g3", "g1"], {"x0": 2, "y0": 3},
-     ["wire s3 (gate g3, QHA) left its range 0..1: 3"] * 2),
+     "wire s3 (gate g3, QHA) is declared 0..1 but can carry up to 3"),
 ], ids=["two-kinds", "two-levels"])
 def test_overflow_names_first_wire_in_topo_order(order, vector, msg):
-    # the gate list is a topological order, and gates fire in it
+    # the gate list is a topological order, and gates are checked in it;
+    # the value is the gate's reach, whatever the vectors
     net = _two_overflows(order)
-    with pytest.raises(SimulationError) as e:
-        evaluate(net, vector)
-    assert str(e.value) == msg[0]
-    with pytest.raises(SimulationError) as e:
-        verify_exhaustive(net)
-    assert str(e.value) == msg[1]
+    for run in (lambda: evaluate(net, vector),
+                lambda: verify_exhaustive(net),
+                lambda: verify_random(net, 50, seed=1)):
+        with pytest.raises(SimulationError) as e:
+            run()
+        assert str(e.value) == msg
 
 
 def test_read_before_driver_is_a_simulation_error(b8_last_gate_first):
@@ -180,11 +185,11 @@ def _planes(vectors, k, bits):
 @pytest.mark.parametrize("kind", list(PORTS))
 def test_plans_fire_the_kernel_or_name_the_overflow(kind):
     # expected values come from KERNELS alone: every input range up to
-    # its port's maximum, every declared output range 0..7, and two
-    # batches, the whole domain and the domain without each vector that
-    # reaches a port's largest value, so an overflow's value is the
-    # batch's own largest, not the kernel's.  One past a port's maximum,
-    # there is no plan.
+    # one past its port's maximum, and every declared output range 0..7.
+    # One past a port's maximum, or with an output declared below the
+    # largest value the kernel makes there over the domain, there is no
+    # plan; otherwise the plan fires the kernel on the whole domain, each
+    # port cut to its declared width.
     spec = PORTS[kind]
     for in_ranges in product(*(range(hi + 2) for _, hi in spec.inputs)):
         plans = {declared: sim._plan(kind, in_ranges, declared) for declared
@@ -193,34 +198,19 @@ def test_plans_fire_the_kernel_or_name_the_overflow(kind):
             assert set(plans.values()) == {None}, in_ranges
             continue
         domain = list(product(*(range(r + 1) for r in in_ranges)))
-        outs = {v: KERNELS[kind](*v) for v in domain}
-        top = [max(o[p] for o in outs.values())
-               for p in range(len(spec.outputs))]
-        batches = []  # (mask, input planes, output planes, port maxima)
-        for batch in (domain, [v for v in domain
-                               if all(map(int.__lt__, outs[v], top))]):
-            if batch:
-                got = [outs[v] for v in batch]
-                batches.append((
-                    (1 << len(batch)) - 1,
-                    [_planes(batch, k, r.bit_length())
-                     for k, r in enumerate(in_ranges)],
-                    # a value above 7 overflows every declared range
-                    [_planes(got, p, 3) for p in range(len(top))],
-                    [max(o[p] for o in got) for p in range(len(top))]))
+        got = [KERNELS[kind](*v) for v in domain]
+        top = [max(o[p] for o in got) for p in range(len(spec.outputs))]
+        args = [_planes(domain, k, r.bit_length())
+                for k, r in enumerate(in_ranges)]
+        planes = [_planes(got, p, 3) for p in range(len(top))]  # 0..7
         for declared, fire in plans.items():
-            for mask, args, planes, maxima in batches:
-                key = (in_ranges, declared, mask.bit_length())
-                over = [(p, v) for p, (v, hi) in
-                        enumerate(zip(maxima, declared)) if v > hi]
-                if over:
-                    with pytest.raises(sim._Overflow) as e:
-                        fire(mask, *args)
-                    assert e.value.args == over[0], key
-                else:
-                    assert list(fire(mask, *args)) == [
-                        ps[:hi.bit_length()]
-                        for ps, hi in zip(planes, declared)], key
+            key = (in_ranges, declared)
+            if any(map(int.__lt__, declared, top)):
+                assert fire is None, key
+            else:
+                assert list(fire(*args)) == [
+                    ps[:hi.bit_length()]
+                    for ps, hi in zip(planes, declared)], key
 
 
 @pytest.mark.parametrize("kind, port", [
@@ -262,17 +252,41 @@ def test_undriven_product_digit_is_a_simulation_error():
         evaluate(net, {"a": 1, "b": 2})
 
 
+def _narrowed(net, wire):
+    """A copy of ``net`` with ``wire`` declared ``0..1``."""
+    return Netlist(net.radix, net.width, {**net.wires, wire: Wire(wire, 1)},
+                   net.gates, net.primary_inputs, net.primary_outputs)
+
+
 def test_narrowed_input_is_a_simulation_error(q1):
     # unvalidated, an input declared narrower than a digit used to be
     # simulated on its cut planes: 6 mismatches, with x=2 read as 0
-    net = Netlist(q1.radix, q1.width, {**q1.wires, "x0": Wire("x0", 1)},
-                  q1.gates, q1.primary_inputs, q1.primary_outputs)
+    net = _narrowed(q1, "x0")
     msg = "input wire x0 has range_max 1, radix 4 digits need 3"
+    # evaluate used to read the declaration: "input x0=2 outside 0..1"
     for run in (lambda: verify_exhaustive(net),
-                lambda: verify_random(net, 100, seed=1)):
+                lambda: verify_random(net, 100, seed=1),
+                lambda: evaluate(net, {"x0": 2, "y0": 1})):
         with pytest.raises(SimulationError) as e:
             run()
         assert str(e.value) == msg
+
+
+def test_narrowed_carry_is_named_whatever_the_vectors(q2):
+    # the QFAC2 carry n00841 of q16 can carry 2, but no vector of 4,000
+    # at seed 7 drives it there: with it declared 0..1, that run passed
+    net = _narrowed(gen_multiplier(4, 16), "n00841")
+    msg = ("wire n00841 (gate g00420, QFAC2) is declared 0..1 but can "
+           "carry up to 2")
+    for run in (lambda: verify_random(net, 4000, seed=7),
+                lambda: evaluate(net, _assign(net, 0, 0))):
+        with pytest.raises(SimulationError) as e:
+            run()
+        assert str(e.value) == msg
+    with pytest.raises(SimulationError) as e:
+        verify_exhaustive(_narrowed(q2, "n00001"))
+    assert str(e.value) == ("wire n00001 (gate g00000, QM1) is declared 0..1 "
+                            "but can carry up to 2")
 
 
 @settings(max_examples=60)
@@ -549,10 +563,11 @@ def test_reports_are_pinned(request, name):
 
 
 def test_overflow_messages_are_pinned():
-    net, msg = _narrow_qha(), "wire s (gate g0, QHA) left its range 0..1: {}"
-    for run, top in ((lambda: evaluate(net, {"a": 1, "b": 1}), 2),
-                     (lambda: verify_exhaustive(net), 3),
-                     (lambda: verify_random(net, 50, 1), 3)):
+    net = _narrow_qha()
+    msg = "wire s (gate g0, QHA) is declared 0..1 but can carry up to 3"
+    for run in (lambda: evaluate(net, {"a": 1, "b": 1}),
+                lambda: verify_exhaustive(net),
+                lambda: verify_random(net, 50, 1)):
         with pytest.raises(SimulationError) as e:
             run()
-        assert str(e.value) == msg.format(top)
+        assert str(e.value) == msg
