@@ -43,18 +43,19 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {e}", EXIT_IO) from None
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces) -> None:
+    """Write the strings of the iterable ``pieces`` to ``path``, in turn."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(pieces)
     except OSError as e:
         raise CliError(f"cannot write {path}: {e}", EXIT_IO) from None
 
 
 def _load_netlist(path: str):
     from .netlist import Netlist, NetlistError, validate_netlist
-    text = _read_text(path)
-    try:
-        net = Netlist.from_json(text)
+    try:  # from_json holds the only reference to the text, and drops it
+        net = Netlist.from_json(_read_text(path))
     except NetlistError as e:
         raise CliError(f"{path}: {e}", EXIT_USAGE) from None
     problems = validate_netlist(net)
@@ -110,7 +111,7 @@ def cmd_generate(args) -> int:
           f"{{{inv}}}")
     print(f"reduction stages: {net.stats.get('stages')}")
     if args.out:
-        _write_text(args.out, net.to_json())
+        _write_text(args.out, net.json_pieces())
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -135,7 +136,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:    # a SimulationError or a bad --count
         raise CliError(str(e), EXIT_USAGE) from None
     if args.out:
-        _write_text(args.out, report.to_json())
+        _write_text(args.out, [report.to_json()])
     status = "PASS" if report.passed else "FAIL"
     print(f"{report.design} {report.mode}: {report.vectors_tested} vectors, "
           f"{report.mismatch_count} mismatches -> {status}")
@@ -180,7 +181,7 @@ def cmd_compare(args) -> int:
         text = "\n".join(r.to_markdown() if args.format == "md"
                          else r.to_csv() for r in reports)
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, [text])
     else:
         print(text)
     return EXIT_OK
@@ -191,7 +192,7 @@ def cmd_export_spice(args) -> int:
     net = _load_netlist(args.netlist)
     deck = export_spice(net)
     if args.out:
-        _write_text(args.out, deck)
+        _write_text(args.out, [deck])
         print(f"wrote {args.out}")
     else:
         print(deck, end="")

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .core import ARITY, PORTS
 
 JSON_FORMAT = "mvl-netlist"
 JSON_VERSION = 1
+#: the most wires or gates in one piece of :meth:`Netlist.json_pieces`
+_BLOCK = 1024
 
 
 class NetlistError(ValueError):
@@ -93,61 +97,81 @@ class Netlist:
     def to_json(self) -> str:
         """The netlist document, byte for byte as ``json.dumps(doc,
         indent=2) + "\\n"`` writes it for the same fields as dicts and lists.
+        """
+        return "".join(self.json_pieces())
+
+    def json_pieces(self) -> Iterator[str]:
+        """:meth:`to_json` in pieces of at most ``_BLOCK`` wires or gates,
+        so that a writer never holds the whole text.
 
         The fixed schema is formatted here because ``json.dumps`` with an
         indent always runs the pure-Python encoder; strings still go
         through its C escaper.
         """
         q, sep = encode_basestring_ascii, ",\n        "
-        wires = [f'{{\n'
-                 f'      "id": {q(w.id)},\n'
-                 f'      "range_max": {w.range_max}\n'
-                 f'    }}' for w in self.wires.values()]
-        gates = [f'{{\n'
-                 f'      "id": {q(g.id)},\n'
-                 f'      "kind": {q(g.kind)},\n'
-                 f'      "inputs": [\n        {sep.join(map(q, g.inputs))}\n      ],\n'
-                 f'      "outputs": [\n        {sep.join(map(q, g.outputs))}\n      ]\n'
-                 f'    }}' for g in self.gates]
+        yield (f'{{\n'
+               f'  "format": {q(JSON_FORMAT)},\n'
+               f'  "version": {JSON_VERSION},\n'
+               f'  "radix": {self.radix},\n'
+               f'  "width": {self.width},\n'
+               f'  "inputs": {"".join(_array(map(q, self.primary_inputs)))},\n'
+               f'  "outputs": {"".join(_array(map(q, self.primary_outputs)))},\n'
+               f'  "wires": ')
+        yield from _array(f'{{\n'
+                          f'      "id": {q(w.id)},\n'
+                          f'      "range_max": {w.range_max}\n'
+                          f'    }}' for w in self.wires.values())
+        yield ',\n  "gates": '
+        gates = _array(f'{{\n'
+                       f'      "id": {q(g.id)},\n'
+                       f'      "kind": {q(g.kind)},\n'
+                       f'      "inputs": [\n        {sep.join(map(q, g.inputs))}\n      ],\n'
+                       f'      "outputs": [\n        {sep.join(map(q, g.outputs))}\n      ]\n'
+                       f'    }}' for g in self.gates)
         # an empty port list, the one with no item inside, is written as []
-        gates = _array(gates, "  ").replace("[\n        \n      ]", "[]")
-        meta = ""
+        yield from (piece.replace("[\n        \n      ]", "[]")
+                    for piece in gates)
         if self.stats:
             # an encoded string holds no raw newline, so this only indents
-            meta = (',\n  "meta": '
-                    + json.dumps(self.stats, indent=2).replace("\n", "\n  "))
-        return (f'{{\n'
-                f'  "format": {q(JSON_FORMAT)},\n'
-                f'  "version": {JSON_VERSION},\n'
-                f'  "radix": {self.radix},\n'
-                f'  "width": {self.width},\n'
-                f'  "inputs": {_array(map(q, self.primary_inputs), "  ")},\n'
-                f'  "outputs": {_array(map(q, self.primary_outputs), "  ")},\n'
-                f'  "wires": {_array(wires, "  ")},\n'
-                f'  "gates": {gates}{meta}\n'
-                f'}}\n')
+            yield (',\n  "meta": '
+                   + json.dumps(self.stats, indent=2).replace("\n", "\n  "))
+        yield "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":
+        """The netlist of a document.  Wire and gate entries become
+        records as the JSON is parsed, and the text is let go after: pass
+        it straight in, and the document is held once."""
+        memo = {}  # wire id -> the one string object that spells it
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_record_hook(memo))
         except json.JSONDecodeError as e:
             raise NetlistError(f"not valid JSON: {e}") from None
         except RecursionError:
             raise NetlistError("JSON nested too deeply to read") from None
+        del text
+        if type(doc) is not dict:
+            doc = _thaw(doc)  # a record here is the object it was read from
         if not isinstance(doc, dict):
             raise NetlistError("not a netlist document (top level is "
                                f"{type(doc).__name__}, not an object)")
         if doc.get("format") != JSON_FORMAT:
             raise NetlistError("not a netlist document "
-                               f"(format={doc.get('format')!r})")
+                               f"(format={_thaw(doc.get('format'))!r})")
         version = doc.get("version")  # the JSON integer: not 1.0 or true
         if type(version) is not int or version != JSON_VERSION:
-            raise NetlistError(f"unsupported version {version!r}")
+            raise NetlistError(f"unsupported version {_thaw(version)!r}")
         # each entry is checked where it is read, so the first fault in
-        # reading order is named; a 3.7, "4" or true is no JSON integer
-        wires, gates = {}, []
+        # reading order is named; a 3.7, "4" or true is no JSON integer.
+        # A record passed the same checks in the hook.
+        wires, share = {}, memo.setdefault
         for i, entry in enumerate(_field(doc, "wires", list)):
+            if type(entry) is Wire:
+                if entry.id in wires:
+                    raise _fault(f"wire id {entry.id!r} is repeated")
+                wires[entry.id] = entry
+                continue
+            entry = _thaw(entry)
             try:
                 wid, range_max = entry["id"], entry["range_max"]
             except (KeyError, TypeError):
@@ -159,8 +183,12 @@ class Netlist:
             if type(range_max) is not int:
                 raise _fault(f"wire range_max {range_max!r} of wire {wid!r} "
                              "is not an integer")
-            wires[wid] = Wire(wid, range_max)
-        for i, entry in enumerate(_field(doc, "gates", list)):
+            wires[wid] = Wire(share(wid, wid), range_max)
+        gates = _field(doc, "gates", list)
+        for i, entry in enumerate(gates):
+            if type(entry) is GateInstance:
+                continue
+            entry = _thaw(entry)
             try:
                 gid, kind = entry["id"], entry["kind"]
                 ins, outs = entry["inputs"], entry["outputs"]
@@ -178,14 +206,67 @@ class Netlist:
                 if type(w) is not str:
                     raise _fault(f"gate port wire {w!r} of gate {gid!r} "
                                  "is not a string")
-            gates.append(GateInstance(gid, kind, tuple(ins), tuple(outs)))
+            gates[i] = GateInstance(gid, _KINDS[kind],
+                                    tuple(share(w, w) for w in ins),
+                                    tuple(share(w, w) for w in outs))
         radix, width = _field(doc, "radix", int), _field(doc, "width", int)
         inputs = _field(doc, "inputs", list, "primary input")
         outputs = _field(doc, "outputs", list, "primary output")
-        meta = doc.get("meta", {})
+        meta = _thaw(doc.get("meta", {}))
         if type(meta) is not dict:
             raise _fault("meta is not an object")
         return cls(radix, width, wires, gates, inputs, outputs, meta)
+
+
+#: each gate kind, mapped to the :data:`~mvlmul.core.PORTS` key that spells it
+_KINDS = {kind: kind for kind in PORTS}
+
+
+def _record_hook(memo: dict[str, str]):
+    """A ``json.loads`` hook: an object with only a wire's or a gate's
+    fields, in record order and of their types, becomes that record, and
+    any other its dict.  A wire id goes through ``memo``, so each gate
+    port is the string of a wire read before it, or the gate stays a
+    dict.  Where the object sits is unknown here: :func:`_thaw` undoes a
+    record found outside its own array."""
+    share, known, new = memo.setdefault, memo.__getitem__, tuple.__new__
+    gate_fields, wire_fields = GateInstance._fields, Wire._fields
+
+    def hook(pairs):
+        if len(pairs) == 4:
+            (k0, gid), (k1, kind), (k2, ins), (k3, outs) = pairs
+            if ((k0, k1, k2, k3) == gate_fields and type(gid) is str
+                    and type(ins) is list and type(outs) is list):
+                try:  # fails on an unknown kind or wire, or a non-string
+                    return new(GateInstance, (gid, _KINDS[kind],
+                                              tuple(map(known, ins)),
+                                              tuple(map(known, outs))))
+                except (KeyError, TypeError):
+                    pass
+        elif len(pairs) == 2:
+            (k0, wid), (k1, range_max) = pairs
+            if ((k0, k1) == wire_fields and type(wid) is str
+                    and type(range_max) is int):
+                return new(Wire, (share(wid, wid), range_max))
+        return dict(pairs)
+    return hook
+
+
+def _thaw(value):
+    """``value`` with each record in it, at any depth, back as the dict it
+    was read as; lists and dicts are mended in place.  A loop, since the
+    parser reads deeper documents than a recursion could walk."""
+    todo = [box := [value]]
+    while todo:
+        obj = todo.pop()
+        for key, v in list(obj.items() if type(obj) is dict
+                           else enumerate(obj)):
+            if type(v) is Wire or type(v) is GateInstance:
+                obj[key] = {k: list(x) if type(x) is tuple else x
+                            for k, x in zip(v._fields, v)}
+            elif type(v) is dict or type(v) is list:
+                todo.append(v)
+    return box[0]
 
 
 def _fault(problem: str) -> NetlistError:
@@ -214,18 +295,21 @@ def _field(doc: dict, key: str, typ: type, item: str = ""):
     value = doc[key]
     if type(value) is not typ:
         raise _fault(f"{key} is not an array" if typ is list
-                     else f"{key} {value!r} is not an integer")
+                     else f"{key} {_thaw(value)!r} is not an integer")
     for v in value if item else ():
         if type(v) is not str:
-            raise _fault(f"{item} {v!r} is not a string")
+            raise _fault(f"{item} {_thaw(v)!r} is not a string")
     return value
 
 
-def _array(items, pad: str) -> str:
-    """Rendered JSON items as an array whose closing bracket sits at
-    ``pad``, laid out as ``json.dumps(..., indent=2)`` lays it out."""
-    body = f",\n{pad}  ".join(items)
-    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
+def _array(items: Iterable[str]) -> Iterator[str]:
+    """Rendered JSON items as a top-level field's array, laid out as
+    ``json.dumps(..., indent=2)`` lays it out, in pieces of ``_BLOCK``."""
+    items, opening, sep = iter(items), "[\n    ", ",\n    "
+    while block := list(islice(items, _BLOCK)):
+        yield opening + sep.join(block)
+        opening = sep
+    yield "\n  ]" if opening == sep else "[]"
 
 
 def validate_netlist(n: Netlist) -> list[Violation]:

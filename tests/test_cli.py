@@ -46,6 +46,25 @@ def test_generate_round_trip_inventory(tmp_path, capsys):
         gen_multiplier(4, 4).inventory()
 
 
+def test_generate_out_writes_to_json(tmp_path, capsys, all_designs):
+    # the file is written in pieces, never as one string
+    for (radix, width), net in all_designs.items():
+        out = tmp_path / f"r{radix}w{width}.json"
+        code, stdout, _ = run(["generate", "--radix", str(radix), "--width",
+                               str(width), "--out", str(out)], capsys)
+        assert code == 0 and stdout.endswith(f"wrote {out}\n")
+        assert out.read_text() == net.to_json()
+
+
+def test_generate_write_failure_is_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "x.json"
+    code, stdout, err = run(["generate", "--radix", "2", "--width", "2",
+                             "--out", str(out)], capsys)
+    assert code == 3 and "wrote" not in stdout
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and not out.parent.exists()
+
+
 def test_generate_rejects_bad_radix(capsys):
     code, _, _ = run(["generate", "--radix", "3", "--width", "2"], capsys)
     assert code == 2

@@ -3,12 +3,13 @@
 import copy
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EVERY_VIOLATION, disjoint_union
-from mvlmul import gen_multiplier
+from mvlmul import gen_multiplier, netlist
 from mvlmul.core import PORTS
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
                             Wire, validate_netlist)
@@ -218,6 +219,122 @@ def test_any_fault_is_named_or_read(q1, faults):
     except NetlistError:
         return
     assert Netlist.from_json(net.to_json()).to_json() == net.to_json()
+
+
+#: objects the reader turns into records where they stand in their own
+#: array, and the same fields in another order, which it leaves alone
+_WIRE_SHAPED = {"id": "n0", "range_max": 1}
+_GATE_SHAPED = {"id": "g9", "kind": "AND", "inputs": ["x0", "y0"],
+                "outputs": ["n00000"]}
+_SHAPES = [_WIRE_SHAPED, _GATE_SHAPED, {"range_max": 1, "id": "n0"},
+           {"range_max": "n0", "id": 1},
+           {"id": "g9", "kind": "AND", "outputs": ["n00000"],
+            "inputs": ["x0", "y0"]}]
+
+
+def test_record_shaped_meta_comes_back_unchanged(b2):
+    # the reader builds records as it parses, before it knows where an
+    # object sits; one in meta must stay the object it was
+    stats = {"shapes": _SHAPES, **dict(zip("wgabc", _SHAPES)),
+             "deep": [{"in": [_GATE_SHAPED, [_WIRE_SHAPED]]}]}
+    net = Netlist(b2.radix, b2.width, b2.wires, b2.gates,
+                  b2.primary_inputs, b2.primary_outputs, stats)
+    text = net.to_json()
+    again = Netlist.from_json(text)
+    assert again.stats == stats and again.to_json() == text
+    assert type(again.stats["w"]) is dict and again.stats["g"] == _GATE_SHAPED
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d["gates"].__setitem__(0, dict(_WIRE_SHAPED)),
+     "malformed netlist document: gate 'n0' has no kind"),
+    # last, where the wires its ports name have been read
+    (lambda d: d["wires"].append(dict(_GATE_SHAPED)),
+     "malformed netlist document: wire 'g9' has no range_max"),
+    (lambda d: d["wires"][0].update(id=dict(_WIRE_SHAPED)),
+     "malformed netlist document: wire id {'id': 'n0', 'range_max': 1} "
+     "is not a string"),
+    (lambda d: d["gates"][0]["inputs"].__setitem__(0, dict(_WIRE_SHAPED)),
+     "malformed netlist document: gate port wire {'id': 'n0', "
+     "'range_max': 1} of gate 'g00000' is not a string"),
+    (lambda d: d["gates"][0].update(kind=dict(_WIRE_SHAPED)),
+     "malformed netlist document: gate 'g00000' kind {'id': 'n0', "
+     "'range_max': 1} is not a gate kind"),
+    (lambda d: d["inputs"].__setitem__(0, dict(_WIRE_SHAPED)),
+     "malformed netlist document: primary input {'id': 'n0', "
+     "'range_max': 1} is not a string"),
+    (lambda d: d.update(width=[dict(_WIRE_SHAPED)]),
+     "malformed netlist document: width [{'id': 'n0', 'range_max': 1}] "
+     "is not an integer"),
+    (lambda d: d.update(version=dict(_GATE_SHAPED)),
+     f"unsupported version {_GATE_SHAPED!r}"),
+    (lambda d: d.update(format=dict(_WIRE_SHAPED)),
+     "not a netlist document (format={'id': 'n0', 'range_max': 1})"),
+], ids=["wire-in-gates", "gate-in-wires", "wire-as-id", "wire-as-port",
+        "wire-as-kind", "wire-as-input", "wire-in-width", "gate-as-version",
+        "wire-as-format"])
+def test_misplaced_records_keep_their_messages(q1, corrupt, message):
+    doc = json.loads(q1.to_json())
+    corrupt(doc)
+    with pytest.raises(NetlistError) as e:
+        Netlist.from_json(json.dumps(doc))
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("shape", _SHAPES[:2], ids=["wire", "gate"])
+def test_record_shapes_anywhere_read_as_objects(q1, shape):
+    # at every place of q1's document in turn, as the whole document
+    # too: a load writes the document back, and an error shows the object
+    with pytest.raises(NetlistError, match=r"\(format=None\)"):
+        Netlist.from_json(json.dumps(shape))
+    text = q1.to_json()
+    for k in range(len(_places(json.loads(text)))):
+        doc = json.loads(text)
+        obj, key = _places(doc)[k]
+        obj[key] = copy.deepcopy(shape)
+        try:
+            net = Netlist.from_json(json.dumps(doc))
+        except NetlistError as e:
+            assert "Wire(" not in str(e) and "GateInstance(" not in str(e)
+        else:
+            assert net.to_json() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_loaded_ports_share_the_wire_id_strings(b8, q4):
+    # each gate port is the very string object its wire holds, and each
+    # kind is the PORTS key that spells it
+    kinds = {k: k for k in PORTS}
+    for net in (Netlist.from_json(b8.to_json()),
+                Netlist.from_json(q4.to_json())):
+        ids = {wid: wid for wid in net.wires}
+        for g in net.gates:
+            assert g.kind is kinds[g.kind]
+            for wid in g.inputs + g.outputs:
+                assert wid is ids[wid] and wid is net.wires[wid].id
+
+
+def test_from_json_holds_the_document_once():
+    # the parsed document and the records built from it were both held:
+    # b32 peaked at about 1.9 times what its netlist holds
+    text = gen_multiplier(2, 32).to_json()
+    tracemalloc.start()
+    try:
+        net = Netlist.from_json(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(net.gates) == 2145
+    assert peak <= 1.4 * held
+
+
+@pytest.mark.parametrize("block", [1, 2, 1024])
+def test_json_pieces_join_to_the_document(all_designs, monkeypatch, block):
+    monkeypatch.setattr(netlist, "_BLOCK", block)
+    for net in [*all_designs.values(), _odd()]:
+        pieces = list(net.json_pieces())
+        assert "".join(pieces) == _reference_json(net)
+        # each wire or gate entry holds one id
+        assert max(p.count('"id": ') for p in pieces) <= block
 
 
 def test_records_are_immutable_values():
