@@ -223,7 +223,8 @@ CriticalPath = namedtuple("CriticalPath", "delay_ps gates kinds")
 def critical_path(net: Netlist, lib: TimingLibrary,
                   exclude_kinds=FRONTEND_KINDS) -> CriticalPath:
     """Longest weighted input-to-output path (static analysis), in one
-    backward pass over the gate list, which is in dependency order.
+    backward pass over the gate list, which must be in dependency order:
+    a gate that reads a wire before the gate that drives it is an error.
 
     Gate kinds in ``exclude_kinds`` contribute zero delay and are left
     out of the reported sequence (by default the digit-product stage).
@@ -234,6 +235,17 @@ def critical_path(net: Netlist, lib: TimingLibrary,
         if (len(g.inputs), len(g.outputs)) != ARITY.get(g.kind):
             raise LibraryError(g.port_error())
     lib.require(net)
+    # walked backwards, the earliest gate that reads its own output or one
+    # of a gate after it; the set is let go before the pricing pass
+    late, driven = None, set()
+    for g in reversed(net.gates):
+        driven.update(g.outputs)
+        if not driven.isdisjoint(g.inputs):
+            late = g.id, next(w for w in g.inputs if w in driven)
+    del driven
+    if late:
+        raise LibraryError(f"gate {late[0]} reads wire {late[1]} before the "
+                           "gate that drives it")
     exclude = frozenset(exclude_kinds)
     eps = 1e-9
     # each kind's delay per output port; an excluded kind's 0.0 adds exactly

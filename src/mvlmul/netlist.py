@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import count, islice
 from json.encoder import encode_basestring_ascii
+from operator import countOf
 
 from .core import ARITY, PORTS
 
@@ -141,29 +142,33 @@ class Netlist:
     def from_json(cls, text: str) -> "Netlist":
         """The netlist of a document.  Wire and gate entries become
         records as the JSON is parsed, and the text is let go after: pass
-        it straight in, and the document is held once."""
-        memo = {}  # wire id -> the one string object that spells it
+        it straight in, and the document is held once.  A record built
+        outside its own array has the text parsed again, with no records."""
+        memo, made = {}, count()  # wire id -> the one string that spells it
         try:
-            doc = json.loads(text, object_pairs_hook=_record_hook(memo))
+            doc = json.loads(text, object_pairs_hook=_record_hook(memo, made))
+            arrays = [(doc.get("wires"), Wire), (doc.get("gates"),
+                      GateInstance)] if type(doc) is dict else ()
+            if next(made) > sum(countOf(map(type, a), record)
+                                for a, record in arrays if type(a) is list):
+                doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise NetlistError(f"not valid JSON: {e}") from None
         except RecursionError:
             raise NetlistError("JSON nested too deeply to read") from None
         del text
-        if type(doc) is not dict:
-            doc = _thaw(doc)  # a record here is the object it was read from
         if not isinstance(doc, dict):
             raise NetlistError("not a netlist document (top level is "
                                f"{type(doc).__name__}, not an object)")
         if doc.get("format") != JSON_FORMAT:
             raise NetlistError("not a netlist document "
-                               f"(format={_thaw(doc.get('format'))!r})")
+                               f"(format={doc.get('format')!r})")
         version = doc.get("version")  # the JSON integer: not 1.0 or true
         if type(version) is not int or version != JSON_VERSION:
-            raise NetlistError(f"unsupported version {_thaw(version)!r}")
+            raise NetlistError(f"unsupported version {version!r}")
         # each entry is checked where it is read, so the first fault in
         # reading order is named; a 3.7, "4" or true is no JSON integer.
-        # A record passed the same checks in the hook.
+        # A record passed the same checks in the hook, and none sits elsewhere.
         wires, share = {}, memo.setdefault
         for i, entry in enumerate(_field(doc, "wires", list)):
             if type(entry) is Wire:
@@ -171,7 +176,6 @@ class Netlist:
                     raise _fault(f"wire id {entry.id!r} is repeated")
                 wires[entry.id] = entry
                 continue
-            entry = _thaw(entry)
             try:
                 wid, range_max = entry["id"], entry["range_max"]
             except (KeyError, TypeError):
@@ -188,7 +192,6 @@ class Netlist:
         for i, entry in enumerate(gates):
             if type(entry) is GateInstance:
                 continue
-            entry = _thaw(entry)
             try:
                 gid, kind = entry["id"], entry["kind"]
                 ins, outs = entry["inputs"], entry["outputs"]
@@ -212,7 +215,7 @@ class Netlist:
         radix, width = _field(doc, "radix", int), _field(doc, "width", int)
         inputs = _field(doc, "inputs", list, "primary input")
         outputs = _field(doc, "outputs", list, "primary output")
-        meta = _thaw(doc.get("meta", {}))
+        meta = doc.get("meta", {})
         if type(meta) is not dict:
             raise _fault("meta is not an object")
         return cls(radix, width, wires, gates, inputs, outputs, meta)
@@ -222,14 +225,15 @@ class Netlist:
 _KINDS = {kind: kind for kind in PORTS}
 
 
-def _record_hook(memo: dict[str, str]):
+def _record_hook(memo: dict[str, str], made: count):
     """A ``json.loads`` hook: an object with only a wire's or a gate's
     fields, in record order and of their types, becomes that record, and
     any other its dict.  A wire id goes through ``memo``, so each gate
     port is the string of a wire read before it, or the gate stays a
-    dict.  Where the object sits is unknown here: :func:`_thaw` undoes a
-    record found outside its own array."""
-    share, known, new = memo.setdefault, memo.__getitem__, tuple.__new__
+    dict.  Each record built draws one number from ``made``: where the
+    object sits is unknown here, so the caller counts them."""
+    share, known, new, tick = (memo.setdefault, memo.__getitem__,
+                               tuple.__new__, made.__next__)
     gate_fields, wire_fields = GateInstance._fields, Wire._fields
 
     def hook(pairs):
@@ -238,35 +242,21 @@ def _record_hook(memo: dict[str, str]):
             if ((k0, k1, k2, k3) == gate_fields and type(gid) is str
                     and type(ins) is list and type(outs) is list):
                 try:  # fails on an unknown kind or wire, or a non-string
-                    return new(GateInstance, (gid, _KINDS[kind],
+                    gate = new(GateInstance, (gid, _KINDS[kind],
                                               tuple(map(known, ins)),
                                               tuple(map(known, outs))))
                 except (KeyError, TypeError):
-                    pass
+                    return dict(pairs)
+                tick()
+                return gate
         elif len(pairs) == 2:
             (k0, wid), (k1, range_max) = pairs
             if ((k0, k1) == wire_fields and type(wid) is str
                     and type(range_max) is int):
+                tick()
                 return new(Wire, (share(wid, wid), range_max))
         return dict(pairs)
     return hook
-
-
-def _thaw(value):
-    """``value`` with each record in it, at any depth, back as the dict it
-    was read as; lists and dicts are mended in place.  A loop, since the
-    parser reads deeper documents than a recursion could walk."""
-    todo = [box := [value]]
-    while todo:
-        obj = todo.pop()
-        for key, v in list(obj.items() if type(obj) is dict
-                           else enumerate(obj)):
-            if type(v) is Wire or type(v) is GateInstance:
-                obj[key] = {k: list(x) if type(x) is tuple else x
-                            for k, x in zip(v._fields, v)}
-            elif type(v) is dict or type(v) is list:
-                todo.append(v)
-    return box[0]
 
 
 def _fault(problem: str) -> NetlistError:
@@ -295,10 +285,10 @@ def _field(doc: dict, key: str, typ: type, item: str = ""):
     value = doc[key]
     if type(value) is not typ:
         raise _fault(f"{key} is not an array" if typ is list
-                     else f"{key} {_thaw(value)!r} is not an integer")
+                     else f"{key} {value!r} is not an integer")
     for v in value if item else ():
         if type(v) is not str:
-            raise _fault(f"{item} {_thaw(v)!r} is not a string")
+            raise _fault(f"{item} {v!r} is not a string")
     return value
 
 

@@ -147,6 +147,36 @@ def test_missing_timing_entry_raises(b2):
         critical_path(b2, lib)
 
 
+def test_timing_library_delay_names_a_missing_entry():
+    lib = TimingLibrary(name="thin", delays={})
+    with pytest.raises(LibraryError, match=r"^timing library 'thin' has no "
+                       r"entry for AND\.y$"):
+        lib.delay("AND", "y")
+
+
+def test_critical_path_of_no_gates_is_empty():
+    net = Netlist(radix=2, width=1, wires={"x0": Wire("x0", 1)},
+                  gates=[], primary_inputs=["x0"], primary_outputs=["x0"])
+    cp = critical_path(net, timing_preset("binary-0.9v"))
+    assert cp == (0.0, [], [])
+
+
+def test_critical_path_names_a_gate_read_before_its_driver(
+        b8_last_gate_first):
+    # b8 with its last gate moved first was priced at 291.2 ps, not 312
+    with pytest.raises(LibraryError, match="^gate g00126 reads wire n00167 "
+                       "before the gate that drives it$"):
+        critical_path(b8_last_gate_first, timing_preset("binary-0.9v"))
+
+
+def test_critical_path_names_a_gate_reading_its_own_output(b8):
+    g = b8.gates[0]
+    net = with_gate(b8, g.id, inputs=(g.outputs[0], *g.inputs[1:]))
+    with pytest.raises(LibraryError, match=f"^gate {g.id} reads wire "
+                       f"{g.outputs[0]} before the gate that drives it$"):
+        critical_path(net, timing_preset("binary-0.9v"))
+
+
 def test_critical_path_names_unknown_kind(q4):
     net = with_gate(q4, "g00000", kind="QFA2")
     with pytest.raises(LibraryError,

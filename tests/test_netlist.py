@@ -313,6 +313,72 @@ def test_loaded_ports_share_the_wire_id_strings(b8, q4):
                 assert wid is ids[wid] and wid is net.wires[wid].id
 
 
+def _sorted_keys(net):
+    return json.dumps(json.loads(net.to_json()), sort_keys=True)
+
+
+def _wires_range_first(net):
+    doc = json.loads(net.to_json())
+    doc["wires"] = [{"range_max": w["range_max"], "id": w["id"]}
+                    for w in doc["wires"]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("rewrite", [_sorted_keys, _wires_range_first],
+                         ids=["sort-keys", "range-first-wires"])
+def test_reordered_entries_load_to_the_document(b8, q4, rewrite):
+    # entries in another key order are read as dicts, not as records
+    for net in (b8, q4):
+        again = Netlist.from_json(rewrite(net))
+        assert again.stats == net.stats  # sort_keys reorders meta's keys
+        again.stats = net.stats
+        assert again.to_json() == net.to_json()
+        for g in again.gates:
+            for wid in g.inputs + g.outputs:
+                assert wid is again.wires[wid].id
+
+
+def test_repeated_range_first_wire_ids_are_rejected(q4):
+    doc = json.loads(_wires_range_first(q4))
+    doc["wires"].append({"range_max": 3, "id": "y0"})
+    with pytest.raises(NetlistError) as e:
+        Netlist.from_json(json.dumps(doc))
+    assert str(e.value) == ("malformed netlist document: wire id 'y0' is "
+                            "repeated")
+
+
+def _wire_in_meta(net):
+    doc = json.loads(net.to_json())
+    doc["meta"] = {"w": dict(_WIRE_SHAPED)}
+    return json.dumps(doc)
+
+
+def _gate_in_wires(net):
+    doc = json.loads(net.to_json())
+    doc["wires"].append(dict(_GATE_SHAPED))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("rewrite, parses", [
+    (Netlist.to_json, 1), (_sorted_keys, 1),
+    (_wire_in_meta, 2), (_gate_in_wires, 2),
+], ids=["canonical", "sort-keys", "wire-in-meta", "gate-in-wires"])
+def test_one_parse_unless_a_record_is_misplaced(q4, monkeypatch, rewrite,
+                                                parses):
+    # a record built outside its own array has the text read again, with
+    # every object as written
+    text, loads, calls = rewrite(q4), json.loads, []
+    monkeypatch.setattr(netlist.json, "loads",
+                        lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+    if rewrite is _gate_in_wires:
+        with pytest.raises(NetlistError, match="wire 'g9' has no range_max"):
+            Netlist.from_json(text)
+    else:
+        net = Netlist.from_json(text)
+        assert type(net.stats.get("w", {})) is dict
+    assert len(calls) == parses
+
+
 def test_from_json_holds_the_document_once():
     # the parsed document and the records built from it were both held:
     # b32 peaked at about 1.9 times what its netlist holds
