@@ -18,7 +18,7 @@ _HOMES = {name: module for module, names in {
     "netgen": "DotMatrix NetBuilder NetgenError build_pp final_cpa "
               "gen_multiplier wallace_stage",
     "netlist": "GateInstance Netlist NetlistError Violation Wire "
-               "validate_netlist",
+               "input_faults validate_netlist walk",
     "metrics": "ComparisonReport CostLibrary CriticalPath LibraryError "
                "TimingLibrary area_estimate compare critical_path "
                "default_cost_library timing_preset",

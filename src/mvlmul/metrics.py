@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import combinations
 
-from .core import ARITY, CELLS, PORTS
-from .netlist import Netlist
+from .core import CELLS, PORTS
+from .netlist import Netlist, walk
 
 #: gate kinds that form the digit-product stage; excluded from path
 #: delay accounting by default (every input-to-output path crosses
@@ -157,15 +157,12 @@ class TimingLibrary:
                                f"for {kind}.{port}") from None
 
     def require(self, net: Netlist) -> None:
-        """Raise a :class:`LibraryError` naming the first gate of ``net``
-        whose kind is unknown, or else each port of its kinds that has no
-        delay, in :data:`~mvlmul.core.PORTS` order."""
-        kinds = {g.kind for g in net.gates}
-        if not kinds <= PORTS.keys():
-            raise LibraryError(next(g.port_error() for g in net.gates
-                                    if g.kind not in PORTS))
+        """Raise a :class:`LibraryError` naming the first fault of
+        :func:`~mvlmul.netlist.walk`, or else each port of ``net``'s kinds
+        that has no delay, in :data:`~mvlmul.core.PORTS` order."""
+        deque(walk(net, error=LibraryError), 0)  # drained: no step is held
         missing = [f"{kind}.{pname}"
-                   for kind in sorted(kinds)
+                   for kind in sorted({g.kind for g in net.gates})
                    for pname, _ in PORTS[kind].outputs
                    if (kind, pname) not in self.delays]
         if missing:
@@ -223,29 +220,15 @@ CriticalPath = namedtuple("CriticalPath", "delay_ps gates kinds")
 def critical_path(net: Netlist, lib: TimingLibrary,
                   exclude_kinds=FRONTEND_KINDS) -> CriticalPath:
     """Longest weighted input-to-output path (static analysis), in one
-    backward pass over the gate list, which must be in dependency order:
-    a gate that reads a wire before the gate that drives it is an error.
+    backward pass over the gate list, once ``lib.require`` has checked
+    the netlist (a dependency order among its rules).
 
     Gate kinds in ``exclude_kinds`` contribute zero delay and are left
     out of the reported sequence (by default the digit-product stage).
     Ties between equally late paths break toward the lexicographically
     smallest gate-id sequence.
     """
-    for g in net.gates:
-        if (len(g.inputs), len(g.outputs)) != ARITY.get(g.kind):
-            raise LibraryError(g.port_error())
     lib.require(net)
-    # walked backwards, the earliest gate that reads its own output or one
-    # of a gate after it; the set is let go before the pricing pass
-    late, driven = None, set()
-    for g in reversed(net.gates):
-        driven.update(g.outputs)
-        if not driven.isdisjoint(g.inputs):
-            late = g.id, next(w for w in g.inputs if w in driven)
-    del driven
-    if late:
-        raise LibraryError(f"gate {late[0]} reads wire {late[1]} before the "
-                           "gate that drives it")
     exclude = frozenset(exclude_kinds)
     eps = 1e-9
     # each kind's delay per output port; an excluded kind's 0.0 adds exactly

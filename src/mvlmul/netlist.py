@@ -1,13 +1,11 @@
 """Gate-level netlist: an immutable DAG of typed gate instances.
 
-Wires are single-driver and carry a ``range_max`` annotation (1/2/3).
-The central structural rule is the carry discipline: a gate input port
-only accepts wires whose range fits the port, so a quaternary wire can
-never reach a ternary carry-in.  The gates are listed in dependency
-order: each reads only primary inputs and outputs of gates listed
-before it, so the list is an evaluation order and holds no cycle.
-:func:`validate_netlist` checks both rules along with single drivers
-and output completeness.
+Wires carry a ``range_max`` annotation (1/2/3).  Gates are listed in
+dependency order, each reading only primary inputs and outputs of gates
+before it, so the list is an evaluation order with no cycle.
+:func:`walk` holds the rules that each consumer of the gate list needs,
+the carry discipline among them (no wire wider than the port it feeds),
+and :func:`validate_netlist` lists every fault.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
 The records are namedtuples and plain classes, as in every module of the
@@ -19,11 +17,12 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from operator import countOf
 
-from .core import ARITY, PORTS
+from .core import ARITY, PORTS, output_ranges
 
 JSON_FORMAT = "mvl-netlist"
 JSON_VERSION = 1
@@ -32,7 +31,8 @@ _BLOCK = 1024
 
 
 class NetlistError(ValueError):
-    """Raised when a netlist document cannot be parsed or built."""
+    """A netlist document cannot be parsed, or a netlist breaks a rule of
+    :func:`walk`."""
 
 
 class Wire(namedtuple("Wire", "id range_max")):
@@ -46,20 +46,6 @@ class GateInstance(namedtuple("GateInstance", "id kind inputs outputs")):
     ``inputs`` and ``outputs`` are wire ids, in port order."""
 
     __slots__ = ()
-
-    def port_error(self) -> str:
-        """Why this gate's kind is unknown or its port counts are wrong."""
-        if self.kind not in ARITY:
-            return f"gate {self.id} has unknown kind {self.kind!r}"
-        n_in, n_out = ARITY[self.kind]
-        return (f"gate {self.id} ({self.kind}) has {len(self.inputs)} in / "
-                f"{len(self.outputs)} out, not {n_in} / {n_out}")
-
-    def range_error(self, port: int, wire_max: int) -> str:
-        """Why input ``port`` may not read its wire, of range 0..wire_max."""
-        pname, pmax = PORTS[self.kind].inputs[port]
-        return (f"gate {self.id} ({self.kind}) port {pname} accepts max {pmax}"
-                f" but wire {self.inputs[port]} carries up to {wire_max}")
 
 
 class Violation(namedtuple("Violation", "code message")):
@@ -302,99 +288,170 @@ def _array(items: Iterable[str]) -> Iterator[str]:
     yield "\n  ]" if opening == sep else "[]"
 
 
-def validate_netlist(n: Netlist) -> list[Violation]:
-    """Check structural invariants; returns an empty list when sound.
+# -- rules ------------------------------------------------------------------
 
-    Checks: field sanity, wire ranges, primary-input count and digit
-    ranges, gate kinds, port arity, single drivers, dangling inputs,
-    port/wire range compatibility (no quaternary wire on a carry port),
-    gate order (no gate reads a wire before the gate that drives it),
-    and product-output completeness (each digit named once).
+def walk(net: Netlist, slots: dict[str, int] | None = None,
+         error: type[Exception] = NetlistError) -> Iterator[tuple]:
+    """One step per gate, in gate order: the gate and the slots of its
+    input and output wires.  Primary inputs take slots 0, 1, ..., then
+    each gate's outputs the next ones; ``slots``, if given, ends as each
+    driven wire's.  An ``error`` names the first fault in gate order as
+    :func:`validate_netlist` words it.  Rules: (1) each gate's kind is
+    known, with its port counts; (2) each wire a gate names, and each
+    primary input, is declared; (3) each gate input is driven earlier;
+    (4) no input wire is wider than its port; (5) no declared output
+    range is wider than its port, or narrower than what the gate can
+    carry there from its declared input ranges; (6) each product digit
+    is declared and driven.  Per gate, its ports in turn (rules 2, 4, 5),
+    then rule 3.  So no wire leaves its range if no input leaves its own.
     """
+    def fault(p: Violation, wire: str | None = None):
+        if p.code == "order" and not any(wire in g.outputs for g in net.gates):
+            p = _undriven(wire)  # no gate drives it, later or not
+        raise error(p.message)
+    for p in input_faults(net, operands=False):
+        fault(p)
+    slots = {} if slots is None else slots
+    yield from map(_gate_rules(net, slots, fault), net.gates)
+    for p in _product_faults(net, slots):
+        fault(p)
+
+
+def _gate_rules(net: Netlist, slots: dict[str, int], fault):
+    """``step(g)``: each fault of ``g`` under rules 1 to 5 of :func:`walk`
+    to ``fault(violation, wire)``, then ``g``'s step, or None (rule 1)."""
+    slots.update((name, i) for i, name in enumerate(net.primary_inputs))
+    ranges = {w: wire.range_max for w, wire in net.wires.items()}.get
+    stop = len(net.primary_inputs)  # the next free slot
+
+    def step(g: GateInstance):
+        nonlocal stop
+        _, kind, ins_w, outs_w = g
+        for code, template in _port_faults(kind, len(ins_w),
+                                           tuple(map(ranges, ins_w + outs_w))):
+            fault(Violation(code, template.format(g=g)))
+            if code in ("kind", "arity"):  # no port can be checked
+                return None
+        try:
+            ins = tuple(map(slots.__getitem__, ins_w))
+        except KeyError:  # rule 3: an input is not driven yet
+            ins = tuple(map(slots.get, ins_w))
+            for w in ins_w:
+                if w not in slots:
+                    fault(Violation("order", f"gate {g.id} reads wire {w} "
+                                    "before the gate that drives it"), w)
+        first = stop
+        for w in outs_w:
+            slots[w] = stop
+            stop += 1
+        return g, ins, range(first, stop)
+    return step
+
+
+@cache
+def _port_faults(kind: str, n_in: int, ranges: tuple) \
+        -> tuple[tuple[str, str], ...]:
+    """(code, message template naming the gate ``g``) of each fault under
+    rules 1, 2, 4 and 5 of :func:`walk` of a ``kind`` gate whose inputs,
+    then outputs, are declared ``ranges`` (None if undeclared)."""
+    if kind not in ARITY:
+        return (("kind", "gate {g.id} has unknown kind {g.kind!r}"),)
+    if ARITY[kind] != (n_in, len(ranges) - n_in):
+        return (("arity", f"gate {{g.id}} ({kind}) has {n_in} in / "
+                 f"{len(ranges) - n_in} out, not {'%d / %d' % ARITY[kind]}"),)
+    ports, faults = PORTS[kind].inputs + PORTS[kind].outputs, []
+    for k, ((pname, pmax), r) in enumerate(zip(ports, ranges)):
+        side, wire = (("input", f"{{g.inputs[{k}]}}") if k < n_in else
+                      ("output", f"{{g.outputs[{k - n_in}]}}"))
+        if r is None:
+            faults.append(("missing-wire", f"gate {{g.id}} {side} {pname} "
+                           f"-> {wire} undeclared"))
+        elif r > pmax:
+            faults.append(("range", f"gate {{g.id}} ({kind}) " + (
+                f"port {pname} accepts max {pmax} but wire {wire} carries "
+                f"up to {r}" if k < n_in else f"output {pname} max {pmax} "
+                f"but wire {wire} declares {r}")))
+    ins, outs = ranges[:n_in], ranges[n_in:]
+    if all(r is not None and r <= hi for r, (_, hi) in zip(ins, ports)):
+        faults += [("narrow", f"wire {{g.outputs[{k}]}} (gate {{g.id}}, "
+                    f"{kind}) is declared 0..{r} but can carry up to {top}")
+                   for k, (r, top) in enumerate(zip(outs, output_ranges(
+                       kind, ins))) if r is not None and r < top]
+    return tuple(faults)
+
+
+def _undriven(wire: str) -> Violation:
+    return Violation("undriven", f"wire {wire} has no driver")
+
+
+def _product_faults(net: Netlist, slots: dict[str, int]) -> Iterator[Violation]:
+    """Rule 6 of :func:`walk`: each product digit undeclared or undriven."""
+    for out in net.primary_outputs:
+        if out not in net.wires:
+            yield Violation("missing-wire", f"output wire {out} undeclared")
+        elif out not in slots:
+            yield _undriven(out)
+
+
+def input_faults(net: Netlist, operands: bool = True) -> Iterator[Violation]:
+    """Each primary input undeclared (rule 2 of :func:`walk`), and if
+    ``operands``, each not a full digit of the radix, then a count not
+    2N (x, then y).  A path is priced whatever its inputs carry."""
+    for name in net.primary_inputs:
+        if (w := net.wires.get(name)) is None:
+            yield Violation("missing-wire", f"input wire {name} undeclared")
+        elif operands and w.range_max != net.radix - 1:
+            yield Violation("input-range", f"input wire {name} has range_max "
+                            f"{w.range_max}, radix {net.radix} digits need "
+                            f"{net.radix - 1}")
+    if operands and len(net.primary_inputs) != 2 * net.width:
+        yield Violation("inputs", f"expected {2 * net.width} operand digits "
+                        f"(x then y), got {len(net.primary_inputs)}")
+
+
+def validate_netlist(n: Netlist) -> list[Violation]:
+    """Every fault under :func:`walk`'s rules and those it leaves out
+    (field sanity, wire ranges, operands, unique gate ids, single drivers,
+    product digits named once); empty when sound.  Rule 3's faults follow
+    the undriven wires, and reading a wire no gate drives is only that."""
     v: list[Violation] = []
     if n.radix not in (2, 4):
         v.append(Violation("radix", f"radix must be 2 or 4, got {n.radix}"))
     if n.width < 1:
         v.append(Violation("width", f"width must be >= 1, got {n.width}"))
+    v += [Violation("wire-range", f"wire {w.id} has range_max {w.range_max}")
+          for w in n.wires.values() if w.range_max not in (1, 2, 3)]
+    v += input_faults(n)
+    early, slots = [], {}  # rule 3's (wire, fault) pairs; the walk's slots
 
-    for w in n.wires.values():
-        if w.range_max not in (1, 2, 3):
-            v.append(Violation("wire-range",
-                               f"wire {w.id} has range_max {w.range_max}"))
-
-    wire = n.wires.get
-    seen_gate_ids = set()
-    drivers: dict[str, int] = {}  # per driven wire, its driver count
-    early: list[tuple[str, str]] = []  # (gate, wire) read before any driver
-    for name in n.primary_inputs:
-        if name not in n.wires:
-            v.append(Violation("missing-wire", f"input wire {name} undeclared"))
-        elif n.wires[name].range_max != n.radix - 1:
-            v.append(Violation(
-                "input-range", f"input wire {name} has range_max "
-                f"{n.wires[name].range_max}, radix {n.radix} digits need "
-                f"{n.radix - 1}"))
-        drivers[name] = drivers.get(name, 0) + 1
-    if len(n.primary_inputs) != 2 * n.width:
-        v.append(Violation("inputs", f"expected {2 * n.width} operand "
-                           f"digits (x then y), got {len(n.primary_inputs)}"))
-
+    def fault(p: Violation, wire: str | None = None):
+        if p.code == "order":
+            early.append((wire, p))
+        else:
+            v.append(p)
+    step, seen_gate_ids = _gate_rules(n, slots, fault), set()
+    driven = list(n.primary_inputs)
     for g in n.gates:
         if g.id in seen_gate_ids:
             v.append(Violation("dup-gate", f"gate id {g.id} reused"))
         seen_gate_ids.add(g.id)
-        spec = PORTS.get(g.kind)
-        if spec is None or (len(g.inputs), len(g.outputs)) != ARITY[g.kind]:
-            v.append(Violation("kind" if spec is None else "arity",
-                               g.port_error()))
-            continue
-        for (pname, pmax), wid in zip(spec.inputs, g.inputs):
-            w = wire(wid)
-            if w is None:
-                v.append(Violation("missing-wire",
-                                   f"gate {g.id} input {pname} -> {wid} undeclared"))
-            elif w.range_max > pmax:
-                v.append(Violation("range", g.range_error(
-                    spec.inputs.index((pname, pmax)), w.range_max)))
-            if wid not in drivers:  # not driven yet: later, or never
-                early.append((g.id, wid))
-        for (pname, pmax), wid in zip(spec.outputs, g.outputs):
-            w = wire(wid)
-            if w is None:
-                v.append(Violation("missing-wire",
-                                   f"gate {g.id} output {pname} -> {wid} undeclared"))
-            else:
-                drivers[wid] = drivers.get(wid, 0) + 1
-                if w.range_max > pmax:
-                    v.append(Violation(
-                        "range", f"gate {g.id} ({g.kind}) output {pname} "
-                        f"max {pmax} but wire {wid} declares {w.range_max}"))
-
+        if step(g):
+            driven += g.outputs
+    drivers = Counter(driven) if len(driven) > len(slots) else {}
     for wid in n.wires:
-        c = drivers.get(wid, 0)
-        if c == 0:
-            v.append(Violation("undriven", f"wire {wid} has no driver"))
-        elif c > 1:
+        if wid not in slots:
+            v.append(_undriven(wid))
+        elif (c := drivers.get(wid, 1)) > 1:
             v.append(Violation("multi-driver", f"wire {wid} has {c} drivers"))
-    # a wire no gate drives is only undriven; one driven by the reading
-    # gate itself or a later one breaks the order (a cycle always does)
-    v += [Violation("order", f"gate {gid} reads wire {wid} before the "
-                    "gate that drives it")
-          for gid, wid in early if wid in drivers]
-
-    for out in n.primary_outputs:
-        if out not in n.wires:
-            v.append(Violation("missing-wire", f"output wire {out} undeclared"))
-    for out, c in Counter(n.primary_outputs).items():
-        if c > 1:
-            v.append(Violation("dup-output",
-                               f"wire {out} is listed as {c} product digits"))
-
+    # read before the reading gate itself or a later one drives it
+    v += [p for wid, p in early if wid in slots]
+    v += [p for p in _product_faults(n, slots) if p.code != "undriven"]
+    v += [Violation("dup-output", f"wire {out} is listed as {c} product "
+                    "digits") for out, c in Counter(n.primary_outputs).items()
+          if c > 1]
     # completeness: a width-N multiplier emits 2N digits; the degenerate
     # binary 1x1 is a bare AND whose product is a single bit.
-    expected = 2 * n.width
-    if n.radix == 2 and n.width == 1:
-        expected = 1
+    expected = 1 if n.radix == 2 and n.width == 1 else 2 * n.width
     if len(n.primary_outputs) != expected:
         v.append(Violation("outputs", f"expected {expected} product digits, "
                            f"got {len(n.primary_outputs)}"))

@@ -7,11 +7,10 @@ simulation (Waicukauski et al., "Fault Simulation for Structured VLSI",
 Python int with one bit per vector.  Gates fire once each in gate order,
 which is a dependency order (see :mod:`mvlmul.netlist`), as ripple-carry
 code for the ``op`` of their :data:`~mvlmul.core.PORTS` row, so each
-cell keeps its one definition.  Before any gate fires, each gate's
-declared ranges are checked over every input they allow (an input wire
-no wider than its port, an output wire no narrower than what the gate
-can carry there), so a run doubles as a range-soundness check of the
-whole netlist (the ternary-carry discipline in particular).
+cell keeps its one definition.  Before any gate fires, the netlist's
+:func:`~mvlmul.netlist.walk` checks each gate's declared ranges over
+every input they allow, and slots each wire in the list of planes, so a
+run doubles as a range-soundness check of the whole netlist.
 Verification compares the product digits with a bit-sliced shift-and-add
 of the operand bits, which shares no code with the cells.
 """
@@ -23,8 +22,8 @@ import random
 from functools import cache
 from itertools import islice, product, zip_longest
 
-from .core import ARITY, PORTS, output_ranges
-from .netlist import Netlist
+from .core import PORTS
+from .netlist import Netlist, input_faults, walk
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 
@@ -81,19 +80,13 @@ class VerificationReport:
 def _plan(kind: str, in_ranges: tuple[int, ...],
           out_ranges: tuple[int, ...]):
     """``fire(*input planes)``, the output planes of a ``kind`` gate per
-    port, or None if an input range is wider than its port or a declared
-    output range is below what the cell can carry there, its
-    :func:`~mvlmul.core.output_ranges`.  ``fire`` adds the input bits, or
-    for ``prod`` the partial products, column by column with half and
-    full adders; each output is the next digit of the result, as wide as
-    the first output, and the carry out of the last column an output
-    reads is dropped.
+    port, for ranges that :func:`~mvlmul.netlist.walk` accepts.  ``fire``
+    adds the input bits, or for ``prod`` the partial products, column by
+    column with half and full adders; each output is the next digit of
+    the result, as wide as the first output, and the carry out of the
+    last column an output reads is dropped.
     """
     spec = PORTS[kind]
-    if (any(r > hi for r, (_, hi) in zip(in_ranges, spec.inputs))
-            or any(map(int.__lt__, out_ranges,
-                       output_ranges(kind, in_ranges)))):
-        return None
     op, m = spec.op, spec.outputs[0][1].bit_length()  # bits per digit
     body = []
 
@@ -136,60 +129,28 @@ def _simulate(net: Netlist, batches):
 
     A batch is ``n`` vectors and one tuple of planes per primary input.
     Each gate fires once per batch, in gate order.  Before any gate
-    fires, each gate's declared ranges are checked over every input they
-    allow: an input wire wider than its port, or an output wire declared
-    below what the gate can carry there, is an error that names the
-    gate's first such wire.  Primary inputs are full digits, so no wire
-    of a run can leave its declared range.  A wire read before any gate
-    drives it is an error, and so are a primary input undeclared or not
-    declared a full digit, an unknown kind, a port count that is not the
-    kind's and an undeclared wire.
+    fires, the first fault of :func:`~mvlmul.netlist.input_faults` or
+    :func:`~mvlmul.netlist.walk` is an error.
     """
-    ranges = {w: wire.range_max for w, wire in net.wires.items()}
-    for w in net.primary_inputs:
-        if w not in ranges:
-            raise SimulationError(f"input wire {w} undeclared")
-        if ranges[w] != net.radix - 1:
-            raise SimulationError(
-                f"input wire {w} has range_max {ranges[w]}, radix "
-                f"{net.radix} digits need {net.radix - 1}")
-    steps = []
-    for g in net.gates:
-        if (len(g.inputs), len(g.outputs)) != ARITY.get(g.kind):
-            raise SimulationError(g.port_error())
-        ins = tuple(map(ranges.get, g.inputs))
-        outs = tuple(map(ranges.get, g.outputs))
-        if None in ins or None in outs:
-            w = next(w for w in g.inputs + g.outputs if w not in ranges)
-            raise SimulationError(f"gate {g.id} names undeclared wire {w}")
-        if (fire := _plan(g.kind, ins, outs)) is None:
-            wide = [g.range_error(k, r) for k, (r, (_, hi))
-                    in enumerate(zip(ins, PORTS[g.kind].inputs)) if r > hi]
-            raise SimulationError(wide[0] if wide else next(
-                f"wire {w} (gate {g.id}, {g.kind}) is declared 0..{r} but "
-                f"can carry up to {top}" for w, r, top in
-                zip(g.outputs, outs, output_ranges(g.kind, ins)) if r < top))
-        steps.append((fire, g))
+    for p in input_faults(net):
+        raise SimulationError(p.message)
+    ranges, slots = {w: wire.range_max for w, wire in net.wires.items()}, {}
+    steps = [(_plan(g.kind, tuple(map(ranges.get, g.inputs)),
+                    tuple(map(ranges.get, g.outputs))), ins)
+             for g, ins, _ in walk(net, slots, SimulationError)]
+    digits = [slots[w] for w in net.primary_outputs]
     for n, columns in batches:
-        planes = dict(zip(net.primary_inputs, columns))
-        for fire, g in steps:
-            try:
-                planes.update(zip(g.outputs, fire(
-                    *map(planes.__getitem__, g.inputs))))
-            except KeyError as e:
-                raise SimulationError(f"gate {g.id} reads wire {e.args[0]} "
-                                      "before any gate drives it") from None
-        if undriven := [w for w in net.primary_outputs if w not in planes]:
-            raise SimulationError(f"product digit {undriven[0]} has no driver")
-        yield n, columns, [planes[w] for w in net.primary_outputs]
+        planes = list(columns)
+        for fire, ins in steps:
+            planes += fire(*map(planes.__getitem__, ins))
+        yield n, columns, [planes[s] for s in digits]
 
 
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     """Evaluate one input vector; returns product digits, LSB first.
 
     The assignment must cover every primary input with a digit of the
-    radix.  Every gate's ranges are checked before any gate fires, as in
-    every run.
+    radix.  The netlist is checked first, as in every run.
     """
     if extra := set(assignment) - set(net.primary_inputs):
         raise SimulationError(f"unknown inputs: {sorted(extra)}")

@@ -9,21 +9,19 @@ implied; the deck is a structural interchange format.
 
 from __future__ import annotations
 
-from .core import ARITY, PORTS
-from .netlist import Netlist
+from .core import PORTS
+from .netlist import Netlist, walk
 
 
 class SpiceExportError(ValueError):
-    """A gate's kind is unknown, or its port counts are not the kind's."""
+    """The netlist breaks a rule of :func:`~mvlmul.netlist.walk`."""
 
 
 def export_spice(net: Netlist) -> str:
-    """Render a netlist as a hierarchical structural deck."""
-    cells = []
-    for g in net.gates:
-        if (len(g.inputs), len(g.outputs)) != ARITY.get(g.kind):
-            raise SpiceExportError(g.port_error())
-        cells.append(f"X{g.id} {' '.join(g.inputs + g.outputs)} {g.kind}")
+    """Render a netlist that :func:`~mvlmul.netlist.walk` accepts as a
+    hierarchical structural deck."""
+    cells = [f"X{g.id} {' '.join(g.inputs + g.outputs)} {g.kind}"
+             for g, _, _ in walk(net, error=SpiceExportError)]
     name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "

@@ -37,6 +37,24 @@ def with_gate(net: Netlist, gate_id: str, **fields) -> Netlist:
                    net.primary_inputs, net.primary_outputs)
 
 
+def with_wire(net: Netlist, wire_id: str, range_max: int | None) -> Netlist:
+    """A copy of ``net`` whose wire ``wire_id`` is declared ``0..range_max``,
+    or undeclared when ``range_max`` is None."""
+    wires = {w: v for w, v in net.wires.items() if w != wire_id}
+    if range_max is not None:
+        wires[wire_id] = Wire(wire_id, range_max)
+    return Netlist(net.radix, net.width, wires, net.gates,
+                   net.primary_inputs, net.primary_outputs)
+
+
+def with_digit(net: Netlist, k: int, wire_id: str) -> Netlist:
+    """A copy of ``net`` whose product digit ``k`` is wire ``wire_id``."""
+    outputs = list(net.primary_outputs)
+    outputs[k] = wire_id
+    return Netlist(net.radix, net.width, net.wires, net.gates,
+                   net.primary_inputs, outputs)
+
+
 def scaled_timing(lib: TimingLibrary, k: float) -> TimingLibrary:
     """``lib`` with every delay multiplied by ``k`` (> 0)."""
     return TimingLibrary(f"{lib.name}*{k}",

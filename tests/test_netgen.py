@@ -4,8 +4,8 @@ import pytest
 
 from mvlmul import netgen
 from mvlmul.core import PORTS
-from mvlmul.netgen import (NetBuilder, NetgenError, build_pp, final_cpa,
-                           gen_multiplier, wallace_stage)
+from mvlmul.netgen import (DotMatrix, NetBuilder, NetgenError, build_pp,
+                           final_cpa, gen_multiplier, wallace_stage)
 from mvlmul.netlist import validate_netlist
 from mvlmul.sim import verify_exhaustive
 
@@ -115,6 +115,22 @@ def test_final_cpa_requires_reduced_matrix():
         final_cpa(b, m)
 
 
+@pytest.mark.parametrize("rows, message", [
+    # three dots in column 0 and no carry in: without the height check a
+    # full adder took them
+    ([{0: "x0"}, {0: "x1"}, {0: "y0"}], "^final add requires height <= 2"),
+    # without the gap check the product ended at column 1, one digit long
+    ([{0: "x0", 2: "x1"}], "^gap at column 1 inside the product$"),
+], ids=["tall", "gap"])
+def test_final_cpa_rejects_what_it_cannot_add(rows, message):
+    b = _fresh_builder(2, 2)
+    m = DotMatrix(base=2, width=4, max_product=9,
+                  rows=[{c: b.wires[w] for c, w in row.items()}
+                        for row in rows])
+    with pytest.raises(NetgenError, match=message):
+        final_cpa(b, m)
+
+
 def test_final_cpa_single_row_passthrough():
     b = _fresh_builder(2, 1)
     m = build_pp(b, 2, 1, 1)
@@ -180,6 +196,22 @@ def test_bad_arguments_rejected():
         gen_multiplier(2, 0)
     with pytest.raises(NetgenError):
         gen_multiplier(4, -1)
+
+
+def test_non_integer_width_rejected():
+    # without the check, range() raised a TypeError
+    with pytest.raises(NetgenError, match="^width must be a positive "
+                                          "integer, got 2.5$"):
+        gen_multiplier(2, 2.5)
+
+
+def test_stage_without_progress_rejected(monkeypatch):
+    # an empty grouping reduces nothing: without the check the loop went
+    # on, and the next stage fell back to the default grouping
+    monkeypatch.setitem(netgen._GROUPING_PLANS, (2, 8), {0: ()})
+    with pytest.raises(NetgenError, match="^reduction stage made no "
+                                          "progress$"):
+        gen_multiplier(2, 8)
 
 
 def test_unusual_widths_still_generate():

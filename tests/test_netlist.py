@@ -4,15 +4,21 @@ import copy
 import hashlib
 import json
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EVERY_VIOLATION, disjoint_union
+from conftest import (EVERY_VIOLATION, disjoint_union, with_digit, with_gate,
+                      with_wire)
 from mvlmul import gen_multiplier, netlist
 from mvlmul.core import PORTS
+from mvlmul.metrics import LibraryError, critical_path, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
-                            Wire, validate_netlist)
+                            Wire, validate_netlist, walk)
+from mvlmul.sim import (SimulationError, evaluate, verify_exhaustive,
+                        verify_random)
+from mvlmul.spice import SpiceExportError, export_spice
 
 
 def _codes(violations):
@@ -544,6 +550,88 @@ def test_input_count_checked():
     n2.primary_inputs.remove("y0")
     n2.gates[0] = GateInstance("g0", "AND", ("x0", "x0"), ("p0",))
     assert _codes(validate_netlist(n2)) == {"inputs"}
+
+
+#: one fault per rule of walk, each in a generated design: (design,
+#: edit, the violation that validate_netlist lists first)
+FIRST_FAULTS = {
+    # rule 1
+    "kind": ("q2", lambda n: with_gate(n, "g00000", kind="QFA2"),
+             "[kind] gate g00000 has unknown kind 'QFA2'"),
+    # once, the deck held "Xg00008 n00007 n00016 QFAC2WC" under a
+    # three-input .SUBCKT QFAC2WC, and critical_path gave 276.9 ps, not
+    # 369.1 ps
+    "arity": ("q2", lambda n: with_gate(n, "g00008", inputs=("n00007",)),
+              "[arity] gate g00008 (QFAC2WC) has 1 in / 1 out, not 3 / 1"),
+    # rule 2
+    "undeclared-input": ("q2", lambda n: with_wire(n, "x0", None),
+                         "[missing-wire] input wire x0 undeclared"),
+    "undeclared-port": ("q2", lambda n: with_gate(n, "g00000",
+                                                  inputs=("zz", "y0")),
+                        "[missing-wire] gate g00000 input a -> zz undeclared"),
+    # rule 3: read before its driver, by itself, or with no driver at all
+    "order": ("b8_last_gate_first", lambda n: n,
+              "[order] gate g00126 reads wire n00167 before the gate that "
+              "drives it"),
+    "own-output": ("b8", lambda n: with_gate(n, "g00000",
+                                             inputs=("n00000", "y0")),
+                   "[order] gate g00000 reads wire n00000 before the gate "
+                   "that drives it"),
+    "no-driver": ("q2", lambda n: with_gate(with_wire(n, "loose", 3),
+                                            "g00000", inputs=("loose", "y0")),
+                  "[undriven] wire loose has no driver"),
+    # rule 4: a quit on a ternary carry-in
+    "wide-input": ("q2", lambda n: with_gate(
+        n, "g00005", inputs=("n00006", "n00005", "x0")),
+        "[range] gate g00005 (QFAC2) port cin accepts max 2 but wire x0 "
+        "carries up to 3"),
+    # rule 5, both ways
+    "wide-output": ("b8", lambda n: with_wire(n, "n00188", 2),
+                    "[range] gate g00126 (BIN_HA) output sum max 1 but wire "
+                    "n00188 declares 2"),
+    "narrow": ("q2", lambda n: with_wire(n, "n00001", 1),
+               "[narrow] wire n00001 (gate g00000, QM1) is declared 0..1 but "
+               "can carry up to 2"),
+    # rule 6
+    "undeclared-digit": ("q2", lambda n: with_digit(n, 3, "void"),
+                         "[missing-wire] output wire void undeclared"),
+    "undriven-digit": ("q2", lambda n: with_digit(with_wire(n, "ghost", 3),
+                                                  3, "ghost"),
+                       "[undriven] wire ghost has no driver"),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULTS))
+def test_every_entry_point_names_the_first_fault(request, case):
+    # each entry point holds the rules of walk, and names the fault that
+    # validate_netlist lists first, in its words, each in its own class
+    design, edit, violation = FIRST_FAULTS[case]
+    net = edit(request.getfixturevalue(design))
+    first = validate_netlist(net)[0]
+    assert str(first) == violation
+    lib = timing_preset({2: "binary-0.9v", 4: "quaternary-0.9v"}[net.radix])
+    for error, run in (
+            (NetlistError, lambda: deque(walk(net), 0)),
+            (SimulationError, lambda: evaluate(net, dict.fromkeys(
+                net.primary_inputs, 1))),
+            (SimulationError, lambda: verify_exhaustive(net)),
+            (SimulationError, lambda: verify_random(net, 10, seed=1)),
+            (LibraryError, lambda: critical_path(net, lib)),
+            (SpiceExportError, lambda: export_spice(net))):
+        with pytest.raises(error) as e:
+            run()
+        assert str(e.value) == first.message
+
+
+@pytest.mark.parametrize("radix, width, wire, gate", [
+    (4, 16, "n00841", "g00420, QFAC2"), (4, 64, "n01465", "g00732, QM1")])
+def test_narrowed_carries_are_violations(radix, width, wire, gate):
+    # both ternary carries, declared 0..1, passed validation; no vector of
+    # 4,000 at seed 7 drives the q16 one past 1
+    net = with_wire(gen_multiplier(radix, width), wire, 1)
+    assert [str(p) for p in validate_netlist(net)] == [
+        f"[narrow] wire {wire} (gate {gate}) is declared 0..1 but can carry "
+        "up to 2"]
 
 
 def test_every_violation_listed_in_order(every_violation):

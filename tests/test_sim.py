@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import deque
 from itertools import product
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvlmul import gen_multiplier, sim
 from mvlmul.core import KERNELS, PORTS
-from mvlmul.netlist import GateInstance, Netlist, Wire
+from mvlmul.netlist import GateInstance, Netlist, NetlistError, Wire, walk
 from mvlmul.sim import (SimulationError, VerificationSpaceError, evaluate,
                         verify_exhaustive, verify_random)
 
@@ -140,9 +141,10 @@ def test_overflow_names_first_wire_in_topo_order(order, vector, msg):
 
 def test_read_before_driver_is_a_simulation_error(b8_last_gate_first):
     # unvalidated, the first gate to read a wire that no earlier gate
-    # drives is named; the gates used to be re-sorted, and this passed
+    # drives is named, in validate_netlist's words; the gates used to be
+    # re-sorted, and this passed
     net = b8_last_gate_first
-    msg = "gate g00126 reads wire n00167 before any gate drives it"
+    msg = "gate g00126 reads wire n00167 before the gate that drives it"
     with pytest.raises(SimulationError) as e:
         evaluate(net, _assign(net, 3, 5))
     assert str(e.value) == msg
@@ -153,7 +155,7 @@ def test_read_before_driver_is_a_simulation_error(b8_last_gate_first):
 
 @pytest.mark.parametrize("design, kind, edit, msg", [
     ("q1", "QM1", lambda g: {"inputs": ("zz", "y0")},
-     "gate {} names undeclared wire zz"),
+     "gate {} input a -> zz undeclared"),
     ("q1", "QM1", lambda g: {"inputs": g.inputs[:1]},
      "gate {} (QM1) has 1 in / 2 out, not 2 / 2"),
     ("q2", "QHA", lambda g: {"outputs": g.outputs[:1]},
@@ -164,7 +166,8 @@ def test_read_before_driver_is_a_simulation_error(b8_last_gate_first):
 def test_unvalidated_gate_is_a_simulation_error(request, design, kind, edit,
                                                 msg):
     # unvalidated, these raised a bare KeyError, the kernel's TypeError,
-    # and a later gate's "reads wire ... before any gate drives it"
+    # and a later gate's "reads wire ... before any gate drives it"; each
+    # is now named in validate_netlist's words
     net = Netlist.from_json(request.getfixturevalue(design).to_json())
     i = next(i for i, g in enumerate(net.gates) if g.kind == kind)
     g = net.gates[i]
@@ -182,20 +185,33 @@ def _planes(vectors, k, bits):
                  for b in range(bits))
 
 
+def _one_gate(kind, in_ranges, out_ranges):
+    """A netlist of one ``kind`` gate whose wires, named for its ports,
+    have these declared ranges; its inputs are primary inputs."""
+    spec = PORTS[kind]
+    ins, outs = ([name for name, _ in ports]
+                 for ports in (spec.inputs, spec.outputs))
+    wires = {w: Wire(w, r) for w, r in zip(ins + outs, in_ranges + out_ranges)}
+    return Netlist(radix=2, width=1, wires=wires,
+                   gates=[GateInstance("g0", kind, tuple(ins), tuple(outs))],
+                   primary_inputs=ins, primary_outputs=outs)
+
+
 @pytest.mark.parametrize("kind", list(PORTS))
 def test_plans_fire_the_kernel_or_name_the_overflow(kind):
     # expected values come from KERNELS alone: every input range up to
     # one past its port's maximum, and every declared output range 0..7.
-    # One past a port's maximum, or with an output declared below the
-    # largest value the kernel makes there over the domain, there is no
-    # plan; otherwise the plan fires the kernel on the whole domain, each
-    # port cut to its declared width.
+    # One past a port's maximum, with an output declared above its port's
+    # maximum, or below the largest value the kernel makes there over the
+    # domain, the walk names the gate and no plan runs; otherwise the plan
+    # fires the kernel on the whole domain, each port cut to its width
     spec = PORTS[kind]
     for in_ranges in product(*(range(hi + 2) for _, hi in spec.inputs)):
-        plans = {declared: sim._plan(kind, in_ranges, declared) for declared
-                 in product(range(8), repeat=len(spec.outputs))}
+        everything = product(range(8), repeat=len(spec.outputs))
         if any(r > hi for r, (_, hi) in zip(in_ranges, spec.inputs)):
-            assert set(plans.values()) == {None}, in_ranges
+            for declared in everything:
+                with pytest.raises(NetlistError, match="^gate g0 "):
+                    deque(walk(_one_gate(kind, in_ranges, declared)), 0)
             continue
         domain = list(product(*(range(r + 1) for r in in_ranges)))
         got = [KERNELS[kind](*v) for v in domain]
@@ -203,14 +219,19 @@ def test_plans_fire_the_kernel_or_name_the_overflow(kind):
         args = [_planes(domain, k, r.bit_length())
                 for k, r in enumerate(in_ranges)]
         planes = [_planes(got, p, 3) for p in range(len(top))]  # 0..7
-        for declared, fire in plans.items():
+        for declared in everything:
             key = (in_ranges, declared)
-            if any(map(int.__lt__, declared, top)):
-                assert fire is None, key
-            else:
-                assert list(fire(*args)) == [
-                    ps[:hi.bit_length()]
-                    for ps, hi in zip(planes, declared)], key
+            net = _one_gate(kind, in_ranges, declared)
+            if (any(map(int.__lt__, declared, top)) or any(
+                    d > hi for d, (_, hi) in zip(declared, spec.outputs))):
+                with pytest.raises(NetlistError):
+                    deque(walk(net), 0)
+                continue
+            assert [s for _, s, _ in walk(net)] == [tuple(range(len(args)))]
+            fire = sim._plan(kind, in_ranges, declared)
+            assert list(fire(*args)) == [
+                ps[:hi.bit_length()]
+                for ps, hi in zip(planes, declared)], key
 
 
 @pytest.mark.parametrize("kind, port", [
@@ -242,13 +263,12 @@ def test_wire_wider_than_its_port_is_a_simulation_error(kind, port):
 
 
 def test_undriven_product_digit_is_a_simulation_error():
-    # it read as zeros
+    # it read as zeros; it is named as validate_netlist names it
     net = _narrow_qha()
     net.wires["s"] = Wire("s", 3)
     net.wires["ghost"] = Wire("ghost", 3)
     net.primary_outputs = ["s", "ghost"]
-    with pytest.raises(SimulationError, match="^product digit ghost has no "
-                                              "driver$"):
+    with pytest.raises(SimulationError, match="^wire ghost has no driver$"):
         evaluate(net, {"a": 1, "b": 2})
 
 
