@@ -10,13 +10,13 @@ import textwrap
 
 import pytest
 
-from conftest import EVERY_VIOLATION, scaled_timing
+from conftest import EVERY_VIOLATION, scaled_timing, with_gate
 from mvlmul import cli
 from mvlmul.cli import main
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
                             validate_netlist)
-from mvlmul.spice import export_spice
+from mvlmul.spice import SpiceExportError, export_spice
 
 
 def run(argv, capsys):
@@ -566,6 +566,21 @@ def test_export_spice_counts_and_determinism(tmp_path, capsys):
 ])
 def test_export_spice_bytes_pinned(request, design, sha256):
     assert _sha256(export_spice(request.getfixturevalue(design))) == sha256
+
+
+def test_export_spice_names_unknown_kind(q4):
+    with pytest.raises(SpiceExportError,
+                       match="^gate g00000 has unknown kind 'QFA2'$"):
+        export_spice(with_gate(q4, "g00000", kind="QFA2"))
+
+
+def test_export_spice_names_miscounted_gate(q2):
+    # the deck held "Xg00008 n00007 n00016 QFAC2WC" under a three-input
+    # .SUBCKT QFAC2WC, and no error was raised
+    g = q2.gates[-1]
+    with pytest.raises(SpiceExportError, match=r"^gate g00008 \(QFAC2WC\) "
+                       r"has 1 in / 1 out, not 3 / 1$"):
+        export_spice(with_gate(q2, g.id, inputs=g.inputs[:1]))
 
 
 def test_export_spice_stdout_is_the_out_deck(tmp_path, capsys, q4):

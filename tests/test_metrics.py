@@ -177,6 +177,13 @@ def test_critical_path_names_a_gate_reading_its_own_output(b8):
         critical_path(net, timing_preset("binary-0.9v"))
 
 
+def test_critical_path_names_unknown_kind(q4):
+    net = with_gate(q4, "g00000", kind="QFA2")
+    with pytest.raises(LibraryError,
+                       match="^gate g00000 has unknown kind 'QFA2'$"):
+        critical_path(net, timing_preset("quaternary-0.9v"))
+
+
 def test_timing_library_require_names_unknown_kind(q2):
     # called directly, it raised a bare KeyError('QFA2')
     net = with_gate(q2, "g00000", kind="QFA2")
@@ -191,6 +198,16 @@ def test_critical_path_names_miscounted_gate(q2):
     net = with_gate(q2, g.id, outputs=(*g.outputs, q2.primary_outputs[0]))
     with pytest.raises(LibraryError, match=r"^gate g00008 \(QFAC2WC\) has "
                        r"3 in / 2 out, not 3 / 1$"):
+        critical_path(net, timing_preset("quaternary-0.9v"))
+
+
+def test_critical_path_names_gate_with_too_few_ports(q2):
+    # the last gate cut to its first input gave a 276.9 ps path over
+    # g00004, g00006 and g00007, where the sound q2 reads 369.1 ps
+    g = q2.gates[-1]
+    net = with_gate(q2, g.id, inputs=g.inputs[:1])
+    with pytest.raises(LibraryError, match=r"^gate g00008 \(QFAC2WC\) has "
+                       r"1 in / 1 out, not 3 / 1$"):
         critical_path(net, timing_preset("quaternary-0.9v"))
 
 
