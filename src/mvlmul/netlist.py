@@ -296,14 +296,15 @@ def walk(net: Netlist, slots: dict[str, int] | None = None,
     input and output wires.  Primary inputs take slots 0, 1, ..., then
     each gate's outputs the next ones; ``slots``, if given, ends as each
     driven wire's.  An ``error`` names the first fault in gate order as
-    :func:`validate_netlist` words it.  Rules: (1) each gate's kind is
-    known, with its port counts; (2) each wire a gate names, and each
-    primary input, is declared; (3) each gate input is driven earlier;
-    (4) no input wire is wider than its port; (5) no declared output
-    range is wider than its port, or narrower than what the gate can
-    carry there from its declared input ranges; (6) each product digit
-    is declared and driven.  Per gate, its ports in turn (rules 2, 4, 5),
-    then rule 3.  So no wire leaves its range if no input leaves its own.
+    :func:`validate_netlist` words it.  Rules: (1) each gate's id is no
+    earlier gate's, and its kind is known, with its port counts; (2) each
+    wire a gate names, and each primary input, is declared; (3) each gate
+    input is driven earlier; (4) no input wire is wider than its port;
+    (5) no declared output range is wider than its port, or narrower than
+    what the gate can carry there from its declared input ranges; (6)
+    each product digit is declared and driven.  Per gate, its id and kind
+    (rule 1), its ports in turn (rules 2, 4, 5), then rule 3.  So no wire
+    leaves its range if no input leaves its own.
     """
     def fault(p: Violation, wire: str | None = None):
         if p.code == "order" and not any(wire in g.outputs for g in net.gates):
@@ -323,10 +324,14 @@ def _gate_rules(net: Netlist, slots: dict[str, int], fault):
     slots.update((name, i) for i, name in enumerate(net.primary_inputs))
     ranges = {w: wire.range_max for w, wire in net.wires.items()}.get
     stop = len(net.primary_inputs)  # the next free slot
+    seen = set()  # the ids of the gates stepped so far
 
     def step(g: GateInstance):
         nonlocal stop
-        _, kind, ins_w, outs_w = g
+        gid, kind, ins_w, outs_w = g
+        if gid in seen:
+            fault(Violation("dup-gate", f"gate id {gid} reused"))
+        seen.add(gid)
         for code, template in _port_faults(kind, len(ins_w),
                                            tuple(map(ranges, ins_w + outs_w))):
             fault(Violation(code, template.format(g=g)))
@@ -411,9 +416,9 @@ def input_faults(net: Netlist, operands: bool = True) -> Iterator[Violation]:
 
 def validate_netlist(n: Netlist) -> list[Violation]:
     """Every fault under :func:`walk`'s rules and those it leaves out
-    (field sanity, wire ranges, operands, unique gate ids, single drivers,
-    product digits named once); empty when sound.  Rule 3's faults follow
-    the undriven wires, and reading a wire no gate drives is only that."""
+    (field sanity, wire ranges, operands, single drivers, product digits
+    named once); empty when sound.  Rule 3's faults follow the undriven
+    wires, and reading a wire no gate drives is only that."""
     v: list[Violation] = []
     if n.radix not in (2, 4):
         v.append(Violation("radix", f"radix must be 2 or 4, got {n.radix}"))
@@ -429,12 +434,9 @@ def validate_netlist(n: Netlist) -> list[Violation]:
             early.append((wire, p))
         else:
             v.append(p)
-    step, seen_gate_ids = _gate_rules(n, slots, fault), set()
+    step = _gate_rules(n, slots, fault)
     driven = list(n.primary_inputs)
     for g in n.gates:
-        if g.id in seen_gate_ids:
-            v.append(Violation("dup-gate", f"gate id {g.id} reused"))
-        seen_gate_ids.add(g.id)
         if step(g):
             driven += g.outputs
     drivers = Counter(driven) if len(driven) > len(slots) else {}

@@ -18,6 +18,13 @@ def _fresh_builder(radix, width):
     return b
 
 
+def _capacity(m):
+    """The largest value the dots of ``m`` can sum to: the sum of
+    range_max * radix**column over every dot."""
+    return sum(d.range_max * m.base ** c for row in m.rows
+               for c, d in row.items())
+
+
 # --- partial products -----------------------------------------------------
 
 def test_pp_binary_shapes():
@@ -65,9 +72,10 @@ def test_pp_rejects_zero_width():
 
 
 def test_capacity_holds_from_the_start():
-    b = _fresh_builder(4, 4)
-    m = build_pp(b, 4, 4, 4)
-    assert m.capacity_ok()
+    # the digit products can hold the largest product, (radix**N - 1)**2
+    for radix, width in ((2, 8), (4, 4)):
+        m = build_pp(_fresh_builder(radix, width), radix, width, width)
+        assert _capacity(m) >= (radix ** width - 1) ** 2, (radix, width)
 
 
 # --- reduction ------------------------------------------------------------
@@ -90,13 +98,26 @@ def test_stage_heights_strictly_decrease(all_designs):
         assert maxima[-1] <= 2
 
 
-def test_capacity_preserved_each_stage():
-    b = _fresh_builder(4, 4)
-    m = build_pp(b, 4, 4, 4)
-    while m.max_height() > 2:
-        assert m.capacity_ok()
-        m = wallace_stage(b, m)
-    assert m.capacity_ok()
+def test_capacity_preserved_each_stage(monkeypatch):
+    # every adder is exact and only provably-zero carries are dropped, so
+    # no stage of gen_multiplier may leave dots that cannot hold the
+    # largest product; the last case is the half-adder fallback and spill
+    # of test_quaternary_half_adder_fallback_and_spill
+    matrices = []
+
+    def stage(builder, matrix, grouping=None):
+        matrices.extend((matrix, wallace_stage(builder, matrix, grouping)))
+        return matrices[-1]
+    monkeypatch.setattr(netgen, "wallace_stage", stage)
+    for radix, width, plan in ((2, 8, None), (4, 4, None),
+                               (4, 4, {0: ((0, 2, 4),)})):
+        if plan is not None:
+            monkeypatch.setitem(netgen._GROUPING_PLANS, (4, 8), plan)
+        matrices.clear()
+        net = gen_multiplier(radix, width)
+        assert len(matrices) == 2 * net.stats["stages"] > 0
+        for m in matrices:
+            assert _capacity(m) >= (radix ** width - 1) ** 2, (radix, width)
 
 
 def test_stage_rejects_bad_grouping():
@@ -124,7 +145,7 @@ def test_final_cpa_requires_reduced_matrix():
 ], ids=["tall", "gap"])
 def test_final_cpa_rejects_what_it_cannot_add(rows, message):
     b = _fresh_builder(2, 2)
-    m = DotMatrix(base=2, width=4, max_product=9,
+    m = DotMatrix(base=2, width=4,
                   rows=[{c: b.wires[w] for c, w in row.items()}
                         for row in rows])
     with pytest.raises(NetgenError, match=message):
@@ -212,6 +233,15 @@ def test_stage_without_progress_rejected(monkeypatch):
     with pytest.raises(NetgenError, match="^reduction stage made no "
                                           "progress$"):
         gen_multiplier(2, 8)
+
+
+def test_every_width_validates():
+    # gen_multiplier runs no walk of its own: each design holds every rule
+    # by construction, and this is where that is checked
+    for radix, top in ((2, 32), (4, 16)):
+        for width in range(1, top + 1):
+            assert validate_netlist(gen_multiplier(radix, width)) == [], \
+                (radix, width)
 
 
 def test_unusual_widths_still_generate():

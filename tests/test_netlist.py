@@ -555,7 +555,9 @@ def test_input_count_checked():
 #: one fault per rule of walk, each in a generated design: (design,
 #: edit, the violation that validate_netlist lists first)
 FIRST_FAULTS = {
-    # rule 1
+    # rule 1; with a repeated id, the deck held two Xg00000 instances
+    "dup-gate": ("b8", lambda n: with_gate(n, "g00001", id="g00000"),
+                 "[dup-gate] gate id g00000 reused"),
     "kind": ("q2", lambda n: with_gate(n, "g00000", kind="QFA2"),
              "[kind] gate g00000 has unknown kind 'QFA2'"),
     # once, the deck held "Xg00008 n00007 n00016 QFAC2WC" under a
