@@ -24,7 +24,7 @@ _HOMES = {name: module for module, names in {
                "default_cost_library timing_preset",
     "sim": "SimulationError VerificationReport VerificationSpaceError "
            "evaluate verify_exhaustive verify_random",
-    "spice": "SpiceExportError export_spice",
+    "spice": "export_spice",
 }.items() for name in names.split()}
 
 __all__ = list(_HOMES)

@@ -36,10 +36,8 @@ from .netlist import Netlist, walk
 FRONTEND_KINDS = frozenset(cells[0] for cells in CELLS.values())
 
 
-class LibraryError(KeyError):
+class LibraryError(ValueError):
     """A library document is malformed, or lacks an entry a netlist uses."""
-
-    __str__ = Exception.__str__  # KeyError would quote the message
 
 
 def _document(what: str, text: str, section: str) -> tuple[str, dict]:
@@ -157,10 +155,10 @@ class TimingLibrary:
                                f"for {kind}.{port}") from None
 
     def require(self, net: Netlist) -> None:
-        """Raise a :class:`LibraryError` naming the first fault of
-        :func:`~mvlmul.netlist.walk`, or else each port of ``net``'s kinds
-        that has no delay, in :data:`~mvlmul.core.PORTS` order."""
-        deque(walk(net, error=LibraryError), 0)  # drained: no step is held
+        """Raise the error of :func:`~mvlmul.netlist.walk`, or else a
+        :class:`LibraryError` naming each port of ``net``'s kinds that has
+        no delay, in :data:`~mvlmul.core.PORTS` order."""
+        deque(walk(net), 0)  # drained: no step is held
         missing = [f"{kind}.{pname}"
                    for kind in sorted({g.kind for g in net.gates})
                    for pname, _ in PORTS[kind].outputs

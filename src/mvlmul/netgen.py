@@ -239,12 +239,9 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
             continue
         if len(items) == 2:
             kind = half_adder
-        elif len(items) == 3:
-            # two dots plus the incoming carry; the carry sits last and
-            # takes the (ternary) carry-in port
+        else:  # two dots plus the incoming carry; the carry sits last
+            # and takes the (ternary) carry-in port
             kind = top_adder if c == matrix.width - 1 else full_adder
-        else:
-            raise NetgenError(f"column {c} has {len(items)} values")
         outs, rng = builder.add_gate(kind, items)
         digits.append(outs[0].id)
         if len(rng) > 1 and rng[1] > 0:

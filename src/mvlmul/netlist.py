@@ -290,26 +290,31 @@ def _array(items: Iterable[str]) -> Iterator[str]:
 
 # -- rules ------------------------------------------------------------------
 
-def walk(net: Netlist, slots: dict[str, int] | None = None,
-         error: type[Exception] = NetlistError) -> Iterator[tuple]:
+def walk(net: Netlist, slots: dict[str, int] | None = None) \
+        -> Iterator[tuple]:
     """One step per gate, in gate order: the gate and the slots of its
     input and output wires.  Primary inputs take slots 0, 1, ..., then
     each gate's outputs the next ones; ``slots``, if given, ends as each
-    driven wire's.  An ``error`` names the first fault in gate order as
-    :func:`validate_netlist` words it.  Rules: (1) each gate's id is no
-    earlier gate's, and its kind is known, with its port counts; (2) each
-    wire a gate names, and each primary input, is declared; (3) each gate
-    input is driven earlier; (4) no input wire is wider than its port;
-    (5) no declared output range is wider than its port, or narrower than
-    what the gate can carry there from its declared input ranges; (6)
-    each product digit is declared and driven.  Per gate, its id and kind
-    (rule 1), its ports in turn (rules 2, 4, 5), then rule 3.  So no wire
-    leaves its range if no input leaves its own.
+    driven wire's.  A :class:`NetlistError` names the first fault in gate
+    order as :func:`validate_netlist` words it.  Rules: (1) each gate's id
+    is no earlier gate's, and its kind is known, with its port counts; (2)
+    each wire a gate names, and each primary input, is declared; (3) each
+    gate input is driven earlier, and no output is; (4) no input wire is
+    wider than its port; (5) no declared output range is wider than its
+    port, or narrower than what the gate can carry there from its declared
+    input ranges; (6) each product digit is declared and driven.  Per
+    gate, its id and kind (rule 1), its ports in turn (rules 2, 4, 5),
+    then rule 3.  So no wire leaves its range if no input leaves its own.
     """
     def fault(p: Violation, wire: str | None = None):
         if p.code == "order" and not any(wire in g.outputs for g in net.gates):
             p = _undriven(wire)  # no gate drives it, later or not
-        raise error(p.message)
+        elif p.code == "multi-driver":  # counted as validate_netlist counts
+            n = countOf(net.primary_inputs, wire) + sum(
+                countOf(g.outputs, wire) for g in net.gates
+                if ARITY.get(g.kind) == (len(g.inputs), len(g.outputs)))
+            p = Violation(p.code, f"wire {wire} has {n} drivers")
+        raise NetlistError(p.message)
     for p in input_faults(net, operands=False):
         fault(p)
     slots = {} if slots is None else slots
@@ -347,7 +352,8 @@ def _gate_rules(net: Netlist, slots: dict[str, int], fault):
                                     "before the gate that drives it"), w)
         first = stop
         for w in outs_w:
-            slots[w] = stop
+            if slots.setdefault(w, stop) != stop:  # rule 3: driven already
+                fault(Violation("multi-driver", f"wire {w} driven again"), w)
             stop += 1
         return g, ins, range(first, stop)
     return step
@@ -416,9 +422,9 @@ def input_faults(net: Netlist, operands: bool = True) -> Iterator[Violation]:
 
 def validate_netlist(n: Netlist) -> list[Violation]:
     """Every fault under :func:`walk`'s rules and those it leaves out
-    (field sanity, wire ranges, operands, single drivers, product digits
-    named once); empty when sound.  Rule 3's faults follow the undriven
-    wires, and reading a wire no gate drives is only that."""
+    (field sanity, wire ranges, operands, primary inputs and product
+    digits named once); empty when sound.  Rule 3's faults follow the
+    undriven wires, and reading a wire no gate drives is only that."""
     v: list[Violation] = []
     if n.radix not in (2, 4):
         v.append(Violation("radix", f"radix must be 2 or 4, got {n.radix}"))
@@ -432,7 +438,7 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     def fault(p: Violation, wire: str | None = None):
         if p.code == "order":
             early.append((wire, p))
-        else:
+        elif p.code != "multi-driver":  # listed per wire, below
             v.append(p)
     step = _gate_rules(n, slots, fault)
     driven = list(n.primary_inputs)

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import islice, product, zip_longest
 
 from .core import PORTS
-from .netlist import Netlist, input_faults, walk
+from .netlist import Netlist, NetlistError, input_faults, walk
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 
@@ -37,7 +37,7 @@ _DRAW_WORDS = 2 ** 14
 
 
 class SimulationError(ValueError):
-    """Bad assignment, or a netlist the simulator cannot run soundly."""
+    """A bad assignment, or a radix the simulator cannot run."""
 
 
 class VerificationSpaceError(ValueError):
@@ -130,14 +130,14 @@ def _simulate(net: Netlist, batches):
     A batch is ``n`` vectors and one tuple of planes per primary input.
     Each gate fires once per batch, in gate order.  Before any gate
     fires, the first fault of :func:`~mvlmul.netlist.input_faults` or
-    :func:`~mvlmul.netlist.walk` is an error.
+    :func:`~mvlmul.netlist.walk` is a :class:`~mvlmul.netlist.NetlistError`.
     """
     for p in input_faults(net):
-        raise SimulationError(p.message)
+        raise NetlistError(p.message)
     ranges, slots = {w: wire.range_max for w, wire in net.wires.items()}, {}
     steps = [(_plan(g.kind, tuple(map(ranges.get, g.inputs)),
                     tuple(map(ranges.get, g.outputs))), ins)
-             for g, ins, _ in walk(net, slots, SimulationError)]
+             for g, ins, _ in walk(net, slots)]
     digits = [slots[w] for w in net.primary_outputs]
     for n, columns in batches:
         planes = list(columns)

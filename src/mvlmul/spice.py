@@ -13,15 +13,11 @@ from .core import PORTS
 from .netlist import Netlist, walk
 
 
-class SpiceExportError(ValueError):
-    """The netlist breaks a rule of :func:`~mvlmul.netlist.walk`."""
-
-
 def export_spice(net: Netlist) -> str:
-    """Render a netlist that :func:`~mvlmul.netlist.walk` accepts as a
-    hierarchical structural deck."""
+    """Render a netlist as a hierarchical structural deck, or raise the
+    :class:`~mvlmul.netlist.NetlistError` of :func:`~mvlmul.netlist.walk`."""
     cells = [f"X{g.id} {' '.join(g.inputs + g.outputs)} {g.kind}"
-             for g, _, _ in walk(net, error=SpiceExportError)]
+             for g, _, _ in walk(net)]
     name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "

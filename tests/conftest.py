@@ -47,6 +47,14 @@ def with_wire(net: Netlist, wire_id: str, range_max: int | None) -> Netlist:
                    net.primary_inputs, net.primary_outputs)
 
 
+def with_driver(net: Netlist, wire_id: str, gate_id="g99999") -> Netlist:
+    """A copy of ``net`` with one more gate, last, that drives ``wire_id``:
+    ``gate_id``, an AND of x1 and y1."""
+    return Netlist(net.radix, net.width, net.wires, net.gates + [
+        GateInstance(gate_id, "AND", ("x1", "y1"), (wire_id,))],
+        net.primary_inputs, net.primary_outputs)
+
+
 def with_digit(net: Netlist, k: int, wire_id: str) -> Netlist:
     """A copy of ``net`` whose product digit ``k`` is wire ``wire_id``."""
     outputs = list(net.primary_outputs)

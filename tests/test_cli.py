@@ -16,7 +16,7 @@ from mvlmul.cli import main
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
                             validate_netlist)
-from mvlmul.spice import SpiceExportError, export_spice
+from mvlmul.spice import export_spice
 
 
 def run(argv, capsys):
@@ -569,7 +569,7 @@ def test_export_spice_bytes_pinned(request, design, sha256):
 
 
 def test_export_spice_names_unknown_kind(q4):
-    with pytest.raises(SpiceExportError,
+    with pytest.raises(NetlistError,
                        match="^gate g00000 has unknown kind 'QFA2'$"):
         export_spice(with_gate(q4, "g00000", kind="QFA2"))
 
@@ -578,7 +578,7 @@ def test_export_spice_names_miscounted_gate(q2):
     # the deck held "Xg00008 n00007 n00016 QFAC2WC" under a three-input
     # .SUBCKT QFAC2WC, and no error was raised
     g = q2.gates[-1]
-    with pytest.raises(SpiceExportError, match=r"^gate g00008 \(QFAC2WC\) "
+    with pytest.raises(NetlistError, match=r"^gate g00008 \(QFAC2WC\) "
                        r"has 1 in / 1 out, not 3 / 1$"):
         export_spice(with_gate(q2, g.id, inputs=g.inputs[:1]))
 
@@ -673,6 +673,19 @@ def test_package_loads_names_on_first_use():
         else:
             raise AssertionError("mvlmul.no_such_name resolved")
     """)
+
+
+def test_every_error_class_is_a_value_error():
+    # one class per domain, and a caller catches any of them as ValueError
+    import mvlmul
+    errors = {name: cls for name in mvlmul.__all__
+              if isinstance(cls := getattr(mvlmul, name), type)
+              and issubclass(cls, BaseException)}
+    assert sorted(errors) == ["LibraryError", "LogicError", "NetgenError",
+                              "NetlistError", "SimulationError",
+                              "VerificationSpaceError"]
+    for name, cls in errors.items():
+        assert issubclass(cls, ValueError), name
 
 
 def test_commands_load_only_their_modules(tmp_path, q4):
@@ -990,7 +1003,6 @@ def test_compare_out_overwrites(tmp_path, capsys):
 
 
 def test_library_error_message_is_not_quoted(tmp_path, capsys):
-    # LibraryError is a KeyError, whose str() would quote the message
     lib = tmp_path / "bad.json"
     lib.write_text('{"sigma_di": {"FOO": 1.0}}')
     for argv in (["compare", "--preset", "--cost-lib", str(lib)],

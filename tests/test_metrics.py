@@ -9,7 +9,7 @@ from conftest import disjoint_union, scaled_timing, with_gate
 from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
                             area_estimate, compare, critical_path,
                             default_cost_library, timing_preset)
-from mvlmul.netlist import GateInstance, Netlist, Wire
+from mvlmul.netlist import GateInstance, Netlist, NetlistError, Wire
 
 
 # --- cost library -----------------------------------------------------------
@@ -164,7 +164,7 @@ def test_critical_path_of_no_gates_is_empty():
 def test_critical_path_names_a_gate_read_before_its_driver(
         b8_last_gate_first):
     # b8 with its last gate moved first was priced at 291.2 ps, not 312
-    with pytest.raises(LibraryError, match="^gate g00126 reads wire n00167 "
+    with pytest.raises(NetlistError, match="^gate g00126 reads wire n00167 "
                        "before the gate that drives it$"):
         critical_path(b8_last_gate_first, timing_preset("binary-0.9v"))
 
@@ -172,14 +172,14 @@ def test_critical_path_names_a_gate_read_before_its_driver(
 def test_critical_path_names_a_gate_reading_its_own_output(b8):
     g = b8.gates[0]
     net = with_gate(b8, g.id, inputs=(g.outputs[0], *g.inputs[1:]))
-    with pytest.raises(LibraryError, match=f"^gate {g.id} reads wire "
+    with pytest.raises(NetlistError, match=f"^gate {g.id} reads wire "
                        f"{g.outputs[0]} before the gate that drives it$"):
         critical_path(net, timing_preset("binary-0.9v"))
 
 
 def test_critical_path_names_unknown_kind(q4):
     net = with_gate(q4, "g00000", kind="QFA2")
-    with pytest.raises(LibraryError,
+    with pytest.raises(NetlistError,
                        match="^gate g00000 has unknown kind 'QFA2'$"):
         critical_path(net, timing_preset("quaternary-0.9v"))
 
@@ -187,7 +187,7 @@ def test_critical_path_names_unknown_kind(q4):
 def test_timing_library_require_names_unknown_kind(q2):
     # called directly, it raised a bare KeyError('QFA2')
     net = with_gate(q2, "g00000", kind="QFA2")
-    with pytest.raises(LibraryError,
+    with pytest.raises(NetlistError,
                        match="^gate g00000 has unknown kind 'QFA2'$"):
         timing_preset("quaternary-0.9v").require(net)
 
@@ -196,7 +196,7 @@ def test_critical_path_names_miscounted_gate(q2):
     # a second output on the last gate raised a bare IndexError
     g = q2.gates[-1]
     net = with_gate(q2, g.id, outputs=(*g.outputs, q2.primary_outputs[0]))
-    with pytest.raises(LibraryError, match=r"^gate g00008 \(QFAC2WC\) has "
+    with pytest.raises(NetlistError, match=r"^gate g00008 \(QFAC2WC\) has "
                        r"3 in / 2 out, not 3 / 1$"):
         critical_path(net, timing_preset("quaternary-0.9v"))
 
@@ -206,7 +206,7 @@ def test_critical_path_names_gate_with_too_few_ports(q2):
     # g00004, g00006 and g00007, where the sound q2 reads 369.1 ps
     g = q2.gates[-1]
     net = with_gate(q2, g.id, inputs=g.inputs[:1])
-    with pytest.raises(LibraryError, match=r"^gate g00008 \(QFAC2WC\) has "
+    with pytest.raises(NetlistError, match=r"^gate g00008 \(QFAC2WC\) has "
                        r"1 in / 1 out, not 3 / 1$"):
         critical_path(net, timing_preset("quaternary-0.9v"))
 

@@ -9,16 +9,15 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (EVERY_VIOLATION, disjoint_union, with_digit, with_gate,
-                      with_wire)
+from conftest import (EVERY_VIOLATION, disjoint_union, with_digit, with_driver,
+                      with_gate, with_wire)
 from mvlmul import gen_multiplier, netlist
 from mvlmul.core import PORTS
-from mvlmul.metrics import LibraryError, critical_path, timing_preset
+from mvlmul.metrics import critical_path, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
                             Wire, validate_netlist, walk)
-from mvlmul.sim import (SimulationError, evaluate, verify_exhaustive,
-                        verify_random)
-from mvlmul.spice import SpiceExportError, export_spice
+from mvlmul.sim import evaluate, verify_exhaustive, verify_random
+from mvlmul.spice import export_spice
 
 
 def _codes(violations):
@@ -451,6 +450,24 @@ def test_multi_driver_detected():
     assert "multi-driver" in _codes(validate_netlist(n))
 
 
+def test_walk_counts_drivers_as_validate_does(b2):
+    # walk stops at the second driver, but names all three; a later gate
+    # of the wrong port count is no driver in either count
+    net = with_driver(with_driver(b2, "n00004"), "n00004", "g99998")
+    net.gates.append(GateInstance("g99997", "AND", ("x0",), ("n00004",)))
+    assert [str(p) for p in validate_netlist(net)] == [
+        "[arity] gate g99997 (AND) has 1 in / 1 out, not 2 / 1",
+        "[multi-driver] wire n00004 has 3 drivers"]
+    with pytest.raises(NetlistError, match="^wire n00004 has 3 drivers$"):
+        deque(walk(net), 0)
+    # a gate that drives one wire on both of its outputs drives it twice
+    g = next(g for g in b2.gates if g.kind == "BIN_HA")
+    net = with_gate(b2, g.id, outputs=(g.outputs[0],) * 2)
+    with pytest.raises(NetlistError,
+                       match=f"^wire {g.outputs[0]} has 2 drivers$"):
+        deque(walk(net), 0)
+
+
 def test_quaternary_wire_on_carry_port_detected():
     # a quit wire wired into the ternary carry-in of a QFAC2
     wires = {"a": Wire("a", 3), "b": Wire("b", 3), "c": Wire("c", 3),
@@ -582,6 +599,13 @@ FIRST_FAULTS = {
     "no-driver": ("q2", lambda n: with_gate(with_wire(n, "loose", 3),
                                             "g00000", inputs=("loose", "y0")),
                   "[undriven] wire loose has no driver"),
+    # ...or driven twice: verify counted 6 mismatches in 16 without a
+    # reason, and critical_path priced b2 at 41.6 ps
+    "redriven-digit": ("b2", lambda n: with_driver(n, "n00000"),
+                       "[multi-driver] wire n00000 has 2 drivers"),
+    # verify passed all 16 vectors, and the deck drove a primary input
+    "driven-input": ("b2", lambda n: with_driver(n, "x0"),
+                     "[multi-driver] wire x0 has 2 drivers"),
     # rule 4: a quit on a ternary carry-in
     "wide-input": ("q2", lambda n: with_gate(
         n, "g00005", inputs=("n00006", "n00005", "x0")),
@@ -606,22 +630,22 @@ FIRST_FAULTS = {
 @pytest.mark.parametrize("case", list(FIRST_FAULTS))
 def test_every_entry_point_names_the_first_fault(request, case):
     # each entry point holds the rules of walk, and names the fault that
-    # validate_netlist lists first, in its words, each in its own class
+    # validate_netlist lists first, in its words, as a NetlistError
     design, edit, violation = FIRST_FAULTS[case]
     net = edit(request.getfixturevalue(design))
     first = validate_netlist(net)[0]
     assert str(first) == violation
     lib = timing_preset({2: "binary-0.9v", 4: "quaternary-0.9v"}[net.radix])
-    for error, run in (
-            (NetlistError, lambda: deque(walk(net), 0)),
-            (SimulationError, lambda: evaluate(net, dict.fromkeys(
-                net.primary_inputs, 1))),
-            (SimulationError, lambda: verify_exhaustive(net)),
-            (SimulationError, lambda: verify_random(net, 10, seed=1)),
-            (LibraryError, lambda: critical_path(net, lib)),
-            (SpiceExportError, lambda: export_spice(net))):
-        with pytest.raises(error) as e:
+    for run in (lambda: deque(walk(net), 0),
+                lambda: evaluate(net, dict.fromkeys(net.primary_inputs, 1)),
+                lambda: verify_exhaustive(net),
+                lambda: verify_random(net, 10, seed=1),
+                lambda: critical_path(net, lib),
+                lambda: lib.require(net),
+                lambda: export_spice(net)):
+        with pytest.raises(NetlistError) as e:
             run()
+        assert type(e.value) is NetlistError
         assert str(e.value) == first.message
 
 

@@ -66,8 +66,7 @@ def test_undeclared_input_is_named(q1):
     for run in (lambda: evaluate(net, {"x0": 1, "y0": 2}),
                 lambda: verify_exhaustive(net),
                 lambda: verify_random(net, 5, seed=1)):
-        with pytest.raises(SimulationError,
-                           match="^input wire x0 undeclared$"):
+        with pytest.raises(NetlistError, match="^input wire x0 undeclared$"):
             run()
 
 
@@ -82,11 +81,11 @@ def _narrow_qha():
 
 def test_evaluate_checks_internal_ranges():
     net = _narrow_qha()
-    with pytest.raises(SimulationError):
+    with pytest.raises(NetlistError):
         evaluate(net, {"a": 2, "b": 1})
     # a vector whose sum fits the narrowed wire used to run: the ranges
     # are checked before any gate fires, not on the values a vector makes
-    with pytest.raises(SimulationError):
+    with pytest.raises(NetlistError):
         evaluate(net, {"a": 1, "b": 0})
 
 
@@ -95,8 +94,8 @@ def test_range_check_covers_every_vector_of_a_batch():
     # the check covers every vector the declared input ranges allow, not
     # only those a run happens to reach
     batch = (2, [(0, 0), (0b10, 0)])  # planes of a, then of b
-    with pytest.raises(SimulationError, match="declared 0..1 but can carry "
-                                              "up to 3$"):
+    with pytest.raises(NetlistError, match="declared 0..1 but can carry "
+                                           "up to 3$"):
         next(sim._simulate(_narrow_qha(), [batch]))
 
 
@@ -134,7 +133,7 @@ def test_overflow_names_first_wire_in_topo_order(order, vector, msg):
     for run in (lambda: evaluate(net, vector),
                 lambda: verify_exhaustive(net),
                 lambda: verify_random(net, 50, seed=1)):
-        with pytest.raises(SimulationError) as e:
+        with pytest.raises(NetlistError) as e:
             run()
         assert str(e.value) == msg
 
@@ -145,10 +144,10 @@ def test_read_before_driver_is_a_simulation_error(b8_last_gate_first):
     # re-sorted, and this passed
     net = b8_last_gate_first
     msg = "gate g00126 reads wire n00167 before the gate that drives it"
-    with pytest.raises(SimulationError) as e:
+    with pytest.raises(NetlistError) as e:
         evaluate(net, _assign(net, 3, 5))
     assert str(e.value) == msg
-    with pytest.raises(SimulationError) as e:
+    with pytest.raises(NetlistError) as e:
         verify_exhaustive(net)
     assert str(e.value) == msg
 
@@ -173,7 +172,7 @@ def test_unvalidated_gate_is_a_simulation_error(request, design, kind, edit,
     g = net.gates[i]
     net.gates[i] = g._replace(**edit(g))
     for run in (verify_exhaustive, lambda n: evaluate(n, _assign(n, 1, 2))):
-        with pytest.raises(SimulationError) as e:
+        with pytest.raises(NetlistError) as e:
             run(net)
         assert str(e.value) == msg.format(g.id)
 
@@ -255,9 +254,9 @@ def test_wire_wider_than_its_port_is_a_simulation_error(kind, port):
     name, hi = spec.inputs[port]
     for run in (verify_exhaustive, lambda n: verify_random(n, 50, 1),
                 lambda n: evaluate(n, {"x0": 1, "y0": 1})):
-        with pytest.raises(SimulationError) as e:
+        with pytest.raises(NetlistError) as e:
             run(net)
-        assert type(e.value) is SimulationError
+        assert type(e.value) is NetlistError
         assert str(e.value) == (f"gate g0 ({kind}) port {name} accepts max "
                                 f"{hi} but wire {name} carries up to {hi + 1}")
 
@@ -268,7 +267,7 @@ def test_undriven_product_digit_is_a_simulation_error():
     net.wires["s"] = Wire("s", 3)
     net.wires["ghost"] = Wire("ghost", 3)
     net.primary_outputs = ["s", "ghost"]
-    with pytest.raises(SimulationError, match="^wire ghost has no driver$"):
+    with pytest.raises(NetlistError, match="^wire ghost has no driver$"):
         evaluate(net, {"a": 1, "b": 2})
 
 
@@ -287,7 +286,7 @@ def test_narrowed_input_is_a_simulation_error(q1):
     for run in (lambda: verify_exhaustive(net),
                 lambda: verify_random(net, 100, seed=1),
                 lambda: evaluate(net, {"x0": 2, "y0": 1})):
-        with pytest.raises(SimulationError) as e:
+        with pytest.raises(NetlistError) as e:
             run()
         assert str(e.value) == msg
 
@@ -300,10 +299,10 @@ def test_narrowed_carry_is_named_whatever_the_vectors(q2):
            "carry up to 2")
     for run in (lambda: verify_random(net, 4000, seed=7),
                 lambda: evaluate(net, _assign(net, 0, 0))):
-        with pytest.raises(SimulationError) as e:
+        with pytest.raises(NetlistError) as e:
             run()
         assert str(e.value) == msg
-    with pytest.raises(SimulationError) as e:
+    with pytest.raises(NetlistError) as e:
         verify_exhaustive(_narrowed(q2, "n00001"))
     assert str(e.value) == ("wire n00001 (gate g00000, QM1) is declared 0..1 "
                             "but can carry up to 2")
@@ -588,6 +587,6 @@ def test_overflow_messages_are_pinned():
     for run in (lambda: evaluate(net, {"a": 1, "b": 1}),
                 lambda: verify_exhaustive(net),
                 lambda: verify_random(net, 50, 1)):
-        with pytest.raises(SimulationError) as e:
+        with pytest.raises(NetlistError) as e:
             run()
         assert str(e.value) == msg
