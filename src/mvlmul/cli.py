@@ -164,13 +164,15 @@ def cmd_compare(args) -> int:
         if not args.preset and len(args.design or ()) < 2:
             raise CliError("need --preset or at least two "
                            "--design radix,width", EXIT_USAGE)
-        # --design parses lazily: errors surface in command-line order
+        # --design parses lazily: errors surface in command-line order.
+        # compare prices each design as it is generated, so one netlist
+        # is held at a time
         groups = (COMPARE_PRESET if args.preset
                   else [map(_parse_design, args.design)])
-        reports = [compare([(label, gen_multiplier(radix, width), cost,
-                             _timing_library(args.timing_lib
-                                             or DEFAULT_TIMING[radix]))
-                            for label, radix, width in group])
+        reports = [compare((label, gen_multiplier(radix, width), cost,
+                            _timing_library(args.timing_lib
+                                            or DEFAULT_TIMING[radix]))
+                           for label, radix, width in group)
                    for group in groups]
     except (LibraryError, NetgenError) as e:
         raise CliError(str(e), EXIT_USAGE) from None
@@ -188,14 +190,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export_spice(args) -> int:
-    from .spice import export_spice
+    from .spice import deck_pieces
+    # validated on loading, which rejects all that export_spice's walk
+    # would: the deck is written in pieces, with no second walk
     net = _load_netlist(args.netlist)
-    deck = export_spice(net)
     if args.out:
-        _write_text(args.out, [deck])
+        _write_text(args.out, deck_pieces(net))
         print(f"wrote {args.out}")
     else:
-        print(deck, end="")
+        sys.stdout.writelines(deck_pieces(net))
     return EXIT_OK
 
 

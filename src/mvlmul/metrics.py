@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque, namedtuple
-from itertools import combinations
+from itertools import combinations, starmap
 
 from .core import CELLS, PORTS
 from .netlist import Netlist, walk
@@ -340,8 +340,9 @@ class ComparisonReport(namedtuple("ComparisonReport",
         return "\n".join(rows) + "\n"
 
 
-def _metrics_for(label: str, net: Netlist, cost: CostLibrary,
-                 timing: TimingLibrary) -> DesignMetrics:
+def _priced(label: str, net: Netlist, cost: CostLibrary,
+            timing: TimingLibrary) -> tuple[DesignMetrics, CostLibrary]:
+    """A design's metrics, with the cost library that priced it."""
     cp = critical_path(net, timing)
     # the digit-product stage sits outside the path sum; report its own
     # delay alongside so nothing is hidden
@@ -352,7 +353,7 @@ def _metrics_for(label: str, net: Netlist, cost: CostLibrary,
                          inventory=net.inventory(),
                          area_nm=area_estimate(net, cost),
                          delay_ps=cp.delay_ps, path_kinds=list(cp.kinds),
-                         frontend_delay_ps=frontend)
+                         frontend_delay_ps=frontend), cost
 
 
 def compare(designs) -> ComparisonReport:
@@ -362,12 +363,19 @@ def compare(designs) -> ComparisonReport:
     (first named design over second; ``None`` when the second is 0), and,
     whenever a quaternary design is paired with a binary one, the
     component-level adder ratios.
+
+    ``designs`` may be any iterable: each design is priced as it arrives
+    and only its metrics and cost library are kept, so a generator's
+    netlist is let go before the next is built.  Fewer than two designs
+    raise ``ValueError``, once they are priced.
     """
-    if len(designs) < 2:
+    # starmap holds no tuple while it draws the next; a loop name would
+    priced = list(starmap(_priced, designs))
+    if len(priced) < 2:
         raise ValueError("compare needs at least two designs")
-    metrics = [_metrics_for(*d) for d in designs]
+    metrics = [m for m, _ in priced]
     # each design's metrics with its cost library, paired in input order
-    pairs = list(combinations(zip(metrics, (d[2] for d in designs)), 2))
+    pairs = list(combinations(priced, 2))
     pair_ratios = [{
         "pair": f"{a.label} vs {b.label}",
         "area_ratio": a.area_nm / b.area_nm if b.area_nm else None,

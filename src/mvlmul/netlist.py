@@ -299,12 +299,13 @@ def walk(net: Netlist, slots: dict[str, int] | None = None) \
     order as :func:`validate_netlist` words it.  Rules: (1) each gate's id
     is no earlier gate's, and its kind is known, with its port counts; (2)
     each wire a gate names, and each primary input, is declared; (3) each
-    gate input is driven earlier, and no output is; (4) no input wire is
-    wider than its port; (5) no declared output range is wider than its
-    port, or narrower than what the gate can carry there from its declared
-    input ranges; (6) each product digit is declared and driven.  Per
-    gate, its id and kind (rule 1), its ports in turn (rules 2, 4, 5),
-    then rule 3.  So no wire leaves its range if no input leaves its own.
+    gate input is driven earlier, no output is, and no primary input is
+    listed twice; (4) no input wire is wider than its port; (5) no
+    declared output range is wider than its port, or narrower than what
+    the gate can carry there from its declared input ranges; (6) each
+    product digit is declared and driven.  Per gate, its id and kind
+    (rule 1), its ports in turn (rules 2, 4, 5), then rule 3.  So no wire
+    leaves its range if no input leaves its own.
     """
     def fault(p: Violation, wire: str | None = None):
         if p.code == "order" and not any(wire in g.outputs for g in net.gates):
@@ -325,8 +326,11 @@ def walk(net: Netlist, slots: dict[str, int] | None = None) \
 
 def _gate_rules(net: Netlist, slots: dict[str, int], fault):
     """``step(g)``: each fault of ``g`` under rules 1 to 5 of :func:`walk`
-    to ``fault(violation, wire)``, then ``g``'s step, or None (rule 1)."""
-    slots.update((name, i) for i, name in enumerate(net.primary_inputs))
+    to ``fault(violation, wire)``, then ``g``'s step, or None (rule 1).
+    A primary input listed again goes to ``fault`` first, here."""
+    for i, name in enumerate(net.primary_inputs):
+        if slots.setdefault(name, i) != i:  # rule 3: listed again
+            fault(Violation("multi-driver", f"wire {name} listed again"), name)
     ranges = {w: wire.range_max for w, wire in net.wires.items()}.get
     stop = len(net.primary_inputs)  # the next free slot
     seen = set()  # the ids of the gates stepped so far

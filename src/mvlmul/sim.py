@@ -10,7 +10,8 @@ code for the ``op`` of their :data:`~mvlmul.core.PORTS` row, so each
 cell keeps its one definition.  Before any gate fires, the netlist's
 :func:`~mvlmul.netlist.walk` checks each gate's declared ranges over
 every input they allow, and slots each wire in the list of planes, so a
-run doubles as a range-soundness check of the whole netlist.
+run doubles as a range-soundness check of the whole netlist.  A wire's
+planes are dropped after the last gate that reads them.
 Verification compares the product digits with a bit-sliced shift-and-add
 of the operand bits, which shares no code with the cells.
 """
@@ -128,22 +129,48 @@ def _simulate(net: Netlist, batches):
     """Yield ``(n, columns, output planes)`` per batch.
 
     A batch is ``n`` vectors and one tuple of planes per primary input.
-    Each gate fires once per batch, in gate order.  Before any gate
+    Each gate fires once per batch, in gate order, and then drops the
+    planes whose last reader it is (see :func:`_steps`).  Before any gate
     fires, the first fault of :func:`~mvlmul.netlist.input_faults` or
     :func:`~mvlmul.netlist.walk` is a :class:`~mvlmul.netlist.NetlistError`.
     """
+    steps, digits = _steps(net)
+    for n, columns in batches:
+        planes = list(columns)
+        for fire, ins, drop in steps:
+            planes += fire(*map(planes.__getitem__, ins))
+            for s in drop:
+                planes[s] = None
+        yield n, columns, [planes[s] for s in digits]
+
+
+def _steps(net: Netlist) -> tuple[list[tuple], list[int]]:
+    """``(fire, input slots, dropped slots)`` per gate, in gate order,
+    and the slot of each product digit.  Each slot but a primary input's
+    or a product digit's is dropped once: by its last reader, or by its
+    own gate when nothing reads it."""
     for p in input_faults(net):
         raise NetlistError(p.message)
     ranges, slots = {w: wire.range_max for w, wire in net.wires.items()}, {}
     steps = [(_plan(g.kind, tuple(map(ranges.get, g.inputs)),
-                    tuple(map(ranges.get, g.outputs))), ins)
+                    tuple(map(ranges.get, g.outputs))), ins, ())
              for g, ins, _ in walk(net, slots)]
     digits = [slots[w] for w in net.primary_outputs]
-    for n, columns in batches:
-        planes = list(columns)
-        for fire, ins in steps:
-            planes += fire(*map(planes.__getitem__, ins))
-        yield n, columns, [planes[s] for s in digits]
+    del ranges, slots  # before the schedule, to keep the peak down
+    # per slot, the step that drops it, or None
+    last = [None] * len(net.primary_inputs)
+    for i, ((_, ins, _), g) in enumerate(zip(steps, net.gates)):
+        for s in ins:
+            if last[s] is not None:
+                last[s] = i
+        last += [i] * len(g.outputs)  # a gate's outputs take the next slots
+    for s in digits:
+        last[s] = None
+    for s, i in enumerate(last):
+        if i is not None:
+            fire, ins, drop = steps[i]
+            steps[i] = fire, ins, drop + (s,)
+    return steps, digits
 
 
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:

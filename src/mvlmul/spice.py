@@ -9,15 +9,29 @@ implied; the deck is a structural interchange format.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
+from itertools import islice
+
 from .core import PORTS
 from .netlist import Netlist, walk
+
+#: the most instance lines in one piece of :func:`deck_pieces`
+_BLOCK = 1024
 
 
 def export_spice(net: Netlist) -> str:
     """Render a netlist as a hierarchical structural deck, or raise the
     :class:`~mvlmul.netlist.NetlistError` of :func:`~mvlmul.netlist.walk`."""
-    cells = [f"X{g.id} {' '.join(g.inputs + g.outputs)} {g.kind}"
-             for g, _, _ in walk(net)]
+    deque(walk(net), 0)
+    return "".join(deck_pieces(net))
+
+
+def deck_pieces(net: Netlist) -> Iterator[str]:
+    """The deck of :func:`export_spice` in pieces of at most ``_BLOCK``
+    instances, as :meth:`~mvlmul.netlist.Netlist.json_pieces` writes a
+    document, so that a writer never holds it whole.  This checks none
+    of the rules of :func:`~mvlmul.netlist.walk`: validate first."""
     name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "
@@ -36,5 +50,10 @@ def export_spice(net: Netlist) -> str:
         lines.append("")
 
     ports = " ".join(net.primary_inputs + net.primary_outputs)
-    lines += [f".SUBCKT {name} {ports}", *cells, ".ENDS", ".END"]
-    return "\n".join(lines) + "\n"
+    lines.append(f".SUBCKT {name} {ports}")
+    yield "\n".join(lines) + "\n"
+    gates = iter(net.gates)
+    while block := list(islice(gates, _BLOCK)):
+        yield "".join(f"X{g.id} {' '.join(g.inputs + g.outputs)} {g.kind}\n"
+                      for g in block)
+    yield ".ENDS\n.END\n"

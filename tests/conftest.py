@@ -55,6 +55,14 @@ def with_driver(net: Netlist, wire_id: str, gate_id="g99999") -> Netlist:
         net.primary_inputs, net.primary_outputs)
 
 
+def with_input(net: Netlist, k: int, wire_id: str) -> Netlist:
+    """A copy of ``net`` whose primary input ``k`` is wire ``wire_id``."""
+    inputs = list(net.primary_inputs)
+    inputs[k] = wire_id
+    return Netlist(net.radix, net.width, net.wires, net.gates, inputs,
+                   net.primary_outputs)
+
+
 def with_digit(net: Netlist, k: int, wire_id: str) -> Netlist:
     """A copy of ``net`` whose product digit ``k`` is wire ``wire_id``."""
     outputs = list(net.primary_outputs)
@@ -137,6 +145,68 @@ EVERY_VIOLATION = [
     "[dup-output] wire p0 is listed as 2 product digits",
     "[outputs] expected 1 product digits, got 4",
 ]
+
+
+#: one fault per rule of walk, each in a generated design: (design,
+#: edit, the violation that validate_netlist lists first)
+FIRST_FAULTS = {
+    # rule 1; with a repeated id, the deck held two Xg00000 instances
+    "dup-gate": ("b8", lambda n: with_gate(n, "g00001", id="g00000"),
+                 "[dup-gate] gate id g00000 reused"),
+    "kind": ("q2", lambda n: with_gate(n, "g00000", kind="QFA2"),
+             "[kind] gate g00000 has unknown kind 'QFA2'"),
+    # once, the deck held "Xg00008 n00007 n00016 QFAC2WC" under a
+    # three-input .SUBCKT QFAC2WC, and critical_path gave 276.9 ps, not
+    # 369.1 ps
+    "arity": ("q2", lambda n: with_gate(n, "g00008", inputs=("n00007",)),
+              "[arity] gate g00008 (QFAC2WC) has 1 in / 1 out, not 3 / 1"),
+    # rule 2
+    "undeclared-input": ("q2", lambda n: with_wire(n, "x0", None),
+                         "[missing-wire] input wire x0 undeclared"),
+    "undeclared-port": ("q2", lambda n: with_gate(n, "g00000",
+                                                  inputs=("zz", "y0")),
+                        "[missing-wire] gate g00000 input a -> zz undeclared"),
+    # rule 3: read before its driver, by itself, or with no driver at all
+    "order": ("b8_last_gate_first", lambda n: n,
+              "[order] gate g00126 reads wire n00167 before the gate that "
+              "drives it"),
+    "own-output": ("b8", lambda n: with_gate(n, "g00000",
+                                             inputs=("n00000", "y0")),
+                   "[order] gate g00000 reads wire n00000 before the gate "
+                   "that drives it"),
+    "no-driver": ("q2", lambda n: with_gate(with_wire(n, "loose", 3),
+                                            "g00000", inputs=("loose", "y0")),
+                  "[undriven] wire loose has no driver"),
+    # ...or driven twice: verify counted 6 mismatches in 16 without a
+    # reason, and critical_path priced b2 at 41.6 ps
+    "redriven-digit": ("b2", lambda n: with_driver(n, "n00000"),
+                       "[multi-driver] wire n00000 has 2 drivers"),
+    # verify passed all 16 vectors, and the deck drove a primary input
+    "driven-input": ("b2", lambda n: with_driver(n, "x0"),
+                     "[multi-driver] wire x0 has 2 drivers"),
+    # ...or listed twice as a primary input: critical_path priced b2 with
+    # x0 appended at 41.6 ps, and the deck named x0 twice among its ports
+    "repeated-input": ("b2", lambda n: with_input(n, 3, "x0"),
+                       "[multi-driver] wire x0 has 2 drivers"),
+    # rule 4: a quit on a ternary carry-in
+    "wide-input": ("q2", lambda n: with_gate(
+        n, "g00005", inputs=("n00006", "n00005", "x0")),
+        "[range] gate g00005 (QFAC2) port cin accepts max 2 but wire x0 "
+        "carries up to 3"),
+    # rule 5, both ways
+    "wide-output": ("b8", lambda n: with_wire(n, "n00188", 2),
+                    "[range] gate g00126 (BIN_HA) output sum max 1 but wire "
+                    "n00188 declares 2"),
+    "narrow": ("q2", lambda n: with_wire(n, "n00001", 1),
+               "[narrow] wire n00001 (gate g00000, QM1) is declared 0..1 but "
+               "can carry up to 2"),
+    # rule 6
+    "undeclared-digit": ("q2", lambda n: with_digit(n, 3, "void"),
+                         "[missing-wire] output wire void undeclared"),
+    "undriven-digit": ("q2", lambda n: with_digit(with_wire(n, "ghost", 3),
+                                                  3, "ghost"),
+                       "[undriven] wire ghost has no driver"),
+}
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,8 @@ import textwrap
 
 import pytest
 
-from conftest import EVERY_VIOLATION, scaled_timing, with_gate
-from mvlmul import cli
+from conftest import EVERY_VIOLATION, FIRST_FAULTS, scaled_timing, with_gate
+from mvlmul import cli, netlist
 from mvlmul.cli import main
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
@@ -591,6 +591,38 @@ def test_export_spice_stdout_is_the_out_deck(tmp_path, capsys, q4):
     code, stdout, err = run(["export-spice", str(nl)], capsys)
     assert (code, err) == (0, "")
     assert stdout.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("to", ["stdout", "out"])
+def test_export_spice_walks_once(tmp_path, capsys, monkeypatch, q4, to):
+    # export-spice walked the netlist twice: in validate_netlist, then in
+    # export_spice
+    walks = []
+    gate_rules = netlist._gate_rules
+    monkeypatch.setattr(netlist, "_gate_rules",
+                        lambda *a: walks.append(1) or gate_rules(*a))
+    nl, deck = tmp_path / "q4.json", tmp_path / "q4.sp"
+    nl.write_text(q4.to_json())
+    code, stdout, err = run(["export-spice", str(nl)]
+                            + (["--out", str(deck)] if to == "out" else []),
+                            capsys)
+    assert (code, err, walks) == (0, "", [1])
+    want = export_spice(q4)
+    assert (deck.read_text() if to == "out" else stdout) == want
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULTS))
+def test_export_spice_writes_nothing_for_a_bad_netlist(request, tmp_path,
+                                                       capsys, case):
+    # the netlist is validated before the first byte of the deck
+    design, edit, _ = FIRST_FAULTS[case]
+    nl, deck = tmp_path / "bad.json", tmp_path / "bad.sp"
+    nl.write_text(edit(request.getfixturevalue(design)).to_json())
+    code, stdout, err = run(["export-spice", str(nl), "--out", str(deck)],
+                            capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {nl}: ") and err.count("\n") == 1
+    assert not deck.exists()
 
 
 def test_export_spice_instances_match_inventory(tmp_path, capsys, q4):

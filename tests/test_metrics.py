@@ -1,11 +1,13 @@
 """Area, timing presets, critical paths, comparison reports."""
 
 import json
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import disjoint_union, scaled_timing, with_gate
+from mvlmul import gen_multiplier
 from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
                             area_estimate, compare, critical_path,
                             default_cost_library, timing_preset)
@@ -346,3 +348,30 @@ def test_compare_needs_two(q4):
     with pytest.raises(ValueError):
         compare([("solo", q4, default_cost_library(),
                   timing_preset("quaternary-0.9v"))])
+    # a generator too, though the design is priced before the raise
+    with pytest.raises(ValueError, match="^compare needs at least two "
+                       "designs$"):
+        compare(d for d in [("solo", q4, default_cost_library(),
+                             timing_preset("quaternary-0.9v"))])
+
+
+def test_compare_lets_each_netlist_go_before_the_next():
+    # compare held every netlist of its designs until the last was priced
+    cost, held, refs = default_cost_library(), [], []
+
+    def designs():
+        for label, radix, width in (("q2", 4, 2), ("b4", 2, 4), ("q1", 4, 1)):
+            held.append([r() is not None for r in refs])
+            net = gen_multiplier(radix, width)
+            refs.append(weakref.ref(net))
+            yield label, net, cost, timing_preset(
+                {2: "binary-0.9v", 4: "quaternary-0.9v"}[radix])
+            del net
+    rep = compare(designs())
+    assert held == [[], [False], [False, False]]
+    assert [d.label for d in rep.designs] == ["q2", "b4", "q1"]
+    assert rep.to_json() == compare(
+        [("q2", gen_multiplier(4, 2), cost, timing_preset("quaternary-0.9v")),
+         ("b4", gen_multiplier(2, 4), cost, timing_preset("binary-0.9v")),
+         ("q1", gen_multiplier(4, 1), cost,
+          timing_preset("quaternary-0.9v"))]).to_json()

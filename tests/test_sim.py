@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import deque
 from itertools import product
 from types import SimpleNamespace
@@ -504,6 +505,47 @@ def test_verify_sees_in_place_edits(b4):
     assert verify_exhaustive(net).passed
     _corrupt(net)
     assert not verify_exhaustive(net).passed
+
+
+def test_each_plane_is_dropped_after_its_last_reader(all_designs):
+    # every wire kept its planes until the batch ended
+    for net in all_designs.values():
+        steps, digits = sim._steps(net)
+        kept = set(range(len(net.primary_inputs))) | set(digits)
+        last, stop = {}, len(net.primary_inputs)  # slot -> its step
+        for i, (_, ins, outs) in enumerate(walk(net)):
+            last.update((s, i) for s in [*outs, *ins])
+            stop = outs.stop
+        dropped = [(s, i) for i, (_, _, drop) in enumerate(steps)
+                   for s in drop]
+        assert sorted(dropped) == sorted((s, i) for s, i in last.items()
+                                         if s not in kept)
+        assert len(dropped) == stop - len(kept)
+    # a carry no gate reads goes right after its own gate: that of b8's
+    # last gate, g00126 (BIN_HA), provably zero
+    net = all_designs[2, 8]
+    steps, _ = sim._steps(net)
+    slots = {}
+    deque(walk(net, slots), 0)
+    assert net.gates[-1].outputs[-1] == "n00189"
+    assert slots["n00189"] in steps[-1][2]
+
+
+def test_batch_memory_is_the_planes_still_to_be_read():
+    # every wire kept its planes until the batch ended: 4,096 vectors of
+    # b32 peaked 1.9 MiB above 64, about what all its planes hold
+    net = gen_multiplier(2, 32)
+    verify_random(net, 64, seed=1)  # each plan is compiled once, here
+    peaks = []
+    for count in (64, 4096):
+        tracemalloc.start()
+        try:
+            verify_random(net, count, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # half of one 4,096-bit plane per wire
+    assert peaks[1] - peaks[0] < len(net.wires) * 4096 // 8 // 2
 
 
 def test_fault_injection_is_caught(b4):
