@@ -17,8 +17,8 @@ _HOMES = {name: module for module, names in {
     "core": "CELLS LogicError",
     "netgen": "DotMatrix NetBuilder NetgenError build_pp final_cpa "
               "gen_multiplier wallace_stage",
-    "netlist": "GateInstance Netlist NetlistError Violation Wire "
-               "input_faults validate_netlist walk",
+    "netlist": "GateInstance Netlist NetlistError Violation input_faults "
+               "validate_netlist walk",
     "metrics": "ComparisonReport CostLibrary CriticalPath LibraryError "
                "TimingLibrary area_estimate compare critical_path "
                "default_cost_library timing_preset",

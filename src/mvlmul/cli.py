@@ -37,10 +37,12 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
+    try:  # as UTF-8, JSON's encoding
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}", EXIT_IO) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8: {e}", EXIT_USAGE) from None
 
 
 def _write_text(path: str, pieces) -> None:

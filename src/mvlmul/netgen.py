@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .core import CELLS, PORTS, output_ranges
-from .netlist import GateInstance, Netlist, Wire
+from .netlist import GateInstance, Netlist
 
 
 class NetgenError(ValueError):
@@ -39,46 +39,45 @@ class NetgenError(ValueError):
 
 
 class NetBuilder:
-    """Accumulates wires and gates with deterministic ids; ``gates`` is
-    in build order, and a gate's id is its index there."""
+    """Accumulates ``wires`` (``{id: range_max}``) and ``gates`` with
+    deterministic ids; ``gates`` is in build order, a gate's id its index."""
 
     def __init__(self):
-        self.wires: dict[str, Wire] = {}
+        self.wires: dict[str, int] = {}
         self.gates: list[GateInstance] = []
         self._nwire = 0
 
     def add_input(self, name: str, range_max: int) -> str:
-        self.wires[name] = Wire(name, range_max)
+        self.wires[name] = range_max
         return name
 
-    def add_gate(self, kind: str, inputs: list[Wire]) \
-            -> tuple[list[Wire], tuple[int, ...]]:
-        """Instantiate a gate; returns (output wires, true ranges).
+    def add_gate(self, kind: str, inputs: list[str]) \
+            -> tuple[list[str], tuple[int, ...]]:
+        """Instantiate a gate reading the wire ids ``inputs``; returns
+        (output wire ids, true ranges).
 
         Output wire ranges are the tight bounds computed from the input
         wire ranges; a true range of 0 means the output is constant zero.
         """
-        ranges = output_ranges(kind, tuple([w.range_max for w in inputs]))
-        outs, ids = [], []
+        ranges = output_ranges(kind, tuple([self.wires[w] for w in inputs]))
+        outs = []
         for r in ranges:
             wid = f"n{self._nwire:05d}"
             self._nwire += 1
             # a provably-zero output still needs a legal (binary) wire
-            outs.append(Wire(wid, r or 1))
-            self.wires[wid] = outs[-1]
-            ids.append(wid)
+            self.wires[wid] = r or 1
+            outs.append(wid)
         self.gates.append(GateInstance(f"g{len(self.gates):05d}", kind,
-                                       tuple([w.id for w in inputs]),
-                                       tuple(ids)))
+                                       tuple(inputs), tuple(outs)))
         return outs, ranges
 
 
 class DotMatrix(namedtuple("DotMatrix", "base width rows")):
     """Partial-product dots, kept per row with column positions.
 
-    A dot is the :class:`~mvlmul.netlist.Wire` of a gate output whose
-    true range is at least 1, so its value range is the wire's
-    ``range_max``.  ``rows`` (a list of ``{column: dot}``) preserves the
+    A dot is the id of a gate output wire whose true range is at least
+    1, so its value range is the wire's ``range_max`` in the builder's
+    ``wires``.  ``rows`` (a list of ``{column: dot}``) preserves the
     reduction ordering; the column view used for heights is derived.
     Every adder is exact and only provably-zero carries are dropped, so
     the dots can always represent every product of the operands.
@@ -86,8 +85,8 @@ class DotMatrix(namedtuple("DotMatrix", "base width rows")):
 
     __slots__ = ()
 
-    def columns(self) -> list[list[Wire]]:
-        cols: list[list[Wire]] = [[] for _ in range(self.width)]
+    def columns(self) -> list[list[str]]:
+        cols: list[list[str]] = [[] for _ in range(self.width)]
         for row in self.rows:
             for c in sorted(row):
                 cols[c].append(row[c])
@@ -116,11 +115,12 @@ def build_pp(builder: NetBuilder, radix: int, x_width: int,
         raise NetgenError("operand widths must be >= 1")
     cell = CELLS[radix][0]
     m = DotMatrix(base=radix, width=x_width + y_width, rows=[])
+    xs = [f"x{i}" for i in range(x_width)]
+    ys = [f"y{j}" for j in range(y_width)]
     for j in range(y_width):
-        rows: list[dict[int, Wire]] = [{} for _ in PORTS[cell].outputs]
+        rows: list[dict[int, str]] = [{} for _ in PORTS[cell].outputs]
         for i in range(x_width):
-            outs, _ = builder.add_gate(cell, [builder.wires[f"x{i}"],
-                                              builder.wires[f"y{j}"]])
+            outs, _ = builder.add_gate(cell, [xs[i], ys[j]])
             for k, row in enumerate(rows):
                 if i + j + k < m.width:
                     row[i + j + k] = outs[k]
@@ -161,13 +161,13 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
 
     base = matrix.base
     _, half_adder, full_adder, _ = CELLS[base]
-    new_rows: list[dict[int, Wire]] = []
+    new_rows: list[dict[int, str]] = []
 
     for trip in grouping:
         grp = [matrix.rows[i] for i in trip]
-        srow: dict[int, Wire] = {}
-        crow: dict[int, Wire] = {}
-        spill: list[dict[int, Wire]] = []
+        srow: dict[int, str] = {}
+        crow: dict[int, str] = {}
+        spill: list[dict[int, str]] = []
         for c in sorted(set().union(*grp)):
             dots = [r[c] for r in grp if c in r]
             if len(dots) == 1:
@@ -175,8 +175,8 @@ def wallace_stage(builder: NetBuilder, matrix: DotMatrix,
                 continue
             use_full = len(dots) == 3
             if use_full and base == 4:
-                ti = next((k for k, d in enumerate(dots) if d.range_max <= 2),
-                          None)
+                ti = next((k for k, d in enumerate(dots)
+                           if builder.wires[d] <= 2), None)
                 if ti is None:
                     use_full = False  # no legal carry-in: half adder instead
                 else:
@@ -224,7 +224,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
     _, half_adder, full_adder, top_adder = CELLS[matrix.base]
     cols = matrix.columns()
     digits: list[str] = []
-    carry: Wire | None = None
+    carry: str | None = None
     for c in range(matrix.width):
         items = list(cols[c])
         if carry is not None:
@@ -235,7 +235,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
                 raise NetgenError(f"gap at column {c} inside the product")
             break  # product ends here
         if len(items) == 1:
-            digits.append(items[0].id)
+            digits.append(items[0])
             continue
         if len(items) == 2:
             kind = half_adder
@@ -243,7 +243,7 @@ def final_cpa(builder: NetBuilder, matrix: DotMatrix) -> list[str]:
             # and takes the (ternary) carry-in port
             kind = top_adder if c == matrix.width - 1 else full_adder
         outs, rng = builder.add_gate(kind, items)
-        digits.append(outs[0].id)
+        digits.append(outs[0])
         if len(rng) > 1 and rng[1] > 0:
             carry = outs[1]
     return digits

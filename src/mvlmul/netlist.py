@@ -1,15 +1,16 @@
 """Gate-level netlist: an immutable DAG of typed gate instances.
 
-Wires carry a ``range_max`` annotation (1/2/3).  Gates are listed in
-dependency order, each reading only primary inputs and outputs of gates
-before it, so the list is an evaluation order with no cycle.
-:func:`walk` holds the rules that each consumer of the gate list needs,
-the carry discipline among them (no wire wider than the port it feeds),
-and :func:`validate_netlist` lists every fault.
+A wire is its id, mapped in :attr:`Netlist.wires` to its ``range_max``
+(1/2/3).  Gates are listed in dependency order, each reading only
+primary inputs and outputs of gates before it, so the list is an
+evaluation order with no cycle.  :func:`walk` holds the rules that each
+consumer of the gate list needs, the carry discipline among them (no
+wire wider than the port it feeds), and :func:`validate_netlist` lists
+every fault.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
-The records are namedtuples and plain classes, as in every module of the
-package: ``dataclasses`` would load ``inspect`` into every command.
+The gate and violation records are namedtuples, as in every module of
+the package: ``dataclasses`` would load ``inspect`` into every command.
 """
 
 from __future__ import annotations
@@ -28,17 +29,12 @@ JSON_FORMAT = "mvl-netlist"
 JSON_VERSION = 1
 #: the most wires or gates in one piece of :meth:`Netlist.json_pieces`
 _BLOCK = 1024
+_WIRE_FIELDS = ("id", "range_max")  # a wire entry's fields, in order
 
 
 class NetlistError(ValueError):
     """A netlist document cannot be parsed, or a netlist breaks a rule of
     :func:`walk`."""
-
-
-class Wire(namedtuple("Wire", "id range_max")):
-    """A wire; ``range_max`` is 1 (binary), 2 (ternary) or 3 (quaternary)."""
-
-    __slots__ = ()
 
 
 class GateInstance(namedtuple("GateInstance", "id kind inputs outputs")):
@@ -58,11 +54,12 @@ class Violation(namedtuple("Violation", "code message")):
 class Netlist:
     """A generated or hand-built multiplier netlist.
 
-    ``stats`` carries generator bookkeeping (stage count, tree/final-add
-    inventories); it is advisory and not part of the structural identity.
+    ``wires`` maps each wire id to its ``range_max``.  ``stats`` carries
+    generator bookkeeping (stage count, tree/final-add inventories); it
+    is advisory and not part of the structural identity.
     """
 
-    def __init__(self, radix: int, width: int, wires: dict[str, Wire],
+    def __init__(self, radix: int, width: int, wires: dict[str, int],
                  gates: list[GateInstance], primary_inputs: list[str],
                  primary_outputs: list[str], stats: dict | None = None):
         self.radix = radix
@@ -105,9 +102,9 @@ class Netlist:
                f'  "outputs": {"".join(_array(map(q, self.primary_outputs)))},\n'
                f'  "wires": ')
         yield from _array(f'{{\n'
-                          f'      "id": {q(w.id)},\n'
-                          f'      "range_max": {w.range_max}\n'
-                          f'    }}' for w in self.wires.values())
+                          f'      "id": {q(wid)},\n'
+                          f'      "range_max": {range_max}\n'
+                          f'    }}' for wid, range_max in self.wires.items())
         yield ',\n  "gates": '
         gates = _array(f'{{\n'
                        f'      "id": {q(g.id)},\n'
@@ -127,19 +124,21 @@ class Netlist:
     @classmethod
     def from_json(cls, text: str) -> "Netlist":
         """The netlist of a document.  Wire and gate entries become
-        records as the JSON is parsed, and the text is let go after: pass
-        it straight in, and the document is held once.  A record built
-        outside its own array has the text parsed again, with no records."""
+        ``(id, range_max)`` pairs and records as the JSON is parsed, and
+        the text is let go after: pass it straight in, and the document is
+        held once.  A pair or record built outside its own array has the
+        text parsed again, with neither.  Each key of ``wires`` is the one
+        string of its id that every gate port naming it holds."""
         memo, made = {}, count()  # wire id -> the one string that spells it
         try:
             doc = json.loads(text, object_pairs_hook=_record_hook(memo, made))
-            arrays = [(doc.get("wires"), Wire), (doc.get("gates"),
+            arrays = [(doc.get("wires"), tuple), (doc.get("gates"),
                       GateInstance)] if type(doc) is dict else ()
             if next(made) > sum(countOf(map(type, a), record)
                                 for a, record in arrays if type(a) is list):
                 doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise NetlistError(f"not valid JSON: {e}") from None
+        except ValueError as e:  # or an integer past the int-digit limit
+            raise NetlistError(f"cannot read the JSON: {e}") from None
         except RecursionError:
             raise NetlistError("JSON nested too deeply to read") from None
         del text
@@ -154,18 +153,15 @@ class Netlist:
             raise NetlistError(f"unsupported version {version!r}")
         # each entry is checked where it is read, so the first fault in
         # reading order is named; a 3.7, "4" or true is no JSON integer.
-        # A record passed the same checks in the hook, and none sits elsewhere.
+        # A pair or record passed the hook's checks, and none sits elsewhere.
         wires, share = {}, memo.setdefault
         for i, entry in enumerate(_field(doc, "wires", list)):
-            if type(entry) is Wire:
-                if entry.id in wires:
-                    raise _fault(f"wire id {entry.id!r} is repeated")
-                wires[entry.id] = entry
-                continue
-            try:
-                wid, range_max = entry["id"], entry["range_max"]
-            except (KeyError, TypeError):
-                raise _entry_fault("wire", i, entry) from None
+            if type(entry) is not tuple:
+                try:
+                    entry = entry["id"], entry["range_max"]
+                except (KeyError, TypeError):
+                    raise _entry_fault("wire", i, entry) from None
+            wid, range_max = entry
             if type(wid) is not str:
                 raise _fault(f"wire id {wid!r} is not a string")
             if wid in wires:
@@ -173,7 +169,7 @@ class Netlist:
             if type(range_max) is not int:
                 raise _fault(f"wire range_max {range_max!r} of wire {wid!r} "
                              "is not an integer")
-            wires[wid] = Wire(share(wid, wid), range_max)
+            wires[share(wid, wid)] = range_max
         gates = _field(doc, "gates", list)
         for i, entry in enumerate(gates):
             if type(entry) is GateInstance:
@@ -213,14 +209,15 @@ _KINDS = {kind: kind for kind in PORTS}
 
 def _record_hook(memo: dict[str, str], made: count):
     """A ``json.loads`` hook: an object with only a wire's or a gate's
-    fields, in record order and of their types, becomes that record, and
-    any other its dict.  A wire id goes through ``memo``, so each gate
-    port is the string of a wire read before it, or the gate stays a
-    dict.  Each record built draws one number from ``made``: where the
-    object sits is unknown here, so the caller counts them."""
+    fields, in order and of their types, becomes an ``(id, range_max)``
+    tuple or a :class:`GateInstance`, and any other its dict.  A wire id
+    goes through ``memo``, so each gate port is the string of a wire read
+    before it, or the gate stays a dict.  Each one built draws one number
+    from ``made``: where the object sits is unknown here, so the caller
+    counts them (a JSON array is a list: a tuple can only come from here)."""
     share, known, new, tick = (memo.setdefault, memo.__getitem__,
                                tuple.__new__, made.__next__)
-    gate_fields, wire_fields = GateInstance._fields, Wire._fields
+    gate_fields = GateInstance._fields
 
     def hook(pairs):
         if len(pairs) == 4:
@@ -237,10 +234,10 @@ def _record_hook(memo: dict[str, str], made: count):
                 return gate
         elif len(pairs) == 2:
             (k0, wid), (k1, range_max) = pairs
-            if ((k0, k1) == wire_fields and type(wid) is str
+            if ((k0, k1) == _WIRE_FIELDS and type(wid) is str
                     and type(range_max) is int):
                 tick()
-                return new(Wire, (share(wid, wid), range_max))
+                return share(wid, wid), range_max
         return dict(pairs)
     return hook
 
@@ -256,7 +253,7 @@ def _entry_fault(what: str, i: int, entry, problem="") -> NetlistError:
     if type(entry) is not dict:
         return _fault(f"{what} {i} is not an object")
     eid = entry.get("id")
-    keys = (Wire if what == "wire" else GateInstance)._fields  # read order
+    keys = _WIRE_FIELDS if what == "wire" else GateInstance._fields
     problem = next((f"has no {k}" for k in keys if k not in entry), problem)
     return _fault(f"{what} {eid!r} {problem}" if type(eid) is str
                   else f"{what} {i} {problem}")
@@ -331,7 +328,7 @@ def _gate_rules(net: Netlist, slots: dict[str, int], fault):
     for i, name in enumerate(net.primary_inputs):
         if slots.setdefault(name, i) != i:  # rule 3: listed again
             fault(Violation("multi-driver", f"wire {name} listed again"), name)
-    ranges = {w: wire.range_max for w, wire in net.wires.items()}.get
+    ranges = net.wires.get
     stop = len(net.primary_inputs)  # the next free slot
     seen = set()  # the ids of the gates stepped so far
 
@@ -413,11 +410,11 @@ def input_faults(net: Netlist, operands: bool = True) -> Iterator[Violation]:
     ``operands``, each not a full digit of the radix, then a count not
     2N (x, then y).  A path is priced whatever its inputs carry."""
     for name in net.primary_inputs:
-        if (w := net.wires.get(name)) is None:
+        if (r := net.wires.get(name)) is None:
             yield Violation("missing-wire", f"input wire {name} undeclared")
-        elif operands and w.range_max != net.radix - 1:
+        elif operands and r != net.radix - 1:
             yield Violation("input-range", f"input wire {name} has range_max "
-                            f"{w.range_max}, radix {net.radix} digits need "
+                            f"{r}, radix {net.radix} digits need "
                             f"{net.radix - 1}")
     if operands and len(net.primary_inputs) != 2 * net.width:
         yield Violation("inputs", f"expected {2 * net.width} operand digits "
@@ -434,8 +431,8 @@ def validate_netlist(n: Netlist) -> list[Violation]:
         v.append(Violation("radix", f"radix must be 2 or 4, got {n.radix}"))
     if n.width < 1:
         v.append(Violation("width", f"width must be >= 1, got {n.width}"))
-    v += [Violation("wire-range", f"wire {w.id} has range_max {w.range_max}")
-          for w in n.wires.values() if w.range_max not in (1, 2, 3)]
+    v += [Violation("wire-range", f"wire {wid} has range_max {r}")
+          for wid, r in n.wires.items() if r not in (1, 2, 3)]
     v += input_faults(n)
     early, slots = [], {}  # rule 3's (wire, fault) pairs; the walk's slots
 

@@ -151,12 +151,12 @@ def _steps(net: Netlist) -> tuple[list[tuple], list[int]]:
     own gate when nothing reads it."""
     for p in input_faults(net):
         raise NetlistError(p.message)
-    ranges, slots = {w: wire.range_max for w, wire in net.wires.items()}, {}
-    steps = [(_plan(g.kind, tuple(map(ranges.get, g.inputs)),
-                    tuple(map(ranges.get, g.outputs))), ins, ())
+    ranges, slots = net.wires.__getitem__, {}
+    steps = [(_plan(g.kind, tuple(map(ranges, g.inputs)),
+                    tuple(map(ranges, g.outputs))), ins, ())
              for g, ins, _ in walk(net, slots)]
     digits = [slots[w] for w in net.primary_outputs]
-    del ranges, slots  # before the schedule, to keep the peak down
+    del slots  # before the schedule, to keep the peak down
     # per slot, the step that drops it, or None
     last = [None] * len(net.primary_inputs)
     for i, ((_, ins, _), g) in enumerate(zip(steps, net.gates)):

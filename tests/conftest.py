@@ -2,7 +2,7 @@ import pytest
 
 from mvlmul import gen_multiplier
 from mvlmul.metrics import TimingLibrary
-from mvlmul.netlist import GateInstance, Netlist, Wire
+from mvlmul.netlist import GateInstance, Netlist
 
 
 def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
@@ -11,14 +11,14 @@ def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
     Useful for additivity checks; the result is a two-multiplier module
     rather than anything electrically meaningful.
     """
-    wires: dict[str, Wire] = {}
+    wires: dict[str, int] = {}
     gates: list[GateInstance] = []
     ins: list[str] = []
     outs: list[str] = []
     for tag, net in (("a", a), ("b", b)):
         ren = lambda w: f"{tag}__{w}"
-        for w in net.wires.values():
-            wires[ren(w.id)] = Wire(ren(w.id), w.range_max)
+        for w, range_max in net.wires.items():
+            wires[ren(w)] = range_max
         for g in net.gates:
             gates.append(GateInstance(ren(g.id), g.kind,
                                       tuple(ren(w) for w in g.inputs),
@@ -42,7 +42,7 @@ def with_wire(net: Netlist, wire_id: str, range_max: int | None) -> Netlist:
     or undeclared when ``range_max`` is None."""
     wires = {w: v for w, v in net.wires.items() if w != wire_id}
     if range_max is not None:
-        wires[wire_id] = Wire(wire_id, range_max)
+        wires[wire_id] = range_max
     return Netlist(net.radix, net.width, wires, net.gates,
                    net.primary_inputs, net.primary_outputs)
 
@@ -110,16 +110,15 @@ def every_violation():
     """A radix-2 1x1 netlist that breaks every check but the radix and
     width ones at once; its violations, in the order
     :func:`validate_netlist` lists them, are :data:`EVERY_VIOLATION`."""
-    wires = [Wire("x0", 1), Wire("y0", 3), Wire("z", 1), Wire("p0", 1),
-             Wire("late", 1), Wire("wide", 3), Wire("loose", 1),
-             Wire("bad", 0)]
+    wires = {"x0": 1, "y0": 3, "z": 1, "p0": 1, "late": 1, "wide": 3,
+             "loose": 1, "bad": 0}
     gates = [("g0", ("x0", "y0"), ("p0",)),
              ("g1", ("x0", "late"), ("p0",)),
              ("g1", ("x0",), ("late",)),
              ("g2", ("x0", "ghost"), ("late",)),
              ("g3", ("x0", "z"), ("gone",)),
              ("g4", ("x0", "z"), ("wide",))]
-    return Netlist(radix=2, width=1, wires={w.id: w for w in wires},
+    return Netlist(radix=2, width=1, wires=wires,
                    gates=[GateInstance(gid, "AND", ins, outs)
                           for gid, ins, outs in gates],
                    primary_inputs=["x0", "y0", "z", "v"],

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ from conftest import EVERY_VIOLATION, FIRST_FAULTS, scaled_timing, with_gate
 from mvlmul import cli, netlist
 from mvlmul.cli import main
 from mvlmul.metrics import TimingLibrary, default_cost_library, timing_preset
-from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Wire,
+from mvlmul.netlist import (GateInstance, Netlist, NetlistError,
                             validate_netlist)
 from mvlmul.spice import export_spice
 
@@ -312,7 +313,9 @@ def test_invalid_netlist_names_its_first_eight_violations(tmp_path, capsys,
                    + "; ".join(EVERY_VIOLATION[:8]) + "\n")
 
 
-@pytest.mark.parametrize("argv, name", [
+#: each command that reads a file, and the name of the file it reads
+#: (the file is ``{f}`` in the arguments, or found through MVL_DEFAULT_LIBS)
+FILE_READERS = pytest.mark.parametrize("argv, name", [
     (["verify", "{f}"], "b8.json"),
     (["export-spice", "{f}"], "b8.json"),
     (["compare", "--preset", "--cost-lib", "{f}"], "cost.json"),
@@ -323,18 +326,52 @@ def test_invalid_netlist_names_its_first_eight_violations(tmp_path, capsys,
     (["compare", "--preset"], "timing-binary-0.9v.json"),
 ], ids=["verify", "export-spice", "cost-lib", "timing-lib", "env-cost",
         "env-timing"])
+
+
+def _with_file(tmp_path, monkeypatch, argv, name, data: bytes):
+    """``argv`` with its file, ``name``, holding ``data``."""
+    f = tmp_path / name
+    f.write_bytes(data)
+    if "{f}" not in argv:
+        monkeypatch.setenv("MVL_DEFAULT_LIBS", str(tmp_path))
+    return [a.format(f=f) for a in argv], f
+
+
+@FILE_READERS
 def test_deeply_nested_json_is_usage_error(tmp_path, capsys, monkeypatch,
                                            argv, name):
     # json.loads raised a RecursionError: a traceback and exit 1, which
     # is verify's code for mismatches
-    f = tmp_path / name
-    f.write_text("[" * 100_000)
-    if "{f}" not in argv:
-        monkeypatch.setenv("MVL_DEFAULT_LIBS", str(tmp_path))
-    code, stdout, err = run([a.format(f=f) for a in argv], capsys)
+    argv, _ = _with_file(tmp_path, monkeypatch, argv, name, b"[" * 100_000)
+    code, stdout, err = run(argv, capsys)
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "nested too deeply" in err or "RecursionError" in err
+
+
+@FILE_READERS
+def test_file_not_utf8_is_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                      name):
+    # the UnicodeDecodeError was a traceback and exit 1, the mismatch code
+    argv, f = _with_file(tmp_path, monkeypatch, argv, name, b"\xff\xfe\x00bad")
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err == (f"error: {f}: not UTF-8: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("field", ["radix", "range_max"])
+def test_integer_past_the_digit_limit_is_usage_error(tmp_path, capsys, b8,
+                                                     field):
+    # json.loads raised a ValueError past Python's int-digit limit: a
+    # traceback and exit 1.  Where the int is read, it is no radix and no
+    # range, so this also holds with no limit.
+    nl = tmp_path / "b8.json"
+    nl.write_text(re.sub(f'"{field}": \\d+', f'"{field}": 1{"0" * 4999}',
+                         b8.to_json(), count=1))
+    code, stdout, err = run(["verify", str(nl)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {nl}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["export-spice", "verify"])
@@ -396,8 +433,7 @@ def test_verify_range_overflow_is_usage_error(tmp_path, capsys):
     # a QHA whose sum wire is declared binary: exhaustive mode used to
     # print a traceback and exit 1, and then validate_netlist passed it
     # and the simulator named it; now validation names it
-    wires = {"x0": Wire("x0", 3), "y0": Wire("y0", 3),
-             "s": Wire("s", 1), "c": Wire("c", 1)}
+    wires = {"x0": 3, "y0": 3, "s": 1, "c": 1}
     net = Netlist(radix=4, width=1, wires=wires,
                   gates=[GateInstance("g0", "QHA", ("x0", "y0"),
                                       ("s", "c"))],
@@ -417,7 +453,7 @@ def test_verify_rejects_wrong_input_count(tmp_path, capsys):
     # an extra input z used to crash the simulator, which never assigned
     # it; a missing y0 used to pass against a y the netlist never reads
     def and_chain(inputs, pairs):
-        wires = {w: Wire(w, 1) for w in inputs + ["t", "p"]}
+        wires = dict.fromkeys(inputs + ["t", "p"], 1)
         gates = [GateInstance(f"g{i}", "AND", ins, (out,))
                  for i, (ins, out) in enumerate(pairs)]
         return Netlist(radix=2, width=1, wires=wires, gates=gates,

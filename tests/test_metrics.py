@@ -11,7 +11,7 @@ from mvlmul import gen_multiplier
 from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
                             area_estimate, compare, critical_path,
                             default_cost_library, timing_preset)
-from mvlmul.netlist import GateInstance, Netlist, NetlistError, Wire
+from mvlmul.netlist import GateInstance, Netlist, NetlistError
 
 
 # --- cost library -----------------------------------------------------------
@@ -37,7 +37,7 @@ def test_area_linear_sums(b2, b8, q4):
 
 
 def test_area_empty_netlist_is_zero():
-    net = Netlist(radix=2, width=1, wires={"x0": Wire("x0", 1)},
+    net = Netlist(radix=2, width=1, wires={"x0": 1},
                   gates=[], primary_inputs=["x0"], primary_outputs=["x0"])
     assert area_estimate(net, default_cost_library()) == 0.0
 
@@ -95,13 +95,13 @@ def test_reference_path_gate_ids(b8, q4):
 
 def _chain(k):
     """k QFAC2s rippling a carry: delay must grow with k."""
-    wires = {"a": Wire("a", 3), "b": Wire("b", 3), "c0": Wire("c0", 2)}
+    wires = {"a": 3, "b": 3, "c0": 2}
     gates = []
     cin = "c0"
     for i in range(k):
         s, co = f"s{i}", f"co{i}"
-        wires[s] = Wire(s, 3)
-        wires[co] = Wire(co, 2)
+        wires[s] = 3
+        wires[co] = 2
         gates.append(GateInstance(f"g{i}", "QFAC2",
                                   ("a", "b", cin), (s, co)))
         cin = co
@@ -157,7 +157,7 @@ def test_timing_library_delay_names_a_missing_entry():
 
 
 def test_critical_path_of_no_gates_is_empty():
-    net = Netlist(radix=2, width=1, wires={"x0": Wire("x0", 1)},
+    net = Netlist(radix=2, width=1, wires={"x0": 1},
                   gates=[], primary_inputs=["x0"], primary_outputs=["x0"])
     cp = critical_path(net, timing_preset("binary-0.9v"))
     assert cp == (0.0, [], [])

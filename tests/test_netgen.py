@@ -18,10 +18,11 @@ def _fresh_builder(radix, width):
     return b
 
 
-def _capacity(m):
+def _capacity(m, ranges):
     """The largest value the dots of ``m`` can sum to: the sum of
-    range_max * radix**column over every dot."""
-    return sum(d.range_max * m.base ** c for row in m.rows
+    range_max * radix**column over every dot, by the builder's
+    ``ranges`` (its ``wires``)."""
+    return sum(ranges[d] * m.base ** c for row in m.rows
                for c, d in row.items())
 
 
@@ -52,15 +53,15 @@ def test_pp_quaternary_shapes():
     b = _fresh_builder(4, 1)
     m = build_pp(b, 4, 1, 1)
     cols = m.columns()
-    assert len(cols[0]) == 1 and cols[0][0].range_max == 3
-    assert len(cols[1]) == 1 and cols[1][0].range_max == 2
+    assert len(cols[0]) == 1 and b.wires[cols[0][0]] == 3
+    assert len(cols[1]) == 1 and b.wires[cols[1][0]] == 2
 
     b = _fresh_builder(4, 2)
     m = build_pp(b, 4, 2, 2)
     assert len(b.gates) == 4
     dots = [d for row in m.rows for d in row.values()]
-    assert sum(1 for d in dots if d.range_max == 3) == 4  # products
-    assert sum(1 for d in dots if d.range_max == 2) == 4  # carries
+    assert sum(1 for d in dots if b.wires[d] == 3) == 4  # products
+    assert sum(1 for d in dots if b.wires[d] == 2) == 4  # carries
 
 
 def test_pp_rejects_zero_width():
@@ -74,8 +75,10 @@ def test_pp_rejects_zero_width():
 def test_capacity_holds_from_the_start():
     # the digit products can hold the largest product, (radix**N - 1)**2
     for radix, width in ((2, 8), (4, 4)):
-        m = build_pp(_fresh_builder(radix, width), radix, width, width)
-        assert _capacity(m) >= (radix ** width - 1) ** 2, (radix, width)
+        b = _fresh_builder(radix, width)
+        m = build_pp(b, radix, width, width)
+        assert _capacity(m, b.wires) >= (radix ** width - 1) ** 2, \
+            (radix, width)
 
 
 # --- reduction ------------------------------------------------------------
@@ -116,8 +119,9 @@ def test_capacity_preserved_each_stage(monkeypatch):
         matrices.clear()
         net = gen_multiplier(radix, width)
         assert len(matrices) == 2 * net.stats["stages"] > 0
-        for m in matrices:
-            assert _capacity(m) >= (radix ** width - 1) ** 2, (radix, width)
+        for m in matrices:  # the builder's wires are the netlist's
+            assert _capacity(m, net.wires) >= (radix ** width - 1) ** 2, \
+                (radix, width)
 
 
 def test_stage_rejects_bad_grouping():
@@ -145,9 +149,7 @@ def test_final_cpa_requires_reduced_matrix():
 ], ids=["tall", "gap"])
 def test_final_cpa_rejects_what_it_cannot_add(rows, message):
     b = _fresh_builder(2, 2)
-    m = DotMatrix(base=2, width=4,
-                  rows=[{c: b.wires[w] for c, w in row.items()}
-                        for row in rows])
+    m = DotMatrix(base=2, width=4, rows=rows)
     with pytest.raises(NetgenError, match=message):
         final_cpa(b, m)
 
@@ -194,7 +196,7 @@ def test_no_quaternary_wire_feeds_a_carry_port(all_designs):
     for net in all_designs.values():
         for g in net.gates:
             for (pname, pmax), wid in zip(PORTS[g.kind].inputs, g.inputs):
-                assert net.wires[wid].range_max <= pmax, (g.id, pname)
+                assert net.wires[wid] <= pmax, (g.id, pname)
 
 
 def test_wc_substitution_only_at_the_top(q2, q4):

@@ -15,7 +15,7 @@ from mvlmul import gen_multiplier, netlist
 from mvlmul.core import PORTS
 from mvlmul.metrics import critical_path, timing_preset
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError, Violation,
-                            Wire, validate_netlist, walk)
+                            validate_netlist, walk)
 from mvlmul.sim import evaluate, verify_exhaustive, verify_random
 from mvlmul.spice import export_spice
 
@@ -36,6 +36,17 @@ def test_json_round_trip(q4):
     assert again.inventory() == q4.inventory()
     assert again.primary_outputs == q4.primary_outputs
     assert validate_netlist(again) == []
+
+
+def test_wires_round_trip_as_exact_ranges(all_designs):
+    # each wire is its id and its range_max, with no record that could
+    # name another id than its key and be written out as that one
+    for net in all_designs.values():
+        again = Netlist.from_json(net.to_json())
+        assert again.wires == net.wires
+        assert {type(r) for r in [*net.wires.values(),
+                                  *again.wires.values()]} == {int}
+        assert validate_netlist(again) == []
 
 
 def test_json_rejects_garbage():
@@ -74,8 +85,7 @@ def _reference_json(net):
         "width": net.width,
         "inputs": list(net.primary_inputs),
         "outputs": list(net.primary_outputs),
-        "wires": [{"id": w.id, "range_max": w.range_max}
-                  for w in net.wires.values()],
+        "wires": [{"id": w, "range_max": r} for w, r in net.wires.items()],
         "gates": [{"id": g.id, "kind": g.kind,
                    "inputs": list(g.inputs), "outputs": list(g.outputs)}
                   for g in net.gates],
@@ -92,7 +102,7 @@ def test_to_json_matches_json_dumps(all_designs):
 
 
 def _odd(wires=(), gates=(), ins=(), outs=(), stats=None):
-    return Netlist(radix=4, width=1, wires={w.id: w for w in wires},
+    return Netlist(radix=4, width=1, wires=dict(wires),
                    gates=list(gates), primary_inputs=list(ins),
                    primary_outputs=list(outs), stats=stats or {})
 
@@ -102,12 +112,12 @@ ODD_IDS = ['a"b', "c\\d", "e\tf", "\u00e9t\u00e9", "\U0001d465"]
 
 @pytest.mark.parametrize("net", [
     _odd(),
-    _odd(wires=[Wire("x0", 3)], ins=["x0"]),
+    _odd(wires={"x0": 3}, ins=["x0"]),
     _odd(gates=[GateInstance("g0", "QM1", (), ())], outs=["p0"]),
-    _odd(wires=[Wire(i, 3) for i in ODD_IDS],
+    _odd(wires=dict.fromkeys(ODD_IDS, 3),
          gates=[GateInstance(i, "QM1", tuple(ODD_IDS[:2]), (i,))
                 for i in ODD_IDS], ins=ODD_IDS, outs=ODD_IDS[::-1]),
-    _odd(wires=[Wire("x0", 3)],
+    _odd(wires={"x0": 3},
          stats={"stages": 2, "tree": {"QFA": 3, "rows": [4, 3, [2, []]]},
                 "note": "two\nlines", "empty": {}, "ratio": 0.1,
                 "flags": [True, None, {"a\nb": ["c\nd"]}]}),
@@ -300,14 +310,14 @@ def test_record_shapes_anywhere_read_as_objects(q1, shape):
         try:
             net = Netlist.from_json(json.dumps(doc))
         except NetlistError as e:
-            assert "Wire(" not in str(e) and "GateInstance(" not in str(e)
+            assert "('n0', 1)" not in str(e) and "GateInstance(" not in str(e)
         else:
             assert net.to_json() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_loaded_ports_share_the_wire_id_strings(b8, q4):
-    # each gate port is the very string object its wire holds, and each
-    # kind is the PORTS key that spells it
+    # each gate port is the very string object that keys its wire, and
+    # each kind is the PORTS key that spells it
     kinds = {k: k for k in PORTS}
     for net in (Netlist.from_json(b8.to_json()),
                 Netlist.from_json(q4.to_json())):
@@ -315,7 +325,7 @@ def test_loaded_ports_share_the_wire_id_strings(b8, q4):
         for g in net.gates:
             assert g.kind is kinds[g.kind]
             for wid in g.inputs + g.outputs:
-                assert wid is ids[wid] and wid is net.wires[wid].id
+                assert wid is ids[wid]
 
 
 def _sorted_keys(net):
@@ -338,9 +348,10 @@ def test_reordered_entries_load_to_the_document(b8, q4, rewrite):
         assert again.stats == net.stats  # sort_keys reorders meta's keys
         again.stats = net.stats
         assert again.to_json() == net.to_json()
+        ids = {wid: wid for wid in again.wires}
         for g in again.gates:
             for wid in g.inputs + g.outputs:
-                assert wid is again.wires[wid].id
+                assert wid is ids[wid]
 
 
 def test_repeated_range_first_wire_ids_are_rejected(q4):
@@ -409,16 +420,12 @@ def test_json_pieces_join_to_the_document(all_designs, monkeypatch, block):
 
 
 def test_records_are_immutable_values():
-    w = Wire(id="x0", range_max=3)
     g = GateInstance("g0", "QHA", inputs=("x0", "y0"),
                      outputs=("s", "c"))
-    assert w == Wire("x0", 3) and hash(w) == hash(Wire("x0", 3))
-    assert repr(w) == "Wire(id='x0', range_max=3)"
     assert (g.id, g.kind, g.inputs, g.outputs) == \
         ("g0", "QHA", ("x0", "y0"), ("s", "c"))
     assert str(Violation("cycle", "through g0")) == "[cycle] through g0"
-    for record, field in ((w, "range_max"), (g, "kind"),
-                          (PORTS["AND"], "inputs")):
+    for record, field in ((g, "kind"), (PORTS["AND"], "inputs")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     a, b = (Netlist(radix=2, width=1, wires={}, gates=[], primary_inputs=[],
@@ -427,13 +434,12 @@ def test_records_are_immutable_values():
 
 
 def _tiny(radix=2):
-    wires = {"x0": Wire("x0", radix - 1), "y0": Wire("y0", radix - 1),
-             "p0": Wire("p0", radix - 1)}
+    wires = dict.fromkeys(("x0", "y0", "p0"), radix - 1)
     kind = "AND" if radix == 2 else "QM1"
     gates = [GateInstance("g0", kind, ("x0", "y0"),
                           ("p0",) if radix == 2 else ("p0", "p1"))]
     if radix == 4:
-        wires["p1"] = Wire("p1", 2)
+        wires["p1"] = 2
     outs = ["p0"] if radix == 2 else ["p0", "p1"]
     return Netlist(radix=radix, width=1, wires=wires, gates=gates,
                    primary_inputs=["x0", "y0"], primary_outputs=outs)
@@ -470,8 +476,7 @@ def test_walk_counts_drivers_as_validate_does(b2):
 
 def test_quaternary_wire_on_carry_port_detected():
     # a quit wire wired into the ternary carry-in of a QFAC2
-    wires = {"a": Wire("a", 3), "b": Wire("b", 3), "c": Wire("c", 3),
-             "s": Wire("s", 3), "co": Wire("co", 2)}
+    wires = {"a": 3, "b": 3, "c": 3, "s": 3, "co": 2}
     gates = [GateInstance("g0", "QFAC2", ("a", "b", "c"),
                           ("s", "co"))]
     n = Netlist(radix=4, width=1, wires=wires, gates=gates,
@@ -480,8 +485,7 @@ def test_quaternary_wire_on_carry_port_detected():
 
 
 def test_cycle_detected():
-    wires = {"a": Wire("a", 1), "s1": Wire("s1", 1), "c1": Wire("c1", 1),
-             "s2": Wire("s2", 1), "c2": Wire("c2", 1)}
+    wires = dict.fromkeys(("a", "s1", "c1", "s2", "c2"), 1)
     gates = [
         GateInstance("g0", "BIN_HA", ("a", "s2"), ("s1", "c1")),
         GateInstance("g1", "BIN_HA", ("s1", "c1"), ("s2", "c2")),
@@ -504,14 +508,14 @@ def test_gate_read_before_its_driver_detected(b8_last_gate_first):
 def test_undriven_wire_is_not_an_order_violation():
     # a wire no gate drives is undriven, whoever reads it
     n = _tiny(2)
-    n.wires["loose"] = Wire("loose", 1)
+    n.wires["loose"] = 1
     n.gates[0] = GateInstance("g0", "AND", ("x0", "loose"), ("p0",))
     assert _codes(validate_netlist(n)) == {"undriven"}
 
 
 def test_undriven_and_missing_wires_detected():
     n = _tiny(2)
-    n.wires["loose"] = Wire("loose", 1)
+    n.wires["loose"] = 1
     v = validate_netlist(n)
     assert "undriven" in _codes(v)
     n2 = _tiny(2)
@@ -549,17 +553,17 @@ def test_duplicate_product_digit_detected(b2):
 def test_input_digit_range_checked(q1):
     # x0 re-declared binary: a verify would still feed it 0..3
     n = Netlist.from_json(q1.to_json())
-    n.wires["x0"] = Wire("x0", 1)
+    n.wires["x0"] = 1
     assert _codes(validate_netlist(n)) == {"input-range"}
     n2 = _tiny(2)
-    n2.wires["y0"] = Wire("y0", 3)
+    n2.wires["y0"] = 3
     assert "input-range" in _codes(validate_netlist(n2))
 
 
 def test_input_count_checked():
     # verification reads the first N inputs as x digits and the next N as y
     n = _tiny(2)
-    n.wires["z"] = Wire("z", 1)
+    n.wires["z"] = 1
     n.primary_inputs.append("z")
     assert _codes(validate_netlist(n)) == {"inputs"}
     n2 = _tiny(2)

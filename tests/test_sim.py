@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvlmul import gen_multiplier, sim
 from mvlmul.core import KERNELS, PORTS
-from mvlmul.netlist import GateInstance, Netlist, NetlistError, Wire, walk
+from mvlmul.netlist import GateInstance, Netlist, NetlistError, walk
 from mvlmul.sim import (SimulationError, VerificationSpaceError, evaluate,
                         verify_exhaustive, verify_random)
 
@@ -73,8 +73,7 @@ def test_undeclared_input_is_named(q1):
 
 def _narrow_qha():
     """A QHA whose sum wire is declared binary, though it can carry 3."""
-    wires = {"a": Wire("a", 3), "b": Wire("b", 3),
-             "s": Wire("s", 1), "c": Wire("c", 1)}
+    wires = {"a": 3, "b": 3, "s": 1, "c": 1}
     gates = [GateInstance("g0", "QHA", ("a", "b"), ("s", "c"))]
     return Netlist(radix=4, width=1, wires=wires, gates=gates,
                    primary_inputs=["a", "b"], primary_outputs=["s", "c"])
@@ -114,7 +113,7 @@ def _two_overflows(order):
              "g3": GateInstance("g3", "QHA", ("s0", "x0"),
                                 ("s3", "c3"))}
     return Netlist(radix=4, width=1,
-                   wires={w: Wire(w, r) for w, r in ranges.items()},
+                   wires=ranges,
                    gates=[gates[g] for g in order],
                    primary_inputs=["x0", "y0"], primary_outputs=["s3", "c3"])
 
@@ -191,7 +190,7 @@ def _one_gate(kind, in_ranges, out_ranges):
     spec = PORTS[kind]
     ins, outs = ([name for name, _ in ports]
                  for ports in (spec.inputs, spec.outputs))
-    wires = {w: Wire(w, r) for w, r in zip(ins + outs, in_ranges + out_ranges)}
+    wires = dict(zip(ins + outs, in_ranges + out_ranges))
     return Netlist(radix=2, width=1, wires=wires,
                    gates=[GateInstance("g0", kind, tuple(ins), tuple(outs))],
                    primary_inputs=ins, primary_outputs=outs)
@@ -244,10 +243,10 @@ def test_wire_wider_than_its_port_is_a_simulation_error(kind, port):
     # two QM1 carries (0..2) was "neither the sum nor the product" of its
     # inputs (2 & 2 is 2), and a QFAC2 whose cin read a quit ran
     spec = PORTS[kind]
-    wires = {"x0": Wire("x0", 1), "y0": Wire("y0", 1)}
-    wires.update((name, Wire(name, hi + (k == port)))
+    wires = {"x0": 1, "y0": 1}
+    wires.update((name, hi + (k == port))
                  for k, (name, hi) in enumerate(spec.inputs))
-    wires.update((name, Wire(name, hi)) for name, hi in spec.outputs)
+    wires.update(spec.outputs)
     g = GateInstance("g0", kind, tuple(name for name, _ in spec.inputs),
                      tuple(name for name, _ in spec.outputs))
     net = Netlist(radix=2, width=1, wires=wires, gates=[g],
@@ -265,8 +264,8 @@ def test_wire_wider_than_its_port_is_a_simulation_error(kind, port):
 def test_undriven_product_digit_is_a_simulation_error():
     # it read as zeros; it is named as validate_netlist names it
     net = _narrow_qha()
-    net.wires["s"] = Wire("s", 3)
-    net.wires["ghost"] = Wire("ghost", 3)
+    net.wires["s"] = 3
+    net.wires["ghost"] = 3
     net.primary_outputs = ["s", "ghost"]
     with pytest.raises(NetlistError, match="^wire ghost has no driver$"):
         evaluate(net, {"a": 1, "b": 2})
@@ -274,7 +273,7 @@ def test_undriven_product_digit_is_a_simulation_error():
 
 def _narrowed(net, wire):
     """A copy of ``net`` with ``wire`` declared ``0..1``."""
-    return Netlist(net.radix, net.width, {**net.wires, wire: Wire(wire, 1)},
+    return Netlist(net.radix, net.width, {**net.wires, wire: 1},
                    net.gates, net.primary_inputs, net.primary_outputs)
 
 
@@ -417,7 +416,7 @@ def test_digit_source_is_randrange(radix):
 def test_random_rejects_radix_over_128():
     # a digit is drawn from one byte of a word; validate_netlist allows
     # only radix 2 and 4, so this one is built by hand
-    wires = {w: Wire(w, 255) for w in ("x0", "y0")}
+    wires = dict.fromkeys(("x0", "y0"), 255)
     net = Netlist(radix=256, width=1, wires=wires, gates=[],
                   primary_inputs=["x0", "y0"], primary_outputs=[])
     with pytest.raises(SimulationError, match="radix 256 exceeds 128"):
@@ -426,7 +425,7 @@ def test_random_rejects_radix_over_128():
 
 def test_verify_rejects_radix_not_power_of_two():
     # the planes of a digit are its bits, so the radix must be 2**m
-    wires = {w: Wire(w, 2) for w in ("x0", "y0", "p", "c")}
+    wires = dict.fromkeys(("x0", "y0", "p", "c"), 2)
     gates = [GateInstance("g", "QHA", ("x0", "y0"), ("p", "c"))]
     net = Netlist(radix=3, width=1, wires=wires, gates=gates,
                   primary_inputs=["x0", "y0"], primary_outputs=["p", "c"])
