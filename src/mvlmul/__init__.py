@@ -17,7 +17,7 @@ _HOMES = {name: module for module, names in {
     "core": "CELLS LogicError",
     "netgen": "DotMatrix NetBuilder NetgenError build_pp final_cpa "
               "gen_multiplier wallace_stage",
-    "netlist": "GateInstance Netlist NetlistError Violation input_faults "
+    "netlist": "GateInstance Netlist NetlistError Violation "
                "validate_netlist walk",
     "metrics": "ComparisonReport CostLibrary CriticalPath LibraryError "
                "TimingLibrary area_estimate compare critical_path "

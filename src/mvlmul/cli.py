@@ -54,17 +54,20 @@ def _write_text(path: str, pieces) -> None:
         raise CliError(f"cannot write {path}: {e}", EXIT_IO) from None
 
 
-def _load_netlist(path: str):
+def _on_netlist(path: str, run):
+    """``run(net)`` for the netlist at ``path``.  ``run`` walks it first,
+    and a fault of that walk is a usage error that names the first eight
+    violations: the walk is the command's validation."""
     from .netlist import Netlist, NetlistError, validate_netlist
     try:  # from_json holds the only reference to the text, and drops it
         net = Netlist.from_json(_read_text(path))
     except NetlistError as e:
         raise CliError(f"{path}: {e}", EXIT_USAGE) from None
-    problems = validate_netlist(net)
-    if problems:
-        msgs = "; ".join(str(p) for p in problems[:8])
-        raise CliError(f"{path}: invalid netlist: {msgs}", EXIT_USAGE)
-    return net
+    try:
+        return run(net)
+    except NetlistError:
+        msgs = "; ".join(map(str, validate_netlist(net)[:8]))
+    raise CliError(f"{path}: invalid netlist: {msgs}", EXIT_USAGE)
 
 
 def _cost_library(path: str | None):
@@ -124,18 +127,18 @@ def cmd_verify(args) -> int:
     for flag, value in (("--show", args.show), ("--cap", args.cap)):
         if value is not None and value < 0:
             raise CliError(f"{flag} must be >= 0, got {value}", EXIT_USAGE)
-    net = _load_netlist(args.netlist)
     cap = DEFAULT_EXHAUSTIVE_CAP if args.cap is None else args.cap
-    try:
+
+    def run(net):  # each walks the netlist before any other check
         if args.mode == "exhaustive":
-            report = verify_exhaustive(net, cap=cap, keep=args.show)
-        else:
-            report = verify_random(net, args.count, args.seed,
-                                   keep=args.show)
+            return verify_exhaustive(net, cap=cap, keep=args.show)
+        return verify_random(net, args.count, args.seed, keep=args.show)
+    try:
+        report = _on_netlist(args.netlist, run)
     except VerificationSpaceError as e:
         raise CliError(f"{e} (rerun with --mode random --count N)",
                        EXIT_USAGE) from None
-    except ValueError as e:    # a SimulationError or a bad --count
+    except ValueError as e:    # a bad --count
         raise CliError(str(e), EXIT_USAGE) from None
     if args.out:
         _write_text(args.out, [report.to_json()])
@@ -192,15 +195,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export_spice(args) -> int:
+    from collections import deque
+
+    from .netlist import walk
     from .spice import deck_pieces
-    # validated on loading, which rejects all that export_spice's walk
-    # would: the deck is written in pieces, with no second walk
-    net = _load_netlist(args.netlist)
-    if args.out:
-        _write_text(args.out, deck_pieces(net))
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.writelines(deck_pieces(net))
+
+    def write(net):  # export_spice, with the deck written in pieces
+        deque(walk(net), 0)
+        if args.out:
+            _write_text(args.out, deck_pieces(net))
+            print(f"wrote {args.out}")
+        else:
+            sys.stdout.writelines(deck_pieces(net))
+    _on_netlist(args.netlist, write)
     return EXIT_OK
 
 

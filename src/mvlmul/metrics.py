@@ -255,9 +255,8 @@ def critical_path(net: Netlist, lib: TimingLibrary,
                 if r is None or t > r:
                     rem[w] = t
 
+    # each product digit is driven, so some primary input reaches one
     starts = [w for w in net.primary_inputs if w in rem]
-    if not starts or not net.gates:
-        return CriticalPath(0.0, [], [])
     total = max(rem[w] for w in starts)
     # among equally late paths the smallest (gate id, port) hop wins at
     # every step, making the report stable

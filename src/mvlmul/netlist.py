@@ -3,10 +3,10 @@
 A wire is its id, mapped in :attr:`Netlist.wires` to its ``range_max``
 (1/2/3).  Gates are listed in dependency order, each reading only
 primary inputs and outputs of gates before it, so the list is an
-evaluation order with no cycle.  :func:`walk` holds the rules that each
-consumer of the gate list needs, the carry discipline among them (no
-wire wider than the port it feeds), and :func:`validate_netlist` lists
-every fault.
+evaluation order with no cycle.  :func:`walk` holds every rule of a
+netlist, from the radix to the product digits, the carry discipline
+among them (no wire wider than the port it feeds), and
+:func:`validate_netlist` lists every fault under them.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
 The gate and violation records are namedtuples, as in every module of
@@ -287,46 +287,61 @@ def _array(items: Iterable[str]) -> Iterator[str]:
 
 # -- rules ------------------------------------------------------------------
 
+#: each range a wire may declare: a binary, ternary or quaternary digit
+_RANGES = frozenset((1, 2, 3))
+
+
 def walk(net: Netlist, slots: dict[str, int] | None = None) \
         -> Iterator[tuple]:
     """One step per gate, in gate order: the gate and the slots of its
     input and output wires.  Primary inputs take slots 0, 1, ..., then
     each gate's outputs the next ones; ``slots``, if given, ends as each
-    driven wire's.  A :class:`NetlistError` names the first fault in gate
-    order as :func:`validate_netlist` words it.  Rules: (1) each gate's id
-    is no earlier gate's, and its kind is known, with its port counts; (2)
-    each wire a gate names, and each primary input, is declared; (3) each
-    gate input is driven earlier, no output is, and no primary input is
-    listed twice; (4) no input wire is wider than its port; (5) no
-    declared output range is wider than its port, or narrower than what
-    the gate can carry there from its declared input ranges; (6) each
-    product digit is declared and driven.  Per gate, its id and kind
-    (rule 1), its ports in turn (rules 2, 4, 5), then rule 3.  So no wire
+    driven wire's.  A fault is a :class:`NetlistError` with the message
+    of the first violation :func:`validate_netlist` lists.  Rules: (1)
+    the radix is 2 or 4, and the width N at least 1; (2) each declared
+    range is 1, 2 or 3; (3) the primary inputs are 2N declared full
+    digits of the radix, x then y; (4) each gate's id is no earlier
+    gate's, and its kind is known, with its port counts; (5) each wire a
+    gate names is declared; (6) each gate input is driven earlier, no
+    output is, and no primary input is listed twice; (7) no input wire
+    is wider than its port; (8) no declared output range is wider than
+    its port, or narrower than what the gate can carry there from its
+    declared input ranges; (9) each declared wire is driven; (10) the
+    product digits are 2N declared wires (1 for the binary 1x1), each
+    listed once.  Rules 1 to 3 are checked before the first step, rules
+    4 to 8 per gate and rules 9 and 10 after the last.  So no wire
     leaves its range if no input leaves its own.
     """
-    def fault(p: Violation, wire: str | None = None):
-        if p.code == "order" and not any(wire in g.outputs for g in net.gates):
-            p = _undriven(wire)  # no gate drives it, later or not
-        elif p.code == "multi-driver":  # counted as validate_netlist counts
-            n = countOf(net.primary_inputs, wire) + sum(
-                countOf(g.outputs, wire) for g in net.gates
-                if ARITY.get(g.kind) == (len(g.inputs), len(g.outputs)))
-            p = Violation(p.code, f"wire {wire} has {n} drivers")
-        raise NetlistError(p.message)
-    for p in input_faults(net, operands=False):
-        fault(p)
+    def fault(*_):  # the first fault validate_netlist lists, in its words
+        raise NetlistError(validate_netlist(net)[0].message)
+    wires, inputs, outputs = net.wires, net.primary_inputs, net.primary_outputs
+    if not (net.radix in (2, 4) and net.width >= 1
+            and _RANGES.issuperset(wires.values())
+            and len(inputs) == 2 * net.width
+            == countOf(map(wires.get, inputs), net.radix - 1)):
+        fault()
     slots = {} if slots is None else slots
     yield from map(_gate_rules(net, slots, fault), net.gates)
-    for p in _product_faults(net, slots):
-        fault(p)
+    # each key of slots is a declared wire, so a declared wire is missing
+    # from it exactly when the counts differ
+    if not (len(slots) == len(wires)
+            and len(outputs) == _digit_count(net) == len(set(outputs))
+            and slots.keys() >= set(outputs)):
+        fault()
+
+
+def _digit_count(net: Netlist) -> int:
+    """The product digits of a width-N multiplier: 2N, but 1 for the
+    binary 1x1, a bare AND."""
+    return 1 if net.radix == 2 and net.width == 1 else 2 * net.width
 
 
 def _gate_rules(net: Netlist, slots: dict[str, int], fault):
-    """``step(g)``: each fault of ``g`` under rules 1 to 5 of :func:`walk`
-    to ``fault(violation, wire)``, then ``g``'s step, or None (rule 1).
+    """``step(g)``: each fault of ``g`` under rules 4 to 8 of :func:`walk`
+    to ``fault(violation, wire)``, then ``g``'s step, or None (rule 4).
     A primary input listed again goes to ``fault`` first, here."""
     for i, name in enumerate(net.primary_inputs):
-        if slots.setdefault(name, i) != i:  # rule 3: listed again
+        if slots.setdefault(name, i) != i:  # rule 6: listed again
             fault(Violation("multi-driver", f"wire {name} listed again"), name)
     ranges = net.wires.get
     stop = len(net.primary_inputs)  # the next free slot
@@ -345,7 +360,7 @@ def _gate_rules(net: Netlist, slots: dict[str, int], fault):
                 return None
         try:
             ins = tuple(map(slots.__getitem__, ins_w))
-        except KeyError:  # rule 3: an input is not driven yet
+        except KeyError:  # rule 6: an input is not driven yet
             ins = tuple(map(slots.get, ins_w))
             for w in ins_w:
                 if w not in slots:
@@ -353,7 +368,7 @@ def _gate_rules(net: Netlist, slots: dict[str, int], fault):
                                     "before the gate that drives it"), w)
         first = stop
         for w in outs_w:
-            if slots.setdefault(w, stop) != stop:  # rule 3: driven already
+            if slots.setdefault(w, stop) != stop:  # rule 6: driven already
                 fault(Violation("multi-driver", f"wire {w} driven again"), w)
             stop += 1
         return g, ins, range(first, stop)
@@ -364,7 +379,7 @@ def _gate_rules(net: Netlist, slots: dict[str, int], fault):
 def _port_faults(kind: str, n_in: int, ranges: tuple) \
         -> tuple[tuple[str, str], ...]:
     """(code, message template naming the gate ``g``) of each fault under
-    rules 1, 2, 4 and 5 of :func:`walk` of a ``kind`` gate whose inputs,
+    rules 4, 5, 7 and 8 of :func:`walk` of a ``kind`` gate whose inputs,
     then outputs, are declared ``ranges`` (None if undeclared)."""
     if kind not in ARITY:
         return (("kind", "gate {g.id} has unknown kind {g.kind!r}"),)
@@ -392,49 +407,30 @@ def _port_faults(kind: str, n_in: int, ranges: tuple) \
     return tuple(faults)
 
 
-def _undriven(wire: str) -> Violation:
-    return Violation("undriven", f"wire {wire} has no driver")
-
-
-def _product_faults(net: Netlist, slots: dict[str, int]) -> Iterator[Violation]:
-    """Rule 6 of :func:`walk`: each product digit undeclared or undriven."""
-    for out in net.primary_outputs:
-        if out not in net.wires:
-            yield Violation("missing-wire", f"output wire {out} undeclared")
-        elif out not in slots:
-            yield _undriven(out)
-
-
-def input_faults(net: Netlist, operands: bool = True) -> Iterator[Violation]:
-    """Each primary input undeclared (rule 2 of :func:`walk`), and if
-    ``operands``, each not a full digit of the radix, then a count not
-    2N (x, then y).  A path is priced whatever its inputs carry."""
-    for name in net.primary_inputs:
-        if (r := net.wires.get(name)) is None:
-            yield Violation("missing-wire", f"input wire {name} undeclared")
-        elif operands and r != net.radix - 1:
-            yield Violation("input-range", f"input wire {name} has range_max "
-                            f"{r}, radix {net.radix} digits need "
-                            f"{net.radix - 1}")
-    if operands and len(net.primary_inputs) != 2 * net.width:
-        yield Violation("inputs", f"expected {2 * net.width} operand digits "
-                        f"(x then y), got {len(net.primary_inputs)}")
-
-
 def validate_netlist(n: Netlist) -> list[Violation]:
-    """Every fault under :func:`walk`'s rules and those it leaves out
-    (field sanity, wire ranges, operands, primary inputs and product
-    digits named once); empty when sound.  Rule 3's faults follow the
-    undriven wires, and reading a wire no gate drives is only that."""
+    """Every fault under :func:`walk`'s rules; empty when sound.  Rules 1
+    to 3 come first, then rules 4, 5, 7 and 8 per gate, then the wires
+    with no driver or with more than one, rule 6's reads before a
+    driver, and rule 10.  Reading a wire no gate drives is only that."""
     v: list[Violation] = []
     if n.radix not in (2, 4):
         v.append(Violation("radix", f"radix must be 2 or 4, got {n.radix}"))
     if n.width < 1:
         v.append(Violation("width", f"width must be >= 1, got {n.width}"))
     v += [Violation("wire-range", f"wire {wid} has range_max {r}")
-          for wid, r in n.wires.items() if r not in (1, 2, 3)]
-    v += input_faults(n)
-    early, slots = [], {}  # rule 3's (wire, fault) pairs; the walk's slots
+          for wid, r in n.wires.items() if r not in _RANGES]
+    for name in n.primary_inputs:
+        if (r := n.wires.get(name)) is None:
+            v.append(Violation("missing-wire",
+                               f"input wire {name} undeclared"))
+        elif r != n.radix - 1:
+            v.append(Violation("input-range", f"input wire {name} has "
+                               f"range_max {r}, radix {n.radix} digits need "
+                               f"{n.radix - 1}"))
+    if len(n.primary_inputs) != 2 * n.width:
+        v.append(Violation("inputs", f"expected {2 * n.width} operand digits "
+                           f"(x then y), got {len(n.primary_inputs)}"))
+    early, slots = [], {}  # rule 6's (wire, fault) pairs; the walk's slots
 
     def fault(p: Violation, wire: str | None = None):
         if p.code == "order":
@@ -449,19 +445,17 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     drivers = Counter(driven) if len(driven) > len(slots) else {}
     for wid in n.wires:
         if wid not in slots:
-            v.append(_undriven(wid))
+            v.append(Violation("undriven", f"wire {wid} has no driver"))
         elif (c := drivers.get(wid, 1)) > 1:
             v.append(Violation("multi-driver", f"wire {wid} has {c} drivers"))
     # read before the reading gate itself or a later one drives it
     v += [p for wid, p in early if wid in slots]
-    v += [p for p in _product_faults(n, slots) if p.code != "undriven"]
+    v += [Violation("missing-wire", f"output wire {out} undeclared")
+          for out in n.primary_outputs if out not in n.wires]
     v += [Violation("dup-output", f"wire {out} is listed as {c} product "
                     "digits") for out, c in Counter(n.primary_outputs).items()
           if c > 1]
-    # completeness: a width-N multiplier emits 2N digits; the degenerate
-    # binary 1x1 is a bare AND whose product is a single bit.
-    expected = 1 if n.radix == 2 and n.width == 1 else 2 * n.width
-    if len(n.primary_outputs) != expected:
+    if len(n.primary_outputs) != (expected := _digit_count(n)):
         v.append(Violation("outputs", f"expected {expected} product digits, "
                            f"got {len(n.primary_outputs)}"))
     return v

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import islice, product, zip_longest
 
 from .core import PORTS
-from .netlist import Netlist, NetlistError, input_faults, walk
+from .netlist import Netlist, walk
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 
@@ -38,7 +38,7 @@ _DRAW_WORDS = 2 ** 14
 
 
 class SimulationError(ValueError):
-    """A bad assignment, or a radix the simulator cannot run."""
+    """A bad assignment to :func:`evaluate`."""
 
 
 class VerificationSpaceError(ValueError):
@@ -125,16 +125,15 @@ def _plan(kind: str, in_ranges: tuple[int, ...],
 
 # -- simulation ---------------------------------------------------------------
 
-def _simulate(net: Netlist, batches):
-    """Yield ``(n, columns, output planes)`` per batch.
+def _simulate(run: tuple[list[tuple], list[int]], batches):
+    """Yield ``(n, columns, output planes)`` per batch, for the steps and
+    product digit slots ``run`` of :func:`_steps`.
 
     A batch is ``n`` vectors and one tuple of planes per primary input.
     Each gate fires once per batch, in gate order, and then drops the
-    planes whose last reader it is (see :func:`_steps`).  Before any gate
-    fires, the first fault of :func:`~mvlmul.netlist.input_faults` or
-    :func:`~mvlmul.netlist.walk` is a :class:`~mvlmul.netlist.NetlistError`.
+    planes whose last reader it is.
     """
-    steps, digits = _steps(net)
+    steps, digits = run
     for n, columns in batches:
         planes = list(columns)
         for fire, ins, drop in steps:
@@ -148,9 +147,9 @@ def _steps(net: Netlist) -> tuple[list[tuple], list[int]]:
     """``(fire, input slots, dropped slots)`` per gate, in gate order,
     and the slot of each product digit.  Each slot but a primary input's
     or a product digit's is dropped once: by its last reader, or by its
-    own gate when nothing reads it."""
-    for p in input_faults(net):
-        raise NetlistError(p.message)
+    own gate when nothing reads it.  The netlist's walk comes first, so a
+    fault of it is a :class:`~mvlmul.netlist.NetlistError` before any
+    gate fires."""
     ranges, slots = net.wires.__getitem__, {}
     steps = [(_plan(g.kind, tuple(map(ranges, g.inputs)),
                     tuple(map(ranges, g.outputs))), ins, ())
@@ -177,8 +176,10 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     """Evaluate one input vector; returns product digits, LSB first.
 
     The assignment must cover every primary input with a digit of the
-    radix.  The netlist is checked first, as in every run.
+    radix.  The netlist is checked first, as in every run, then the
+    assignment.
     """
+    run = _steps(net)
     if extra := set(assignment) - set(net.primary_inputs):
         raise SimulationError(f"unknown inputs: {sorted(extra)}")
     for name in net.primary_inputs:
@@ -191,7 +192,7 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     bits = range((net.radix - 1).bit_length())
     columns = [tuple(assignment[name] >> b & 1 for b in bits)
                for name in net.primary_inputs]
-    *_, got = next(_simulate(net, [(1, columns)]))
+    *_, got = next(_simulate(run, [(1, columns)]))
     return [sum(p << b for b, p in enumerate(planes)) for planes in got]
 
 
@@ -225,20 +226,19 @@ def _digit_bytes(planes, n: int) -> bytes:
     return v.to_bytes(n, "little")
 
 
-def _verify(net: Netlist, mode: str, vectors: int, batches,
+def _verify(net: Netlist, run, mode: str, vectors: int, batches,
             keep: int | None, seed: int | None = None) -> VerificationReport:
-    """The report of a ``mode`` run over ``vectors`` vectors in
-    ``batches``: every mismatch counted, and records of the first
-    ``keep`` (all when None) in vector order.
+    """The report of a ``mode`` run of ``net``, whose :func:`_steps` are
+    ``run``, over ``vectors`` vectors in ``batches``: every mismatch
+    counted, and records of the first ``keep`` (all when None) in vector
+    order.
 
     Each batch holds x then y digits.  Degenerate designs may emit fewer
     than 2N digits; the missing top digits must then be 0.
     """
     w, m = net.width, (net.radix - 1).bit_length()
-    if net.radix != 1 << m:
-        raise SimulationError(f"radix {net.radix} is not a power of two")
     count, records = 0, []
-    for n, columns, got in _simulate(net, batches):
+    for n, columns, got in _simulate(run, batches):
         want = _product_planes(*([p for col in part for p in col]
                                  for part in (columns[:w], columns[w:])))
         want = [tuple(want[k:k + m]) for k in range(0, len(want), m)]
@@ -286,7 +286,8 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
     Every mismatch is counted; records are kept for the first ``keep``
     (all when None).
     """
-    space = (net.radix ** net.width) ** 2
+    run = _steps(net)  # first: its walk checks the count of operands
+    space = net.radix ** len(net.primary_inputs)
     if space > cap:
         raise VerificationSpaceError(
             f"{space} vectors exceed the cap of {cap}; use verify_random")
@@ -301,7 +302,7 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
             yield n, [tuple(_count_plane(k, a, n) for k in range(p * m,
                                                                 (p + 1) * m))
                       for p in reversed(range(row))]
-    return _verify(net, "exhaustive", space, batches(), keep)
+    return _verify(net, run, "exhaustive", space, batches(), keep)
 
 
 def _digit_source(seed: int, radix: int):
@@ -315,12 +316,9 @@ def _digit_source(seed: int, radix: int):
     words, the first least significant.  So the top byte of each word,
     in draw order and shifted right by 8 - k, is the next candidate, and
     a few C calls draw thousands of digits.  A digit must fit in that
-    byte: k <= 8, so radix <= 128.
+    byte: k <= 8, so radix <= 128, which a walked netlist's 2 or 4 is.
     """
     k = radix.bit_length()
-    if k > 8:
-        raise SimulationError(f"radix {radix} exceeds 128, the largest "
-                              "radix whose random digits fit in a byte")
     rng = random.Random(seed)
     to_digit = bytes(b >> 8 - k for b in range(256))
     rejected = bytes(b for b in range(256) if b >> 8 - k >= radix)
@@ -350,6 +348,7 @@ def verify_random(net: Netlist, count: int, seed: int,
     kept mismatch records grow with ``count``.  Every mismatch is
     counted; records are kept for the first ``keep`` (all when None).
     """
+    run = _steps(net)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     take = _digit_source(seed, net.radix)
@@ -364,4 +363,4 @@ def verify_random(net: Netlist, count: int, seed: int,
             drawn = take(n * row)
             yield n, [tuple(int(col.translate(t), 2) for t in tables)
                       for col in (drawn[i::row][::-1] for i in range(row))]
-    return _verify(net, "random", count, batches(), keep, seed)
+    return _verify(net, run, "random", count, batches(), keep, seed)

@@ -31,7 +31,7 @@ def deck_pieces(net: Netlist) -> Iterator[str]:
     """The deck of :func:`export_spice` in pieces of at most ``_BLOCK``
     instances, as :meth:`~mvlmul.netlist.Netlist.json_pieces` writes a
     document, so that a writer never holds it whole.  This checks none
-    of the rules of :func:`~mvlmul.netlist.walk`: validate first."""
+    of the rules of :func:`~mvlmul.netlist.walk`: walk first."""
     name = f"mul_r{net.radix}_w{net.width}"
     lines = [f"* {name}: structural deck, behavioral black-box cells",
              f"* radix={net.radix} width={net.width} "

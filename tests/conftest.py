@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from mvlmul import gen_multiplier
@@ -27,6 +30,30 @@ def disjoint_union(a: Netlist, b: Netlist) -> Netlist:
         outs.extend(ren(w) for w in net.primary_outputs)
     return Netlist(radix=a.radix, width=max(a.width, b.width), wires=wires,
                    gates=gates, primary_inputs=ins, primary_outputs=outs)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Run the block under a wall-time limit: past ``seconds``, a
+    ``SIGALRM`` timer on this process raises ``TimeoutError`` in it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def with_fields(net: Netlist, **fields) -> Netlist:
+    """A copy of ``net`` with the :class:`Netlist` arguments ``fields``
+    (``radix``, ``width``, ``primary_inputs`` ...) replaced."""
+    return Netlist(**{"radix": net.radix, "width": net.width,
+                      "wires": net.wires, "gates": net.gates,
+                      "primary_inputs": net.primary_inputs,
+                      "primary_outputs": net.primary_outputs, **fields})
 
 
 def with_gate(net: Netlist, gate_id: str, **fields) -> Netlist:
@@ -149,7 +176,25 @@ EVERY_VIOLATION = [
 #: one fault per rule of walk, each in a generated design: (design,
 #: edit, the violation that validate_netlist lists first)
 FIRST_FAULTS = {
-    # rule 1; with a repeated id, the deck held two Xg00000 instances
+    # rule 1; the radix was a SimulationError of verify, "radix 3 is not
+    # a power of two", and of verify_random, "radix 256 exceeds 128"
+    "radix": ("b2", lambda n: with_fields(n, radix=3),
+              "[radix] radix must be 2 or 4, got 3"),
+    "radix-256": ("b2", lambda n: with_fields(n, radix=256),
+                  "[radix] radix must be 2 or 4, got 256"),
+    "width": ("b2", lambda n: with_fields(n, width=0),
+              "[width] width must be >= 1, got 0"),
+    # rule 2
+    "wire-range": ("q2", lambda n: with_wire(n, "n00000", 4),
+                   "[wire-range] wire n00000 has range_max 4"),
+    # rule 3: 2N operands, each a declared full digit
+    "input-range": ("q2", lambda n: with_wire(n, "x0", 1),
+                    "[input-range] input wire x0 has range_max 1, radix 4 "
+                    "digits need 3"),
+    "inputs": ("b2", lambda n: with_fields(n, primary_inputs=["x0", "x1",
+                                                              "y0"]),
+               "[inputs] expected 4 operand digits (x then y), got 3"),
+    # rule 4; with a repeated id, the deck held two Xg00000 instances
     "dup-gate": ("b8", lambda n: with_gate(n, "g00001", id="g00000"),
                  "[dup-gate] gate id g00000 reused"),
     "kind": ("q2", lambda n: with_gate(n, "g00000", kind="QFA2"),
@@ -159,13 +204,14 @@ FIRST_FAULTS = {
     # 369.1 ps
     "arity": ("q2", lambda n: with_gate(n, "g00008", inputs=("n00007",)),
               "[arity] gate g00008 (QFAC2WC) has 1 in / 1 out, not 3 / 1"),
-    # rule 2
+    # rules 3 and 5
     "undeclared-input": ("q2", lambda n: with_wire(n, "x0", None),
                          "[missing-wire] input wire x0 undeclared"),
     "undeclared-port": ("q2", lambda n: with_gate(n, "g00000",
                                                   inputs=("zz", "y0")),
                         "[missing-wire] gate g00000 input a -> zz undeclared"),
-    # rule 3: read before its driver, by itself, or with no driver at all
+    # rule 6 (9 for a wire with no driver): read before its driver, by
+    # itself, or with no driver at all
     "order": ("b8_last_gate_first", lambda n: n,
               "[order] gate g00126 reads wire n00167 before the gate that "
               "drives it"),
@@ -176,7 +222,10 @@ FIRST_FAULTS = {
     "no-driver": ("q2", lambda n: with_gate(with_wire(n, "loose", 3),
                                             "g00000", inputs=("loose", "y0")),
                   "[undriven] wire loose has no driver"),
-    # ...or driven twice: verify counted 6 mismatches in 16 without a
+    # rule 9, even where no gate reads the wire
+    "unread-undriven": ("q2", lambda n: with_wire(n, "loose", 3),
+                        "[undriven] wire loose has no driver"),
+    # rule 6 again, driven twice: verify counted 6 mismatches in 16 without a
     # reason, and critical_path priced b2 at 41.6 ps
     "redriven-digit": ("b2", lambda n: with_driver(n, "n00000"),
                        "[multi-driver] wire n00000 has 2 drivers"),
@@ -187,24 +236,31 @@ FIRST_FAULTS = {
     # x0 appended at 41.6 ps, and the deck named x0 twice among its ports
     "repeated-input": ("b2", lambda n: with_input(n, 3, "x0"),
                        "[multi-driver] wire x0 has 2 drivers"),
-    # rule 4: a quit on a ternary carry-in
+    # rule 7: a quit on a ternary carry-in
     "wide-input": ("q2", lambda n: with_gate(
         n, "g00005", inputs=("n00006", "n00005", "x0")),
         "[range] gate g00005 (QFAC2) port cin accepts max 2 but wire x0 "
         "carries up to 3"),
-    # rule 5, both ways
+    # rule 8, both ways
     "wide-output": ("b8", lambda n: with_wire(n, "n00188", 2),
                     "[range] gate g00126 (BIN_HA) output sum max 1 but wire "
                     "n00188 declares 2"),
     "narrow": ("q2", lambda n: with_wire(n, "n00001", 1),
                "[narrow] wire n00001 (gate g00000, QM1) is declared 0..1 but "
                "can carry up to 2"),
-    # rule 6
+    # rule 10
     "undeclared-digit": ("q2", lambda n: with_digit(n, 3, "void"),
                          "[missing-wire] output wire void undeclared"),
     "undriven-digit": ("q2", lambda n: with_digit(with_wire(n, "ghost", 3),
                                                   3, "ghost"),
                        "[undriven] wire ghost has no driver"),
+    # ...listed once, 2N of them: verify_exhaustive counted mismatches
+    # and named no fault
+    "dup-output": ("q2", lambda n: with_digit(n, 3, n.primary_outputs[2]),
+                   "[dup-output] wire n00014 is listed as 2 product digits"),
+    "outputs": ("q2", lambda n: with_fields(
+        n, primary_outputs=n.primary_outputs[:-1]),
+        "[outputs] expected 4 product digits, got 3"),
 }
 
 

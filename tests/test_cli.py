@@ -647,10 +647,25 @@ def test_export_spice_walks_once(tmp_path, capsys, monkeypatch, q4, to):
     assert (deck.read_text() if to == "out" else stdout) == want
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_verify_walks_once(tmp_path, capsys, monkeypatch, q4, mode):
+    # verify walked the netlist twice: in validate_netlist, then in the
+    # simulator's set-up
+    walks = []
+    gate_rules = netlist._gate_rules
+    monkeypatch.setattr(netlist, "_gate_rules",
+                        lambda *a: walks.append(1) or gate_rules(*a))
+    nl = tmp_path / "q4.json"
+    nl.write_text(q4.to_json())
+    code, stdout, err = run(["verify", str(nl), "--mode", mode], capsys)
+    assert (code, err, walks) == (0, "", [1])
+    assert stdout.endswith(" 0 mismatches -> PASS\n")
+
+
 @pytest.mark.parametrize("case", list(FIRST_FAULTS))
 def test_export_spice_writes_nothing_for_a_bad_netlist(request, tmp_path,
                                                        capsys, case):
-    # the netlist is validated before the first byte of the deck
+    # the netlist is walked before the first byte of the deck
     design, edit, _ = FIRST_FAULTS[case]
     nl, deck = tmp_path / "bad.json", tmp_path / "bad.sp"
     nl.write_text(edit(request.getfixturevalue(design)).to_json())

@@ -11,7 +11,7 @@ from mvlmul import gen_multiplier
 from mvlmul.metrics import (CostLibrary, LibraryError, TimingLibrary,
                             area_estimate, compare, critical_path,
                             default_cost_library, timing_preset)
-from mvlmul.netlist import GateInstance, Netlist, NetlistError
+from mvlmul.netlist import Netlist, NetlistError
 
 
 # --- cost library -----------------------------------------------------------
@@ -37,8 +37,8 @@ def test_area_linear_sums(b2, b8, q4):
 
 
 def test_area_empty_netlist_is_zero():
-    net = Netlist(radix=2, width=1, wires={"x0": 1},
-                  gates=[], primary_inputs=["x0"], primary_outputs=["x0"])
+    net = Netlist(radix=2, width=1, wires={"x0": 1, "y0": 1}, gates=[],
+                  primary_inputs=["x0", "y0"], primary_outputs=["x0"])
     assert area_estimate(net, default_cost_library()) == 0.0
 
 
@@ -93,35 +93,21 @@ def test_reference_path_gate_ids(b8, q4):
         "g00042"]
 
 
-def _chain(k):
-    """k QFAC2s rippling a carry: delay must grow with k."""
-    wires = {"a": 3, "b": 3, "c0": 2}
-    gates = []
-    cin = "c0"
-    for i in range(k):
-        s, co = f"s{i}", f"co{i}"
-        wires[s] = 3
-        wires[co] = 2
-        gates.append(GateInstance(f"g{i}", "QFAC2",
-                                  ("a", "b", cin), (s, co)))
-        cin = co
-    return Netlist(radix=4, width=max(1, (k + 1) // 2), wires=wires,
-                   gates=gates, primary_inputs=["a", "b", "c0"],
-                   primary_outputs=[f"s{k-1}", f"co{k-1}"])
-
-
-def test_single_gate_netlist_reports_that_gates_delay():
-    net = _chain(1)
-    cp = critical_path(net, timing_preset("quaternary-0.9v"))
-    assert cp.delay_ps == pytest.approx(646 / 7)
-    assert cp.kinds == ["QFAC2"]
+def test_single_gate_netlist_reports_that_gates_delay(b1):
+    # b1 is one AND, priced here with the digit stage on the path
+    lib = TimingLibrary("and", {("AND", "y"): 12.5})
+    assert critical_path(b1, lib, exclude_kinds=()) == (12.5, ["g00000"],
+                                                        ["AND"])
 
 
 def test_longer_chains_never_get_faster():
+    # each wider design adds tree and ripple cells to its worst path
     lib = timing_preset("quaternary-0.9v")
-    delays = [critical_path(_chain(k), lib).delay_ps for k in (1, 2, 3, 4)]
-    assert delays == sorted(delays)
-    assert delays[-1] == pytest.approx(4 * 646 / 7)
+    delays = [critical_path(gen_multiplier(4, w), lib).delay_ps
+              for w in range(1, 9)]
+    assert delays == sorted(delays) and delays[0] < delays[1]
+    assert delays[3] == pytest.approx(646.0)
+    assert delays[-1] == pytest.approx(15 * 646 / 7)
 
 
 @given(st.integers(-4, 4).filter(lambda e: e != 0))
@@ -157,8 +143,8 @@ def test_timing_library_delay_names_a_missing_entry():
 
 
 def test_critical_path_of_no_gates_is_empty():
-    net = Netlist(radix=2, width=1, wires={"x0": 1},
-                  gates=[], primary_inputs=["x0"], primary_outputs=["x0"])
+    net = Netlist(radix=2, width=1, wires={"x0": 1, "y0": 1}, gates=[],
+                  primary_inputs=["x0", "y0"], primary_outputs=["x0"])
     cp = critical_path(net, timing_preset("binary-0.9v"))
     assert cp == (0.0, [], [])
 

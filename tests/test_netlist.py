@@ -458,13 +458,16 @@ def test_multi_driver_detected():
 
 def test_walk_counts_drivers_as_validate_does(b2):
     # walk stops at the second driver, but names all three; a later gate
-    # of the wrong port count is no driver in either count
+    # of the wrong port count is no driver in either count, and is named
+    # first, as validate_netlist lists it
     net = with_driver(with_driver(b2, "n00004"), "n00004", "g99998")
+    with pytest.raises(NetlistError, match="^wire n00004 has 3 drivers$"):
+        deque(walk(net), 0)
     net.gates.append(GateInstance("g99997", "AND", ("x0",), ("n00004",)))
     assert [str(p) for p in validate_netlist(net)] == [
         "[arity] gate g99997 (AND) has 1 in / 1 out, not 2 / 1",
         "[multi-driver] wire n00004 has 3 drivers"]
-    with pytest.raises(NetlistError, match="^wire n00004 has 3 drivers$"):
+    with pytest.raises(NetlistError, match=r"^gate g99997 \(AND\) has 1 in"):
         deque(walk(net), 0)
     # a gate that drives one wire on both of its outputs drives it twice
     g = next(g for g in b2.gates if g.kind == "BIN_HA")
@@ -578,10 +581,11 @@ def test_every_entry_point_names_the_first_fault(request, case):
     # each entry point holds the rules of walk, and names the fault that
     # validate_netlist lists first, in its words, as a NetlistError
     design, edit, violation = FIRST_FAULTS[case]
-    net = edit(request.getfixturevalue(design))
+    base = request.getfixturevalue(design)
+    net = edit(base)
     first = validate_netlist(net)[0]
     assert str(first) == violation
-    lib = timing_preset({2: "binary-0.9v", 4: "quaternary-0.9v"}[net.radix])
+    lib = timing_preset({2: "binary-0.9v", 4: "quaternary-0.9v"}[base.radix])
     for run in (lambda: deque(walk(net), 0),
                 lambda: evaluate(net, dict.fromkeys(net.primary_inputs, 1)),
                 lambda: verify_exhaustive(net),

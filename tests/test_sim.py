@@ -10,9 +10,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import deadline, with_fields
 from mvlmul import gen_multiplier, sim
 from mvlmul.core import KERNELS, PORTS
-from mvlmul.netlist import GateInstance, Netlist, NetlistError, walk
+from mvlmul.netlist import (GateInstance, Netlist, NetlistError,
+                            validate_netlist, walk)
 from mvlmul.sim import (SimulationError, VerificationSpaceError, evaluate,
                         verify_exhaustive, verify_random)
 
@@ -96,7 +98,7 @@ def test_range_check_covers_every_vector_of_a_batch():
     batch = (2, [(0, 0), (0b10, 0)])  # planes of a, then of b
     with pytest.raises(NetlistError, match="declared 0..1 but can carry "
                                            "up to 3$"):
-        next(sim._simulate(_narrow_qha(), [batch]))
+        next(sim._simulate(sim._steps(_narrow_qha()), [batch]))
 
 
 def _two_overflows(order):
@@ -196,21 +198,32 @@ def _one_gate(kind, in_ranges, out_ranges):
                    primary_inputs=ins, primary_outputs=outs)
 
 
+def _port_range_faults(net):
+    """The faults that :func:`validate_netlist` lists for ``net`` under
+    the walk's rules on a gate's port ranges (``range`` and ``narrow``)."""
+    return [p.message for p in validate_netlist(net)
+            if p.code in ("range", "narrow")]
+
+
 @pytest.mark.parametrize("kind", list(PORTS))
 def test_plans_fire_the_kernel_or_name_the_overflow(kind):
     # expected values come from KERNELS alone: every input range up to
     # one past its port's maximum, and every declared output range 0..7.
     # One past a port's maximum, with an output declared above its port's
     # maximum, or below the largest value the kernel makes there over the
-    # domain, the walk names the gate and no plan runs; otherwise the plan
-    # fires the kernel on the whole domain, each port cut to its width
+    # domain, the walk's port rules name the gate and no plan runs;
+    # otherwise the plan fires the kernel on the whole domain, each port
+    # cut to its width.  A one-gate netlist is no multiplier, so the walk
+    # itself stops at its operands: the port rules are read from
+    # validate_netlist, which runs the walk's per-gate code
     spec = PORTS[kind]
     for in_ranges in product(*(range(hi + 2) for _, hi in spec.inputs)):
         everything = product(range(8), repeat=len(spec.outputs))
         if any(r > hi for r, (_, hi) in zip(in_ranges, spec.inputs)):
             for declared in everything:
-                with pytest.raises(NetlistError, match="^gate g0 "):
-                    deque(walk(_one_gate(kind, in_ranges, declared)), 0)
+                faults = _port_range_faults(_one_gate(kind, in_ranges,
+                                                      declared))
+                assert faults[0].startswith("gate g0 "), faults
             continue
         domain = list(product(*(range(r + 1) for r in in_ranges)))
         got = [KERNELS[kind](*v) for v in domain]
@@ -223,10 +236,9 @@ def test_plans_fire_the_kernel_or_name_the_overflow(kind):
             net = _one_gate(kind, in_ranges, declared)
             if (any(map(int.__lt__, declared, top)) or any(
                     d > hi for d, (_, hi) in zip(declared, spec.outputs))):
-                with pytest.raises(NetlistError):
-                    deque(walk(net), 0)
+                assert _port_range_faults(net), key
                 continue
-            assert [s for _, s, _ in walk(net)] == [tuple(range(len(args)))]
+            assert _port_range_faults(net) == [], key
             fire = sim._plan(kind, in_ranges, declared)
             assert list(fire(*args)) == [
                 ps[:hi.bit_length()]
@@ -241,7 +253,9 @@ def test_wire_wider_than_its_port_is_a_simulation_error(kind, port):
     # port allows, each wire named for its port: the simulator names it
     # as validate_netlist does, before any gate fires.  An AND that read
     # two QM1 carries (0..2) was "neither the sum nor the product" of its
-    # inputs (2 & 2 is 2), and a QFAC2 whose cin read a quit ran
+    # inputs (2 & 2 is 2), and a QFAC2 whose cin read a quit ran.  A wire
+    # one wider than a quit port declares 0..4, which no wire may: the
+    # walk names that declaration first
     spec = PORTS[kind]
     wires = {"x0": 1, "y0": 1}
     wires.update((name, hi + (k == port))
@@ -257,8 +271,10 @@ def test_wire_wider_than_its_port_is_a_simulation_error(kind, port):
         with pytest.raises(NetlistError) as e:
             run(net)
         assert type(e.value) is NetlistError
-        assert str(e.value) == (f"gate g0 ({kind}) port {name} accepts max "
-                                f"{hi} but wire {name} carries up to {hi + 1}")
+        assert str(e.value) == (f"wire {name} has range_max 4" if hi == 3
+                                else f"gate g0 ({kind}) port {name} accepts "
+                                f"max {hi} but wire {name} carries up to "
+                                f"{hi + 1}")
 
 
 def test_undriven_product_digit_is_a_simulation_error():
@@ -413,26 +429,13 @@ def test_digit_source_is_randrange(radix):
     assert got == bytes(rng.randrange(radix) for _ in range(3006))
 
 
-def test_random_rejects_radix_over_128():
-    # a digit is drawn from one byte of a word; validate_netlist allows
-    # only radix 2 and 4, so this one is built by hand
-    wires = dict.fromkeys(("x0", "y0"), 255)
-    net = Netlist(radix=256, width=1, wires=wires, gates=[],
-                  primary_inputs=["x0", "y0"], primary_outputs=[])
-    with pytest.raises(SimulationError, match="radix 256 exceeds 128"):
-        verify_random(net, 5, seed=1)
-
-
-def test_verify_rejects_radix_not_power_of_two():
-    # the planes of a digit are its bits, so the radix must be 2**m
-    wires = dict.fromkeys(("x0", "y0", "p", "c"), 2)
-    gates = [GateInstance("g", "QHA", ("x0", "y0"), ("p", "c"))]
-    net = Netlist(radix=3, width=1, wires=wires, gates=gates,
-                  primary_inputs=["x0", "y0"], primary_outputs=["p", "c"])
-    for run in (lambda: verify_exhaustive(net),
-                lambda: verify_random(net, 5, seed=1)):
-        with pytest.raises(SimulationError, match="radix 3 is not a power"):
-            run()
+def test_exhaustive_walks_before_it_sizes_the_space(b2):
+    # the space, (radix ** width) ** 2, was sized before any check: with
+    # a width of 2**70, b2 was still computing it after 3 s
+    net = with_fields(b2, width=2 ** 70)
+    with deadline(1.0), pytest.raises(NetlistError, match=(
+            f"^expected {2 ** 71} operand digits \\(x then y\\), got 4$")):
+        verify_exhaustive(net)
 
 
 def test_random_rejects_zero_count(b2):
