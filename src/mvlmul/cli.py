@@ -58,15 +58,15 @@ def _on_netlist(path: str, run):
     """``run(net)`` for the netlist at ``path``.  ``run`` walks it first,
     and a fault of that walk is a usage error that names the first eight
     violations: the walk is the command's validation."""
-    from .netlist import Netlist, NetlistError, validate_netlist
+    from .netlist import Netlist, NetlistError
     try:  # from_json holds the only reference to the text, and drops it
         net = Netlist.from_json(_read_text(path))
     except NetlistError as e:
         raise CliError(f"{path}: {e}", EXIT_USAGE) from None
     try:
         return run(net)
-    except NetlistError:
-        msgs = "; ".join(map(str, validate_netlist(net)[:8]))
+    except NetlistError as e:
+        msgs = "; ".join(map(str, e.violations[:8]))
     raise CliError(f"{path}: invalid netlist: {msgs}", EXIT_USAGE)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 from itertools import count, islice
 from json.encoder import encode_basestring_ascii
@@ -34,7 +34,12 @@ _WIRE_FIELDS = ("id", "range_max")  # a wire entry's fields, in order
 
 class NetlistError(ValueError):
     """A netlist document cannot be parsed, or a netlist breaks a rule of
-    :func:`walk`."""
+    :func:`walk`; then ``violations`` is what :func:`validate_netlist`
+    lists for it."""
+
+    def __init__(self, message: str, violations: Sequence[Violation] = ()):
+        super().__init__(message)
+        self.violations = violations
 
 
 class GateInstance(namedtuple("GateInstance", "id kind inputs outputs")):
@@ -124,11 +129,12 @@ class Netlist:
     @classmethod
     def from_json(cls, text: str) -> "Netlist":
         """The netlist of a document.  Wire and gate entries become
-        ``(id, range_max)`` pairs and records as the JSON is parsed, and
-        the text is let go after: pass it straight in, and the document is
-        held once.  A pair or record built outside its own array has the
-        text parsed again, with neither.  Each key of ``wires`` is the one
-        string of its id that every gate port naming it holds."""
+        records as the JSON is parsed, and the text is let go after: pass
+        it straight in, and the document is held once.  A wire record is
+        the one ``(range_max,)`` tuple of its range, its id held only in
+        the memo.  A record built outside its own array has the text parsed
+        again, with none.  Each key of ``wires`` is the one string of its
+        id that every gate port naming it holds."""
         memo, made = {}, count()  # wire id -> the one string that spells it
         try:
             doc = json.loads(text, object_pairs_hook=_record_hook(memo, made))
@@ -153,15 +159,15 @@ class Netlist:
             raise NetlistError(f"unsupported version {version!r}")
         # each entry is checked where it is read, so the first fault in
         # reading order is named; a 3.7, "4" or true is no JSON integer.
-        # A pair or record passed the hook's checks, and none sits elsewhere.
-        wires, share = {}, memo.setdefault
+        # A record passed the hook's checks and sits nowhere else; a wire
+        # record's id is the memo's next key, copied as dicts add their own.
+        wires, share, ids = {}, memo.setdefault, iter(list(memo))
         for i, entry in enumerate(_field(doc, "wires", list)):
-            if type(entry) is not tuple:
-                try:
-                    entry = entry["id"], entry["range_max"]
-                except (KeyError, TypeError):
-                    raise _entry_fault("wire", i, entry) from None
-            wid, range_max = entry
+            try:
+                wid, range_max = ((next(ids), *entry) if type(entry) is tuple
+                                  else (entry["id"], entry["range_max"]))
+            except (KeyError, TypeError):
+                raise _entry_fault("wire", i, entry) from None
             if type(wid) is not str:
                 raise _fault(f"wire id {wid!r} is not a string")
             if wid in wires:
@@ -209,15 +215,17 @@ _KINDS = {kind: kind for kind in PORTS}
 
 def _record_hook(memo: dict[str, str], made: count):
     """A ``json.loads`` hook: an object with only a wire's or a gate's
-    fields, in order and of their types, becomes an ``(id, range_max)``
-    tuple or a :class:`GateInstance`, and any other its dict.  A wire id
-    goes through ``memo``, so each gate port is the string of a wire read
-    before it, or the gate stays a dict.  Each one built draws one number
-    from ``made``: where the object sits is unknown here, so the caller
-    counts them (a JSON array is a list: a tuple can only come from here)."""
-    share, known, new, tick = (memo.setdefault, memo.__getitem__,
-                               tuple.__new__, made.__next__)
-    gate_fields = GateInstance._fields
+    fields, in order and of their types, becomes a ``(range_max,)`` tuple
+    or a :class:`GateInstance`, and any other its dict.  A wire's id goes
+    into ``memo``, in reading order, unless it is there already: then the
+    wire stays a dict, for the reader to name the repeat.  So a wire
+    record holds no id, and all those of one range are one tuple.  Each
+    gate port is the string of a wire read before it, or the gate stays a
+    dict.  Each record built draws one number from ``made``: where the
+    object sits is unknown here, so the caller counts them (a JSON array
+    is a list: a tuple can only come from here)."""
+    known, new, tick = memo.__getitem__, tuple.__new__, made.__next__
+    gate_fields, ranges = GateInstance._fields, {}
 
     def hook(pairs):
         if len(pairs) == 4:
@@ -235,9 +243,10 @@ def _record_hook(memo: dict[str, str], made: count):
         elif len(pairs) == 2:
             (k0, wid), (k1, range_max) = pairs
             if ((k0, k1) == _WIRE_FIELDS and type(wid) is str
-                    and type(range_max) is int):
+                    and type(range_max) is int and wid not in memo):
+                memo[wid] = wid
                 tick()
-                return share(wid, wid), range_max
+                return ranges.setdefault(range_max, (range_max,))
         return dict(pairs)
     return hook
 
@@ -297,9 +306,9 @@ def walk(net: Netlist, slots: dict[str, int] | None = None) \
     input and output wires.  Primary inputs take slots 0, 1, ..., then
     each gate's outputs the next ones; ``slots``, if given, ends as each
     driven wire's.  A fault is a :class:`NetlistError` with the message
-    of the first violation :func:`validate_netlist` lists.  Rules: (1)
-    the radix is 2 or 4, and the width N at least 1; (2) each declared
-    range is 1, 2 or 3; (3) the primary inputs are 2N declared full
+    of the first violation :func:`validate_netlist` lists, and the list.
+    Rules: (1) the radix is 2 or 4, and the width N at least 1; (2) each
+    declared range is 1, 2 or 3; (3) the primary inputs are 2N declared full
     digits of the radix, x then y; (4) each gate's id is no earlier
     gate's, and its kind is known, with its port counts; (5) each wire a
     gate names is declared; (6) each gate input is driven earlier, no
@@ -313,7 +322,8 @@ def walk(net: Netlist, slots: dict[str, int] | None = None) \
     leaves its range if no input leaves its own.
     """
     def fault(*_):  # the first fault validate_netlist lists, in its words
-        raise NetlistError(validate_netlist(net)[0].message)
+        violations = validate_netlist(net)
+        raise NetlistError(violations[0].message, violations)
     wires, inputs, outputs = net.wires, net.primary_inputs, net.primary_outputs
     if not (net.radix in (2, 4) and net.width >= 1
             and _RANGES.issuperset(wires.values())

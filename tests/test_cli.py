@@ -662,6 +662,25 @@ def test_verify_walks_once(tmp_path, capsys, monkeypatch, q4, mode):
     assert stdout.endswith(" 0 mismatches -> PASS\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "export-spice"])
+def test_a_bad_netlist_is_listed_once(tmp_path, capsys, monkeypatch, q2,
+                                      command):
+    # the walk's fault listed the violations to word its first one, then
+    # the CLI listed them again for its first eight
+    listings = []
+    validate = netlist.validate_netlist
+    monkeypatch.setattr(netlist, "validate_netlist",
+                        lambda net: listings.append(1) or validate(net))
+    doc = json.loads(q2.to_json())
+    doc["outputs"][3] = doc["outputs"][2]
+    nl = tmp_path / "q2-dup.json"
+    nl.write_text(json.dumps(doc))
+    code, stdout, err = run([command, str(nl)], capsys)
+    assert (code, stdout, listings) == (2, "", [1])
+    assert err == (f"error: {nl}: invalid netlist: [dup-output] wire n00014 "
+                   "is listed as 2 product digits\n")
+
+
 @pytest.mark.parametrize("case", list(FIRST_FAULTS))
 def test_export_spice_writes_nothing_for_a_bad_netlist(request, tmp_path,
                                                        capsys, case):

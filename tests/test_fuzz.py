@@ -5,6 +5,7 @@ import copy
 import json
 from collections import deque
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import deadline
@@ -96,3 +97,94 @@ def test_mutated_documents_end_in_a_named_error(text):
                                       and str(e) == faults[0].message), e
             else:
                 assert not faults, faults[0]
+
+
+def _read(text):
+    """What ``from_json`` makes of ``text``: the document it writes back,
+    or the message it raises."""
+    try:
+        return Netlist.from_json(text).to_json()
+    except NetlistError as e:
+        return f"error: {e}"
+
+
+def _dict_path(text):
+    """``text`` with the keys of every ``wires`` entry reversed, so the
+    reader's hook leaves each one a dict."""
+    doc = json.loads(text)
+    if type(doc) is dict and type(doc.get("wires")) is list:
+        doc["wires"] = [dict(reversed(e.items())) if type(e) is dict else e
+                        for e in doc["wires"]]
+    return json.dumps(doc)
+
+
+def _range_first(entry):
+    return {"range_max": entry["range_max"], "id": entry["id"]}
+
+
+def _repeat(d):
+    d["wires"].append(dict(d["wires"][5]))
+
+
+def _repeat_after_range_first(d):
+    d["wires"].append(d["wires"][5])
+    d["wires"][5] = _range_first(d["wires"][5])
+
+
+def _range_first_repeat(d):
+    d["wires"].append(_range_first(d["wires"][5]))
+
+
+def _gates_first(d):
+    d["gates"] = d.pop("gates")
+    d["wires"] = d.pop("wires")
+
+
+def _undeclared_port(d):
+    d["gates"][0]["inputs"][0] = "zz"
+
+
+#: a wire-shaped object of an undeclared id, which the hook makes a record
+_NEW_WIRE = {"id": "n0", "range_max": 1}
+_REPEATED = "error: malformed netlist document: wire id 'n00001' is repeated"
+
+#: edits of q2 where reading wires as records could part from reading them
+#: as dicts, and the start of what each reads to
+RECORD_PATH_CASES = {
+    "canonical": (lambda d: None, "{"),
+    "repeated": (_repeat, _REPEATED),
+    "repeated-after-range-first": (_repeat_after_range_first, _REPEATED),
+    "range-first-repeat": (_range_first_repeat, _REPEATED),
+    "wire-in-meta": (lambda d: d.update(meta={"w": dict(_NEW_WIRE)}), "{"),
+    "declared-wire-in-meta": (
+        lambda d: d.update(meta={"w": dict(d["wires"][0])}), "{"),
+    "wire-in-gates": (lambda d: d["gates"].insert(1, dict(_NEW_WIRE)),
+                      "error: malformed netlist document: gate 'n0' has no "
+                      "kind"),
+    "declared-wire-in-gates": (
+        lambda d: d["gates"].insert(1, dict(d["wires"][0])),
+        "error: malformed netlist document: gate 'x0' has no kind"),
+    "ports-declared-later": (_gates_first, "{"),
+    "port-undeclared": (_undeclared_port, "{"),
+}
+
+
+@pytest.mark.parametrize("edit, reads", RECORD_PATH_CASES.values(),
+                         ids=RECORD_PATH_CASES.keys())
+def test_wire_records_read_as_wire_dicts(edit, reads):
+    # a wire record holds no id, only its range: the reader takes the id
+    # from the memo, in reading order, and must make of the document what
+    # it makes of the same wires as dicts
+    doc = copy.deepcopy(DOCUMENTS["q2"])
+    edit(doc)
+    text = json.dumps(doc)
+    assert text != _dict_path(text)
+    assert _read(text).startswith(reads)
+    assert _read(text) == _read(_dict_path(text))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutants())
+def test_mutated_documents_read_as_with_wire_dicts(text):
+    assert _read(text) == _read(_dict_path(text))

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import sys
 import tracemalloc
 from collections import deque
 
@@ -310,7 +311,7 @@ def test_record_shapes_anywhere_read_as_objects(q1, shape):
         try:
             net = Netlist.from_json(json.dumps(doc))
         except NetlistError as e:
-            assert "('n0', 1)" not in str(e) and "GateInstance(" not in str(e)
+            assert "(1,)" not in str(e) and "GateInstance(" not in str(e)
         else:
             assert net.to_json() == json.dumps(doc, indent=2) + "\n"
 
@@ -395,18 +396,34 @@ def test_one_parse_unless_a_record_is_misplaced(q4, monkeypatch, rewrite,
     assert len(calls) == parses
 
 
+def _traced(read):
+    """``read()``'s result, and what it holds and its peak, traced."""
+    tracemalloc.start()
+    try:
+        net = read()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return net, held, peak
+
+
 def test_from_json_holds_the_document_once():
     # the parsed document and the records built from it were both held:
     # b32 peaked at about 1.9 times what its netlist holds
     text = gen_multiplier(2, 32).to_json()
-    tracemalloc.start()
-    try:
-        net = Netlist.from_json(text)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    net, held, peak = _traced(lambda: Netlist.from_json(text))
     assert len(net.gates) == 2145
     assert peak <= 1.4 * held
+    # passed straight in, as the CLI passes it, the text is all the parse
+    # holds beyond the netlist: an (id, range_max) tuple per wire, held to
+    # the end of the parse, took q32 to 1.13 times what its netlist holds.
+    # A 3.10 caller holds the text until the call returns, so there it
+    # lives on beside the memo and the wires being built.
+    data = gen_multiplier(4, 32).to_json().encode()
+    net, held, peak = _traced(lambda: Netlist.from_json(data.decode()))
+    assert len(net.gates) == 3202
+    assert peak - len(data) <= (1.1 if sys.version_info >= (3, 11)
+                                else 1.4) * held
 
 
 @pytest.mark.parametrize("block", [1, 2, 1024])
@@ -583,7 +600,8 @@ def test_every_entry_point_names_the_first_fault(request, case):
     design, edit, violation = FIRST_FAULTS[case]
     base = request.getfixturevalue(design)
     net = edit(base)
-    first = validate_netlist(net)[0]
+    violations = validate_netlist(net)
+    first = violations[0]
     assert str(first) == violation
     lib = timing_preset({2: "binary-0.9v", 4: "quaternary-0.9v"}[base.radix])
     for run in (lambda: deque(walk(net), 0),
@@ -597,6 +615,7 @@ def test_every_entry_point_names_the_first_fault(request, case):
             run()
         assert type(e.value) is NetlistError
         assert str(e.value) == first.message
+        assert e.value.violations == violations
 
 
 @pytest.mark.parametrize("radix, width, wire, gate", [
