@@ -195,13 +195,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export_spice(args) -> int:
-    from collections import deque
-
     from .netlist import walk
     from .spice import deck_pieces
 
     def write(net):  # export_spice, with the deck written in pieces
-        deque(walk(net), 0)
+        walk(net)
         if args.out:
             _write_text(args.out, deck_pieces(net))
             print(f"wrote {args.out}")

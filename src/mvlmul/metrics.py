@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from itertools import combinations, starmap
 
 from .core import CELLS, PORTS
@@ -158,7 +158,7 @@ class TimingLibrary:
         """Raise the error of :func:`~mvlmul.netlist.walk`, or else a
         :class:`LibraryError` naming each port of ``net``'s kinds that has
         no delay, in :data:`~mvlmul.core.PORTS` order."""
-        deque(walk(net), 0)  # drained: no step is held
+        walk(net)
         missing = [f"{kind}.{pname}"
                    for kind in sorted({g.kind for g in net.gates})
                    for pname, _ in PORTS[kind].outputs

@@ -300,13 +300,10 @@ def _array(items: Iterable[str]) -> Iterator[str]:
 _RANGES = frozenset((1, 2, 3))
 
 
-def walk(net: Netlist, slots: dict[str, int] | None = None) \
-        -> Iterator[tuple]:
-    """One step per gate, in gate order: the gate and the slots of its
-    input and output wires.  Primary inputs take slots 0, 1, ..., then
-    each gate's outputs the next ones; ``slots``, if given, ends as each
-    driven wire's.  A fault is a :class:`NetlistError` with the message
-    of the first violation :func:`validate_netlist` lists, and the list.
+def walk(net: Netlist) -> None:
+    """Check every rule of a netlist, or raise a :class:`NetlistError`
+    with the message of the first violation :func:`validate_netlist`
+    lists, and the list.
     Rules: (1) the radix is 2 or 4, and the width N at least 1; (2) each
     declared range is 1, 2 or 3; (3) the primary inputs are 2N declared full
     digits of the radix, x then y; (4) each gate's id is no earlier
@@ -317,7 +314,7 @@ def walk(net: Netlist, slots: dict[str, int] | None = None) \
     its port, or narrower than what the gate can carry there from its
     declared input ranges; (9) each declared wire is driven; (10) the
     product digits are 2N declared wires (1 for the binary 1x1), each
-    listed once.  Rules 1 to 3 are checked before the first step, rules
+    listed once.  Rules 1 to 3 are checked before the first gate, rules
     4 to 8 per gate and rules 9 and 10 after the last.  So no wire
     leaves its range if no input leaves its own.
     """
@@ -330,13 +327,13 @@ def walk(net: Netlist, slots: dict[str, int] | None = None) \
             and len(inputs) == 2 * net.width
             == countOf(map(wires.get, inputs), net.radix - 1)):
         fault()
-    slots = {} if slots is None else slots
-    yield from map(_gate_rules(net, slots, fault), net.gates)
-    # each key of slots is a declared wire, so a declared wire is missing
+    driven = {}  # a fault raises, so no step returns False: all runs each
+    all(map(_gate_rules(net, driven, fault), net.gates))
+    # each key of driven is a declared wire, so a declared wire is missing
     # from it exactly when the counts differ
-    if not (len(slots) == len(wires)
+    if not (len(driven) == len(wires)
             and len(outputs) == _digit_count(net) == len(set(outputs))
-            and slots.keys() >= set(outputs)):
+            and driven.keys() >= set(outputs)):
         fault()
 
 
@@ -346,42 +343,37 @@ def _digit_count(net: Netlist) -> int:
     return 1 if net.radix == 2 and net.width == 1 else 2 * net.width
 
 
-def _gate_rules(net: Netlist, slots: dict[str, int], fault):
+def _gate_rules(net: Netlist, driven: dict[str, None], fault):
     """``step(g)``: each fault of ``g`` under rules 4 to 8 of :func:`walk`
-    to ``fault(violation, wire)``, then ``g``'s step, or None (rule 4).
-    A primary input listed again goes to ``fault`` first, here."""
-    for i, name in enumerate(net.primary_inputs):
-        if slots.setdefault(name, i) != i:  # rule 6: listed again
-            fault(Violation("multi-driver", f"wire {name} listed again"), name)
+    to ``fault(violation, wire)``, but a second driver to ``fault()``;
+    then whether ``g``'s ports were checked (rule 4).  ``driven`` gains
+    the primary inputs here, a second listing going to ``fault()``, and
+    then each gate's outputs."""
+    driven.update(dict.fromkeys(net.primary_inputs))
+    if len(driven) < len(net.primary_inputs):  # rule 6: listed again
+        fault()
     ranges = net.wires.get
-    stop = len(net.primary_inputs)  # the next free slot
     seen = set()  # the ids of the gates stepped so far
 
-    def step(g: GateInstance):
-        nonlocal stop
-        gid, kind, ins_w, outs_w = g
+    def step(g: GateInstance) -> bool:
+        gid, kind, ins, outs = g
         if gid in seen:
             fault(Violation("dup-gate", f"gate id {gid} reused"))
         seen.add(gid)
-        for code, template in _port_faults(kind, len(ins_w),
-                                           tuple(map(ranges, ins_w + outs_w))):
+        for code, template in _port_faults(kind, len(ins),
+                                           tuple(map(ranges, ins + outs))):
             fault(Violation(code, template.format(g=g)))
             if code in ("kind", "arity"):  # no port can be checked
-                return None
-        try:
-            ins = tuple(map(slots.__getitem__, ins_w))
-        except KeyError:  # rule 6: an input is not driven yet
-            ins = tuple(map(slots.get, ins_w))
-            for w in ins_w:
-                if w not in slots:
-                    fault(Violation("order", f"gate {g.id} reads wire {w} "
-                                    "before the gate that drives it"), w)
-        first = stop
-        for w in outs_w:
-            if slots.setdefault(w, stop) != stop:  # rule 6: driven already
-                fault(Violation("multi-driver", f"wire {w} driven again"), w)
-            stop += 1
-        return g, ins, range(first, stop)
+                return False
+        for w in ins:
+            if w not in driven:  # rule 6: an input is not driven yet
+                fault(Violation("order", f"gate {gid} reads wire {w} "
+                                "before the gate that drives it"), w)
+        for w in outs:
+            if w in driven:  # rule 6: driven already
+                fault()
+            driven[w] = None
+        return True
     return step
 
 
@@ -440,26 +432,28 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     if len(n.primary_inputs) != 2 * n.width:
         v.append(Violation("inputs", f"expected {2 * n.width} operand digits "
                            f"(x then y), got {len(n.primary_inputs)}"))
-    early, slots = [], {}  # rule 6's (wire, fault) pairs; the walk's slots
+    early, driven = [], {}  # rule 6's (wire, fault) pairs; the driven wires
 
-    def fault(p: Violation, wire: str | None = None):
+    def fault(p: Violation | None = None, wire: str | None = None):
+        if p is None:  # a second driver: counted per wire, below
+            return
         if p.code == "order":
             early.append((wire, p))
-        elif p.code != "multi-driver":  # listed per wire, below
+        else:
             v.append(p)
-    step = _gate_rules(n, slots, fault)
-    driven = list(n.primary_inputs)
+    step = _gate_rules(n, driven, fault)
+    drives = list(n.primary_inputs)
     for g in n.gates:
         if step(g):
-            driven += g.outputs
-    drivers = Counter(driven) if len(driven) > len(slots) else {}
+            drives += g.outputs
+    drivers = Counter(drives) if len(drives) > len(driven) else {}
     for wid in n.wires:
-        if wid not in slots:
+        if wid not in driven:
             v.append(Violation("undriven", f"wire {wid} has no driver"))
         elif (c := drivers.get(wid, 1)) > 1:
             v.append(Violation("multi-driver", f"wire {wid} has {c} drivers"))
     # read before the reading gate itself or a later one drives it
-    v += [p for wid, p in early if wid in slots]
+    v += [p for wid, p in early if wid in driven]
     v += [Violation("missing-wire", f"output wire {out} undeclared")
           for out in n.primary_outputs if out not in n.wires]
     v += [Violation("dup-output", f"wire {out} is listed as {c} product "

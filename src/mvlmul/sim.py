@@ -9,9 +9,9 @@ which is a dependency order (see :mod:`mvlmul.netlist`), as ripple-carry
 code for the ``op`` of their :data:`~mvlmul.core.PORTS` row, so each
 cell keeps its one definition.  Before any gate fires, the netlist's
 :func:`~mvlmul.netlist.walk` checks each gate's declared ranges over
-every input they allow, and slots each wire in the list of planes, so a
-run doubles as a range-soundness check of the whole netlist.  A wire's
-planes are dropped after the last gate that reads them.
+every input they allow, so a run doubles as a range-soundness check of
+the whole netlist.  Each wire then takes its slot in the list of planes,
+and its planes are dropped after the last gate that reads them.
 Verification compares the product digits with a bit-sliced shift-and-add
 of the operand bits, which shares no code with the cells.
 """
@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import random
 from functools import cache
-from itertools import islice, product, zip_longest
+from itertools import chain, count, islice, product, zip_longest
+from operator import attrgetter
 
 from .core import PORTS
 from .netlist import Netlist, walk
@@ -145,15 +146,18 @@ def _simulate(run: tuple[list[tuple], list[int]], batches):
 
 def _steps(net: Netlist) -> tuple[list[tuple], list[int]]:
     """``(fire, input slots, dropped slots)`` per gate, in gate order,
-    and the slot of each product digit.  Each slot but a primary input's
-    or a product digit's is dropped once: by its last reader, or by its
-    own gate when nothing reads it.  The netlist's walk comes first, so a
-    fault of it is a :class:`~mvlmul.netlist.NetlistError` before any
-    gate fires."""
-    ranges, slots = net.wires.__getitem__, {}
+    and the slot of each product digit, of a netlist that has passed
+    :func:`~mvlmul.netlist.walk`.  The primary inputs take slots 0, 1,
+    ..., then each gate's outputs the next ones.  Each slot but a primary
+    input's or a product digit's is dropped once: by its last reader, or
+    by its own gate when nothing reads it."""
+    ranges = net.wires.__getitem__
+    slots = dict(zip(chain(net.primary_inputs, chain.from_iterable(
+        map(attrgetter("outputs"), net.gates))), count()))
     steps = [(_plan(g.kind, tuple(map(ranges, g.inputs)),
-                    tuple(map(ranges, g.outputs))), ins, ())
-             for g, ins, _ in walk(net, slots)]
+                    tuple(map(ranges, g.outputs))),
+              tuple(map(slots.__getitem__, g.inputs)), ())
+             for g in net.gates]
     digits = [slots[w] for w in net.primary_outputs]
     del slots  # before the schedule, to keep the peak down
     # per slot, the step that drops it, or None
@@ -179,7 +183,7 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     radix.  The netlist is checked first, as in every run, then the
     assignment.
     """
-    run = _steps(net)
+    walk(net)
     if extra := set(assignment) - set(net.primary_inputs):
         raise SimulationError(f"unknown inputs: {sorted(extra)}")
     for name in net.primary_inputs:
@@ -192,7 +196,7 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     bits = range((net.radix - 1).bit_length())
     columns = [tuple(assignment[name] >> b & 1 for b in bits)
                for name in net.primary_inputs]
-    *_, got = next(_simulate(run, [(1, columns)]))
+    *_, got = next(_simulate(_steps(net), [(1, columns)]))
     return [sum(p << b for b, p in enumerate(planes)) for planes in got]
 
 
@@ -286,7 +290,7 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
     Every mismatch is counted; records are kept for the first ``keep``
     (all when None).
     """
-    run = _steps(net)  # first: its walk checks the count of operands
+    walk(net)  # first: it checks the count of operands
     space = net.radix ** len(net.primary_inputs)
     if space > cap:
         raise VerificationSpaceError(
@@ -302,7 +306,7 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
             yield n, [tuple(_count_plane(k, a, n) for k in range(p * m,
                                                                 (p + 1) * m))
                       for p in reversed(range(row))]
-    return _verify(net, run, "exhaustive", space, batches(), keep)
+    return _verify(net, _steps(net), "exhaustive", space, batches(), keep)
 
 
 def _digit_source(seed: int, radix: int):
@@ -348,7 +352,7 @@ def verify_random(net: Netlist, count: int, seed: int,
     kept mismatch records grow with ``count``.  Every mismatch is
     counted; records are kept for the first ``keep`` (all when None).
     """
-    run = _steps(net)
+    walk(net)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     take = _digit_source(seed, net.radix)
@@ -363,4 +367,4 @@ def verify_random(net: Netlist, count: int, seed: int,
             drawn = take(n * row)
             yield n, [tuple(int(col.translate(t), 2) for t in tables)
                       for col in (drawn[i::row][::-1] for i in range(row))]
-    return _verify(net, run, "random", count, batches(), keep, seed)
+    return _verify(net, _steps(net), "random", count, batches(), keep, seed)

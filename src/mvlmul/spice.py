@@ -9,7 +9,6 @@ implied; the deck is a structural interchange format.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from itertools import islice
 
@@ -23,7 +22,7 @@ _BLOCK = 1024
 def export_spice(net: Netlist) -> str:
     """Render a netlist as a hierarchical structural deck, or raise the
     :class:`~mvlmul.netlist.NetlistError` of :func:`~mvlmul.netlist.walk`."""
-    deque(walk(net), 0)
+    walk(net)
     return "".join(deck_pieces(net))
 
 

@@ -662,6 +662,17 @@ def test_verify_walks_once(tmp_path, capsys, monkeypatch, q4, mode):
     assert stdout.endswith(" 0 mismatches -> PASS\n")
 
 
+def test_compare_walks_each_design_once(capsys, monkeypatch):
+    # critical_path prices a design once its timing library's require has
+    # walked it; nothing else in compare walks
+    walks = []
+    gate_rules = netlist._gate_rules
+    monkeypatch.setattr(netlist, "_gate_rules",
+                        lambda *a: walks.append(1) or gate_rules(*a))
+    code, _, err = run(["compare", "--preset"], capsys)
+    assert (code, err, walks) == (0, "", [1] * 2 * len(cli.COMPARE_PRESET))
+
+
 @pytest.mark.parametrize("command", ["verify", "export-spice"])
 def test_a_bad_netlist_is_listed_once(tmp_path, capsys, monkeypatch, q2,
                                       command):

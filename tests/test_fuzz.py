@@ -1,9 +1,9 @@
-"""Mutated netlist documents: every entry point returns, or raises a named
-error, and names the first fault that validate_netlist lists."""
+"""Mutated netlist documents and netlists: every entry point returns, or
+raises a named error, and names the first fault that validate_netlist
+lists."""
 
 import copy
 import json
-from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -83,7 +83,7 @@ def test_mutated_documents_end_in_a_named_error(text):
         except NetlistError:
             return
         faults = validate_netlist(net)
-        for run in (lambda: deque(walk(net), 0),
+        for run in (lambda: walk(net),
                     lambda: evaluate(net, dict.fromkeys(net.primary_inputs,
                                                         1)),
                     lambda: verify_exhaustive(net),
@@ -97,6 +97,63 @@ def test_mutated_documents_end_in_a_named_error(text):
                                       and str(e) == faults[0].message), e
             else:
                 assert not faults, faults[0]
+
+
+#: the designs of :data:`DOCUMENTS`, parsed
+NETLISTS = {name: Netlist.from_json(json.dumps(doc))
+            for name, doc in DOCUMENTS.items()}
+
+
+@st.composite
+def edited(draw):
+    """A netlist of :data:`NETLISTS` with one to three edits in memory,
+    each of a gate's kind, id or port wire, a wire's range, or an entry
+    of the primary inputs or outputs.  No edit can fail to parse, so
+    every example reaches the walk."""
+    base = NETLISTS[draw(st.sampled_from(sorted(NETLISTS)))]
+    net = Netlist(base.radix, base.width, dict(base.wires), list(base.gates),
+                  list(base.primary_inputs), list(base.primary_outputs))
+    wires = st.sampled_from([*base.wires, "zz"])  # zz is undeclared
+    gate_ids = st.sampled_from([*(g.id for g in base.gates), "g99999"])
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["kind", "id", "port", "range",
+                                     "input", "output"]))
+        if edit in ("kind", "id", "port"):
+            i = draw(st.integers(0, len(net.gates) - 1))
+            g = net.gates[i]
+            if edit == "kind":
+                g = g._replace(kind=draw(st.sampled_from([*PORTS, "QFA2"])))
+            elif edit == "id":
+                g = g._replace(id=draw(gate_ids))
+            else:
+                side = draw(st.sampled_from(["inputs", "outputs"]))
+                ports = list(getattr(g, side))
+                ports[draw(st.integers(0, len(ports) - 1))] = draw(wires)
+                g = g._replace(**{side: tuple(ports)})
+            net.gates[i] = g
+        elif edit == "range":
+            net.wires[draw(st.sampled_from(sorted(net.wires)))] = \
+                draw(st.integers(0, 4))
+        else:
+            digits = (net.primary_inputs if edit == "input"
+                      else net.primary_outputs)
+            digits[draw(st.integers(0, len(digits) - 1))] = draw(wires)
+    return net
+
+
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edited())
+def test_walk_raises_exactly_when_validate_lists_a_fault(net):
+    faults = validate_netlist(net)
+    try:
+        walk(net)
+    except NetlistError as e:
+        assert faults, e
+        assert type(e) is NetlistError
+        assert (str(e), e.violations) == (faults[0].message, faults)
+    else:
+        assert not faults, faults[0]
 
 
 def _read(text):

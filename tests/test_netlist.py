@@ -5,7 +5,6 @@ import hashlib
 import json
 import sys
 import tracemalloc
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -479,19 +478,19 @@ def test_walk_counts_drivers_as_validate_does(b2):
     # first, as validate_netlist lists it
     net = with_driver(with_driver(b2, "n00004"), "n00004", "g99998")
     with pytest.raises(NetlistError, match="^wire n00004 has 3 drivers$"):
-        deque(walk(net), 0)
+        walk(net)
     net.gates.append(GateInstance("g99997", "AND", ("x0",), ("n00004",)))
     assert [str(p) for p in validate_netlist(net)] == [
         "[arity] gate g99997 (AND) has 1 in / 1 out, not 2 / 1",
         "[multi-driver] wire n00004 has 3 drivers"]
     with pytest.raises(NetlistError, match=r"^gate g99997 \(AND\) has 1 in"):
-        deque(walk(net), 0)
+        walk(net)
     # a gate that drives one wire on both of its outputs drives it twice
     g = next(g for g in b2.gates if g.kind == "BIN_HA")
     net = with_gate(b2, g.id, outputs=(g.outputs[0],) * 2)
     with pytest.raises(NetlistError,
                        match=f"^wire {g.outputs[0]} has 2 drivers$"):
-        deque(walk(net), 0)
+        walk(net)
 
 
 def test_quaternary_wire_on_carry_port_detected():
@@ -604,7 +603,7 @@ def test_every_entry_point_names_the_first_fault(request, case):
     first = violations[0]
     assert str(first) == violation
     lib = timing_preset({2: "binary-0.9v", 4: "quaternary-0.9v"}[base.radix])
-    for run in (lambda: deque(walk(net), 0),
+    for run in (lambda: walk(net),
                 lambda: evaluate(net, dict.fromkeys(net.primary_inputs, 1)),
                 lambda: verify_exhaustive(net),
                 lambda: verify_random(net, 10, seed=1),

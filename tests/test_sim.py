@@ -3,14 +3,13 @@
 import hashlib
 import random
 import tracemalloc
-from collections import deque
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import deadline, with_fields
+from conftest import FIRST_FAULTS, deadline, with_fields
 from mvlmul import gen_multiplier, sim
 from mvlmul.core import KERNELS, PORTS
 from mvlmul.netlist import (GateInstance, Netlist, NetlistError,
@@ -96,9 +95,11 @@ def test_range_check_covers_every_vector_of_a_batch():
     # the check covers every vector the declared input ranges allow, not
     # only those a run happens to reach
     batch = (2, [(0, 0), (0b10, 0)])  # planes of a, then of b
+    net = _narrow_qha()
     with pytest.raises(NetlistError, match="declared 0..1 but can carry "
                                            "up to 3$"):
-        next(sim._simulate(sim._steps(_narrow_qha()), [batch]))
+        walk(net)  # as every run does, before it builds its steps
+        next(sim._simulate(sim._steps(net), [batch]))
 
 
 def _two_overflows(order):
@@ -443,6 +444,35 @@ def test_random_rejects_zero_count(b2):
         verify_random(b2, 0, seed=1)
 
 
+def test_a_bad_argument_compiles_no_plan(monkeypatch):
+    # verify_exhaustive built the whole step list, a plan per gate, before
+    # it sized the space; the netlist's walk is all a bad argument needs
+    plans, plan = [], sim._plan
+    monkeypatch.setattr(sim, "_plan", lambda *a: plans.append(a) or plan(*a))
+    net = gen_multiplier(2, 11)
+    with pytest.raises(VerificationSpaceError, match="^4194304 vectors "
+                       "exceed the cap of 1048576; use verify_random$"):
+        verify_exhaustive(net)
+    with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+        verify_random(net, 0, seed=1)
+    assert plans == []
+    verify_random(net, 1, seed=1)  # a run asks for a plan per gate
+    assert len(plans) == len(net.gates)
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULTS))
+def test_a_bad_netlist_is_named_before_a_bad_argument(request, case):
+    # the walk comes first: a cap of 0 and a count of 0 are both bad too
+    design, edit, violation = FIRST_FAULTS[case]
+    net = edit(request.getfixturevalue(design))
+    for run in (lambda: verify_exhaustive(net, cap=0),
+                lambda: verify_random(net, 0, seed=1)):
+        with pytest.raises(NetlistError) as e:
+            run()
+        first = e.value.violations[0]
+        assert (str(first), str(e.value)) == (violation, first.message)
+
+
 def _corrupt(net):
     """Feed the first half adder twice from the same wire, in place: a
     real functional corruption that still validates."""
@@ -509,28 +539,36 @@ def test_verify_sees_in_place_edits(b4):
     assert not verify_exhaustive(net).passed
 
 
+def _slots(net):
+    """Each wire's slot: the primary inputs take 0, 1, ..., then each
+    gate's outputs the next ones, in gate order."""
+    wires = [*net.primary_inputs, *(w for g in net.gates for w in g.outputs)]
+    return {w: s for s, w in enumerate(wires)}
+
+
 def test_each_plane_is_dropped_after_its_last_reader(all_designs):
     # every wire kept its planes until the batch ended
     for net in all_designs.values():
         steps, digits = sim._steps(net)
+        slots = _slots(net)
+        assert [ins for _, ins, _ in steps] == [
+            tuple(map(slots.get, g.inputs)) for g in net.gates]
+        assert digits == [slots[w] for w in net.primary_outputs]
         kept = set(range(len(net.primary_inputs))) | set(digits)
-        last, stop = {}, len(net.primary_inputs)  # slot -> its step
-        for i, (_, ins, outs) in enumerate(walk(net)):
-            last.update((s, i) for s in [*outs, *ins])
-            stop = outs.stop
+        last = {}  # slot -> the last step that reads or drives it
+        for i, g in enumerate(net.gates):
+            last.update((slots[w], i) for w in [*g.outputs, *g.inputs])
         dropped = [(s, i) for i, (_, _, drop) in enumerate(steps)
                    for s in drop]
         assert sorted(dropped) == sorted((s, i) for s, i in last.items()
                                          if s not in kept)
-        assert len(dropped) == stop - len(kept)
+        assert len(dropped) == len(slots) - len(kept)
     # a carry no gate reads goes right after its own gate: that of b8's
     # last gate, g00126 (BIN_HA), provably zero
     net = all_designs[2, 8]
     steps, _ = sim._steps(net)
-    slots = {}
-    deque(walk(net, slots), 0)
     assert net.gates[-1].outputs[-1] == "n00189"
-    assert slots["n00189"] in steps[-1][2]
+    assert _slots(net)["n00189"] in steps[-1][2]
 
 
 def test_batch_memory_is_the_planes_still_to_be_read():
