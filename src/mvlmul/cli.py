@@ -267,17 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse already printed a message; normalize its exit code
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     # no netlist record forms a cycle, so during a command the cyclic GC
     # would only rescan the parsed document and the netlist, many times
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        code = args.fn(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            # argparse already printed a message; normalize its exit code
+            code = EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+        else:
+            code = args.fn(args)
         sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
         return code
     except BrokenPipeError:
@@ -292,5 +293,12 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The ``mvlmul`` command: :func:`main`, then exit with its code."""
+    code = main()
+    gc.freeze()  # what is left lives to the exit: its collections skip it
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

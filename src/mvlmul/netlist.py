@@ -353,13 +353,13 @@ def _gate_rules(net: Netlist, driven: dict[str, None], fault):
     if len(driven) < len(net.primary_inputs):  # rule 6: listed again
         fault()
     ranges = net.wires.get
-    seen = set()  # the ids of the gates stepped so far
+    seen = {}  # the gate ids stepped so far; a set of them is 2-2.5x larger
 
     def step(g: GateInstance) -> bool:
         gid, kind, ins, outs = g
         if gid in seen:
             fault(Violation("dup-gate", f"gate id {gid} reused"))
-        seen.add(gid)
+        seen[gid] = None
         for code, template in _port_faults(kind, len(ins),
                                            tuple(map(ranges, ins + outs))):
             fault(Violation(code, template.format(g=g)))

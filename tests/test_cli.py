@@ -859,14 +859,50 @@ def test_usage_errors_in_a_fresh_interpreter(tmp_path, argv):
 def test_main_leaves_gc_as_it_found_it(capsys, argv, code, enabled):
     # main turns the cyclic GC off for a command; in process, a GC left
     # off would leak into the caller, and one the caller turned off must
-    # stay off
+    # stay off.  Only the command's entry point freezes it
     was_enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         assert main(argv) == code
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_run_freezes_the_gc_after_main(monkeypatch):
+    # the command's entry point freezes what main left, once and after
+    # it, so the collections at interpreter exit scan nothing
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 7
+    assert calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--radix", "4", "--width", "1"], 0),
+    (["verify", "{fault}"], 1),
+    (["generate", "--radix", "5", "--width", "1"], 2),
+], ids=["ok", "mismatch", "usage"])
+def test_module_run_keeps_atexit_and_the_exit_code(tmp_path, capsys, argv,
+                                                   code):
+    # the entry point exits through sys.exit: an atexit handler, such as
+    # the one in which coverage saves its data, still runs, where
+    # os._exit would skip it, and main's code is the process's
+    fault = _fault_b4(tmp_path, capsys)
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+              "runpy.run_module('mvlmul.cli', run_name='__main__')\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         *(a.format(fault=fault) for a in argv)],
+        capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.endswith("atexit ran\n")
 
 
 def test_gc_is_off_while_a_command_runs(capsys, monkeypatch):
@@ -898,20 +934,26 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
                                                       "buffered"])
-def test_closed_stdout_pipe_is_io_error(unbuffered):
+@pytest.mark.parametrize("argv", [
+    ["compare", "--design", "4,1", "--design", "2,1", "--format", "json"],
+    ["--help"],
+    ["generate", "--help"],
+], ids=["compare", "help", "generate-help"])
+def test_closed_stdout_pipe_is_io_error(unbuffered, argv):
     # the reader is gone before the command writes: unbuffered, print
-    # raised BrokenPipeError; buffered, the interpreter's exit flush did
+    # raised BrokenPipeError; buffered, the interpreter's exit flush did,
+    # also after argparse's help, which exited 120.  Unbuffered, argparse
+    # drops its own failed write of the help, and the command succeeds
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "mvlmul.cli", "compare", "--design", "4,1",
-             "--design", "2,1", "--format", "json"], stdout=write,
+            [sys.executable, "-m", "mvlmul.cli", *argv], stdout=write,
             stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
     finally:
         os.close(write)
-    assert proc.returncode == 3
+    assert proc.returncode == (0 if unbuffered and "--help" in argv else 3)
     assert proc.stderr == ""  # no traceback, no "Exception ignored"
 
 
