@@ -932,28 +932,41 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
-                                                      "buffered"])
-@pytest.mark.parametrize("argv", [
-    ["compare", "--design", "4,1", "--design", "2,1", "--format", "json"],
-    ["--help"],
-    ["generate", "--help"],
-], ids=["compare", "help", "generate-help"])
-def test_closed_stdout_pipe_is_io_error(unbuffered, argv):
-    # the reader is gone before the command writes: unbuffered, print
-    # raised BrokenPipeError; buffered, the interpreter's exit flush did,
-    # also after argparse's help, which exited 120.  Unbuffered, argparse
-    # drops its own failed write of the help, and the command succeeds
+def _write_to_closed_pipe(argv, unbuffered):
+    """Run the CLI with ``argv`` into a pipe whose reader is gone."""
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "mvlmul.cli", *argv], stdout=write,
             stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
     finally:
         os.close(write)
-    assert proc.returncode == (0 if unbuffered and "--help" in argv else 3)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
+                                                      "buffered"])
+def test_closed_stdout_pipe_is_io_error(unbuffered):
+    # the reader is gone before the command writes: unbuffered, print
+    # raised BrokenPipeError; buffered, the interpreter's exit flush did
+    proc = _write_to_closed_pipe(
+        ["compare", "--design", "4,1", "--design", "2,1", "--format", "json"],
+        unbuffered)
+    assert proc.returncode == 3
+    assert proc.stderr == ""  # no traceback, no "Exception ignored"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
+                                                      "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["generate", "--help"]],
+                         ids=["help", "generate-help"])
+def test_closed_stdout_pipe_after_help(unbuffered, argv):
+    # buffered, the interpreter's exit flush after argparse's help raised
+    # BrokenPipeError, which exited 120.  Unbuffered, argparse drops its
+    # own failed write of the help, and the command succeeds
+    proc = _write_to_closed_pipe(argv, unbuffered)
+    assert proc.returncode == (0 if unbuffered else 3)
     assert proc.stderr == ""  # no traceback, no "Exception ignored"
 
 
