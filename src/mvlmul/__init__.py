@@ -14,9 +14,8 @@ import importlib
 
 #: each public name's module
 _HOMES = {name: module for module, names in {
-    "core": "CELLS LogicError",
-    "netgen": "DotMatrix NetBuilder NetgenError build_pp final_cpa "
-              "gen_multiplier wallace_stage",
+    "core": "CELLS",
+    "netgen": "NetgenError gen_multiplier",
     "netlist": "GateInstance Netlist NetlistError Violation "
                "validate_netlist walk",
     "metrics": "ComparisonReport CostLibrary CriticalPath LibraryError "

@@ -794,9 +794,8 @@ def test_every_error_class_is_a_value_error():
     errors = {name: cls for name in mvlmul.__all__
               if isinstance(cls := getattr(mvlmul, name), type)
               and issubclass(cls, BaseException)}
-    assert sorted(errors) == ["LibraryError", "LogicError", "NetgenError",
-                              "NetlistError", "SimulationError",
-                              "VerificationSpaceError"]
+    assert sorted(errors) == ["LibraryError", "NetgenError", "NetlistError",
+                              "SimulationError", "VerificationSpaceError"]
     for name, cls in errors.items():
         assert issubclass(cls, ValueError), name
 

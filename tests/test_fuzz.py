@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import deadline
 from mvlmul import gen_multiplier
-from mvlmul.core import PORTS, LogicError
+from mvlmul.core import PORTS
 from mvlmul.metrics import (LibraryError, TimingLibrary, critical_path,
                             timing_preset)
 from mvlmul.netgen import NetgenError
@@ -26,7 +26,7 @@ DOCUMENTS = {f"{'bq'[radix == 4]}{width}": json.loads(
 
 #: every error class the package raises
 NAMED = (NetlistError, SimulationError, VerificationSpaceError, LibraryError,
-         NetgenError, LogicError)
+         NetgenError)
 
 #: a timing library that serves both radices
 TIMING = TimingLibrary("both", {**timing_preset("binary-0.9v").delays,

@@ -4,14 +4,22 @@ import pytest
 
 from mvlmul import netgen
 from mvlmul.core import PORTS
-from mvlmul.netgen import (DotMatrix, NetBuilder, NetgenError, build_pp,
-                           final_cpa, gen_multiplier, wallace_stage)
+from mvlmul.netgen import (NetgenError, _NetBuilder, _build_pp, _final_cpa,
+                           _wallace_stage, gen_multiplier)
 from mvlmul.netlist import validate_netlist
 from mvlmul.sim import verify_exhaustive
 
 
+@pytest.fixture(scope="module")
+def every_width():
+    """b1 to b32 and q1 to q16, by (radix, width)."""
+    return {(radix, width): gen_multiplier(radix, width)
+            for radix, top in ((2, 32), (4, 16))
+            for width in range(1, top + 1)}
+
+
 def _fresh_builder(radix, width):
-    b = NetBuilder()
+    b = _NetBuilder()
     for i in range(width):
         b.add_input(f"x{i}", radix - 1)
         b.add_input(f"y{i}", radix - 1)
@@ -30,70 +38,55 @@ def _capacity(m, ranges):
 
 def test_pp_binary_shapes():
     b = _fresh_builder(2, 2)
-    m = build_pp(b, 2, 2, 2)
+    m = _build_pp(b, 2, 2, 2)
     assert sum(1 for g in b.gates if g.kind == "AND") == 4
     assert m.heights() == [1, 2, 1, 0]
 
     b = _fresh_builder(2, 1)
-    m = build_pp(b, 2, 1, 1)
+    m = _build_pp(b, 2, 1, 1)
     assert m.heights() == [1, 0]
 
     b = _fresh_builder(2, 8)
-    m = build_pp(b, 2, 8, 8)
+    m = _build_pp(b, 2, 8, 8)
     assert len(b.gates) == 64
     assert max(m.heights()) == 8
 
 
 def test_pp_quaternary_shapes():
     b = _fresh_builder(4, 4)
-    m = build_pp(b, 4, 4, 4)
+    m = _build_pp(b, 4, 4, 4)
     assert len(b.gates) == 16
     assert len(m.rows) == 8  # product row + carry row per y digit
 
     b = _fresh_builder(4, 1)
-    m = build_pp(b, 4, 1, 1)
+    m = _build_pp(b, 4, 1, 1)
     cols = m.columns()
     assert len(cols[0]) == 1 and b.wires[cols[0][0]] == 3
     assert len(cols[1]) == 1 and b.wires[cols[1][0]] == 2
 
     b = _fresh_builder(4, 2)
-    m = build_pp(b, 4, 2, 2)
+    m = _build_pp(b, 4, 2, 2)
     assert len(b.gates) == 4
     dots = [d for row in m.rows for d in row.values()]
     assert sum(1 for d in dots if b.wires[d] == 3) == 4  # products
     assert sum(1 for d in dots if b.wires[d] == 2) == 4  # carries
 
 
-def test_pp_rejects_zero_width():
-    b = _fresh_builder(2, 1)
-    with pytest.raises(NetgenError):
-        build_pp(b, 2, 0, 1)
-    with pytest.raises(NetgenError):
-        build_pp(b, 4, 1, 0)
-
-
 def test_capacity_holds_from_the_start():
     # the digit products can hold the largest product, (radix**N - 1)**2
     for radix, width in ((2, 8), (4, 4)):
         b = _fresh_builder(radix, width)
-        m = build_pp(b, radix, width, width)
+        m = _build_pp(b, radix, width, width)
         assert _capacity(m, b.wires) >= (radix ** width - 1) ** 2, \
             (radix, width)
 
 
 # --- reduction ------------------------------------------------------------
 
-def test_stage_noop_on_reduced_matrix():
-    b = _fresh_builder(2, 2)
-    m = build_pp(b, 2, 2, 2)
-    before = len(b.gates)
-    m2 = wallace_stage(b, m)
-    assert len(b.gates) == before
-    assert m2.heights() == m.heights()
-
-
-def test_stage_heights_strictly_decrease(all_designs):
-    for (radix, width), net in all_designs.items():
+def test_stage_heights_strictly_decrease(every_width):
+    # every stage lowers the tallest column, and the last ends at most 2:
+    # the reduction loop of gen_multiplier ends at every width
+    for (radix, width), net in every_width.items():
         hs = net.stats["stage_heights"]
         maxima = [max(h) for h in hs]
         for before, after in zip(maxima, maxima[1:]):
@@ -109,9 +102,9 @@ def test_capacity_preserved_each_stage(monkeypatch):
     matrices = []
 
     def stage(builder, matrix, grouping=None):
-        matrices.extend((matrix, wallace_stage(builder, matrix, grouping)))
+        matrices.extend((matrix, _wallace_stage(builder, matrix, grouping)))
         return matrices[-1]
-    monkeypatch.setattr(netgen, "wallace_stage", stage)
+    monkeypatch.setattr(netgen, "_wallace_stage", stage)
     for radix, width, plan in ((2, 8, None), (4, 4, None),
                                (4, 4, {0: ((0, 2, 4),)})):
         if plan is not None:
@@ -124,41 +117,11 @@ def test_capacity_preserved_each_stage(monkeypatch):
                 (radix, width)
 
 
-def test_stage_rejects_bad_grouping():
-    b = _fresh_builder(2, 4)
-    m = build_pp(b, 2, 4, 4)
-    with pytest.raises(NetgenError):
-        wallace_stage(b, m, grouping=((0, 1, 1),))
-    with pytest.raises(NetgenError):
-        wallace_stage(b, m, grouping=((0, 1, 9),))
-
-
-def test_final_cpa_requires_reduced_matrix():
-    b = _fresh_builder(2, 4)
-    m = build_pp(b, 2, 4, 4)
-    with pytest.raises(NetgenError):
-        final_cpa(b, m)
-
-
-@pytest.mark.parametrize("rows, message", [
-    # three dots in column 0 and no carry in: without the height check a
-    # full adder took them
-    ([{0: "x0"}, {0: "x1"}, {0: "y0"}], "^final add requires height <= 2"),
-    # without the gap check the product ended at column 1, one digit long
-    ([{0: "x0", 2: "x1"}], "^gap at column 1 inside the product$"),
-], ids=["tall", "gap"])
-def test_final_cpa_rejects_what_it_cannot_add(rows, message):
-    b = _fresh_builder(2, 2)
-    m = DotMatrix(base=2, width=4, rows=rows)
-    with pytest.raises(NetgenError, match=message):
-        final_cpa(b, m)
-
-
 def test_final_cpa_single_row_passthrough():
     b = _fresh_builder(2, 1)
-    m = build_pp(b, 2, 1, 1)
+    m = _build_pp(b, 2, 1, 1)
     before = len(b.gates)
-    digits = final_cpa(b, m)
+    digits = _final_cpa(b, m)
     assert len(b.gates) == before
     assert len(digits) == 1
 
@@ -190,6 +153,14 @@ def test_stage_counts(all_designs):
     assert stages[(4, 4)] == 4
     assert stages[(4, 2)] == 1  # single reduction stage, then the final add
     assert stages[(2, 4)] == 2
+    assert stages[(2, 2)] == stages[(4, 1)] == 0  # the final add alone
+    # README's table of the preset pairs: the dots entering the tree and
+    # its tallest column, from the heights before the first stage
+    first = {k: n.stats["stage_heights"][0] for k, n in all_designs.items()}
+    assert {k: (sum(first[k]), max(first[k])) for k in (
+        (4, 1), (2, 2), (4, 2), (2, 4), (4, 4), (2, 8))} == {
+        (4, 1): (2, 1), (2, 2): (4, 2), (4, 2): (8, 3), (2, 4): (16, 4),
+        (4, 4): (32, 7), (2, 8): (64, 8)}
 
 
 def test_no_quaternary_wire_feeds_a_carry_port(all_designs):
@@ -219,31 +190,28 @@ def test_bad_arguments_rejected():
         gen_multiplier(2, 0)
     with pytest.raises(NetgenError):
         gen_multiplier(4, -1)
+    # 2.0 == 2, so a float radix passed the membership test: 2.0 was
+    # written to the netlist, and 4.0 ended in a TypeError from range()
+    for radix in (2.0, 4.0, True):
+        with pytest.raises(NetgenError, match=f"^radix must be 2 or 4, "
+                                              f"got {radix}$"):
+            gen_multiplier(radix, 2)
 
 
 def test_non_integer_width_rejected():
-    # without the check, range() raised a TypeError
-    with pytest.raises(NetgenError, match="^width must be a positive "
-                                          "integer, got 2.5$"):
-        gen_multiplier(2, 2.5)
+    # without the check, range() raised a TypeError; a bool is an int, so
+    # True passed and was written to the netlist as "width": True
+    for width in (2.5, 4.0, True):
+        with pytest.raises(NetgenError, match=f"^width must be a positive "
+                                              f"integer, got {width}$"):
+            gen_multiplier(2, width)
 
 
-def test_stage_without_progress_rejected(monkeypatch):
-    # an empty grouping reduces nothing: without the check the loop went
-    # on, and the next stage fell back to the default grouping
-    monkeypatch.setitem(netgen._GROUPING_PLANS, (2, 8), {0: ()})
-    with pytest.raises(NetgenError, match="^reduction stage made no "
-                                          "progress$"):
-        gen_multiplier(2, 8)
-
-
-def test_every_width_validates():
+def test_every_width_validates(every_width):
     # gen_multiplier runs no walk of its own: each design holds every rule
     # by construction, and this is where that is checked
-    for radix, top in ((2, 32), (4, 16)):
-        for width in range(1, top + 1):
-            assert validate_netlist(gen_multiplier(radix, width)) == [], \
-                (radix, width)
+    for (radix, width), net in every_width.items():
+        assert validate_netlist(net) == [], (radix, width)
 
 
 def test_unusual_widths_still_generate():
