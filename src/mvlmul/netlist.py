@@ -3,10 +3,10 @@
 A wire is its id, mapped in :attr:`Netlist.wires` to its ``range_max``
 (1/2/3).  Gates are listed in dependency order, each reading only
 primary inputs and outputs of gates before it, so the list is an
-evaluation order with no cycle.  :func:`walk` holds every rule of a
-netlist, from the radix to the product digits, the carry discipline
-among them (no wire wider than the port it feeds), and
-:func:`validate_netlist` lists every fault under them.
+evaluation order with no cycle.  :func:`validate_netlist` lists, in
+one pass, every fault under the rules of a netlist, from the radix to
+the product digits, the carry discipline among them (no wire wider than
+the port it feeds), and :func:`walk` raises the first it lists.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
 The gate and violation records are namedtuples, as in every module of
@@ -23,7 +23,7 @@ from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from operator import countOf
 
-from .core import ARITY, PORTS, output_ranges
+from .core import PORTS, output_ranges
 
 JSON_FORMAT = "mvl-netlist"
 JSON_VERSION = 1
@@ -314,67 +314,10 @@ def walk(net: Netlist) -> None:
     its port, or narrower than what the gate can carry there from its
     declared input ranges; (9) each declared wire is driven; (10) the
     product digits are 2N declared wires (1 for the binary 1x1), each
-    listed once.  Rules 1 to 3 are checked before the first gate, rules
-    4 to 8 per gate and rules 9 and 10 after the last.  So no wire
-    leaves its range if no input leaves its own.
+    listed once.  So no wire leaves its range if no input leaves its own.
     """
-    def fault(*_):  # the first fault validate_netlist lists, in its words
-        violations = validate_netlist(net)
+    if violations := validate_netlist(net):
         raise NetlistError(violations[0].message, violations)
-    wires, inputs, outputs = net.wires, net.primary_inputs, net.primary_outputs
-    if not (net.radix in (2, 4) and net.width >= 1
-            and _RANGES.issuperset(wires.values())
-            and len(inputs) == 2 * net.width
-            == countOf(map(wires.get, inputs), net.radix - 1)):
-        fault()
-    driven = {}  # a fault raises, so no step returns False: all runs each
-    all(map(_gate_rules(net, driven, fault), net.gates))
-    # each key of driven is a declared wire, so a declared wire is missing
-    # from it exactly when the counts differ
-    if not (len(driven) == len(wires)
-            and len(outputs) == _digit_count(net) == len(set(outputs))
-            and driven.keys() >= set(outputs)):
-        fault()
-
-
-def _digit_count(net: Netlist) -> int:
-    """The product digits of a width-N multiplier: 2N, but 1 for the
-    binary 1x1, a bare AND."""
-    return 1 if net.radix == 2 and net.width == 1 else 2 * net.width
-
-
-def _gate_rules(net: Netlist, driven: dict[str, None], fault):
-    """``step(g)``: each fault of ``g`` under rules 4 to 8 of :func:`walk`
-    to ``fault(violation, wire)``, but a second driver to ``fault()``;
-    then whether ``g``'s ports were checked (rule 4).  ``driven`` gains
-    the primary inputs here, a second listing going to ``fault()``, and
-    then each gate's outputs."""
-    driven.update(dict.fromkeys(net.primary_inputs))
-    if len(driven) < len(net.primary_inputs):  # rule 6: listed again
-        fault()
-    ranges = net.wires.get
-    seen = {}  # the gate ids stepped so far; a set of them is 2-2.5x larger
-
-    def step(g: GateInstance) -> bool:
-        gid, kind, ins, outs = g
-        if gid in seen:
-            fault(Violation("dup-gate", f"gate id {gid} reused"))
-        seen[gid] = None
-        for code, template in _port_faults(kind, len(ins),
-                                           tuple(map(ranges, ins + outs))):
-            fault(Violation(code, template.format(g=g)))
-            if code in ("kind", "arity"):  # no port can be checked
-                return False
-        for w in ins:
-            if w not in driven:  # rule 6: an input is not driven yet
-                fault(Violation("order", f"gate {gid} reads wire {w} "
-                                "before the gate that drives it"), w)
-        for w in outs:
-            if w in driven:  # rule 6: driven already
-                fault()
-            driven[w] = None
-        return True
-    return step
 
 
 @cache
@@ -383,12 +326,13 @@ def _port_faults(kind: str, n_in: int, ranges: tuple) \
     """(code, message template naming the gate ``g``) of each fault under
     rules 4, 5, 7 and 8 of :func:`walk` of a ``kind`` gate whose inputs,
     then outputs, are declared ``ranges`` (None if undeclared)."""
-    if kind not in ARITY:
+    if kind not in PORTS:
         return (("kind", "gate {g.id} has unknown kind {g.kind!r}"),)
-    if ARITY[kind] != (n_in, len(ranges) - n_in):
-        return (("arity", f"gate {{g.id}} ({kind}) has {n_in} in / "
-                 f"{len(ranges) - n_in} out, not {'%d / %d' % ARITY[kind]}"),)
-    ports, faults = PORTS[kind].inputs + PORTS[kind].outputs, []
+    spec, n_out = PORTS[kind], len(ranges) - n_in
+    if (len(spec.inputs), len(spec.outputs)) != (n_in, n_out):
+        return (("arity", f"gate {{g.id}} ({kind}) has {n_in} in / {n_out} "
+                 f"out, not {len(spec.inputs)} / {len(spec.outputs)}"),)
+    ports, faults = spec.inputs + spec.outputs, []
     for k, ((pname, pmax), r) in enumerate(zip(ports, ranges)):
         side, wire = (("input", f"{{g.inputs[{k}]}}") if k < n_in else
                       ("output", f"{{g.outputs[{k - n_in}]}}"))
@@ -410,10 +354,11 @@ def _port_faults(kind: str, n_in: int, ranges: tuple) \
 
 
 def validate_netlist(n: Netlist) -> list[Violation]:
-    """Every fault under :func:`walk`'s rules; empty when sound.  Rules 1
-    to 3 come first, then rules 4, 5, 7 and 8 per gate, then the wires
-    with no driver or with more than one, rule 6's reads before a
-    driver, and rule 10.  Reading a wire no gate drives is only that."""
+    """Every fault under :func:`walk`'s rules, in one pass over the
+    gates; empty when sound.  Rules 1 to 3 come first, then rules 4, 5,
+    7 and 8 per gate, then the wires with no driver or with more than
+    one, rule 6's reads before a driver, and rule 10.  Reading a wire no
+    gate drives is only that."""
     v: list[Violation] = []
     if n.radix not in (2, 4):
         v.append(Violation("radix", f"radix must be 2 or 4, got {n.radix}"))
@@ -432,26 +377,40 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     if len(n.primary_inputs) != 2 * n.width:
         v.append(Violation("inputs", f"expected {2 * n.width} operand digits "
                            f"(x then y), got {len(n.primary_inputs)}"))
-    early, driven = [], {}  # rule 6's (wire, fault) pairs; the driven wires
-
-    def fault(p: Violation | None = None, wire: str | None = None):
-        if p is None:  # a second driver: counted per wire, below
-            return
-        if p.code == "order":
-            early.append((wire, p))
-        else:
-            v.append(p)
-    step = _gate_rules(n, driven, fault)
-    drives = list(n.primary_inputs)
+    # rule 6's (wire, fault) pairs, the wires driven and the gate ids met
+    # so far (dicts: a set of ids is 2-2.5x larger), and each wire's
+    # drivers past its first
+    early, driven, seen, again = [], {}, {}, Counter()
+    for w in n.primary_inputs:
+        if w in driven:  # listed again
+            again[w] += 1
+        driven[w] = None
+    ranges = n.wires.get
     for g in n.gates:
-        if step(g):
-            drives += g.outputs
-    drivers = Counter(drives) if len(drives) > len(driven) else {}
+        gid, kind, ins, outs = g
+        if gid in seen:
+            v.append(Violation("dup-gate", f"gate id {gid} reused"))
+        seen[gid] = None
+        if faults := _port_faults(kind, len(ins),
+                                  tuple(map(ranges, ins + outs))):
+            v += [Violation(code, t.format(g=g)) for code, t in faults]
+            if faults[0][0] in ("kind", "arity"):  # no port can be checked
+                continue
+        for w in ins:
+            if w not in driven:
+                early.append((w, Violation("order", f"gate {gid} reads wire "
+                                           f"{w} before the gate that "
+                                           "drives it")))
+        for w in outs:
+            if w in driven:
+                again[w] += 1
+            driven[w] = None
     for wid in n.wires:
         if wid not in driven:
             v.append(Violation("undriven", f"wire {wid} has no driver"))
-        elif (c := drivers.get(wid, 1)) > 1:
-            v.append(Violation("multi-driver", f"wire {wid} has {c} drivers"))
+        elif wid in again:
+            v.append(Violation("multi-driver",
+                               f"wire {wid} has {again[wid] + 1} drivers"))
     # read before the reading gate itself or a later one drives it
     v += [p for wid, p in early if wid in driven]
     v += [Violation("missing-wire", f"output wire {out} undeclared")
@@ -459,7 +418,10 @@ def validate_netlist(n: Netlist) -> list[Violation]:
     v += [Violation("dup-output", f"wire {out} is listed as {c} product "
                     "digits") for out, c in Counter(n.primary_outputs).items()
           if c > 1]
-    if len(n.primary_outputs) != (expected := _digit_count(n)):
+    # a width-N multiplier has 2N product digits, but the binary 1x1, a
+    # bare AND, has 1
+    expected = 1 if n.radix == 2 and n.width == 1 else 2 * n.width
+    if len(n.primary_outputs) != expected:
         v.append(Violation("outputs", f"expected {expected} product digits, "
                            f"got {len(n.primary_outputs)}"))
     return v

@@ -632,11 +632,11 @@ def test_export_spice_stdout_is_the_out_deck(tmp_path, capsys, q4):
 @pytest.mark.parametrize("to", ["stdout", "out"])
 def test_export_spice_walks_once(tmp_path, capsys, monkeypatch, q4, to):
     # export-spice walked the netlist twice: in validate_netlist, then in
-    # export_spice
+    # export_spice.  Each walk lists once, so the listings count the walks
     walks = []
-    gate_rules = netlist._gate_rules
-    monkeypatch.setattr(netlist, "_gate_rules",
-                        lambda *a: walks.append(1) or gate_rules(*a))
+    validate = netlist.validate_netlist
+    monkeypatch.setattr(netlist, "validate_netlist",
+                        lambda net: walks.append(1) or validate(net))
     nl, deck = tmp_path / "q4.json", tmp_path / "q4.sp"
     nl.write_text(q4.to_json())
     code, stdout, err = run(["export-spice", str(nl)]
@@ -650,11 +650,11 @@ def test_export_spice_walks_once(tmp_path, capsys, monkeypatch, q4, to):
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_verify_walks_once(tmp_path, capsys, monkeypatch, q4, mode):
     # verify walked the netlist twice: in validate_netlist, then in the
-    # simulator's set-up
+    # simulator's set-up.  Each walk lists once, so the listings count them
     walks = []
-    gate_rules = netlist._gate_rules
-    monkeypatch.setattr(netlist, "_gate_rules",
-                        lambda *a: walks.append(1) or gate_rules(*a))
+    validate = netlist.validate_netlist
+    monkeypatch.setattr(netlist, "validate_netlist",
+                        lambda net: walks.append(1) or validate(net))
     nl = tmp_path / "q4.json"
     nl.write_text(q4.to_json())
     code, stdout, err = run(["verify", str(nl), "--mode", mode], capsys)
@@ -664,11 +664,11 @@ def test_verify_walks_once(tmp_path, capsys, monkeypatch, q4, mode):
 
 def test_compare_walks_each_design_once(capsys, monkeypatch):
     # critical_path prices a design once its timing library's require has
-    # walked it; nothing else in compare walks
+    # walked it; nothing else in compare walks, and each walk lists once
     walks = []
-    gate_rules = netlist._gate_rules
-    monkeypatch.setattr(netlist, "_gate_rules",
-                        lambda *a: walks.append(1) or gate_rules(*a))
+    validate = netlist.validate_netlist
+    monkeypatch.setattr(netlist, "validate_netlist",
+                        lambda net: walks.append(1) or validate(net))
     code, _, err = run(["compare", "--preset"], capsys)
     assert (code, err, walks) == (0, "", [1] * 2 * len(cli.COMPARE_PRESET))
 

@@ -154,6 +154,20 @@ def test_walk_raises_exactly_when_validate_lists_a_fault(net):
         assert (str(e), e.violations) == (faults[0].message, faults)
     else:
         assert not faults, faults[0]
+    # an edit in memory reaches the simulator, the metrics and the deck
+    # as it reaches the walk: each names the first fault, or runs
+    for run in (lambda: evaluate(net, dict.fromkeys(net.primary_inputs, 1)),
+                lambda: verify_exhaustive(net),
+                lambda: verify_random(net, 10, seed=1),
+                lambda: critical_path(net, TIMING),
+                lambda: export_spice(net)):
+        if faults:
+            with pytest.raises(NetlistError) as e:
+                run()
+            assert (type(e.value), str(e.value)) == (NetlistError,
+                                                     faults[0].message)
+        else:
+            run()
 
 
 def _read(text):
