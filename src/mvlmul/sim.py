@@ -29,9 +29,14 @@ from .netlist import Netlist, walk
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 
-#: vectors per batch: a plane holds at most this many bits, so a batch's
-#: memory depends on the design, not on how many vectors a run checks
-BATCH_VECTORS = 2 ** 12
+#: bits of live planes a batch may hold: b128's peak of 16,642 live planes
+#: at 4,096 vectors, about 8.1 MiB
+_PLANE_BUDGET = 16_642 * 2 ** 12
+
+#: vectors per batch, at least and at most: a plane holds at most the
+#: larger, so a batch's memory depends on the design, not on how many
+#: vectors a run checks
+_MIN_BATCH, _MAX_BATCH = 2 ** 12, 2 ** 16
 
 #: Mersenne Twister words per ``getrandbits`` call of the random digit
 #: stream, at most: the draw's memory stays small on wide designs
@@ -176,6 +181,30 @@ def _steps(net: Netlist) -> tuple[list[tuple], list[int]]:
     return steps, digits
 
 
+def _batch_vectors(net: Netlist, run: tuple[list[tuple], list[int]],
+                   vectors: int) -> int:
+    """Vectors per batch of a ``vectors``-vector run of ``net`` through
+    its :func:`_steps` ``run``: the plane budget over the most planes
+    live at once, which is after a gate fires and before it drops any,
+    clamped to 4,096..65,536.  A run of at most 4,096 vectors is one
+    batch whatever the design, so its planes are not counted, and the
+    count stops where the smallest batch is reached: halfway through
+    b128's gates, a third of the way through q64's."""
+    if vectors <= _MIN_BATCH:
+        return _MIN_BATCH
+    widths = [(net.radix - 1).bit_length()] * len(net.primary_inputs)
+    live = peak = sum(widths)  # planes per slot, and of the live slots
+    for (_, _, drop), g in zip(run[0], net.gates):
+        out = [net.wires[w].bit_length() for w in g.outputs]
+        widths += out
+        live += sum(out)
+        if live * _MIN_BATCH >= _PLANE_BUDGET:
+            return _MIN_BATCH
+        peak = max(peak, live)
+        live -= sum(map(widths.__getitem__, drop))
+    return min(_PLANE_BUDGET // peak, _MAX_BATCH)
+
+
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     """Evaluate one input vector; returns product digits, LSB first.
 
@@ -190,7 +219,10 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
         if name not in assignment:
             raise SimulationError(f"input {name} not assigned")
         v = assignment[name]
-        if not isinstance(v, int) or not 0 <= v < net.radix:
+        if type(v) is not int:  # as in a netlist document: not 1.0 or True
+            raise SimulationError(f"input {name}={v!r} is not an integer "
+                                  "digit")
+        if not 0 <= v < net.radix:
             raise SimulationError(
                 f"input {name}={v!r} outside 0..{net.radix - 1}")
     bits = range((net.radix - 1).bit_length())
@@ -222,10 +254,11 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _digit_bytes(planes, n: int) -> bytes:
-    """Byte ``j`` is the digit of vector ``j`` whose bit-planes these are."""
-    v = 0
+    """Byte ``j`` is the digit of vector ``j`` whose bit-planes these are,
+    for each of the first ``n`` vectors."""
+    v, mask = 0, (1 << n) - 1
     for b, p in enumerate(planes):
-        v |= int.from_bytes(format(p, f"0{n}b").encode()
+        v |= int.from_bytes(format(p & mask, f"0{n}b").encode()
                             .translate(_BIT_BYTES), "big") << b
     return v.to_bytes(n, "little")
 
@@ -253,11 +286,13 @@ def _verify(net: Netlist, run, mode: str, vectors: int, batches,
         count += bad.bit_count()
         if not bad or keep is not None and len(records) >= keep:
             continue
-        x_y, exp, out = ([_digit_bytes(d, n) for d in part]
-                         for part in (columns, want, got))
         flags = format(bad, f"0{n}b")[::-1]
-        fails = (j for j, f in enumerate(flags) if f == "1")
-        for j in islice(fails, None if keep is None else keep - len(records)):
+        fails = list(islice((j for j, f in enumerate(flags) if f == "1"),
+                            None if keep is None else keep - len(records)))
+        upto = fails[-1] + 1  # the vectors that the records read
+        x_y, exp, out = ([_digit_bytes(d, upto) for d in part]
+                         for part in (columns, want, got))
+        for j in fails:
             row = [d[j] for d in x_y]
             records.append({"x": row[:w], "y": row[w:],
                             "expected": [d[j] for d in exp],
@@ -299,14 +334,16 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
     # vector v's digits are those of v, most significant first, and the
     # bits of a power-of-two radix's digits are v's bits
     m, row = (net.radix - 1).bit_length(), 2 * net.width
+    run = _steps(net)
+    size = _batch_vectors(net, run, space)
 
     def batches():
-        for a in range(0, space, BATCH_VECTORS):
-            n = min(BATCH_VECTORS, space - a)
+        for a in range(0, space, size):
+            n = min(size, space - a)
             yield n, [tuple(_count_plane(k, a, n) for k in range(p * m,
                                                                 (p + 1) * m))
                       for p in reversed(range(row))]
-    return _verify(net, _steps(net), "exhaustive", space, batches(), keep)
+    return _verify(net, run, "exhaustive", space, batches(), keep)
 
 
 def _digit_source(seed: int, radix: int):
@@ -360,11 +397,13 @@ def verify_random(net: Netlist, count: int, seed: int,
     # each digit byte to b"1" where bit b is set and b"0" elsewhere; the
     # column is reversed so that vector j lands on bit j of int(s, 2)
     tables = [bytes(48 + (d >> b & 1) for d in range(256)) for b in range(m)]
+    run = _steps(net)
+    size = _batch_vectors(net, run, count)
 
     def batches():
-        for a in range(0, count, BATCH_VECTORS):
-            n = min(BATCH_VECTORS, count - a)
+        for a in range(0, count, size):
+            n = min(size, count - a)
             drawn = take(n * row)
             yield n, [tuple(int(col.translate(t), 2) for t in tables)
                       for col in (drawn[i::row][::-1] for i in range(row))]
-    return _verify(net, _steps(net), "random", count, batches(), keep, seed)
+    return _verify(net, run, "random", count, batches(), keep, seed)

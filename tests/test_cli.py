@@ -101,6 +101,26 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAIL" in stdout and "expected=" in stdout
 
 
+def test_verify_one_fault_q4_lists_the_first_mismatches(tmp_path, capsys):
+    # the benchmark's one-fault q4, gate g00000 reading x1 in place of x0:
+    # its 65,536 vectors are one batch, and the records still begin at
+    # the first failing vector
+    nl = tmp_path / "q4.json"
+    run(["generate", "--radix", "4", "--width", "4", "--out", str(nl)],
+        capsys)
+    doc = json.loads(nl.read_text())
+    g = doc["gates"][0]
+    assert g["id"] == "g00000"
+    g["inputs"] = ["x1" if w == "x0" else w for w in g["inputs"]]
+    nl.write_text(json.dumps(doc))
+    code, stdout, _ = run(["verify", str(nl), "--mode", "exhaustive"], capsys)
+    lines = stdout.splitlines()
+    assert code == 1 and len(lines) == 11
+    assert lines[:2] == [
+        "radix4-w4 exhaustive: 65536 vectors, 36864 mismatches -> FAIL",
+        "  x=0010 y=0001 expected=00000010 got=00000011"]
+
+
 def _fault_b4(tmp_path, capsys):
     """A b4 netlist whose first half adder reads one wire twice."""
     nl = tmp_path / "b4.json"

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import tracemalloc
 from itertools import product
 from types import SimpleNamespace
@@ -58,6 +59,20 @@ def test_evaluate_rejects_bad_assignments(b2):
     bad["x0"] = 2
     with pytest.raises(SimulationError):
         evaluate(b2, bad)
+
+
+@pytest.mark.parametrize("digit, message", [
+    (1.0, "input x0=1.0 is not an integer digit"),
+    (True, "input x0=True is not an integer digit"),
+    ("1", "input x0='1' is not an integer digit"),
+    (4, "input x0=4 outside 0..3"),
+    (-1, "input x0=-1 outside 0..3"),
+], ids=["float", "bool", "str", "above", "below"])
+def test_evaluate_names_a_bad_digit(q1, digit, message):
+    # 1.0 was named as outside 0..3, and True ran as the digit 1, where a
+    # netlist document takes neither as an integer
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        evaluate(q1, {"x0": digit, "y0": 1})
 
 
 def test_undeclared_input_is_named(q1):
@@ -368,19 +383,34 @@ def test_random_is_deterministic(b8):
     assert r1.passed
 
 
+_SIMULATE = sim._simulate
+
+
 def _spy_batches(monkeypatch, size):
-    """Set the batch bound to ``size``; returns the list that then gets,
-    per simulated batch, its rows of input digits."""
-    monkeypatch.setattr(sim, "BATCH_VECTORS", size)
-    batches, simulate = [], sim._simulate
+    """Set the vectors per batch to ``size``; returns the list that then
+    gets, per simulated batch, its rows of input digits."""
+    monkeypatch.setattr(sim, "_batch_vectors", lambda *_: size)
+    batches = []
 
     def spy(net, stream):
-        for n, columns, got in simulate(net, stream):
+        for n, columns, got in _SIMULATE(net, stream):
             batches.append([[sum((p >> j & 1) << b for b, p in enumerate(c))
                              for c in columns] for j in range(n)])
             yield n, columns, got
     monkeypatch.setattr(sim, "_simulate", spy)
     return batches
+
+
+def _batch_lengths(monkeypatch):
+    """The list that gets the vector count of each simulated batch."""
+    lengths = []
+
+    def spy(run, stream):
+        for n, columns, got in _SIMULATE(run, stream):
+            lengths.append(n)
+            yield n, columns, got
+    monkeypatch.setattr(sim, "_simulate", spy)
+    return lengths
 
 
 def _count_draws(monkeypatch):
@@ -395,19 +425,21 @@ def _count_draws(monkeypatch):
     return calls
 
 
-# seven-vector batches, and 5,000 vectors at the default batch size,
-# whose first batch takes several bulk draws
+# seven-vector batches, and 5,000 vectors at the sized batch, whose
+# first batch takes several bulk draws
 @pytest.mark.parametrize("design, seed, batch, count", [
     pytest.param(d, s, 7, 33, id=f"{d}-{s}")
     for d in ("b4", "q2") for s in (5, 2024)] + [
-    pytest.param(d, 5, sim.BATCH_VECTORS, 5000, id=f"{d}-5-default-batch")
+    pytest.param(d, 5, None, 5000, id=f"{d}-5-default-batch")
     for d in ("b4", "q2")])
 def test_random_stream_is_randrange(monkeypatch, request, design, seed,
                                     batch, count):
     # the digits checked, across the batches, are the seeded stream
     # drawn one randrange(radix) at a time, x digits then y
     net = request.getfixturevalue(design)
-    default = batch == sim.BATCH_VECTORS
+    default = batch is None
+    if default:
+        batch = sim._batch_vectors(net, sim._steps(net), count)
     batches = _spy_batches(monkeypatch, batch)
     draws = _count_draws(monkeypatch)
     assert verify_random(net, count, seed).passed
@@ -499,16 +531,22 @@ def _x0_read_as_x1(net):
 
 
 def test_random_report_independent_of_batch_size(monkeypatch, b4):
-    # the faulty design pins mismatch order, not only the verdict: 500
-    # vectors in batches of 7 against one single batch
+    # the faulty design pins mismatch order, not only the verdict: one
+    # sized batch against 500 vectors in batches of 7, and against the
+    # CLI's default count of 10,000 in the three batches of 4,096 that
+    # every design once ran
     net = _fault_b4(b4)
-    whole = verify_random(net, 500, seed=7)
-    batches = _spy_batches(monkeypatch, 7)
-    batched = verify_random(net, 500, seed=7)
-    assert len(batches) >= 3
-    assert not whole.passed
-    same = batched.to_json() == whole.to_json()  # a bool: fast on failure
-    assert same, "batch boundaries changed the report"
+    for count, batch in ((500, 7), (10_000, 4096)):
+        monkeypatch.undo()
+        sized = _batch_lengths(monkeypatch)
+        whole = verify_random(net, count, seed=7)
+        assert sized == [count]
+        batches = _spy_batches(monkeypatch, batch)
+        batched = verify_random(net, count, seed=7)
+        assert len(batches) >= 3
+        assert not whole.passed
+        same = batched.to_json() == whole.to_json()  # fast on failure
+        assert same, f"batch boundaries changed the report of {count}"
 
 
 def test_exhaustive_order_across_batches(monkeypatch, b4):
@@ -530,6 +568,48 @@ def test_exhaustive_order_across_batches(monkeypatch, b4):
     assert [len(b) for b in batches] == [7] * 36 + [4]
     assert sum(batches, []) == [list(row)
                                 for row in product(range(2), repeat=8)]
+
+
+def test_exhaustive_batches_are_sized_by_the_design(monkeypatch, b8, q4):
+    # every design ran 4,096 vectors per batch: b8 and q4 as 16 batches,
+    # b10 as 256; the plane budget over their peaks of 82, 84 and 122
+    # live planes is past the 65,536 cap
+    lengths = _batch_lengths(monkeypatch)
+    for net in (b8, q4):
+        assert verify_exhaustive(net).passed
+        assert lengths == [65536]
+        lengths.clear()
+    assert verify_exhaustive(gen_multiplier(2, 10)).passed
+    assert lengths == [65536] * 16
+
+
+@pytest.mark.parametrize("radix, width", [(2, 128), (4, 64)])
+def test_wide_designs_keep_the_smallest_batch(radix, width):
+    # 16,642 and 16,644 live planes: b128's 4,096-vector batch is the
+    # budget, so neither batch grows, nor the memory it holds
+    net = gen_multiplier(radix, width)
+    run = sim._steps(net)
+    for vectors in (4097, 10_000, 2 ** 20):
+        assert sim._batch_vectors(net, run, vectors) == 4096
+
+
+def test_one_fault_q4_report_independent_of_batch_size(monkeypatch, q4):
+    # the benchmark's one-fault q4: 36,864 mismatches in one sized batch,
+    # whose records are built only up to the last one kept
+    net = _x0_read_as_x1(q4)
+    lengths = _batch_lengths(monkeypatch)
+    sized = {keep: verify_exhaustive(net, keep=keep) for keep in (10, None)}
+    assert lengths == [65536, 65536]
+    first = sized[10].mismatches[0]
+    assert (first["x"], first["y"]) == ([0, 1, 0, 0], [1, 0, 0, 0])
+    monkeypatch.setattr(sim, "_batch_vectors", lambda *_: 4096)
+    for keep, report in sized.items():
+        lengths.clear()
+        same = verify_exhaustive(net, keep=keep).to_json() == report.to_json()
+        assert same, keep
+        assert lengths == [4096] * 16
+        assert report.mismatch_count == 36864
+        assert len(report.mismatches) == (10 if keep else 36864)
 
 
 def test_verify_sees_in_place_edits(b4):
