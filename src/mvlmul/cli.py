@@ -174,10 +174,10 @@ def cmd_compare(args) -> int:
         # is held at a time
         groups = (COMPARE_PRESET if args.preset
                   else [map(_parse_design, args.design)])
-        reports = [compare((label, gen_multiplier(radix, width), cost,
-                            _timing_library(args.timing_lib
-                                            or DEFAULT_TIMING[radix]))
-                           for label, radix, width in group)
+        reports = [compare(cost, ((label, gen_multiplier(radix, width),
+                                   _timing_library(args.timing_lib
+                                                   or DEFAULT_TIMING[radix]))
+                                  for label, radix, width in group))
                    for group in groups]
     except (LibraryError, NetgenError) as e:
         raise CliError(str(e), EXIT_USAGE) from None

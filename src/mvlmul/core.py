@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, partial
-from itertools import product
+from itertools import product, starmap
 from math import prod
 
 
@@ -69,15 +69,11 @@ def output_ranges(kind: str, in_ranges: tuple[int, ...]) -> tuple[int, ...]:
 
     Carry outputs narrow when the inputs cannot reach the port maximum
     (a quaternary adder fed one quit and two ternaries only ever carries
-    a bit); the netlist generator uses this to type every wire.  Each of
-    ``in_ranges`` fits its port, which both callers ensure first.  The
-    domain is at most 48 input vectors (QFAC2), so it is enumerated
-    exactly, once per distinct argument pair.
+    a bit); the netlist generator uses this to type every wire.  No
+    range tops its port's, which both callers ensure first.  The domain
+    is at most 48 input vectors (QFAC2), enumerated once per distinct
+    argument pair; a negative range, which the walk passes for an
+    out-of-range wire, has none, and a leading 0 bounds each output.
     """
-    spec = PORTS[kind]
-    maxima = [0] * len(spec.outputs)
-    for vals in product(*(range(r + 1) for r in in_ranges)):
-        for i, o in enumerate(KERNELS[kind](*vals)):
-            if o > maxima[i]:
-                maxima[i] = o
-    return tuple(maxima)
+    return tuple(map(max, zip((0,) * len(PORTS[kind].outputs), *starmap(
+        KERNELS[kind], product(*(range(r + 1) for r in in_ranges))))))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from functools import partial
 from itertools import combinations, starmap
 
 from .core import CELLS, PORTS
@@ -339,9 +340,9 @@ class ComparisonReport(namedtuple("ComparisonReport",
         return "\n".join(rows) + "\n"
 
 
-def _priced(label: str, net: Netlist, cost: CostLibrary,
-            timing: TimingLibrary) -> tuple[DesignMetrics, CostLibrary]:
-    """A design's metrics, with the cost library that priced it."""
+def _priced(cost: CostLibrary, label: str, net: Netlist,
+            timing: TimingLibrary) -> DesignMetrics:
+    """A design's metrics, its area priced by ``cost``."""
     cp = critical_path(net, timing)
     # the digit-product stage sits outside the path sum; report its own
     # delay alongside so nothing is hidden
@@ -352,11 +353,11 @@ def _priced(label: str, net: Netlist, cost: CostLibrary,
                          inventory=net.inventory(),
                          area_nm=area_estimate(net, cost),
                          delay_ps=cp.delay_ps, path_kinds=list(cp.kinds),
-                         frontend_delay_ps=frontend), cost
+                         frontend_delay_ps=frontend)
 
 
-def compare(designs) -> ComparisonReport:
-    """Build a comparison over (label, netlist, cost_lib, timing_lib) tuples.
+def compare(cost: CostLibrary, designs) -> ComparisonReport:
+    """Compare (label, netlist, timing_lib) designs, all priced by ``cost``.
 
     Reports absolute metrics per design, pairwise area/delay ratios
     (first named design over second; ``None`` when the second is 0), and,
@@ -364,43 +365,42 @@ def compare(designs) -> ComparisonReport:
     component-level adder ratios.
 
     ``designs`` may be any iterable: each design is priced as it arrives
-    and only its metrics and cost library are kept, so a generator's
-    netlist is let go before the next is built.  Fewer than two designs
-    raise ``ValueError``, once they are priced.
+    and only its metrics are kept, so a generator's netlist is let go
+    before the next is built.  Fewer than two designs raise
+    ``ValueError``, once they are priced.
     """
     # starmap holds no tuple while it draws the next; a loop name would
-    priced = list(starmap(_priced, designs))
-    if len(priced) < 2:
+    metrics = list(starmap(partial(_priced, cost), designs))
+    if len(metrics) < 2:
         raise ValueError("compare needs at least two designs")
-    metrics = [m for m, _ in priced]
-    # each design's metrics with its cost library, paired in input order
-    pairs = list(combinations(priced, 2))
+    pairs = list(combinations(metrics, 2))  # in input order
     pair_ratios = [{
         "pair": f"{a.label} vs {b.label}",
         "area_ratio": a.area_nm / b.area_nm if b.area_nm else None,
         "delay_ratio": a.delay_ps / b.delay_ps if b.delay_ps else None,
         "smaller_area": a.label if a.area_nm <= b.area_nm else b.label,
         "faster": a.label if a.delay_ps <= b.delay_ps else b.label,
-    } for (a, _), (b, _) in pairs]
-    mixed = (_component_ratios(*p) for p in pairs
-             if {p[0][0].radix, p[1][0].radix} == {2, 4})
+    } for a, b in pairs]
+    mixed = (_component_ratios(cost, a, b) for a, b in pairs
+             if {a.radix, b.radix} == {2, 4})
     return ComparisonReport(designs=metrics, pair_ratios=pair_ratios,
                             component_ratios=next(filter(None, mixed), {}))
 
 
-def _component_ratios(*pair: tuple[DesignMetrics, CostLibrary]) -> dict:
-    """Quaternary-over-binary adder ratios for a (metrics, cost library)
-    pair of one radix-4 and one radix-2 design, in either order.
+def _component_ratios(cost: CostLibrary, *pair: DesignMetrics) -> dict:
+    """Quaternary-over-binary adder ratios for a pair of one radix-4 and
+    one radix-2 design, in either order, both priced by ``cost``.
 
     Area ratios compare the half and full adders of ``CELLS``; the full
     adder count includes the top-column adder.  A ratio whose binary
-    figure is 0 is left out.
+    figure is 0 is left out, as are both area ratios if ``cost`` lacks
+    an adder.
     """
-    (qm, qcost), (bm, bcost) = sorted(pair, key=lambda p: -p[0].radix)
+    qm, bm = sorted(pair, key=lambda m: -m.radix)
     q, b = CELLS[4], CELLS[2]
     try:
-        area = {"ha": (qcost.lookup(q[1]), bcost.lookup(b[1])),
-                "fa": (qcost.lookup(q[2]), bcost.lookup(b[2]))}
+        area = {"ha": (cost.lookup(q[1]), cost.lookup(b[1])),
+                "fa": (cost.lookup(q[2]), cost.lookup(b[2]))}
     except LibraryError:
         area = {}
     count = {"ha": (_count(qm, q[1:2]), _count(bm, b[1:2])),

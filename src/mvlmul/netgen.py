@@ -98,10 +98,10 @@ class _DotMatrix(namedtuple("_DotMatrix", "base width rows")):
 
 # -- partial products ---------------------------------------------------------
 
-def _build_pp(builder: _NetBuilder, radix: int, x_width: int,
-              y_width: int) -> _DotMatrix:
-    """Digit-product partial products: per y digit, one row per output
-    of the radix's digit cell (``CELLS[radix][0]``).
+def _build_pp(builder: _NetBuilder, radix: int, width: int) -> _DotMatrix:
+    """Digit-product partial products of two ``width``-digit operands:
+    per y digit, one row per output of the radix's digit cell
+    (``CELLS[radix][0]``).
 
     Output k of the cell for pair (i, j) carries weight radix**(i+j+k)
     and lands in column i+j+k, or is dropped past the top column.  Radix
@@ -109,12 +109,13 @@ def _build_pp(builder: _NetBuilder, radix: int, x_width: int,
     a ternary carry row, so a width-N operand pair yields 2N rows.
     """
     cell = CELLS[radix][0]
-    m = _DotMatrix(base=radix, width=x_width + y_width, rows=[])
-    xs = [f"x{i}" for i in range(x_width)]
-    ys = [f"y{j}" for j in range(y_width)]
-    for j in range(y_width):
+    m = _DotMatrix(base=radix, width=2 * width, rows=[])
+    # one string per operand digit, shared by every gate that reads it
+    xs = [f"x{i}" for i in range(width)]
+    ys = [f"y{j}" for j in range(width)]
+    for j in range(width):
         rows: list[dict[int, str]] = [{} for _ in PORTS[cell].outputs]
-        for i in range(x_width):
+        for i in range(width):
             outs, _ = builder.add_gate(cell, [xs[i], ys[j]])
             for k, row in enumerate(rows):
                 if i + j + k < m.width:
@@ -253,7 +254,7 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
     inputs = [builder.add_input(f"{operand}{i}", radix - 1)
               for operand in "xy" for i in range(width)]
 
-    matrix = _build_pp(builder, radix, width, width)
+    matrix = _build_pp(builder, radix, width)
 
     plans = _GROUPING_PLANS.get((radix, len(matrix.rows)), {})
     gates = builder.gates

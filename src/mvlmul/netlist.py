@@ -9,8 +9,8 @@ the product digits, the carry discipline among them (no wire wider than
 the port it feeds), and :func:`walk` raises the first it lists.
 
 Netlists serialize to a versioned JSON document; see :meth:`Netlist.to_json`.
-The gate and violation records are namedtuples, as in every module of
-the package: ``dataclasses`` would load ``inspect`` into every command.
+The gate and violation records are namedtuples and :class:`Netlist` a
+plain class: ``dataclasses`` would load ``inspect`` into every command.
 """
 
 from __future__ import annotations

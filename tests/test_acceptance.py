@@ -203,8 +203,8 @@ def test_criterion_5_scaling_argmax_invariance():
 
 def test_criterion_6_component_ratios(q4, b8):
     lib = default_cost_library()
-    rep = compare([("4x4 quit", q4, lib, timing_preset("quaternary-0.9v")),
-                   ("8x8 bit", b8, lib, timing_preset("binary-0.9v"))])
+    rep = compare(lib, [("4x4 quit", q4, timing_preset("quaternary-0.9v")),
+                        ("8x8 bit", b8, timing_preset("binary-0.9v"))])
     cr = rep.component_ratios
     targets = {"ha_area_ratio": 4.6, "fa_area_ratio": 7.1,
                "ha_count_ratio": 0.31, "fa_count_ratio": 0.47}

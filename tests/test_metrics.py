@@ -276,12 +276,12 @@ def _preset_pairs(all_designs):
     bl = timing_preset("binary-0.9v")
     ql = timing_preset("quaternary-0.9v")
     return {
-        "1v2": compare([("q1", all_designs[(4, 1)], cost, ql),
-                        ("b2", all_designs[(2, 2)], cost, bl)]),
-        "2v4": compare([("q2", all_designs[(4, 2)], cost, ql),
-                        ("b4", all_designs[(2, 4)], cost, bl)]),
-        "4v8": compare([("q4", all_designs[(4, 4)], cost, ql),
-                        ("b8", all_designs[(2, 8)], cost, bl)]),
+        "1v2": compare(cost, [("q1", all_designs[(4, 1)], ql),
+                              ("b2", all_designs[(2, 2)], bl)]),
+        "2v4": compare(cost, [("q2", all_designs[(4, 2)], ql),
+                              ("b4", all_designs[(2, 4)], bl)]),
+        "4v8": compare(cost, [("q4", all_designs[(4, 4)], ql),
+                              ("b8", all_designs[(2, 8)], bl)]),
     }
 
 
@@ -315,7 +315,7 @@ def test_component_ratio_block(all_designs):
 def test_self_compare_is_unity(q4):
     cost = default_cost_library()
     ql = timing_preset("quaternary-0.9v")
-    rep = compare([("a", q4, cost, ql), ("b", q4, cost, ql)])
+    rep = compare(cost, [("a", q4, ql), ("b", q4, ql)])
     assert rep.pair_ratios[0]["area_ratio"] == pytest.approx(1.0)
     assert rep.pair_ratios[0]["delay_ratio"] == pytest.approx(1.0)
 
@@ -332,13 +332,13 @@ def test_report_renders(all_designs):
 
 def test_compare_needs_two(q4):
     with pytest.raises(ValueError):
-        compare([("solo", q4, default_cost_library(),
-                  timing_preset("quaternary-0.9v"))])
+        compare(default_cost_library(),
+                [("solo", q4, timing_preset("quaternary-0.9v"))])
     # a generator too, though the design is priced before the raise
     with pytest.raises(ValueError, match="^compare needs at least two "
                        "designs$"):
-        compare(d for d in [("solo", q4, default_cost_library(),
-                             timing_preset("quaternary-0.9v"))])
+        compare(default_cost_library(),
+                (d for d in [("solo", q4, timing_preset("quaternary-0.9v"))]))
 
 
 def test_compare_lets_each_netlist_go_before_the_next():
@@ -350,14 +350,14 @@ def test_compare_lets_each_netlist_go_before_the_next():
             held.append([r() is not None for r in refs])
             net = gen_multiplier(radix, width)
             refs.append(weakref.ref(net))
-            yield label, net, cost, timing_preset(
+            yield label, net, timing_preset(
                 {2: "binary-0.9v", 4: "quaternary-0.9v"}[radix])
             del net
-    rep = compare(designs())
+    rep = compare(cost, designs())
     assert held == [[], [False], [False, False]]
     assert [d.label for d in rep.designs] == ["q2", "b4", "q1"]
-    assert rep.to_json() == compare(
-        [("q2", gen_multiplier(4, 2), cost, timing_preset("quaternary-0.9v")),
-         ("b4", gen_multiplier(2, 4), cost, timing_preset("binary-0.9v")),
-         ("q1", gen_multiplier(4, 1), cost,
-          timing_preset("quaternary-0.9v"))]).to_json()
+    assert rep.to_json() == compare(cost, [
+        ("q2", gen_multiplier(4, 2), timing_preset("quaternary-0.9v")),
+        ("b4", gen_multiplier(2, 4), timing_preset("binary-0.9v")),
+        ("q1", gen_multiplier(4, 1), timing_preset("quaternary-0.9v"))
+    ]).to_json()

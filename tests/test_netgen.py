@@ -38,34 +38,34 @@ def _capacity(m, ranges):
 
 def test_pp_binary_shapes():
     b = _fresh_builder(2, 2)
-    m = _build_pp(b, 2, 2, 2)
+    m = _build_pp(b, 2, 2)
     assert sum(1 for g in b.gates if g.kind == "AND") == 4
     assert m.heights() == [1, 2, 1, 0]
 
     b = _fresh_builder(2, 1)
-    m = _build_pp(b, 2, 1, 1)
+    m = _build_pp(b, 2, 1)
     assert m.heights() == [1, 0]
 
     b = _fresh_builder(2, 8)
-    m = _build_pp(b, 2, 8, 8)
+    m = _build_pp(b, 2, 8)
     assert len(b.gates) == 64
     assert max(m.heights()) == 8
 
 
 def test_pp_quaternary_shapes():
     b = _fresh_builder(4, 4)
-    m = _build_pp(b, 4, 4, 4)
+    m = _build_pp(b, 4, 4)
     assert len(b.gates) == 16
     assert len(m.rows) == 8  # product row + carry row per y digit
 
     b = _fresh_builder(4, 1)
-    m = _build_pp(b, 4, 1, 1)
+    m = _build_pp(b, 4, 1)
     cols = m.columns()
     assert len(cols[0]) == 1 and b.wires[cols[0][0]] == 3
     assert len(cols[1]) == 1 and b.wires[cols[1][0]] == 2
 
     b = _fresh_builder(4, 2)
-    m = _build_pp(b, 4, 2, 2)
+    m = _build_pp(b, 4, 2)
     assert len(b.gates) == 4
     dots = [d for row in m.rows for d in row.values()]
     assert sum(1 for d in dots if b.wires[d] == 3) == 4  # products
@@ -76,7 +76,7 @@ def test_capacity_holds_from_the_start():
     # the digit products can hold the largest product, (radix**N - 1)**2
     for radix, width in ((2, 8), (4, 4)):
         b = _fresh_builder(radix, width)
-        m = _build_pp(b, radix, width, width)
+        m = _build_pp(b, radix, width)
         assert _capacity(m, b.wires) >= (radix ** width - 1) ** 2, \
             (radix, width)
 
@@ -119,7 +119,7 @@ def test_capacity_preserved_each_stage(monkeypatch):
 
 def test_final_cpa_single_row_passthrough():
     b = _fresh_builder(2, 1)
-    m = _build_pp(b, 2, 1, 1)
+    m = _build_pp(b, 2, 1)
     before = len(b.gates)
     digits = _final_cpa(b, m)
     assert len(b.gates) == before

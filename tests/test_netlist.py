@@ -641,6 +641,20 @@ def test_narrowed_carries_are_violations(radix, width, wire, gate):
         "up to 2"]
 
 
+def test_negative_range_bounds_its_readers_outputs_at_0(q2):
+    # a wire declared 0..-1 carries no value, so the QHA that reads it
+    # can carry up to 0 on each output, and a carry declared 0..-1 is
+    # narrow too
+    net = with_wire(with_wire(q2, "n00001", -1), "n00009", -1)
+    assert [str(p) for p in validate_netlist(net)] == [
+        "[wire-range] wire n00001 has range_max -1",
+        "[wire-range] wire n00009 has range_max -1",
+        "[narrow] wire n00001 (gate g00000, QM1) is declared 0..-1 but can "
+        "carry up to 2",
+        "[narrow] wire n00009 (gate g00004, QHA) is declared 0..-1 but can "
+        "carry up to 0"]
+
+
 def test_every_violation_listed_in_order(every_violation):
     # one netlist with every code: pins each message and the order across
     # codes, which a rewrite of the checks must keep
