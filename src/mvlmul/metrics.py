@@ -23,7 +23,7 @@ The records are namedtuples and plain classes, as in :mod:`mvlmul.netlist`.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections import namedtuple
 from functools import partial
 from itertools import combinations, starmap
@@ -72,12 +72,13 @@ def _kind(what: str, name: str) -> str:
 
 def _checked(what: str, values: dict, name=str) -> dict:
     """``values`` as floats.  Each must be a number (as in JSON: not a
-    bool, not a string) that is finite and >= 0."""
+    bool, not a string) that is finite and >= 0; an int too large for a
+    float is not finite."""
     for key, v in values.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise LibraryError(f"{what} for {name(key)} must be a number, "
                                f"got {v!r}")
-        if not (math.isfinite(v) and v >= 0):
+        if not 0 <= v <= sys.float_info.max:
             raise LibraryError(f"{what} for {name(key)} must be finite and "
                                f">= 0, got {v}")
     return {key: float(v) for key, v in values.items()}
@@ -91,13 +92,6 @@ class CostLibrary:
     def __init__(self, name: str, sigma_di: dict[str, float]):
         self.name = name
         self.sigma_di = _checked("area", sigma_di)
-
-    def lookup(self, kind: str) -> float:
-        try:
-            return self.sigma_di[kind]
-        except KeyError:
-            raise LibraryError(f"cost library {self.name!r} has no entry "
-                               f"for {kind}") from None
 
     def require(self, net: Netlist) -> None:
         """Raise a :class:`LibraryError` naming each uncosted kind."""
@@ -134,7 +128,7 @@ def area_estimate(net: Netlist, lib: CostLibrary) -> float:
     lib.require(net)
     total = 0.0
     for g in net.gates:
-        total += lib.lookup(g.kind)
+        total += lib.sigma_di[g.kind]
     return total
 
 
@@ -147,13 +141,6 @@ class TimingLibrary:
         self.name = name
         self.delays = _checked("delay", delays,
                                name=lambda key: f"{key[0]}.{key[1]}")
-
-    def delay(self, kind: str, port: str) -> float:
-        try:
-            return self.delays[(kind, port)]
-        except KeyError:
-            raise LibraryError(f"timing library {self.name!r} has no entry "
-                               f"for {kind}.{port}") from None
 
     def require(self, net: Netlist) -> None:
         """Raise the error of :func:`~mvlmul.netlist.walk`, or else a
@@ -219,8 +206,9 @@ CriticalPath = namedtuple("CriticalPath", "delay_ps gates kinds")
 def critical_path(net: Netlist, lib: TimingLibrary,
                   exclude_kinds=FRONTEND_KINDS) -> CriticalPath:
     """Longest weighted input-to-output path (static analysis), in one
-    backward pass over the gate list, once ``lib.require`` has checked
-    the netlist (a dependency order among its rules).
+    backward pass over the gate list that reads ``lib.delays``, once
+    ``lib.require`` has checked the netlist (a dependency order among its
+    rules) and named any port of its kinds that has no delay.
 
     Gate kinds in ``exclude_kinds`` contribute zero delay and are left
     out of the reported sequence (by default the digit-product stage).
@@ -231,7 +219,7 @@ def critical_path(net: Netlist, lib: TimingLibrary,
     exclude = frozenset(exclude_kinds)
     eps = 1e-9
     # each kind's delay per output port; an excluded kind's 0.0 adds exactly
-    delays = {kind: [0.0 if kind in exclude else lib.delay(kind, p)
+    delays = {kind: [0.0 if kind in exclude else lib.delays[(kind, p)]
                      for p, _ in PORTS[kind].outputs]
               for kind in {g.kind for g in net.gates}}
 
@@ -346,7 +334,7 @@ def _priced(cost: CostLibrary, label: str, net: Netlist,
     cp = critical_path(net, timing)
     # the digit-product stage sits outside the path sum; report its own
     # delay alongside so nothing is hidden
-    frontend = max([0.0] + [timing.delay(kind, pname) for kind in
+    frontend = max([0.0] + [timing.delays[(kind, pname)] for kind in
                             FRONTEND_KINDS & {g.kind for g in net.gates}
                             for pname, _ in PORTS[kind].outputs])
     return DesignMetrics(label=label, radix=net.radix, width=net.width,
@@ -398,11 +386,9 @@ def _component_ratios(cost: CostLibrary, *pair: DesignMetrics) -> dict:
     """
     qm, bm = sorted(pair, key=lambda m: -m.radix)
     q, b = CELLS[4], CELLS[2]
-    try:
-        area = {"ha": (cost.lookup(q[1]), cost.lookup(b[1])),
-                "fa": (cost.lookup(q[2]), cost.lookup(b[2]))}
-    except LibraryError:
-        area = {}
+    sd = cost.sigma_di
+    area = {"ha": (sd[q[1]], sd[b[1]]), "fa": (sd[q[2]], sd[b[2]])} \
+        if sd.keys() >= {*q[1:3], *b[1:3]} else {}
     count = {"ha": (_count(qm, q[1:2]), _count(bm, b[1:2])),
              "fa": (_count(qm, q[2:]), _count(bm, b[2:]))}
     return {f"{cell}_{stat}_ratio": qv / bv

@@ -11,8 +11,11 @@ Rows are grouped in threes; inside a group each column compresses
 3 dots into a full adder, 2 into a half adder, and single dots pass.
 Sum dots stay in-column, carry dots move one column up.  In radix 4 the
 full adder is QFAC2, whose carry-in port is ternary: the first dot with
-range <= 2 is wired to the carry-in, and when a triple has no such dot
-the group falls back to a QHA plus a pass-through.
+range <= 2 is wired to the carry-in.  Every triple holds a carry row,
+whose dots (QM1, QFAC2 or QHA carries) all have range <= 2: stage 0
+alternates QM1 product and carry rows (as does the 4-row plan's
+triple), and every group gives a non-empty carry row, so each later
+stage alternates sum and carry rows, with at most two ungrouped rows.
 
 Grouping order is deterministic.  Most matrices use consecutive triples
 from the top; the 8-row binary matrix and the 4-row quaternary matrix
@@ -157,41 +160,26 @@ def _wallace_stage(builder: _NetBuilder, matrix: _DotMatrix,
         grp = [matrix.rows[i] for i in trip]
         srow: dict[int, str] = {}
         crow: dict[int, str] = {}
-        spill: list[dict[int, str]] = []
         for c in sorted(set().union(*grp)):
             dots = [r[c] for r in grp if c in r]
             if len(dots) == 1:
                 srow[c] = dots[0]
                 continue
-            use_full = len(dots) == 3
-            if use_full and base == 4:
-                ti = next((k for k, d in enumerate(dots)
-                           if builder.wires[d] <= 2), None)
-                if ti is None:
-                    use_full = False  # no legal carry-in: half adder instead
-                else:
-                    dots.append(dots.pop(ti))  # cin is the last port
-            if use_full:
-                outs, rng = builder.add_gate(full_adder, dots)
-                leftover = None
-            else:
-                outs, rng = builder.add_gate(half_adder, dots[:2])
-                leftover = dots[2] if len(dots) == 3 else None
+            if len(dots) == 3 and base == 4:
+                # the triple's carry row holds a dot of range <= 2
+                ti = next(k for k, d in enumerate(dots)
+                          if builder.wires[d] <= 2)
+                dots.append(dots.pop(ti))  # cin is the last port
+            outs, rng = builder.add_gate(
+                full_adder if len(dots) == 3 else half_adder, dots)
             srow[c] = outs[0]
             if rng[1] > 0 and c + 1 < matrix.width:
                 crow[c + 1] = outs[1]
             # rng[1] == 0 or a carry beyond the top column is provably
             # zero; the wire stays dangling.
-            if leftover is not None:
-                row = next((r for r in (crow, *spill) if c not in r), None)
-                if row is None:
-                    row = {}
-                    spill.append(row)
-                row[c] = leftover
         new_rows.append(srow)
         if crow:
             new_rows.append(crow)
-        new_rows.extend(spill)
 
     in_group = {i for trip in grouping for i in trip}
     new_rows.extend(matrix.rows[i] for i in range(len(matrix.rows))

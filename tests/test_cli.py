@@ -784,7 +784,7 @@ def test_build_commands_do_not_load_numpy(tmp_path):
         assert evaluate(net, {"x0": 3, "y0": 2}) == [2, 1]
         assert issubclass(SimulationError, ValueError)
         lib = timing_preset("quaternary-0.9v")
-        assert lib.delay("QM1", "product") == 118.0
+        assert lib.delays[("QM1", "product")] == 118.0
         assert "numpy" not in sys.modules
     """, str(tmp_path))
 
@@ -1062,6 +1062,23 @@ def test_compare_bad_timing_library(tmp_path, capsys, text):
                         "--timing-lib", str(lib)], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--cost-lib", '{"sigma_di": {"QHA": 1%s}}' % ("0" * 400)),
+    ("--timing-lib", '{"delays": {"QHA.sum": 1%s}}' % ("0" * 400)),
+], ids=["cost-lib", "timing-lib"])
+def test_library_int_too_large_for_a_float(tmp_path, flag, text):
+    # math.isfinite raised an OverflowError: a traceback and exit 1
+    lib = tmp_path / "big.json"
+    lib.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvlmul.cli", "compare", "--design", "4,2",
+         "--design", "2,4", flag, str(lib)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "must be finite and >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _legacy(lib, section, retired):

@@ -18,14 +18,14 @@ from mvlmul.netlist import Netlist, NetlistError
 
 def test_default_costs():
     lib = default_cost_library()
-    assert lib.lookup("AND") == 8.9
-    assert lib.lookup("BIN_HA") == 18.0
-    assert lib.lookup("BIN_FA") == 32.0
-    assert lib.lookup("QHA") == 83.0
-    assert lib.lookup("QFAC2") == 227.0
-    assert lib.lookup("QFAC2WC") == 227.0
-    assert lib.lookup("QM1") == 132.0
-    assert lib.lookup("QFAC2") / lib.lookup("BIN_FA") == \
+    assert lib.sigma_di["AND"] == 8.9
+    assert lib.sigma_di["BIN_HA"] == 18.0
+    assert lib.sigma_di["BIN_FA"] == 32.0
+    assert lib.sigma_di["QHA"] == 83.0
+    assert lib.sigma_di["QFAC2"] == 227.0
+    assert lib.sigma_di["QFAC2WC"] == 227.0
+    assert lib.sigma_di["QM1"] == 132.0
+    assert lib.sigma_di["QFAC2"] / lib.sigma_di["BIN_FA"] == \
         pytest.approx(7.09, abs=0.01)
 
 
@@ -135,13 +135,6 @@ def test_missing_timing_entry_raises(b2):
         critical_path(b2, lib)
 
 
-def test_timing_library_delay_names_a_missing_entry():
-    lib = TimingLibrary(name="thin", delays={})
-    with pytest.raises(LibraryError, match=r"^timing library 'thin' has no "
-                       r"entry for AND\.y$"):
-        lib.delay("AND", "y")
-
-
 def test_critical_path_of_no_gates_is_empty():
     net = Netlist(radix=2, width=1, wires={"x0": 1, "y0": 1}, gates=[],
                   primary_inputs=["x0", "y0"], primary_outputs=["x0"])
@@ -239,10 +232,16 @@ def test_timing_library_json_round_trip():
      "malformed timing library: name 5 is not a string"),
     (TimingLibrary, '{"delays": {"NAND.y": 1}}',
      "malformed timing library: 'NAND' is not a gate kind"),
+    # an int too large for a float raised an OverflowError
+    (CostLibrary, '{"sigma_di": {"QHA": 1%s}}' % ("0" * 400),
+     "area for QHA must be finite and >= 0, got 1" + "0" * 400),
+    (TimingLibrary, '{"delays": {"QHA.sum": 1%s}}' % ("0" * 400),
+     "delay for QHA.sum must be finite and >= 0, got 1" + "0" * 400),
 ], ids=["cost-str", "cost-bool", "timing-bool", "timing-no-port",
         "timing-wrong-port", "cost-list", "cost-empty", "cost-section-list",
         "cost-name-int", "cost-kind", "timing-list", "timing-empty",
-        "timing-section-list", "timing-name-int", "timing-kind"])
+        "timing-section-list", "timing-name-int", "timing-kind",
+        "cost-int-overflow", "timing-int-overflow"])
 def test_library_values_and_keys_are_strict(cls, text, message):
     with pytest.raises(LibraryError) as err:
         cls.from_json(text)

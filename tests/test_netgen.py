@@ -7,7 +7,6 @@ from mvlmul.core import PORTS
 from mvlmul.netgen import (NetgenError, _NetBuilder, _build_pp, _final_cpa,
                            _wallace_stage, gen_multiplier)
 from mvlmul.netlist import validate_netlist
-from mvlmul.sim import verify_exhaustive
 
 
 @pytest.fixture(scope="module")
@@ -97,18 +96,14 @@ def test_stage_heights_strictly_decrease(every_width):
 def test_capacity_preserved_each_stage(monkeypatch):
     # every adder is exact and only provably-zero carries are dropped, so
     # no stage of gen_multiplier may leave dots that cannot hold the
-    # largest product; the last case is the half-adder fallback and spill
-    # of test_quaternary_half_adder_fallback_and_spill
+    # largest product
     matrices = []
 
     def stage(builder, matrix, grouping=None):
         matrices.extend((matrix, _wallace_stage(builder, matrix, grouping)))
         return matrices[-1]
     monkeypatch.setattr(netgen, "_wallace_stage", stage)
-    for radix, width, plan in ((2, 8, None), (4, 4, None),
-                               (4, 4, {0: ((0, 2, 4),)})):
-        if plan is not None:
-            monkeypatch.setitem(netgen._GROUPING_PLANS, (4, 8), plan)
+    for radix, width in ((2, 8), (4, 4)):
         matrices.clear()
         net = gen_multiplier(radix, width)
         assert len(matrices) == 2 * net.stats["stages"] > 0
@@ -218,15 +213,3 @@ def test_unusual_widths_still_generate():
     for radix, width in ((2, 3), (2, 5), (4, 3), (4, 5)):
         net = gen_multiplier(radix, width)
         assert net.stats["stages"] >= 1
-
-
-def test_quaternary_half_adder_fallback_and_spill(monkeypatch):
-    # grouping rows 0, 2 and 4 of the 4x4-quit matrix leaves columns
-    # whose three dots are all quaternary: no legal carry-in, so a half
-    # adder takes two and the third goes to a spill row, new or reused
-    monkeypatch.setitem(netgen._GROUPING_PLANS, (4, 8), {0: ((0, 2, 4),)})
-    net = gen_multiplier(4, 4)
-    assert net.inventory() == {"QFAC2": 20, "QFAC2WC": 1, "QHA": 15,
-                               "QM1": 16}
-    assert validate_netlist(net) == []
-    assert verify_exhaustive(net).passed
