@@ -29,8 +29,8 @@ from .netlist import Netlist, walk
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 20
 
-#: bits of live planes a batch may hold: b128's peak of 16,642 live planes
-#: at 4,096 vectors, about 8.1 MiB
+#: bits of planes a batch may hold: what b128's 4,096-vector batch holds
+#: at its peak, 16,642 planes, about 8.1 MiB
 _PLANE_BUDGET = 16_642 * 2 ** 12
 
 #: vectors per batch, at least and at most: a plane holds at most the
@@ -131,22 +131,18 @@ def _plan(kind: str, in_ranges: tuple[int, ...],
 
 # -- simulation ---------------------------------------------------------------
 
-def _simulate(run: tuple[list[tuple], list[int]], batches):
-    """Yield ``(n, columns, output planes)`` per batch, for the steps and
-    product digit slots ``run`` of :func:`_steps`.
-
-    A batch is ``n`` vectors and one tuple of planes per primary input.
-    Each gate fires once per batch, in gate order, and then drops the
-    planes whose last reader it is.
-    """
+def _fire(run: tuple[list[tuple], list[int]], columns) -> list:
+    """The planes of each product digit after one batch through ``run``,
+    the steps and digit slots of :func:`_steps`; ``columns`` holds a tuple
+    of planes per primary input.  Each gate fires once, in gate order,
+    then drops the planes whose last reader it is."""
     steps, digits = run
-    for n, columns in batches:
-        planes = list(columns)
-        for fire, ins, drop in steps:
-            planes += fire(*map(planes.__getitem__, ins))
-            for s in drop:
-                planes[s] = None
-        yield n, columns, [planes[s] for s in digits]
+    planes = list(columns)
+    for fire, ins, drop in steps:
+        planes += fire(*map(planes.__getitem__, ins))
+        for s in drop:
+            planes[s] = None
+    return [planes[s] for s in digits]
 
 
 def _steps(net: Netlist) -> tuple[list[tuple], list[int]]:
@@ -181,28 +177,12 @@ def _steps(net: Netlist) -> tuple[list[tuple], list[int]]:
     return steps, digits
 
 
-def _batch_vectors(net: Netlist, run: tuple[list[tuple], list[int]],
-                   vectors: int) -> int:
-    """Vectors per batch of a ``vectors``-vector run of ``net`` through
-    its :func:`_steps` ``run``: the plane budget over the most planes
-    live at once, which is after a gate fires and before it drops any,
-    clamped to 4,096..65,536.  A run of at most 4,096 vectors is one
-    batch whatever the design, so its planes are not counted, and the
-    count stops where the smallest batch is reached: halfway through
-    b128's gates, a third of the way through q64's."""
-    if vectors <= _MIN_BATCH:
-        return _MIN_BATCH
-    widths = [(net.radix - 1).bit_length()] * len(net.primary_inputs)
-    live = peak = sum(widths)  # planes per slot, and of the live slots
-    for (_, _, drop), g in zip(run[0], net.gates):
-        out = [net.wires[w].bit_length() for w in g.outputs]
-        widths += out
-        live += sum(out)
-        if live * _MIN_BATCH >= _PLANE_BUDGET:
-            return _MIN_BATCH
-        peak = max(peak, live)
-        live -= sum(map(widths.__getitem__, drop))
-    return min(_PLANE_BUDGET // peak, _MAX_BATCH)
+def _batch_vectors(net: Netlist) -> int:
+    """Vectors per batch of a run of ``net``: the plane budget over the
+    planes of all its wires, clamped to 4,096..65,536.  No more planes
+    than that are live at once, so a batch holds at most the budget."""
+    planes = sum(map(int.bit_length, net.wires.values()))
+    return max(_MIN_BATCH, min(_PLANE_BUDGET // planes, _MAX_BATCH))
 
 
 def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
@@ -228,7 +208,7 @@ def evaluate(net: Netlist, assignment: dict[str, int]) -> list[int]:
     bits = range((net.radix - 1).bit_length())
     columns = [tuple(assignment[name] >> b & 1 for b in bits)
                for name in net.primary_inputs]
-    *_, got = next(_simulate(_steps(net), [(1, columns)]))
+    got = _fire(_steps(net), columns)
     return [sum(p << b for b, p in enumerate(planes)) for planes in got]
 
 
@@ -263,26 +243,31 @@ def _digit_bytes(planes, n: int) -> bytes:
     return v.to_bytes(n, "little")
 
 
-def _verify(net: Netlist, run, mode: str, vectors: int, batches,
+def _verify(net: Netlist, mode: str, vectors: int, columns,
             keep: int | None, seed: int | None = None) -> VerificationReport:
-    """The report of a ``mode`` run of ``net``, whose :func:`_steps` are
-    ``run``, over ``vectors`` vectors in ``batches``: every mismatch
-    counted, and records of the first ``keep`` (all when None) in vector
-    order.
+    """The report of a ``mode`` run of ``net`` over ``vectors`` vectors:
+    every mismatch counted, and records of the first ``keep`` (all when
+    None) in vector order.
 
-    Each batch holds x then y digits.  Degenerate designs may emit fewer
-    than 2N digits; the missing top digits must then be 0.
+    For each batch start ``a``, ``columns(a, n)`` gives the planes of
+    vectors ``a`` to ``a + n - 1``, a tuple per primary input, x digits
+    then y.  Degenerate designs may emit fewer than 2N digits; the
+    missing top digits must then be 0.
     """
+    run, size = _steps(net), _batch_vectors(net)
     w, m = net.width, (net.radix - 1).bit_length()
     count, records = 0, []
-    for n, columns, got in _simulate(run, batches):
+    for a in range(0, vectors, size):
+        n = min(size, vectors - a)
+        planes = columns(a, n)
+        got = _fire(run, planes)
         want = _product_planes(*([p for col in part for p in col]
-                                 for part in (columns[:w], columns[w:])))
+                                 for part in (planes[:w], planes[w:])))
         want = [tuple(want[k:k + m]) for k in range(0, len(want), m)]
         bad = 0
         for g, e in zip_longest(got, want, fillvalue=()):
-            for a, b in zip_longest(g, e, fillvalue=0):
-                bad |= a ^ b
+            for p, q in zip_longest(g, e, fillvalue=0):
+                bad |= p ^ q
         count += bad.bit_count()
         if not bad or keep is not None and len(records) >= keep:
             continue
@@ -291,7 +276,7 @@ def _verify(net: Netlist, run, mode: str, vectors: int, batches,
                             None if keep is None else keep - len(records)))
         upto = fails[-1] + 1  # the vectors that the records read
         x_y, exp, out = ([_digit_bytes(d, upto) for d in part]
-                         for part in (columns, want, got))
+                         for part in (planes, want, got))
         for j in fails:
             row = [d[j] for d in x_y]
             records.append({"x": row[:w], "y": row[w:],
@@ -334,16 +319,11 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
     # vector v's digits are those of v, most significant first, and the
     # bits of a power-of-two radix's digits are v's bits
     m, row = (net.radix - 1).bit_length(), 2 * net.width
-    run = _steps(net)
-    size = _batch_vectors(net, run, space)
 
-    def batches():
-        for a in range(0, space, size):
-            n = min(size, space - a)
-            yield n, [tuple(_count_plane(k, a, n) for k in range(p * m,
-                                                                (p + 1) * m))
-                      for p in reversed(range(row))]
-    return _verify(net, run, "exhaustive", space, batches(), keep)
+    def columns(a, n):
+        return [tuple(_count_plane(k, a, n) for k in range(p * m, p * m + m))
+                for p in reversed(range(row))]
+    return _verify(net, "exhaustive", space, columns, keep)
 
 
 def _digit_source(seed: int, radix: int):
@@ -390,6 +370,8 @@ def verify_random(net: Netlist, count: int, seed: int,
     counted; records are kept for the first ``keep`` (all when None).
     """
     walk(net)
+    if type(count) is not int:  # as for a digit: not 1.0 or True
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     take = _digit_source(seed, net.radix)
@@ -397,13 +379,9 @@ def verify_random(net: Netlist, count: int, seed: int,
     # each digit byte to b"1" where bit b is set and b"0" elsewhere; the
     # column is reversed so that vector j lands on bit j of int(s, 2)
     tables = [bytes(48 + (d >> b & 1) for d in range(256)) for b in range(m)]
-    run = _steps(net)
-    size = _batch_vectors(net, run, count)
 
-    def batches():
-        for a in range(0, count, size):
-            n = min(size, count - a)
-            drawn = take(n * row)
-            yield n, [tuple(int(col.translate(t), 2) for t in tables)
-                      for col in (drawn[i::row][::-1] for i in range(row))]
-    return _verify(net, run, "random", count, batches(), keep, seed)
+    def columns(_, n):  # the stream's next n vectors
+        drawn = take(n * row)
+        return [tuple(int(col.translate(t), 2) for t in tables)
+                for col in (drawn[i::row][::-1] for i in range(row))]
+    return _verify(net, "random", count, columns, keep, seed)

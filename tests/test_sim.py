@@ -109,12 +109,12 @@ def test_range_check_covers_every_vector_of_a_batch():
     # a batch of only (0,0) and (0,1), whose sums fit the narrowed wire:
     # the check covers every vector the declared input ranges allow, not
     # only those a run happens to reach
-    batch = (2, [(0, 0), (0b10, 0)])  # planes of a, then of b
+    batch = [(0, 0), (0b10, 0)]  # two vectors: planes of a, then of b
     net = _narrow_qha()
     with pytest.raises(NetlistError, match="declared 0..1 but can carry "
                                            "up to 3$"):
         walk(net)  # as every run does, before it builds its steps
-        next(sim._simulate(sim._steps(net), [batch]))
+        sim._fire(sim._steps(net), batch)
 
 
 def _two_overflows(order):
@@ -383,7 +383,19 @@ def test_random_is_deterministic(b8):
     assert r1.passed
 
 
-_SIMULATE = sim._simulate
+_VERIFY = sim._verify
+
+
+def _spy_columns(monkeypatch, seen):
+    """Call ``seen(n, columns)`` with each batch's input planes that
+    ``_verify`` asks its ``columns`` argument for."""
+    def spy(net, mode, vectors, columns, *rest):
+        def spied(a, n):
+            planes = columns(a, n)
+            seen(n, planes)
+            return planes
+        return _VERIFY(net, mode, vectors, spied, *rest)
+    monkeypatch.setattr(sim, "_verify", spy)
 
 
 def _spy_batches(monkeypatch, size):
@@ -391,25 +403,16 @@ def _spy_batches(monkeypatch, size):
     gets, per simulated batch, its rows of input digits."""
     monkeypatch.setattr(sim, "_batch_vectors", lambda *_: size)
     batches = []
-
-    def spy(net, stream):
-        for n, columns, got in _SIMULATE(net, stream):
-            batches.append([[sum((p >> j & 1) << b for b, p in enumerate(c))
-                             for c in columns] for j in range(n)])
-            yield n, columns, got
-    monkeypatch.setattr(sim, "_simulate", spy)
+    _spy_columns(monkeypatch, lambda n, columns: batches.append(
+        [[sum((p >> j & 1) << b for b, p in enumerate(c)) for c in columns]
+         for j in range(n)]))
     return batches
 
 
 def _batch_lengths(monkeypatch):
     """The list that gets the vector count of each simulated batch."""
     lengths = []
-
-    def spy(run, stream):
-        for n, columns, got in _SIMULATE(run, stream):
-            lengths.append(n)
-            yield n, columns, got
-    monkeypatch.setattr(sim, "_simulate", spy)
+    _spy_columns(monkeypatch, lambda n, _: lengths.append(n))
     return lengths
 
 
@@ -439,7 +442,7 @@ def test_random_stream_is_randrange(monkeypatch, request, design, seed,
     net = request.getfixturevalue(design)
     default = batch is None
     if default:
-        batch = sim._batch_vectors(net, sim._steps(net), count)
+        batch = sim._batch_vectors(net)
     batches = _spy_batches(monkeypatch, batch)
     draws = _count_draws(monkeypatch)
     assert verify_random(net, count, seed).passed
@@ -474,6 +477,15 @@ def test_exhaustive_walks_before_it_sizes_the_space(b2):
 def test_random_rejects_zero_count(b2):
     with pytest.raises(ValueError):
         verify_random(b2, 0, seed=1)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, 5000.0, "3"])
+def test_random_rejects_a_count_that_is_not_an_int(b2, count):
+    # True ran one vector and was reported as "vectors_tested": true; the
+    # others ended in a bare TypeError
+    with pytest.raises(ValueError, match=(
+            f"^count must be an integer, got {re.escape(repr(count))}$")):
+        verify_random(b2, count, seed=1)
 
 
 def test_a_bad_argument_compiles_no_plan(monkeypatch):
@@ -563,7 +575,7 @@ def test_exhaustive_order_across_batches(monkeypatch, b4):
                          "expected": list(digits_of(x * y, 2, 8)),
                          "got": got})
     assert want
-    batches.clear()  # evaluate is a batch of one
+    assert batches == []  # evaluate does not go through _verify
     assert verify_exhaustive(net).mismatches == want
     assert [len(b) for b in batches] == [7] * 36 + [4]
     assert sum(batches, []) == [list(row)
@@ -572,8 +584,8 @@ def test_exhaustive_order_across_batches(monkeypatch, b4):
 
 def test_exhaustive_batches_are_sized_by_the_design(monkeypatch, b8, q4):
     # every design ran 4,096 vectors per batch: b8 and q4 as 16 batches,
-    # b10 as 256; the plane budget over their peaks of 82, 84 and 122
-    # live planes is past the 65,536 cap
+    # b10 as 256; the plane budget over their 206, 169 and 332 planes is
+    # past the 65,536 cap
     lengths = _batch_lengths(monkeypatch)
     for net in (b8, q4):
         assert verify_exhaustive(net).passed
@@ -585,12 +597,21 @@ def test_exhaustive_batches_are_sized_by_the_design(monkeypatch, b8, q4):
 
 @pytest.mark.parametrize("radix, width", [(2, 128), (4, 64)])
 def test_wide_designs_keep_the_smallest_batch(radix, width):
-    # 16,642 and 16,644 live planes: b128's 4,096-vector batch is the
-    # budget, so neither batch grows, nor the memory it holds
+    # 50,922 and 44,464 planes: the budget, b128's peak at 4,096 vectors,
+    # over either is below the smallest batch, so neither batch grows,
+    # nor the memory it holds
+    assert sim._batch_vectors(gen_multiplier(radix, width)) == 4096
+
+
+@pytest.mark.parametrize("radix, width, planes, batch", [
+    (2, 32, 3330, 20_470), (4, 16, 2868, 23_767)])
+def test_mid_size_batches_are_the_budget_over_all_planes(radix, width,
+                                                         planes, batch):
+    # sized by their peak of live planes, the batches were 62,537 and
+    # 62,422 vectors
     net = gen_multiplier(radix, width)
-    run = sim._steps(net)
-    for vectors in (4097, 10_000, 2 ** 20):
-        assert sim._batch_vectors(net, run, vectors) == 4096
+    assert sum(r.bit_length() for r in net.wires.values()) == planes
+    assert sim._batch_vectors(net) == sim._PLANE_BUDGET // planes == batch
 
 
 def test_one_fault_q4_report_independent_of_batch_size(monkeypatch, q4):
