@@ -70,25 +70,25 @@ def _on_netlist(path: str, run):
     raise CliError(f"{path}: invalid netlist: {msgs}", EXIT_USAGE)
 
 
+def _override(name: str) -> str | None:
+    """The file ``name`` of the ``MVL_DEFAULT_LIBS`` directory, if any."""
+    env = os.environ.get("MVL_DEFAULT_LIBS")
+    path = env and Path(env, name)
+    return str(path) if path and path.exists() else None
+
+
 def _cost_library(path: str | None):
     from .metrics import CostLibrary, default_cost_library
-    if path:
-        return CostLibrary.from_json(_read_text(path))
-    env = os.environ.get("MVL_DEFAULT_LIBS")
-    if env:
-        cand = Path(env) / "cost.json"
-        if cand.exists():
-            return CostLibrary.from_json(_read_text(str(cand)))
-    return default_cost_library()
+    path = path or _override("cost.json")  # --cost-lib first
+    return (CostLibrary.from_json(_read_text(path)) if path
+            else default_cost_library())
 
 
 def _timing_library(spec: str):
     from .metrics import TIMING_PRESETS, TimingLibrary, timing_preset
-    env = os.environ.get("MVL_DEFAULT_LIBS")
-    if env:
-        cand = Path(env) / f"timing-{spec}.json"
-        if cand.exists():
-            return TimingLibrary.from_json(_read_text(str(cand)))
+    path = _override(f"timing-{spec}.json")  # before the preset
+    if path:
+        return TimingLibrary.from_json(_read_text(path))
     if spec in TIMING_PRESETS:
         return timing_preset(spec)
     if Path(spec).exists():

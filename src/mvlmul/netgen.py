@@ -5,6 +5,12 @@ the radix's cells in :data:`~mvlmul.core.CELLS`: digit-product stage
 (AND gates or 1x1 quit multipliers), row-grouped column reduction until
 every column holds at most two dots, then a ripple final add.
 
+A dot is the id of a gate output wire of true range at least 1.  The
+dots are rows, each a ``{column: dot}`` dict over the 2N product
+columns with at most one dot per column; ``_columns`` reads a column's
+dots off them in row order.  Every adder is exact and only
+provably-zero carries are dropped, so the dots can hold every product.
+
 Reduction policy
 ----------------
 Rows are grouped in threes; inside a group each column compresses
@@ -17,11 +23,11 @@ alternates QM1 product and carry rows (as does the 4-row plan's
 triple), and every group gives a non-empty carry row, so each later
 stage alternates sum and carry rows, with at most two ungrouped rows.
 
-Grouping order is deterministic.  Most matrices use consecutive triples
-from the top; the 8-row binary matrix and the 4-row quaternary matrix
-use fixed grouping plans (see ``_GROUPING_PLANS``) chosen so the
-generated inventories and stage counts land on the reference totals for
-the 8x8-bit and 2x2-quit designs.
+Grouping order is deterministic.  Most stages group consecutive triples
+from the top; 8 binary rows and 4 quaternary rows use fixed grouping
+plans (see ``_GROUPING_PLANS``) chosen so the generated inventories and
+stage counts land on the reference totals for the 8x8-bit and 2x2-quit
+designs.
 
 Carries whose weight falls beyond the product width are provably zero
 (the product of width-N operands always fits in 2N digits); such carry
@@ -31,10 +37,12 @@ adder (``CELLS[radix][3]``: the carry-less QFAC2WC in radix 4) there.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 
 from .core import CELLS, PORTS, output_ranges
 from .netlist import GateInstance, Netlist
+
+_Rows = list[dict[int, str]]  # rows of dots: see the module docstring
 
 
 class NetgenError(ValueError):
@@ -43,16 +51,14 @@ class NetgenError(ValueError):
 
 class _NetBuilder:
     """Accumulates ``wires`` (``{id: range_max}``) and ``gates`` with
-    deterministic ids; ``gates`` is in build order, a gate's id its index."""
+    deterministic ids; ``gates`` is in build order, a gate's id its index.
+    ``inputs`` are the 2N operand digits, x then y, declared first."""
 
-    def __init__(self):
-        self.wires: dict[str, int] = {}
+    def __init__(self, radix: int, width: int):
+        self.inputs = [f"{o}{i}" for o in "xy" for i in range(width)]
+        self.wires: dict[str, int] = dict.fromkeys(self.inputs, radix - 1)
         self.gates: list[GateInstance] = []
         self._nwire = 0
-
-    def add_input(self, name: str, range_max: int) -> str:
-        self.wires[name] = range_max
-        return name
 
     def add_gate(self, kind: str, inputs: list[str]) \
             -> tuple[list[str], tuple[int, ...]]:
@@ -75,36 +81,21 @@ class _NetBuilder:
         return outs, ranges
 
 
-class _DotMatrix(namedtuple("_DotMatrix", "base width rows")):
-    """Partial-product dots, kept per row with column positions.
-
-    A dot is the id of a gate output wire whose true range is at least
-    1, so its value range is the wire's ``range_max`` in the builder's
-    ``wires``.  ``rows`` (a list of ``{column: dot}``) preserves the
-    reduction ordering; the column view used for heights is derived.
-    Every adder is exact and only provably-zero carries are dropped, so
-    the dots can always represent every product of the operands.
-    """
-
-    __slots__ = ()
-
-    def columns(self) -> list[list[str]]:
-        cols: list[list[str]] = [[] for _ in range(self.width)]
-        for row in self.rows:
-            for c in sorted(row):
-                cols[c].append(row[c])
-        return cols
-
-    def heights(self) -> list[int]:
-        return [len(col) for col in self.columns()]
+def _columns(rows: _Rows, ncols: int) -> list[list[str]]:
+    """The dots of each of ``ncols`` columns, in row order."""
+    cols: list[list[str]] = [[] for _ in range(ncols)]
+    for row in rows:  # a row holds at most one dot per column
+        for c, dot in row.items():
+            cols[c].append(dot)
+    return cols
 
 
 # -- partial products ---------------------------------------------------------
 
-def _build_pp(builder: _NetBuilder, radix: int, width: int) -> _DotMatrix:
-    """Digit-product partial products of two ``width``-digit operands:
+def _build_pp(builder: _NetBuilder, radix: int, width: int) -> _Rows:
+    """The rows of digit-product dots of two ``width``-digit operands:
     per y digit, one row per output of the radix's digit cell
-    (``CELLS[radix][0]``).
+    (``CELLS[radix][0]``), each cell reading the builder's ``inputs``.
 
     Output k of the cell for pair (i, j) carries weight radix**(i+j+k)
     and lands in column i+j+k, or is dropped past the top column.  Radix
@@ -112,19 +103,17 @@ def _build_pp(builder: _NetBuilder, radix: int, width: int) -> _DotMatrix:
     a ternary carry row, so a width-N operand pair yields 2N rows.
     """
     cell = CELLS[radix][0]
-    m = _DotMatrix(base=radix, width=2 * width, rows=[])
-    # one string per operand digit, shared by every gate that reads it
-    xs = [f"x{i}" for i in range(width)]
-    ys = [f"y{j}" for j in range(width)]
+    xs, ys = builder.inputs[:width], builder.inputs[width:]
+    rows: _Rows = []
     for j in range(width):
-        rows: list[dict[int, str]] = [{} for _ in PORTS[cell].outputs]
+        cell_rows: _Rows = [{} for _ in PORTS[cell].outputs]
         for i in range(width):
             outs, _ = builder.add_gate(cell, [xs[i], ys[j]])
-            for k, row in enumerate(rows):
-                if i + j + k < m.width:
+            for k, row in enumerate(cell_rows):
+                if i + j + k < 2 * width:
                     row[i + j + k] = outs[k]
-        m.rows.extend(rows)
-    return m
+        rows.extend(cell_rows)
+    return rows
 
 
 # -- reduction ----------------------------------------------------------------
@@ -132,7 +121,7 @@ def _build_pp(builder: _NetBuilder, radix: int, width: int) -> _DotMatrix:
 # Fixed grouping plans, keyed by (base, row count) and stage index.
 # Entries list the row-index triples to group; unlisted rows pass through.
 # The 8-row binary plan keeps the 8x8 totals at 47 FA + 16 HA; the 4-row
-# quaternary plan reduces the 2x2-quit matrix in a single stage.
+# quaternary plan reduces the 2x2-quit rows in a single stage.
 _GROUPING_PLANS = {
     (2, 8): {0: ((0, 1, 2), (3, 5, 6)),
              1: ((0, 1, 4), (2, 3, 5))},
@@ -140,32 +129,27 @@ _GROUPING_PLANS = {
 }
 
 
-def _default_grouping(nrows: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple((3 * g, 3 * g + 1, 3 * g + 2) for g in range(nrows // 3))
-
-
-def _wallace_stage(builder: _NetBuilder, matrix: _DotMatrix,
+def _wallace_stage(builder: _NetBuilder, radix: int, rows: _Rows,
                    grouping: tuple[tuple[int, int, int], ...] | None = None) \
-        -> _DotMatrix:
-    """One reduction stage of a matrix taller than 2; returns the
-    reduced matrix."""
+        -> _Rows:
+    """One reduction stage of rows whose tallest column holds more than
+    2 dots; returns the reduced rows: per triple of ``grouping``
+    (consecutive triples when None) a sum row and a non-empty carry row,
+    then the ungrouped rows in order."""
     if grouping is None:
-        grouping = _default_grouping(len(matrix.rows))
-
-    base = matrix.base
-    _, half_adder, full_adder, _ = CELLS[base]
-    new_rows: list[dict[int, str]] = []
-
+        grouping = [(i, i + 1, i + 2) for i in range(0, len(rows) - 2, 3)]
+    _, half_adder, full_adder, _ = CELLS[radix]
+    top = len(builder.inputs) - 1  # 2N operand digits, 2N columns
+    new_rows: _Rows = []
     for trip in grouping:
-        grp = [matrix.rows[i] for i in trip]
-        srow: dict[int, str] = {}
-        crow: dict[int, str] = {}
+        grp = [rows[i] for i in trip]
+        srow, crow = {}, {}  # the group's sum row and carry row
         for c in sorted(set().union(*grp)):
             dots = [r[c] for r in grp if c in r]
             if len(dots) == 1:
                 srow[c] = dots[0]
                 continue
-            if len(dots) == 3 and base == 4:
+            if len(dots) == 3 and radix == 4:
                 # the triple's carry row holds a dot of range <= 2
                 ti = next(k for k, d in enumerate(dots)
                           if builder.wires[d] <= 2)
@@ -173,7 +157,7 @@ def _wallace_stage(builder: _NetBuilder, matrix: _DotMatrix,
             outs, rng = builder.add_gate(
                 full_adder if len(dots) == 3 else half_adder, dots)
             srow[c] = outs[0]
-            if rng[1] > 0 and c + 1 < matrix.width:
+            if rng[1] > 0 and c < top:
                 crow[c + 1] = outs[1]
             # rng[1] == 0 or a carry beyond the top column is provably
             # zero; the wire stays dangling.
@@ -182,44 +166,30 @@ def _wallace_stage(builder: _NetBuilder, matrix: _DotMatrix,
             new_rows.append(crow)
 
     in_group = {i for trip in grouping for i in trip}
-    new_rows.extend(matrix.rows[i] for i in range(len(matrix.rows))
-                    if i not in in_group)
-
-    return _DotMatrix(base=base, width=matrix.width, rows=new_rows)
+    new_rows.extend(r for i, r in enumerate(rows) if i not in in_group)
+    return new_rows
 
 
-def _final_cpa(builder: _NetBuilder, matrix: _DotMatrix) -> list[str]:
-    """Ripple final add over a height-<=2 matrix.
-
-    Returns the product digit wires, LSB first.  A column
-    with a single value passes straight through; two values make a half
-    adder; two dots plus the incoming carry make a full adder (the
-    top-column adder in the top column, whose carry out is provably
-    zero by operand capacity and left dangling).
-    """
-    _, half_adder, full_adder, top_adder = CELLS[matrix.base]
-    cols = matrix.columns()
-    digits: list[str] = []
-    carry: str | None = None
-    for c in range(matrix.width):
-        items = list(cols[c])
-        if carry is not None:
-            items.append(carry)
-            carry = None
-        if not items:
+def _final_cpa(builder: _NetBuilder, radix: int, rows: _Rows) -> list[str]:
+    """Ripple final add over rows whose columns hold at most 2 dots;
+    returns the product digit wires, LSB first.  A column's single value
+    passes straight through, two values make a half adder, and two dots
+    plus the incoming carry a full adder (the top-column adder in the
+    top column, whose provably-zero carry out is left dangling)."""
+    _, half_adder, full_adder, top_adder = CELLS[radix]
+    top = len(builder.inputs) - 1
+    digits, carry = [], []  # carry: the incoming carry, if any
+    for c, dots in enumerate(_columns(rows, top + 1)):
+        dots += carry  # the carry sits last: the (ternary) carry-in port
+        if not dots:
             break  # product ends here
-        if len(items) == 1:
-            digits.append(items[0])
-            continue
-        if len(items) == 2:
-            kind = half_adder
-        else:  # two dots plus the incoming carry; the carry sits last
-            # and takes the (ternary) carry-in port
-            kind = top_adder if c == matrix.width - 1 else full_adder
-        outs, rng = builder.add_gate(kind, items)
-        digits.append(outs[0])
-        if len(rng) > 1 and rng[1] > 0:
-            carry = outs[1]
+        carry = []
+        if len(dots) > 1:
+            kind = (half_adder if len(dots) == 2 else
+                    top_adder if c == top else full_adder)
+            dots, rng = builder.add_gate(kind, dots)
+            carry = [w for w, r in zip(dots[1:], rng[1:]) if r]
+        digits.append(dots[0])
     return digits
 
 
@@ -230,42 +200,35 @@ def gen_multiplier(radix: int, width: int) -> Netlist:
 
     The netlist holds every rule of :func:`~mvlmul.netlist.walk` by
     construction, which the tests check, so no walk runs here.
-    Stage count and the tree / final-add inventory split are recorded in
-    ``Netlist.stats``.
+    Stage count, each stage's column heights and the tree / final-add
+    inventory split are recorded in ``Netlist.stats``.
     """
     if type(radix) is not int or radix not in CELLS:
         raise NetgenError(f"radix must be 2 or 4, got {radix}")
     if type(width) is not int or width < 1:
         raise NetgenError(f"width must be a positive integer, got {width}")
 
-    builder = _NetBuilder()
-    inputs = [builder.add_input(f"{operand}{i}", radix - 1)
-              for operand in "xy" for i in range(width)]
-
-    matrix = _build_pp(builder, radix, width)
-
-    plans = _GROUPING_PLANS.get((radix, len(matrix.rows)), {})
-    gates = builder.gates
-    tree_start = len(gates)
-    stage_heights = [matrix.heights()]
-    stage = 0
+    builder = _NetBuilder(radix, width)
+    rows = _build_pp(builder, radix, width)
+    plans = _GROUPING_PLANS.get((radix, len(rows)), {})
+    tree_start = len(builder.gates)
+    stage_heights = [list(map(len, _columns(rows, 2 * width)))]
     while max(stage_heights[-1]) > 2:
-        matrix = _wallace_stage(builder, matrix, plans.get(stage))
-        stage_heights.append(matrix.heights())
-        stage += 1
+        rows = _wallace_stage(builder, radix, rows,
+                              plans.get(len(stage_heights) - 1))
+        stage_heights.append(list(map(len, _columns(rows, 2 * width))))
 
-    cpa_start = len(gates)
-    digits = _final_cpa(builder, matrix)
-
+    cpa_start = len(builder.gates)
+    digits = _final_cpa(builder, radix, rows)
     stats = {
-        "stages": stage,
+        "stages": len(stage_heights) - 1,
         "stage_heights": stage_heights,
         "tree_inventory": dict(sorted(Counter(
-            g.kind for g in gates[tree_start:cpa_start]).items())),
+            g.kind for g in builder.gates[tree_start:cpa_start]).items())),
         "final_add_inventory": dict(sorted(Counter(
-            g.kind for g in gates[cpa_start:]).items())),
+            g.kind for g in builder.gates[cpa_start:]).items())),
     }
 
     return Netlist(radix=radix, width=width, wires=builder.wires,
-                   gates=builder.gates, primary_inputs=inputs,
+                   gates=builder.gates, primary_inputs=builder.inputs,
                    primary_outputs=digits, stats=stats)

@@ -247,13 +247,15 @@ def _verify(net: Netlist, mode: str, vectors: int, columns,
             keep: int | None, seed: int | None = None) -> VerificationReport:
     """The report of a ``mode`` run of ``net`` over ``vectors`` vectors:
     every mismatch counted, and records of the first ``keep`` (all when
-    None) in vector order.
+    None) in vector order; a bad ``keep`` is refused before any plan.
 
     For each batch start ``a``, ``columns(a, n)`` gives the planes of
     vectors ``a`` to ``a + n - 1``, a tuple per primary input, x digits
     then y.  Degenerate designs may emit fewer than 2N digits; the
     missing top digits must then be 0.
     """
+    if keep is not None:
+        _check_int("keep", keep, 0)
     run, size = _steps(net), _batch_vectors(net)
     w, m = net.width, (net.radix - 1).bit_length()
     count, records = 0, []
@@ -303,6 +305,14 @@ def _count_plane(k: int, a: int, n: int) -> int:
     return plane & ((1 << n) - 1)
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    # an argument is an int, as a digit is: not 1.0 or True
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
                       keep: int | None = None) -> VerificationReport:
     """Compare every input pair's product digits against x * y.
@@ -311,6 +321,7 @@ def verify_exhaustive(net: Netlist, cap: int = DEFAULT_EXHAUSTIVE_CAP,
     (all when None).
     """
     walk(net)  # first: it checks the count of operands
+    _check_int("cap", cap)
     space = net.radix ** len(net.primary_inputs)
     if space > cap:
         raise VerificationSpaceError(
@@ -370,10 +381,8 @@ def verify_random(net: Netlist, count: int, seed: int,
     counted; records are kept for the first ``keep`` (all when None).
     """
     walk(net)
-    if type(count) is not int:  # as for a digit: not 1.0 or True
-        raise ValueError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_int("count", count, 1)
+    _check_int("seed", seed)
     take = _digit_source(seed, net.radix)
     m, row = (net.radix - 1).bit_length(), 2 * net.width
     # each digit byte to b"1" where bit b is set and b"0" elsewhere; the

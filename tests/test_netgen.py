@@ -1,11 +1,13 @@
 """Generator structure: partial products, reduction, final add."""
 
+from collections import Counter
+
 import pytest
 
 from mvlmul import netgen
-from mvlmul.core import PORTS
-from mvlmul.netgen import (NetgenError, _NetBuilder, _build_pp, _final_cpa,
-                           _wallace_stage, gen_multiplier)
+from mvlmul.core import CELLS, PORTS
+from mvlmul.netgen import (NetgenError, _columns, _NetBuilder, _build_pp,
+                           _final_cpa, _wallace_stage, gen_multiplier)
 from mvlmul.netlist import validate_netlist
 
 
@@ -17,56 +19,53 @@ def every_width():
             for width in range(1, top + 1)}
 
 
-def _fresh_builder(radix, width):
-    b = _NetBuilder()
-    for i in range(width):
-        b.add_input(f"x{i}", radix - 1)
-        b.add_input(f"y{i}", radix - 1)
-    return b
+def _heights(rows, width):
+    """The dot count of each of the 2 * ``width`` columns of ``rows``."""
+    return [len(col) for col in _columns(rows, 2 * width)]
 
 
-def _capacity(m, ranges):
-    """The largest value the dots of ``m`` can sum to: the sum of
+def _capacity(rows, radix, ranges):
+    """The largest value the dots of ``rows`` can sum to: the sum of
     range_max * radix**column over every dot, by the builder's
     ``ranges`` (its ``wires``)."""
-    return sum(ranges[d] * m.base ** c for row in m.rows
+    return sum(ranges[d] * radix ** c for row in rows
                for c, d in row.items())
 
 
 # --- partial products -----------------------------------------------------
 
 def test_pp_binary_shapes():
-    b = _fresh_builder(2, 2)
-    m = _build_pp(b, 2, 2)
+    b = _NetBuilder(2, 2)
+    rows = _build_pp(b, 2, 2)
     assert sum(1 for g in b.gates if g.kind == "AND") == 4
-    assert m.heights() == [1, 2, 1, 0]
+    assert _heights(rows, 2) == [1, 2, 1, 0]
 
-    b = _fresh_builder(2, 1)
-    m = _build_pp(b, 2, 1)
-    assert m.heights() == [1, 0]
+    b = _NetBuilder(2, 1)
+    rows = _build_pp(b, 2, 1)
+    assert _heights(rows, 1) == [1, 0]
 
-    b = _fresh_builder(2, 8)
-    m = _build_pp(b, 2, 8)
+    b = _NetBuilder(2, 8)
+    rows = _build_pp(b, 2, 8)
     assert len(b.gates) == 64
-    assert max(m.heights()) == 8
+    assert max(_heights(rows, 8)) == 8
 
 
 def test_pp_quaternary_shapes():
-    b = _fresh_builder(4, 4)
-    m = _build_pp(b, 4, 4)
+    b = _NetBuilder(4, 4)
+    rows = _build_pp(b, 4, 4)
     assert len(b.gates) == 16
-    assert len(m.rows) == 8  # product row + carry row per y digit
+    assert len(rows) == 8  # product row + carry row per y digit
 
-    b = _fresh_builder(4, 1)
-    m = _build_pp(b, 4, 1)
-    cols = m.columns()
+    b = _NetBuilder(4, 1)
+    rows = _build_pp(b, 4, 1)
+    cols = _columns(rows, 2)
     assert len(cols[0]) == 1 and b.wires[cols[0][0]] == 3
     assert len(cols[1]) == 1 and b.wires[cols[1][0]] == 2
 
-    b = _fresh_builder(4, 2)
-    m = _build_pp(b, 4, 2)
+    b = _NetBuilder(4, 2)
+    rows = _build_pp(b, 4, 2)
     assert len(b.gates) == 4
-    dots = [d for row in m.rows for d in row.values()]
+    dots = [d for row in rows for d in row.values()]
     assert sum(1 for d in dots if b.wires[d] == 3) == 4  # products
     assert sum(1 for d in dots if b.wires[d] == 2) == 4  # carries
 
@@ -74,9 +73,9 @@ def test_pp_quaternary_shapes():
 def test_capacity_holds_from_the_start():
     # the digit products can hold the largest product, (radix**N - 1)**2
     for radix, width in ((2, 8), (4, 4)):
-        b = _fresh_builder(radix, width)
-        m = _build_pp(b, radix, width)
-        assert _capacity(m, b.wires) >= (radix ** width - 1) ** 2, \
+        b = _NetBuilder(radix, width)
+        rows = _build_pp(b, radix, width)
+        assert _capacity(rows, radix, b.wires) >= (radix ** width - 1) ** 2, \
             (radix, width)
 
 
@@ -99,24 +98,24 @@ def test_capacity_preserved_each_stage(monkeypatch):
     # largest product
     matrices = []
 
-    def stage(builder, matrix, grouping=None):
-        matrices.extend((matrix, _wallace_stage(builder, matrix, grouping)))
+    def stage(builder, radix, rows, grouping=None):
+        matrices.extend((rows, _wallace_stage(builder, radix, rows, grouping)))
         return matrices[-1]
     monkeypatch.setattr(netgen, "_wallace_stage", stage)
     for radix, width in ((2, 8), (4, 4)):
         matrices.clear()
         net = gen_multiplier(radix, width)
         assert len(matrices) == 2 * net.stats["stages"] > 0
-        for m in matrices:  # the builder's wires are the netlist's
-            assert _capacity(m, net.wires) >= (radix ** width - 1) ** 2, \
-                (radix, width)
+        for rows in matrices:  # the builder's wires are the netlist's
+            assert _capacity(rows, radix, net.wires) >= \
+                (radix ** width - 1) ** 2, (radix, width)
 
 
 def test_final_cpa_single_row_passthrough():
-    b = _fresh_builder(2, 1)
-    m = _build_pp(b, 2, 1)
+    b = _NetBuilder(2, 1)
+    rows = _build_pp(b, 2, 1)
     before = len(b.gates)
-    digits = _final_cpa(b, m)
+    digits = _final_cpa(b, 2, rows)
     assert len(b.gates) == before
     assert len(digits) == 1
 
@@ -156,6 +155,27 @@ def test_stage_counts(all_designs):
         (4, 1), (2, 2), (4, 2), (2, 4), (4, 4), (2, 8))} == {
         (4, 1): (2, 1), (2, 2): (4, 2), (4, 2): (8, 3), (2, 4): (16, 4),
         (4, 4): (32, 7), (2, 8): (64, 8)}
+
+
+def test_gates_are_in_layer_order(every_width):
+    # the digit cells, then the tree, then the final add: the gate list
+    # and the two inventories of stats are a map of the layers
+    for (radix, width), net in every_width.items():
+        stats, digits = net.stats, width * width
+        ntree = sum(stats["tree_inventory"].values())
+        tree = net.gates[digits:digits + ntree]
+        assert {g.kind for g in net.gates[:digits]} == {CELLS[radix][0]}
+        assert Counter(g.kind for g in tree) == stats["tree_inventory"]
+        assert Counter(g.kind for g in net.gates[digits + ntree:]) == \
+            stats["final_add_inventory"], (radix, width)
+        assert stats["stages"] == len(stats["stage_heights"]) - 1
+        # the longest chain of tree gates, back to the digit stage
+        depth = {}
+        for g in tree:
+            d = 1 + max((depth.get(w, 0) for w in g.inputs), default=0)
+            depth.update(dict.fromkeys(g.outputs, d))
+        assert max(depth.values(), default=0) == stats["stages"], \
+            (radix, width)
 
 
 def test_no_quaternary_wire_feeds_a_carry_port(all_designs):

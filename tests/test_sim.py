@@ -479,13 +479,33 @@ def test_random_rejects_zero_count(b2):
         verify_random(b2, 0, seed=1)
 
 
-@pytest.mark.parametrize("count", [True, 2.5, 5000.0, "3"])
-def test_random_rejects_a_count_that_is_not_an_int(b2, count):
+#: a bad argument of verify_random: (count, seed, keep), and its error
+BAD_RANDOM_ARGS = {
     # True ran one vector and was reported as "vectors_tested": true; the
     # others ended in a bare TypeError
-    with pytest.raises(ValueError, match=(
-            f"^count must be an integer, got {re.escape(repr(count))}$")):
-        verify_random(b2, count, seed=1)
+    "True": ((True, 1, None), "count must be an integer, got True"),
+    "2.5": ((2.5, 1, None), "count must be an integer, got 2.5"),
+    "5000.0": ((5000.0, 1, None), "count must be an integer, got 5000.0"),
+    "3": (("3", 1, None), "count must be an integer, got '3'"),
+    # a seed of None drew a new stream on each call and was reported as
+    # "seed": null; True, 1.0 and "3" were written to the report as they
+    # are, and a list ended in a bare TypeError
+    "seed-None": ((200, None, None), "seed must be an integer, got None"),
+    "seed-True": ((200, True, None), "seed must be an integer, got True"),
+    "seed-1.0": ((200, 1.0, None), "seed must be an integer, got 1.0"),
+    "seed-3": ((200, "3", None), "seed must be an integer, got '3'"),
+    "seed-list": ((200, [3], None), "seed must be an integer, got [3]"),
+    # -1 kept no record without a word, and 2.5 ended in islice's error
+    "keep--1": ((200, 1, -1), "keep must be >= 0, got -1"),
+    "keep-2.5": ((200, 1, 2.5), "keep must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RANDOM_ARGS))
+def test_random_rejects_a_count_that_is_not_an_int(b2, case):
+    (count, seed, keep), message = BAD_RANDOM_ARGS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_random(b2, count, seed, keep=keep)
 
 
 def test_a_bad_argument_compiles_no_plan(monkeypatch):
@@ -499,6 +519,18 @@ def test_a_bad_argument_compiles_no_plan(monkeypatch):
         verify_exhaustive(net)
     with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
         verify_random(net, 0, seed=1)
+    # a cap that is not an int ended in a bare TypeError
+    with pytest.raises(ValueError, match="^cap must be an integer, "
+                                         "got '9'$"):
+        verify_exhaustive(net, cap="9")
+    with pytest.raises(ValueError, match="^keep must be >= 0, got -1$"):
+        verify_exhaustive(net, cap=2 ** 22, keep=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer, "
+                                         "got None$"):
+        verify_random(net, 200, None)
+    with pytest.raises(ValueError, match="^keep must be an integer, "
+                                         "got 2.5$"):
+        verify_random(net, 200, 1, keep=2.5)
     assert plans == []
     verify_random(net, 1, seed=1)  # a run asks for a plan per gate
     assert len(plans) == len(net.gates)
